@@ -22,8 +22,7 @@ from functools import cache
 from typing import Iterable
 
 from .exactnum import (
-    binomial,
-    complete_homogeneous,
+    complete_homogeneous_prefix,
     elementary_symmetric,
     series_rational_coefficients,
 )
@@ -103,14 +102,20 @@ def euler_ci_formula(ci: CIType) -> int:
     """Euler characteristic via the symmetric-function expansion.
 
     chi = (prod d_j) * sum_{i=0}^{n} (-1)^(n-i) C(n+r+1, i) h_(n-i)(degrees).
-    For r = 0 the sum collapses to n + 1, the Euler number of P^n.
+    All of h_0..h_n come from one pass over the degrees and the binomials
+    from stepping along row n+r+1 of Pascal's triangle, so a call costs
+    O(n r) big-integer steps. For r = 0 the sum collapses to n + 1, the Euler
+    number of P^n.
     """
     n = ci.dimension
-    r = ci.codimension
-    total = sum(
-        (-1) ** (n - i) * binomial(n + r + 1, i) * complete_homogeneous(n - i, ci.degrees)
-        for i in range(n + 1)
-    )
+    top = n + ci.codimension + 1
+    h = complete_homogeneous_prefix(n, ci.degrees)
+    total = 0
+    coeff = 1
+    for i in range(n + 1):
+        total += (-1) ** (n - i) * coeff * h[n - i]
+        # C(top, i + 1) = C(top, i) (top - i) / (i + 1), an exact division.
+        coeff = coeff * (top - i) // (i + 1)
     return ci.degree_product * total
 
 
@@ -128,24 +133,23 @@ def euler_ci_series(ci: CIType) -> int:
     return int(value)
 
 
-@cache
-def _chi_recursive(degrees: tuple[int, ...], n: int) -> int:
-    if n == 0:
-        return math.prod(degrees)
-    if not degrees:
-        return n + 1
-    d = degrees[0]
-    return d * _chi_recursive(degrees[1:], n) - (d - 1) * _chi_recursive(degrees, n - 1)
-
-
 def euler_ci_recursive(ci: CIType) -> int:
     """Euler characteristic by peeling one degree at a time.
 
     chi(d_1..d_r; n) = d_1 chi(d_2..d_r; n) - (d_1 - 1) chi(d_1..d_r; n-1),
-    with bases chi(...; 0) = prod d_j and chi(; n) = n + 1. Memoized on the
-    canonical (degrees, n) key, so repeated scans are cheap.
+    with bases chi(...; 0) = prod d_j and chi(; n) = n + 1. Evaluated as an
+    iterative table: row[m] holds chi(d_j..d_r; m) for m = 0..n, and each
+    degree, from the last to the first, turns that row into the next one, so
+    a call costs O(n r) steps and no recursion depth.
     """
-    return _chi_recursive(ci.degrees, ci.dimension)
+    row = list(range(1, ci.dimension + 2))
+    for d in reversed(ci.degrees):
+        row[0] *= d
+        for m in range(1, len(row)):
+            # row[m - 1] already holds chi(d, ...; m - 1), the value the
+            # recursion subtracts.
+            row[m] = d * row[m] - (d - 1) * row[m - 1]
+    return row[-1]
 
 
 def chern_degrees_ci(ci: CIType) -> list[int]:

@@ -456,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        output = emit_report(args.handler(args), args.format)
     except ScanViolation as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4
@@ -466,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, args.format))
+    sys.stdout.write(output)
     return 0
 
 

@@ -161,9 +161,11 @@ class CycleDataset:
 def load_dataset(text: str) -> CycleDataset:
     """Parse and validate a JSON dataset document.
 
-    Malformed structure raises SchemaError; duplicate pair entries with
-    conflicting values (including asymmetric duplicates) raise
-    InconsistentPairing. Duplicates that agree are tolerated.
+    Malformed structure raises SchemaError: among others a missing field, a
+    variety that is not a non-empty string, and classes or pairings that are
+    not lists. Duplicate pair entries with conflicting values (including
+    asymmetric duplicates) raise InconsistentPairing. Duplicates that agree
+    are tolerated.
     """
     try:
         doc = json.loads(text)
@@ -174,6 +176,11 @@ def load_dataset(text: str) -> CycleDataset:
     for key in ("variety", "dimension", "classes", "pairings"):
         if key not in doc:
             raise SchemaError(f"missing dataset field {key!r}")
+    if not isinstance(doc["variety"], str) or not doc["variety"]:
+        raise SchemaError("dataset field 'variety' must be a non-empty string")
+    for key in ("classes", "pairings"):
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"dataset field {key!r} must be a list")
     classes = []
     try:
         for raw in doc["classes"]:
@@ -206,7 +213,7 @@ def load_dataset(text: str) -> CycleDataset:
             )
         pairings[key] = value
     return CycleDataset(
-        variety=str(doc["variety"]),
+        variety=doc["variety"],
         dimension=_check_int(doc["dimension"], "dimension"),
         classes=tuple(classes),
         pairings=pairings,

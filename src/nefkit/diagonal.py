@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cache
 from importlib import resources
 from itertools import combinations_with_replacement
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .chern import (
     CIType,
@@ -266,9 +266,12 @@ def projection_bound_violated(ci: CIType) -> ProjectionBoundCheck:
 
     A degree-m finite cover of P^n with nef diagonal satisfies
     chi <= (n+1) m; linear projection makes a complete intersection such a
-    cover with m = prod(degrees).
+    cover with m = prod(degrees). chi comes from euler_ci_formula.
     """
-    chi = euler_ci_formula(ci)
+    return _projection_bound(ci, euler_ci_formula(ci))
+
+
+def _projection_bound(ci: CIType, chi: int) -> ProjectionBoundCheck:
     bound = (ci.dimension + 1) * ci.degree_product
     return ProjectionBoundCheck(chi > bound, chi, bound)
 
@@ -281,9 +284,19 @@ def verdict_ci(ci: CIType) -> Verdict:
     exception table, then the sign test, then the projection bound. Inside
     the scanned classification range the final fallback never fires.
     """
-    n = ci.dimension
-    if n < 1:
+    if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
+    return _classify(ci, lambda: euler_ci_formula(ci))
+
+
+def _classify(ci: CIType, chi_of: Callable[[], int]) -> Verdict:
+    """The priority chain of verdict_ci; chi_of() returns euler_ci_formula(ci).
+
+    chi_of is called at most once, and only on the steps that need chi, so
+    projective spaces, quadrics and the table entries stay instant at any
+    dimension.
+    """
+    n = ci.dimension
     if ci.codimension == 0:
         return Verdict(
             Status.NEF, Reason.HOMOGENEOUS, "projective space is a homogeneous variety"
@@ -293,7 +306,7 @@ def verdict_ci(ci: CIType) -> Verdict:
             Status.NEF, Reason.HOMOGENEOUS, "a smooth quadric is a homogeneous variety"
         )
     if n == 1:
-        chi = euler_ci_formula(ci)
+        chi = chi_of()
         assert chi % 2 == 0
         return verdict_curve((2 - chi) // 2)
     if ci.degrees == (2, 2) and n % 2 == 1:
@@ -307,7 +320,7 @@ def verdict_ci(ci: CIType) -> Verdict:
     entry = _exception_entry(ci)
     if entry is not None:
         return entry.verdict()
-    chi = euler_ci_formula(ci)
+    chi = chi_of()
     if chi < 0:
         return Verdict(
             Status.NOT_NEF,
@@ -315,7 +328,7 @@ def verdict_ci(ci: CIType) -> Verdict:
             f"deg Delta^2 = chi = {chi} < 0",
             {"chi": chi},
         )
-    check = projection_bound_violated(ci)
+    check = _projection_bound(ci, chi)
     if check.violated:
         return Verdict(
             Status.NOT_NEF,
@@ -615,8 +628,10 @@ def scan_ci(
     * verdict_classified: verdict_ci never lands on the unclassified
       fallback.
 
-    Any failure raises ScanViolation naming the law and the offending type;
-    a clean run returns counts per law and per verdict status.
+    chi is computed once per case, by euler_ci_formula, and shared by the
+    sign law, the bound law and the verdict. Any failure raises ScanViolation
+    naming the law and the offending type; a clean run returns counts per law
+    and per verdict status.
     """
     if min(max_dimension, max_degree, max_codimension, quadrics_max_codimension) < 1:
         raise ValueError("scan bounds must be positive")
@@ -647,13 +662,13 @@ def scan_ci(
             law_checks[sign_law] += 1
             cubic_surface = sign_law == "hypersurface_sign" and (n, degrees[0]) == (2, 3)
             if n % 2 == 0 and not cubic_surface:
-                check = projection_bound_violated(ci)
+                check = _projection_bound(ci, chi)
                 if not check.violated:
                     raise ScanViolation(
                         "even_dimension_bound", ci, f"chi = {check.chi} <= {check.bound}"
                     )
                 law_checks["even_dimension_bound"] += 1
-        verdict = verdict_ci(ci)
+        verdict = _classify(ci, lambda: chi)
         if verdict.is_unclassified:
             raise ScanViolation("verdict_classified", ci, "fell through every criterion")
         law_checks["verdict_classified"] += 1

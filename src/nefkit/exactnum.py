@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "binomial",
     "complete_homogeneous",
+    "complete_homogeneous_prefix",
     "elementary_symmetric",
     "TruncatedSeries",
     "series_rational_coefficients",
@@ -38,20 +39,29 @@ def complete_homogeneous(k: int, values: Sequence[int]) -> int:
     """Complete homogeneous symmetric function h_k of the given values.
 
     h_0 = 1 (also on an empty value list), h_k = 0 for k < 0, and for an
-    empty list h_k = 0 whenever k > 0. Computed by the one-variable-at-a-time
-    recurrence h'_k = h_k + v * h'_(k-1), which is just the expansion of
-    1 / prod(1 - v t).
+    empty list h_k = 0 whenever k > 0.
     """
     if k < 0:
         return 0
-    coeffs = [0] * (k + 1)
-    coeffs[0] = 1
+    return complete_homogeneous_prefix(k, values)[k]
+
+
+def complete_homogeneous_prefix(k: int, values: Sequence[int]) -> list[int]:
+    """The list [h_0, ..., h_k] of the given values, built in one pass.
+
+    Uses the one-variable-at-a-time recurrence h'_j = h_j + v * h'_(j-1),
+    which is just the expansion of 1 / prod(1 - v t); the cost is O(k * len)
+    for the whole prefix. An empty list for k < 0.
+    """
+    if k < 0:
+        return []
+    coeffs = [1] + [0] * k
     for v in values:
         for j in range(1, k + 1):
             # coeffs[j-1] already holds the updated value, which is what the
             # recurrence wants.
             coeffs[j] += v * coeffs[j - 1]
-    return coeffs[k]
+    return coeffs
 
 
 def elementary_symmetric(k: int, values: Sequence[int]) -> int:

@@ -118,6 +118,11 @@ def test_recursion_base_cases():
     assert euler_ci_recursive(CIType((), 0)) == 1
 
 
+def test_recursion_route_has_no_depth_limit():
+    ci = CIType((2, 3), 500)
+    assert euler_ci_recursive(ci) == euler_ci_formula(ci)
+
+
 def test_hypersurface_closed_form_agreement():
     for d in range(2, 11):
         for n in range(1, 21):

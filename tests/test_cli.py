@@ -201,6 +201,15 @@ def test_invalid_input_exits_2(capsys) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unprintable_result_exits_2(capsys, fmt) -> None:
+    # chi has more than 4300 digits, past the interpreter's int-to-str limit
+    code, out, err = run_cli(capsys, "--format", fmt, "euler", "ci",
+                             "--dim", "2300", "--degrees", "99")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("invalid input:")
+
+
 def test_dataset_errors_exit_3(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "cone", "check", "--dataset", "no-such-dataset")
     assert code == 3 and "dataset error" in err

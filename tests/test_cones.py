@@ -217,6 +217,20 @@ def test_load_dataset_schema_errors() -> None:
         load_dataset(json.dumps(bad))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"pairings": {}},
+    {"pairings": "one,pt"},
+    {"classes": {}},
+    {"classes": None},
+    {"variety": 7},
+    {"variety": ""},
+    {"variety": ["toy"]},
+])
+def test_load_dataset_rejects_wrong_field_types(overrides) -> None:
+    with pytest.raises(SchemaError):
+        load_dataset(json.dumps(make_doc(**overrides)))
+
+
 def test_load_dataset_duplicate_pairings() -> None:
     doc = make_doc()
     doc["pairings"].append({"a": "pt", "b": "one", "value": 1})  # agrees, reversed

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from nefkit import diagonal
 from nefkit.chern import CIType, euler_ci_formula
 from nefkit.diagonal import (
     DELPEZZO_TABLE,
@@ -323,6 +324,37 @@ def test_scan_verdict_counts_small():
     assert report.verdict_counts["Nef"] == 14
     # Open: (2,2) in dimensions 3 and 5.
     assert report.verdict_counts["Open"] == 2
+
+
+@pytest.fixture
+def formula_calls(monkeypatch) -> list:
+    """Types passed to euler_ci_formula from inside the diagonal module."""
+    calls = []
+
+    def counting(ci):
+        calls.append(ci)
+        return euler_ci_formula(ci)
+
+    monkeypatch.setattr(diagonal, "euler_ci_formula", counting)
+    return calls
+
+
+def test_scan_computes_chi_once_per_case(formula_calls):
+    report = scan_ci(6, 4, 3, quadrics_max_codimension=4)
+    assert len(formula_calls) == report.cases
+    assert len(set(formula_calls)) == report.cases
+
+
+def test_verdict_ci_computes_chi_at_most_once(formula_calls):
+    calls = formula_calls
+    assert verdict_ci(CIType((3,), 4)).reason is Reason.PROJECTION_BOUND
+    assert verdict_ci(CIType((4,), 1)).reason is Reason.NEGATIVE_SELF_INTERSECTION
+    assert len(calls) == 2
+    # Structural families never need chi, whatever their dimension.
+    assert verdict_ci(CIType((), 10**6)).reason is Reason.HOMOGENEOUS
+    assert verdict_ci(CIType((2,), 10**6)).reason is Reason.HOMOGENEOUS
+    assert verdict_ci(CIType((2, 2), 10**6 + 1)).status is Status.OPEN
+    assert len(calls) == 2
 
 
 def test_scan_rejects_bad_bounds():

@@ -17,6 +17,7 @@ from nefkit.exactnum import (
     TruncatedSeries,
     binomial,
     complete_homogeneous,
+    complete_homogeneous_prefix,
     elementary_symmetric,
     series_rational_coefficients,
 )
@@ -85,6 +86,14 @@ def test_symmetric_functions_against_enumeration():
         for k in range(0, 11):
             assert complete_homogeneous(k, values) == brute_h(k, values), (k, values)
             assert elementary_symmetric(k, values) == brute_e(k, values), (k, values)
+
+
+def test_complete_homogeneous_prefix_against_enumeration():
+    for values in ([], [5], [2, 3], [2, 2, 5], [3, 4, 4, 6], [2, 3, 5, 7, 11]):
+        prefix = complete_homogeneous_prefix(9, values)
+        assert prefix == [brute_h(k, values) for k in range(10)], values
+    assert complete_homogeneous_prefix(0, [4, 5]) == [1]
+    assert complete_homogeneous_prefix(-1, [4, 5]) == []
 
 
 def test_newton_style_identity():
