@@ -9,138 +9,24 @@ Three layers:
 * Nef / pseudoeffective cycle cones from Schubert pairing datasets via exact
   dual-cone computation (cones).
 
+The package root re-exports the names the README shows; everything else is
+imported from its module, each of which lists its public names in __all__.
 The command line front end lives in nefkit.cli.
 """
 
 from __future__ import annotations
 
-from .chern import (
-    BettiTable,
-    CIType,
-    NegativeBetti,
-    NonIntegralResult,
-    WeightedHypersurface,
-    betti_ci,
-    chern_degrees_ci,
-    euler_ci_formula,
-    euler_ci_recursive,
-    euler_ci_series,
-    euler_delpezzo_closed,
-    euler_weighted,
-    poincare_polynomial_ci,
-    quadrics_b,
-)
-from .cones import (
-    CycleDataset,
-    DelPezzo5Cones,
-    InconsistentPairing,
-    InvalidPartition,
-    MissingPairing,
-    RationalCone,
-    SchemaError,
-    SchubertClass,
-    builtin_dataset,
-    delpezzo5_cones,
-    dual_cone,
-    effective_cone_of_codim,
-    load_dataset,
-    load_dataset_file,
-    nef_cone_of_codim,
-    pair,
-    spherical_nef_diagonal_check,
-    tau_top_pairing,
-)
-from .diagonal import (
-    DELPEZZO_TABLE,
-    OPEN_TWO_QUADRICS_REFERENCE,
-    UNCLASSIFIED_REFERENCE,
-    DelPezzoRow,
-    FibrationObstruction,
-    InvalidDelPezzo,
-    ProjectionBoundCheck,
-    Reason,
-    ScanReport,
-    ScanViolation,
-    Status,
-    Verdict,
-    cp_fibration_obstruction,
-    nef_big_filter,
-    projection_bound_violated,
-    scan_ci,
-    verdict_ci,
-    verdict_curve,
-    verdict_delpezzo,
-)
-from .exactnum import (
-    TruncatedSeries,
-    binomial,
-    complete_homogeneous,
-    elementary_symmetric,
-    series_rational_coefficients,
-)
+from .chern import CIType, betti_ci, euler_ci_formula
+from .cones import delpezzo5_cones
+from .diagonal import verdict_ci
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # exact arithmetic
-    "binomial",
-    "complete_homogeneous",
-    "elementary_symmetric",
-    "TruncatedSeries",
-    "series_rational_coefficients",
-    # characteristic numbers
     "CIType",
-    "WeightedHypersurface",
-    "BettiTable",
-    "NegativeBetti",
-    "NonIntegralResult",
     "euler_ci_formula",
-    "euler_ci_series",
-    "euler_ci_recursive",
-    "chern_degrees_ci",
-    "quadrics_b",
     "betti_ci",
-    "poincare_polynomial_ci",
-    "euler_weighted",
-    "euler_delpezzo_closed",
-    # nef-diagonal verdicts
-    "Status",
-    "Reason",
-    "Verdict",
-    "InvalidDelPezzo",
-    "ScanViolation",
-    "ScanReport",
-    "ProjectionBoundCheck",
-    "DelPezzoRow",
-    "DELPEZZO_TABLE",
-    "FibrationObstruction",
-    "OPEN_TWO_QUADRICS_REFERENCE",
-    "UNCLASSIFIED_REFERENCE",
-    "verdict_curve",
     "verdict_ci",
-    "verdict_delpezzo",
-    "projection_bound_violated",
-    "nef_big_filter",
-    "cp_fibration_obstruction",
-    "scan_ci",
-    # cycle cones
-    "SchemaError",
-    "InconsistentPairing",
-    "MissingPairing",
-    "InvalidPartition",
-    "SchubertClass",
-    "CycleDataset",
-    "RationalCone",
-    "DelPezzo5Cones",
-    "load_dataset",
-    "load_dataset_file",
-    "builtin_dataset",
-    "pair",
-    "tau_top_pairing",
-    "dual_cone",
-    "effective_cone_of_codim",
-    "nef_cone_of_codim",
-    "spherical_nef_diagonal_check",
     "delpezzo5_cones",
 ]

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
 from typing import Iterable
 
 from .exactnum import (
@@ -169,25 +167,24 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
     return out
 
 
-@cache
-def _b_quadrics(n: int, r: int) -> Fraction:
-    if r == 1:
-        return Fraction((-1) ** n * (2 * n + 3) + 1, 4)
-    if n == 1:
-        return Fraction(r - 2)
-    return _b_quadrics(n, r - 1) + _b_quadrics(n - 1, r)
-
-
-def quadrics_b(n: int, r: int) -> Fraction:
+def quadrics_b(n: int, r: int) -> int:
     """Normalized Euler invariant of an n-dim intersection of r quadrics.
 
-    b(n, r) = (-1)^n chi(2,...,2; n) / 2^r, computed by the recursion
-    b(n, r) = b(n, r-1) + b(n-1, r) with bases
-    b(n, 1) = ((-1)^n (2n+3) + 1) / 4 and b(1, r) = r - 2.
+    b(n, r) = (-1)^n chi(2,...,2; n) / 2^r, an integer because chi carries
+    the factor 2^r. Computed by the recursion b(n, r) = b(n, r-1) + b(n-1, r)
+    with bases b(n, 1) = ((-1)^n (2n+3) + 1) / 4 and b(1, r) = r - 2, as an
+    iterative column: col[m - 1] holds b(m, s) for m = 1..n, and each step
+    s -> s + 1 replaces it by its running sums from the new base b(1, s + 1),
+    so a call costs O(n r) steps and no recursion depth.
     """
     if _check_int(n, "n") < 1 or _check_int(r, "r") < 1:
         raise ValueError("quadrics_b needs n >= 1 and r >= 1")
-    return _b_quadrics(n, r)
+    col = [((-1) ** m * (2 * m + 3) + 1) // 4 for m in range(1, n + 1)]
+    for s in range(2, r + 1):
+        col[0] = s - 2
+        for m in range(1, n):
+            col[m] += col[m - 1]
+    return col[-1]
 
 
 @dataclass(frozen=True)
@@ -285,24 +282,25 @@ class WeightedHypersurface:
         return math.prod(self.weights)
 
 
-def euler_weighted(wh: WeightedHypersurface) -> Fraction:
+def euler_weighted(wh: WeightedHypersurface) -> int:
     """Euler characteristic of a smooth weighted hypersurface.
 
     chi = (sum_{i=0}^{m-1} e_(m-1-i)(a_0..a_m) (-d)^i) * d / (a_0...a_m),
-    where m is the ambient dimension. The hyperplane-power degree d / prod(a)
-    is kept as an exact fraction; a non-integral total signals a
-    weights/degree combination outside the formula's validity and raises
-    NonIntegralResult.
+    where m is the ambient dimension. The division by prod(a) is exact; a
+    remainder signals a weights/degree combination outside the formula's
+    validity and raises NonIntegralResult.
     """
     m = wh.ambient_dimension
     d = wh.degree
     total = sum(
         elementary_symmetric(m - 1 - i, wh.weights) * (-d) ** i for i in range(m)
     )
-    value = Fraction(total * d, wh.weight_product)
-    if value.denominator != 1:
+    value, remainder = divmod(total * d, wh.weight_product)
+    if remainder:
+        g = math.gcd(total * d, wh.weight_product)
         raise NonIntegralResult(
-            f"chi = {value} is not an integer for weights {wh.weights}, degree {d}"
+            f"chi = {total * d // g}/{wh.weight_product // g} is not an integer"
+            f" for weights {wh.weights}, degree {d}"
         )
     return value
 

@@ -1,10 +1,12 @@
 """Command-line front end: deterministic text or JSON reports.
 
-Every invocation runs one subcommand, builds a Report (command echo,
-canonicalized inputs, result payload, provenance notes) and prints it.
-JSON output is byte-reproducible: keys sorted, two-space indent, no
-timestamps. Exit status: 0 success, 2 invalid input, 3 dataset error,
-4 scan violation.
+Every subcommand is declared once, in the COMMANDS table at the end of this
+module: its help text, its arguments, the handler that computes it and the
+renderer of its text report. build_parser turns the table into the argparse
+tree. Every invocation runs one handler, wraps its canonicalized inputs,
+result payload and provenance notes in a Report and prints it. JSON output is
+byte-reproducible: keys sorted, two-space indent, no timestamps. Exit status:
+0 success, 2 invalid input, 3 dataset error, 4 scan violation.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .diagonal import (
     verdict_delpezzo,
 )
 
-__all__ = ["Report", "emit_report", "render_text", "main"]
+__all__ = ["Report", "main"]
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ class Report:
     """One command's outcome, in a JSON-native shape.
 
     The result payload only holds lists, dicts, strings, integers and
-    booleans, so serializing and re-parsing reproduces an equal Report.
+    booleans, so the JSON report re-parses to an equal payload.
     """
 
     command: str
@@ -69,24 +71,23 @@ class Report:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Report":
-        return cls(
-            command=payload["command"],
-            inputs=dict(payload["inputs"]),
-            result=payload["result"],
-            notes=tuple(payload["notes"]),
-        )
-
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Text renderers: result payload -> report lines, before the "# note" lines
 
 
 def _compact(value: object) -> str:
     if isinstance(value, str):
         return value
     return json.dumps(value, separators=(",", ":"))
+
+
+def _value_lines(result: object) -> list[str]:
+    return [str(result)]
+
+
+def _sequence_lines(result: Sequence[int]) -> list[str]:
+    return [" ".join(str(c) for c in result)]
 
 
 def _verdict_lines(result: Mapping) -> list[str]:
@@ -133,36 +134,6 @@ def _table_lines(result: Sequence[Mapping]) -> list[str]:
     return lines
 
 
-def render_text(report: Report) -> str:
-    command = report.command
-    if command in ("euler ci", "euler weighted"):
-        lines = [str(report.result)]
-    elif command == "chern ci":
-        lines = [" ".join(str(c) for c in report.result)]
-    elif command == "betti ci":
-        lines = _betti_lines(report.result)
-    elif command.startswith("verdict") or command == "cone check":
-        lines = _verdict_lines(report.result)
-    elif command == "cone dual":
-        lines = _cone_lines(report.result)
-    elif command == "scan ci":
-        lines = _scan_lines(report.result)
-    elif command == "table delpezzo":
-        lines = _table_lines(report.result)
-    else:  # pragma: no cover - every subcommand is listed above
-        lines = [_compact(report.result)]
-    lines.extend(f"# {note}" for note in report.notes)
-    return "\n".join(lines) + "\n"
-
-
-def emit_report(report: Report, format: str = "text") -> str:
-    if format == "json":
-        return json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
-    if format == "text":
-        return render_text(report)
-    raise ValueError(f"unknown format {format!r}")
-
-
 # ---------------------------------------------------------------------------
 # Shared argument plumbing
 
@@ -201,153 +172,114 @@ def _ci_inputs(ci: CIType) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: args -> (inputs, result payload, notes). They look up
+# library calls as module globals at call time, so tests can substitute them.
+
+Outcome = tuple[dict, object, tuple[str, ...]]
 
 
-def _handle_euler_ci(args: argparse.Namespace) -> Report:
+def _handle_euler_ci(args: argparse.Namespace) -> Outcome:
     ci = _ci_from_args(args)
-    return Report(
-        command="euler ci",
-        inputs=_ci_inputs(ci),
-        result=euler_ci_formula(ci),
-        notes=(f"Euler characteristic of the complete intersection {ci}",),
-    )
+    return (_ci_inputs(ci), euler_ci_formula(ci),
+            (f"Euler characteristic of the complete intersection {ci}",))
 
 
-def _handle_euler_weighted(args: argparse.Namespace) -> Report:
+def _handle_euler_weighted(args: argparse.Namespace) -> Outcome:
     surface = WeightedHypersurface(args.weights, args.degree)
-    value = euler_weighted(surface)
-    return Report(
-        command="euler weighted",
-        inputs={"weights": list(surface.weights), "degree": surface.degree},
-        result=int(value),
-        notes=(
-            "Euler characteristic of a degree-%d hypersurface in P%s"
-            % (surface.degree, "(" + ",".join(str(w) for w in surface.weights) + ")"),
-        ),
+    ambient = "P(" + ",".join(str(w) for w in surface.weights) + ")"
+    return (
+        {"weights": list(surface.weights), "degree": surface.degree},
+        euler_weighted(surface),
+        (f"Euler characteristic of a degree-{surface.degree} hypersurface in {ambient}",),
     )
 
 
-def _handle_chern_ci(args: argparse.Namespace) -> Report:
+def _handle_chern_ci(args: argparse.Namespace) -> Outcome:
     ci = _ci_from_args(args)
-    return Report(
-        command="chern ci",
-        inputs=_ci_inputs(ci),
-        result=chern_degrees_ci(ci),
-        notes=(f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",),
-    )
+    return (_ci_inputs(ci), chern_degrees_ci(ci),
+            (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",))
 
 
-def _handle_betti_ci(args: argparse.Namespace) -> Report:
+def _handle_betti_ci(args: argparse.Namespace) -> Outcome:
     ci = _ci_from_args(args)
     table = betti_ci(ci)
-    return Report(
-        command="betti ci",
-        inputs=_ci_inputs(ci),
-        result={
-            "betti": list(table.betti),
-            "middle": table.middle,
-            "euler": table.euler_characteristic,
-            "poincare": poincare_polynomial_ci(ci),
-        },
-        notes=(f"Betti numbers and signed Poincare polynomial of {ci}",),
-    )
+    result = {
+        "betti": list(table.betti),
+        "middle": table.middle,
+        "euler": table.euler_characteristic,
+        "poincare": poincare_polynomial_ci(ci),
+    }
+    return _ci_inputs(ci), result, (f"Betti numbers and signed Poincare polynomial of {ci}",)
 
 
-def _handle_verdict_ci(args: argparse.Namespace) -> Report:
+def _handle_verdict_ci(args: argparse.Namespace) -> Outcome:
     ci = _ci_from_args(args)
     verdict = verdict_ci(ci)
-    return Report(
-        command="verdict ci",
-        inputs=_ci_inputs(ci),
-        result=verdict.to_payload(),
-        notes=(f"nef-diagonal classification of {ci}",
-               f"criterion: {verdict.reason.value}"),
-    )
+    return (_ci_inputs(ci), verdict.to_payload(),
+            (f"nef-diagonal classification of {ci}", f"criterion: {verdict.reason.value}"))
 
 
-def _handle_verdict_delpezzo(args: argparse.Namespace) -> Report:
+def _handle_verdict_delpezzo(args: argparse.Namespace) -> Outcome:
     verdict = verdict_delpezzo(args.dim, args.degree, args.variant)
     inputs = {"dim": args.dim, "degree": args.degree}
     if args.variant is not None:
         inputs["variant"] = args.variant
-    return Report(
-        command="verdict delpezzo",
-        inputs=inputs,
-        result=verdict.to_payload(),
-        notes=(
-            f"nef-diagonal classification of the degree-{args.degree} "
-            f"del Pezzo {args.dim}-fold",
-            f"criterion: {verdict.reason.value}",
-        ),
+    return inputs, verdict.to_payload(), (
+        f"nef-diagonal classification of the degree-{args.degree} del Pezzo {args.dim}-fold",
+        f"criterion: {verdict.reason.value}",
     )
 
 
-def _handle_verdict_curve(args: argparse.Namespace) -> Report:
+def _handle_verdict_curve(args: argparse.Namespace) -> Outcome:
     verdict = verdict_curve(args.genus)
-    return Report(
-        command="verdict curve",
-        inputs={"genus": args.genus},
-        result=verdict.to_payload(),
-        notes=(f"nef-diagonal classification of a genus-{args.genus} curve",
-               f"criterion: {verdict.reason.value}"),
-    )
+    return ({"genus": args.genus}, verdict.to_payload(),
+            (f"nef-diagonal classification of a genus-{args.genus} curve",
+             f"criterion: {verdict.reason.value}"))
 
 
-def _handle_cone_dual(args: argparse.Namespace) -> Report:
+def _handle_cone_dual(args: argparse.Namespace) -> Outcome:
     ds = _resolve_dataset(args.dataset)
     cone = nef_cone_of_codim(ds, args.codim)
-    return Report(
-        command="cone dual",
-        inputs={"dataset": args.dataset, "codim": args.codim},
-        result={
-            "variety": ds.variety,
-            "codim": args.codim,
-            "basis": list(cone.basis_labels),
-            "generators": [list(g) for g in cone.generators],
-            "expressions": cone.generator_expressions(),
-            "full_dimensional": cone.is_full_dimensional,
-        },
-        notes=(
-            f"nef cone in codimension {args.codim}: dual of the effective cone "
-            f"in codimension {ds.dimension - args.codim}",
-        ),
+    result = {
+        "variety": ds.variety,
+        "codim": args.codim,
+        "basis": list(cone.basis_labels),
+        "generators": [list(g) for g in cone.generators],
+        "expressions": cone.generator_expressions(),
+        "full_dimensional": cone.is_full_dimensional,
+    }
+    return {"dataset": args.dataset, "codim": args.codim}, result, (
+        f"nef cone in codimension {args.codim}: dual of the effective cone "
+        f"in codimension {ds.dimension - args.codim}",
     )
 
 
-def _handle_cone_check(args: argparse.Namespace) -> Report:
+def _handle_cone_check(args: argparse.Namespace) -> Outcome:
     ds = _resolve_dataset(args.dataset)
     verdict = spherical_nef_diagonal_check(ds)
-    return Report(
-        command="cone check",
-        inputs={"dataset": args.dataset},
-        result={"variety": ds.variety, **verdict.to_payload()},
-        notes=(f"nef-diagonal pairing check for {ds.variety}",
-               f"criterion: {verdict.reason.value}"),
-    )
+    return ({"dataset": args.dataset}, {"variety": ds.variety, **verdict.to_payload()},
+            (f"nef-diagonal pairing check for {ds.variety}",
+             f"criterion: {verdict.reason.value}"))
 
 
-def _handle_scan_ci(args: argparse.Namespace) -> Report:
+def _handle_scan_ci(args: argparse.Namespace) -> Outcome:
     scan = scan_ci(
         max_dimension=args.max_dim,
         max_degree=args.max_degree,
         max_codimension=args.max_r,
         quadrics_max_codimension=args.quadrics_max_r,
     )
-    return Report(
-        command="scan ci",
-        inputs={
-            "max_dim": args.max_dim,
-            "max_degree": args.max_degree,
-            "max_r": args.max_r,
-            "quadrics_max_r": args.quadrics_max_r,
-        },
-        result=scan.to_payload(),
-        notes=("all sign, bound and classification laws hold on the grid",),
-    )
+    inputs = {
+        "max_dim": args.max_dim,
+        "max_degree": args.max_degree,
+        "max_r": args.max_r,
+        "quadrics_max_r": args.quadrics_max_r,
+    }
+    notes = ("all sign, bound and classification laws hold on the grid",)
+    return inputs, scan.to_payload(), notes
 
 
-def _handle_table_delpezzo(args: argparse.Namespace) -> Report:
+def _handle_table_delpezzo(args: argparse.Namespace) -> Outcome:
     rows = [
         {
             "degree": row.degree,
@@ -357,23 +289,71 @@ def _handle_table_delpezzo(args: argparse.Namespace) -> Report:
         }
         for row in DELPEZZO_TABLE
     ]
-    return Report(
-        command="table delpezzo",
-        inputs={},
-        result=rows,
-        notes=("classification of del Pezzo manifolds by degree",),
-    )
+    return {}, rows, ("classification of del Pezzo manifolds by degree",)
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Registration table and parser
 
+_CI_ARGS = (
+    ("--dim", dict(type=int, required=True, help="dimension of the variety")),
+    ("--degrees", dict(type=_comma_ints, default=(),
+                       help="comma-separated degrees, e.g. 2,2 (empty: projective space)")),
+)
+_DATASET_ARG = ("--dataset", dict(required=True,
+                                  help="dataset file, or name under NEFKIT_DATA / shipped data"))
+_CI_HELP = "smooth complete intersection"
 
-def _add_ci_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, required=True,
-                        help="dimension of the variety")
-    parser.add_argument("--degrees", type=_comma_ints, default=(),
-                        help="comma-separated degrees, e.g. 2,2 (empty: projective space)")
+# group -> (group help, kind -> (help, arguments, handler, text renderer));
+# each argument is (flag, add_argument keywords).
+COMMANDS = {
+    "euler": ("Euler characteristics", {
+        "ci": (_CI_HELP, _CI_ARGS, _handle_euler_ci, _value_lines),
+        "weighted": ("weighted hypersurface", (
+            ("--weights", dict(type=_comma_ints, required=True,
+                               help="comma-separated ambient weights a0,..,am (m >= 4)")),
+            ("--degree", dict(type=int, required=True)),
+        ), _handle_euler_weighted, _value_lines),
+    }),
+    "chern": ("Chern class degrees", {
+        "ci": (_CI_HELP, _CI_ARGS, _handle_chern_ci, _sequence_lines),
+    }),
+    "betti": ("Betti numbers", {
+        "ci": (_CI_HELP, _CI_ARGS, _handle_betti_ci, _betti_lines),
+    }),
+    "verdict": ("nef-diagonal classification", {
+        "ci": (_CI_HELP, _CI_ARGS, _handle_verdict_ci, _verdict_lines),
+        "delpezzo": ("del Pezzo manifold", (
+            ("--dim", dict(type=int, required=True)),
+            ("--degree", dict(type=int, required=True)),
+            ("--variant", dict(default=None,
+                               help="optional member label for reporting (degree 6)")),
+        ), _handle_verdict_delpezzo, _verdict_lines),
+        "curve": ("smooth projective curve", (
+            ("--genus", dict(type=int, required=True)),
+        ), _handle_verdict_curve, _verdict_lines),
+    }),
+    "cone": ("cycle cones from pairing datasets", {
+        "dual": ("nef cone of a codimension", (
+            _DATASET_ARG,
+            ("--codim", dict(type=int, required=True)),
+        ), _handle_cone_dual, _cone_lines),
+        "check": ("nef-diagonal pairing check", (_DATASET_ARG,),
+                  _handle_cone_check, _verdict_lines),
+    }),
+    "scan": ("verification sweeps", {
+        "ci": ("sign/bound/classification laws", (
+            ("--max-dim", dict(type=int, default=12)),
+            ("--max-degree", dict(type=int, default=6)),
+            ("--max-r", dict(type=int, default=5)),
+            ("--quadrics-max-r", dict(type=int, default=8)),
+        ), _handle_scan_ci, _scan_lines),
+    }),
+    "table": ("classification tables", {
+        "delpezzo": ("del Pezzo manifolds by degree", (), _handle_table_delpezzo,
+                     _table_lines),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,79 +364,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (default: text)")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    euler = groups.add_parser("euler", help="Euler characteristics")
-    euler_sub = euler.add_subparsers(dest="kind", required=True)
-    euler_ci = euler_sub.add_parser("ci", help="smooth complete intersection")
-    _add_ci_arguments(euler_ci)
-    euler_ci.set_defaults(handler=_handle_euler_ci)
-    euler_weighted = euler_sub.add_parser("weighted", help="weighted hypersurface")
-    euler_weighted.add_argument("--weights", type=_comma_ints, required=True,
-                                help="comma-separated ambient weights a0,..,am (m >= 4)")
-    euler_weighted.add_argument("--degree", type=int, required=True)
-    euler_weighted.set_defaults(handler=_handle_euler_weighted)
-
-    chern = groups.add_parser("chern", help="Chern class degrees")
-    chern_sub = chern.add_subparsers(dest="kind", required=True)
-    chern_ci = chern_sub.add_parser("ci", help="smooth complete intersection")
-    _add_ci_arguments(chern_ci)
-    chern_ci.set_defaults(handler=_handle_chern_ci)
-
-    betti = groups.add_parser("betti", help="Betti numbers")
-    betti_sub = betti.add_subparsers(dest="kind", required=True)
-    betti_ci_parser = betti_sub.add_parser("ci", help="smooth complete intersection")
-    _add_ci_arguments(betti_ci_parser)
-    betti_ci_parser.set_defaults(handler=_handle_betti_ci)
-
-    verdict = groups.add_parser("verdict", help="nef-diagonal classification")
-    verdict_sub = verdict.add_subparsers(dest="kind", required=True)
-    verdict_ci_parser = verdict_sub.add_parser("ci", help="smooth complete intersection")
-    _add_ci_arguments(verdict_ci_parser)
-    verdict_ci_parser.set_defaults(handler=_handle_verdict_ci)
-    verdict_dp = verdict_sub.add_parser("delpezzo", help="del Pezzo manifold")
-    verdict_dp.add_argument("--dim", type=int, required=True)
-    verdict_dp.add_argument("--degree", type=int, required=True)
-    verdict_dp.add_argument("--variant", default=None,
-                            help="optional member label for reporting (degree 6)")
-    verdict_dp.set_defaults(handler=_handle_verdict_delpezzo)
-    verdict_curve_parser = verdict_sub.add_parser("curve", help="smooth projective curve")
-    verdict_curve_parser.add_argument("--genus", type=int, required=True)
-    verdict_curve_parser.set_defaults(handler=_handle_verdict_curve)
-
-    cone = groups.add_parser("cone", help="cycle cones from pairing datasets")
-    cone_sub = cone.add_subparsers(dest="kind", required=True)
-    cone_dual = cone_sub.add_parser("dual", help="nef cone of a codimension")
-    cone_dual.add_argument("--dataset", required=True,
-                           help="dataset file, or name under NEFKIT_DATA / shipped data")
-    cone_dual.add_argument("--codim", type=int, required=True)
-    cone_dual.set_defaults(handler=_handle_cone_dual)
-    cone_check = cone_sub.add_parser("check", help="nef-diagonal pairing check")
-    cone_check.add_argument("--dataset", required=True,
-                            help="dataset file, or name under NEFKIT_DATA / shipped data")
-    cone_check.set_defaults(handler=_handle_cone_check)
-
-    scan = groups.add_parser("scan", help="verification sweeps")
-    scan_sub = scan.add_subparsers(dest="kind", required=True)
-    scan_ci_parser = scan_sub.add_parser("ci", help="sign/bound/classification laws")
-    scan_ci_parser.add_argument("--max-dim", type=int, default=12)
-    scan_ci_parser.add_argument("--max-degree", type=int, default=6)
-    scan_ci_parser.add_argument("--max-r", type=int, default=5)
-    scan_ci_parser.add_argument("--quadrics-max-r", type=int, default=8)
-    scan_ci_parser.set_defaults(handler=_handle_scan_ci)
-
-    table = groups.add_parser("table", help="classification tables")
-    table_sub = table.add_subparsers(dest="kind", required=True)
-    table_dp = table_sub.add_parser("delpezzo", help="del Pezzo manifolds by degree")
-    table_dp.set_defaults(handler=_handle_table_delpezzo)
-
+    for group, (group_help, kinds) in COMMANDS.items():
+        group_parser = groups.add_parser(group, help=group_help)
+        kind_parsers = group_parser.add_subparsers(dest="kind", required=True)
+        for kind, (kind_help, arguments, handler, render) in kinds.items():
+            kind_parser = kind_parsers.add_parser(kind, help=kind_help)
+            for flag, options in arguments:
+                kind_parser.add_argument(flag, **options)
+            kind_parser.set_defaults(handler=handler, render=render)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        output = emit_report(args.handler(args), args.format)
+        inputs, result, notes = args.handler(args)
+        report = Report(f"{args.group} {args.kind}", inputs, result, notes)
+        if args.format == "json":
+            output = json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
+        else:
+            lines = [*args.render(result), *(f"# {note}" for note in notes)]
+            output = "\n".join(lines) + "\n"
     except ScanViolation as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4

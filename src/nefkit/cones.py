@@ -362,11 +362,7 @@ class RationalCone:
             raise ValueError("vector length must match the ambient dimension")
         if not self.is_full_dimensional:
             raise ValueError("membership test needs a full-dimensional cone")
-        identity = tuple(
-            tuple(int(i == j) for j in range(self.ambient_dimension))
-            for i in range(self.ambient_dimension)
-        )
-        facet_normals = dual_cone(self.generators, identity).generators
+        facet_normals = dual_cone(self.generators, _identity(self.ambient_dimension)).generators
         return all(_dot(normal, vector) >= 0 for normal in facet_normals)
 
     def generator_expressions(self) -> list[str]:

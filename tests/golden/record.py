@@ -72,17 +72,13 @@ ERRORS = [
 def cases() -> list[tuple[list[str], dict[str, str]]]:
     out: list[tuple[list[str], dict[str, str]]] = [(["--help"], {})]
     out += [([group, "--help"], {}) for group in GROUPS]
-    seen = set()
-    for argv in SUBCOMMANDS:
-        if tuple(argv[:2]) not in seen:
-            seen.add(tuple(argv[:2]))
-            out.append(([*argv[:2], "--help"], {}))
+    leaves = dict.fromkeys(tuple(argv[:2]) for argv in SUBCOMMANDS)
+    out += [([*leaf, "--help"], {}) for leaf in leaves]
     for argv in SUBCOMMANDS:
         out.append((argv, {}))
         out.append((["--format", "json", *argv], {}))
     out += [(argv, {}) for argv in ERRORS]
-    # NEFKIT_DATA resolution: a name found in the directory wins over a
-    # shipped dataset lookup
+    # a bare dataset name resolved through the NEFKIT_DATA directory
     out.append((["cone", "check", "--dataset", "bad_pairing"],
                 {"NEFKIT_DATA": "tests/golden"}))
     return out

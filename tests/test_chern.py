@@ -185,6 +185,13 @@ def test_quadrics_b_matches_euler_normalization():
             assert quadrics_b(n, r) == expected, (n, r)
 
 
+def test_quadrics_b_large_dimension_is_an_exact_integer():
+    # depth about n used to exhaust the recursion limit
+    value = quadrics_b(1500, 3)
+    assert type(value) is int
+    assert value == euler_ci_formula(CIType((2, 2, 2), 1500)) // 8 == 282376
+
+
 def test_quadrics_b_rejects_bad_input():
     with pytest.raises(ValueError):
         quadrics_b(0, 3)
@@ -281,6 +288,12 @@ def test_weighted_all_ones_specializes_to_hypersurface():
 def test_weighted_non_integral_raises():
     # Sum evaluates to 1, times 3/2: not an integer, outside validity.
     with pytest.raises(NonIntegralResult):
+        euler_weighted(WeightedHypersurface((2, 1, 1, 1, 1), 3))
+
+
+def test_weighted_is_an_exact_int_and_names_the_reduced_fraction():
+    assert type(euler_weighted(WeightedHypersurface((3, 2, 1, 1, 1, 1), 6))) is int
+    with pytest.raises(NonIntegralResult, match=r"chi = 3/2 is not an integer"):
         euler_weighted(WeightedHypersurface((2, 1, 1, 1, 1), 3))
 
 

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from nefkit import cli
-from nefkit.cli import Report, emit_report, main
+from nefkit.cli import Report, main
 from nefkit.diagonal import ScanViolation
 
 
@@ -155,20 +155,19 @@ def test_json_reports_are_byte_identical(capsys) -> None:
 def test_json_report_round_trips(capsys) -> None:
     _, out, _ = run_cli(capsys, "--format", "json", "euler", "ci",
                         "--dim", "2", "--degrees", "3")
-    report = Report.from_payload(json.loads(out))
-    assert report == Report(
+    assert json.loads(out) == Report(
         command="euler ci",
         inputs={"degrees": [3], "dim": 2},
         result=9,
         notes=("Euler characteristic of the complete intersection (3;2)",),
-    )
-    assert emit_report(report, "json") == out
+    ).to_payload()
 
 
-def test_emit_report_rejects_unknown_format() -> None:
-    report = Report("euler ci", {}, 0)
-    with pytest.raises(ValueError):
-        emit_report(report, "xml")
+def test_unknown_format_exits_2(capsys) -> None:
+    with pytest.raises(SystemExit) as info:
+        main(["--format", "xml", "euler", "ci", "--dim", "3"])
+    assert info.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
