@@ -38,8 +38,9 @@ SUBCOMMANDS = [
     ["verdict", "delpezzo", "--dim", "4", "--degree", "5"],
     ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P1xP1xP1"],
     ["verdict", "curve", "--genus", "2"],
-    ["cone", "dual", "--dataset", "gw2c5", "--codim", "2"],
-    ["cone", "dual", "--dataset", "g2c5", "--codim", "3"],
+    # every codimension of both shipped datasets
+    *(["cone", "dual", "--dataset", name, "--codim", str(codim)]
+      for name, dimension in (("gw2c5", 5), ("g2c5", 6)) for codim in range(dimension + 1)),
     ["cone", "check", "--dataset", "gw2c5"],
     ["cone", "check", "--dataset", "g2c5"],
     ["scan", "ci"],
