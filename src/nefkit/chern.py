@@ -36,6 +36,7 @@ __all__ = [
     "euler_ci_recursive",
     "chern_degrees_ci",
     "quadrics_b",
+    "quadrics_b_column",
     "betti_ci",
     "poincare_polynomial_ci",
     "euler_weighted",
@@ -51,9 +52,9 @@ class NonIntegralResult(ValueError):
     """A weighted Euler characteristic came out non-integral."""
 
 
-def _check_int(value: object, name: str) -> int:
+def _check_int(value: object, name: str, error: type[ValueError] = ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer")
+        raise error(f"{name} must be an integer")
     return value
 
 
@@ -168,14 +169,20 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
 
 
 def quadrics_b(n: int, r: int) -> int:
-    """Normalized Euler invariant of an n-dim intersection of r quadrics.
+    """Normalized Euler invariant of an n-dim intersection of r quadrics:
+    the last entry of quadrics_b_column(n, r)."""
+    return quadrics_b_column(n, r)[-1]
 
-    b(n, r) = (-1)^n chi(2,...,2; n) / 2^r, an integer because chi carries
-    the factor 2^r. Computed by the recursion b(n, r) = b(n, r-1) + b(n-1, r)
-    with bases b(n, 1) = ((-1)^n (2n+3) + 1) / 4 and b(1, r) = r - 2, as an
-    iterative column: col[m - 1] holds b(m, s) for m = 1..n, and each step
-    s -> s + 1 replaces it by its running sums from the new base b(1, s + 1),
-    so a call costs O(n r) steps and no recursion depth.
+
+def quadrics_b_column(n: int, r: int) -> list[int]:
+    """[b(1, r), ..., b(n, r)], where b(m, r) = (-1)^m chi(2,...,2; m) / 2^r.
+
+    Each b is an integer because chi carries the factor 2^r. Computed by the
+    recursion b(n, r) = b(n, r-1) + b(n-1, r) with bases
+    b(n, 1) = ((-1)^n (2n+3) + 1) / 4 and b(1, r) = r - 2, as an iterative
+    column: col[m - 1] holds b(m, s) for m = 1..n, and each step s -> s + 1
+    replaces it by its running sums from the new base b(1, s + 1), so a call
+    costs O(n r) steps and no recursion depth.
     """
     if _check_int(n, "n") < 1 or _check_int(r, "r") < 1:
         raise ValueError("quadrics_b needs n >= 1 and r >= 1")
@@ -184,7 +191,7 @@ def quadrics_b(n: int, r: int) -> int:
         col[0] = s - 2
         for m in range(1, n):
             col[m] += col[m - 1]
-    return col[-1]
+    return col
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A dataset lists the effective cycle classes of a variety (label, two-part
 partition, codimension) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
-matrix, computed here exactly over the rationals.
+matrix, computed here exactly by fraction-free integer elimination.
 
 The dual-cone routine is a brute-force double description: candidate extremal
 rays are the kernels of (m-1)-subsets of the inequality normals, kept when
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from .chern import _check_int
 from .diagonal import Reason, Status, Verdict
 
 __all__ = [
@@ -61,12 +61,6 @@ class MissingPairing(LookupError):
 
 class InvalidPartition(ValueError):
     """A partition does not describe a Schubert class of the expected shape."""
-
-
-def _check_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{name} must be an integer")
-    return value
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ class CycleDataset:
                 raise SchemaError(
                     f"pairing ({la}, {lb}) is not of complementary codimension"
                 )
-            _check_int(value, f"pairing ({la}, {lb})")
+            _check_int(value, f"pairing ({la}, {lb})", SchemaError)
 
     def class_by_label(self, label: str) -> SchubertClass:
         for c in self.classes:
@@ -142,7 +136,9 @@ class CycleDataset:
 
     def complementary_pairs(self) -> Iterator[tuple[SchubertClass, SchubertClass]]:
         """All unordered complementary-codimension pairs, in dataset order."""
-        for k in range(0, self.dimension // 2 + 1):
+        for k in sorted({c.codim for c in self.classes}):
+            if 2 * k > self.dimension:
+                break
             front = self.classes_of_codim(k)
             back = self.classes_of_codim(self.dimension - k)
             for i, a in enumerate(front):
@@ -190,9 +186,9 @@ def load_dataset(text: str) -> CycleDataset:
             classes.append(
                 SchubertClass(
                     label=raw.get("label", ""),
-                    partition=(_check_int(partition[0], "partition part"),
-                               _check_int(partition[1], "partition part")),
-                    codim=_check_int(raw.get("codim"), "codim"),
+                    partition=(_check_int(partition[0], "partition part", SchemaError),
+                               _check_int(partition[1], "partition part", SchemaError)),
+                    codim=_check_int(raw.get("codim"), "codim", SchemaError),
                 )
             )
     except InvalidPartition as exc:
@@ -206,7 +202,7 @@ def load_dataset(text: str) -> CycleDataset:
         if not isinstance(raw["a"], str) or not isinstance(raw["b"], str):
             raise SchemaError("pairing endpoints must be class labels")
         key = tuple(sorted((raw["a"], raw["b"])))
-        value = _check_int(raw["value"], f"pairing {key}")
+        value = _check_int(raw["value"], f"pairing {key}", SchemaError)
         if key in pairings and pairings[key] != value:
             raise InconsistentPairing(
                 f"pairing {key} listed with values {pairings[key]} and {value}"
@@ -214,7 +210,7 @@ def load_dataset(text: str) -> CycleDataset:
         pairings[key] = value
     return CycleDataset(
         variety=doc["variety"],
-        dimension=_check_int(doc["dimension"], "dimension"),
+        dimension=_check_int(doc["dimension"], "dimension", SchemaError),
         classes=tuple(classes),
         pairings=pairings,
     )
@@ -268,57 +264,48 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    assert g > 0, "cannot normalize the zero vector"
-    return tuple(x // g for x in ints)
+def _echelon(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan (Bareiss): returns (matrix, pivot column list).
 
-
-def _echelon(rows: Sequence[Sequence[int | Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    Each update (p*x - f*y) // prev, with prev the previous pivot, is exact
+    because every entry is a minor of the input. Every pivot entry ends equal
+    to the last pivot d, so matrix / d is the reduced row echelon form.
+    """
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
-    rank = 0
+    prev = 1
     for col in range(width):
+        rank = len(pivots)
         pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
+        p = mat[rank][col]
         for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+            if i != rank:
+                f = mat[i][col]
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], mat[rank])]
+        prev = p
         pivots.append(col)
-        rank += 1
     return mat, pivots
 
 
 def _rank(rows: Sequence[Sequence[int]], width: int) -> int:
-    if not rows:
-        return 0
     return len(_echelon(rows, width)[1])
 
 
 def _kernel_line(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] | None:
-    """Primitive spanning vector of the kernel, if it is exactly a line."""
+    """Primitive spanning vector of the kernel, of either sign, if it is exactly a line."""
     mat, pivots = _echelon(rows, width)
     if len(pivots) != width - 1:
         return None
     free = next(c for c in range(width) if c not in pivots)
-    vec = [Fraction(0)] * width
-    vec[free] = Fraction(1)
+    vec = [0] * width
+    vec[free] = mat[0][pivots[0]] if pivots else 1
     for row_index, col in enumerate(pivots):
         vec[col] = -mat[row_index][free]
-    return _primitive(vec)
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .chern import (
     euler_ci_formula,
     euler_delpezzo_closed,
     poincare_polynomial_ci,
-    quadrics_b,
+    quadrics_b_column,
 )
 
 __all__ = [
@@ -673,9 +673,11 @@ def scan_ci(
             raise ScanViolation("verdict_classified", ci, "fell through every criterion")
         law_checks["verdict_classified"] += 1
         verdict_counts[verdict.status.value] += 1
+    columns = {r: quadrics_b_column(max_dimension, r)
+               for r in range(3, quadrics_max_codimension + 1)}
     for n in range(1, max_dimension + 1):
-        for r in range(3, quadrics_max_codimension + 1):
-            b = quadrics_b(n, r)
+        for r, column in columns.items():
+            b = column[n - 1]
             if b <= 0:
                 raise ScanViolation("quadrics_positive", (n, r), f"b = {b}")
             law_checks["quadrics_positive"] += 1

@@ -29,6 +29,7 @@ from nefkit.chern import (
     euler_weighted,
     poincare_polynomial_ci,
     quadrics_b,
+    quadrics_b_column,
 )
 
 
@@ -190,6 +191,11 @@ def test_quadrics_b_large_dimension_is_an_exact_integer():
     value = quadrics_b(1500, 3)
     assert type(value) is int
     assert value == euler_ci_formula(CIType((2, 2, 2), 1500)) // 8 == 282376
+
+
+def test_quadrics_b_column_matches_quadrics_b_pointwise():
+    for r in range(1, 9):
+        assert quadrics_b_column(12, r) == [quadrics_b(n, r) for n in range(1, 13)]
 
 
 def test_quadrics_b_rejects_bad_input():

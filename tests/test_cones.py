@@ -3,13 +3,16 @@
 The shipped Grassmannian dataset is re-derived here from scratch with a
 Pieri/Giambelli oracle, so the JSON numbers are never trusted blind. Dual
 cones are validated against hand-solved examples and by the involution
-dual(dual(C)) == C on seeded random pointed cones.
+dual(dual(C)) == C on seeded random pointed cones; their integer elimination
+is checked against a reduced row echelon form over Fraction.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -22,6 +25,9 @@ from nefkit.cones import (
     RationalCone,
     SchemaError,
     SchubertClass,
+    _echelon,
+    _kernel_line,
+    _rank,
     builtin_dataset,
     delpezzo5_cones,
     dual_cone,
@@ -279,6 +285,24 @@ def test_complementary_pair_order() -> None:
     assert len(labels) == 9
 
 
+@pytest.mark.parametrize("dimension", [2, 10**12])
+def test_complementary_pairs_visit_only_present_codims(dimension: int) -> None:
+    # a huge dimension costs nothing: only codims that hold classes are paired
+    one = {"label": "one", "partition": [0, 0], "codim": 0}
+    pt = {"label": "pt", "partition": [dimension, 0], "codim": dimension}
+    lonely = load_dataset(json.dumps(make_doc(dimension=dimension, classes=[one], pairings=[])))
+    assert list(lonely.complementary_pairs()) == []
+    assert spherical_nef_diagonal_check(lonely).status is Status.NEF
+    ds = load_dataset(json.dumps(make_doc(
+        dimension=dimension, classes=[one, pt],
+        pairings=[{"a": "one", "b": "pt", "value": -1}],
+    )))
+    assert [(a.label, b.label) for a, b in ds.complementary_pairs()] == [("one", "pt")]
+    verdict = spherical_nef_diagonal_check(ds)
+    assert verdict.status is Status.NOT_NEF
+    assert verdict.witness == {"classes": ["one", "pt"], "value": -1}
+
+
 def test_builtin_dataset_unknown_name() -> None:
     with pytest.raises(FileNotFoundError):
         builtin_dataset("no-such-dataset")
@@ -290,6 +314,76 @@ def test_builtin_dataset_unknown_name() -> None:
 
 def identity(m: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(m)) for i in range(m)]
+
+
+def fraction_echelon(rows: list[list[int]], width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction, the reference for _echelon."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(width):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        inv = mat[rank][col]
+        mat[rank] = [x / inv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def fraction_kernel_line(rows: list[list[int]], width: int) -> tuple[int, ...] | None:
+    mat, pivots = fraction_echelon(rows, width)
+    if len(pivots) != width - 1:
+        return None
+    free = next(c for c in range(width) if c not in pivots)
+    vec = [Fraction(int(c == free)) for c in range(width)]
+    for row_index, col in enumerate(pivots):
+        vec[col] = -mat[row_index][free]
+    scale = lcm(*(x.denominator for x in vec))
+    return primitive_of(tuple(int(x * scale) for x in vec))
+
+
+def random_deficient_matrix(rng: random.Random, width: int) -> list[list[int]]:
+    # width - 2 .. width + 1 integer combinations of width - 2 .. width random
+    # rows: the rank often falls short of both the row count and the width,
+    # and often sits at width - 1, where the kernel is a line; some columns
+    # are zero
+    basis_size = rng.randint(max(1, width - 2), width)
+    basis = [[rng.randint(-6, 6) for _ in range(width)] for _ in range(basis_size)]
+    zero = {c for c in range(width) if rng.random() < 0.2}
+    rows = []
+    for _ in range(rng.randint(max(0, width - 2), width + 1)):
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        rows.append([0 if c in zero else sum(k * b[c] for k, b in zip(coeffs, basis))
+                     for c in range(width)])
+    return rows
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_integer_elimination_matches_fraction_reference(width: int) -> None:
+    rng = random.Random(4099 + width)
+    for _ in range(300):
+        rows = random_deficient_matrix(rng, width)
+        ref, ref_pivots = fraction_echelon(rows, width)
+        mat, pivots = _echelon(rows, width)
+        # every division was exact: the integer form is d times the reference
+        d = mat[0][pivots[0]] if pivots else 1
+        assert pivots == ref_pivots
+        assert mat == [[d * x for x in row] for row in ref]
+        assert _rank(rows, width) == len(ref_pivots)
+        line = _kernel_line(rows, width)
+        if len(ref_pivots) != width - 1:
+            assert line is None
+            continue
+        assert all(sum(x * y for x, y in zip(row, line)) == 0 for row in rows)
+        assert gcd(*line) == 1
+        expected = fraction_kernel_line(rows, width)
+        assert line in (expected, tuple(-x for x in expected))
 
 
 def test_dual_cone_two_dimensional_example() -> None:
@@ -353,15 +447,11 @@ def random_pointed_generators(rng: random.Random, m: int, count: int) -> list[tu
 
 
 def primitive_of(vec: tuple[int, ...]) -> tuple[int, ...]:
-    from math import gcd
-
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     return tuple(x // g for x in vec)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_dual_of_dual_recovers_cone(m: int) -> None:
     rng = random.Random(20260813 + m)
     for _ in range(10):
