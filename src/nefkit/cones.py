@@ -4,20 +4,24 @@ A dataset lists the effective cycle classes of a variety (label, two-part
 partition, codimension) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
-matrix, computed here exactly by fraction-free integer elimination.
+matrix, computed here exactly in integers.
 
-The dual-cone routine is a brute-force double description: candidate extremal
-rays are the kernels of (m-1)-subsets of the inequality normals, kept when
-feasible. In ambient dimension 2 this degenerates to rotating each normal by
-a quarter turn, which is the textbook picture.
+The dual-cone routine is Motzkin's incremental double description (Motzkin,
+Raiffa, Thompson and Thrall, 1953): it starts from the simplicial cone of m
+independent inequality normals, whose rays come from fraction-free integer
+elimination, and cuts it by the remaining normals one at a time. Two rays on
+opposite sides of a new hyperplane give a new ray exactly when they are
+adjacent, which is tested combinatorially from the sets of inequalities
+tight at each ray (Fukuda and Prodon, "Double description method
+revisited", 1996).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
-from itertools import combinations
 from math import gcd
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -339,9 +343,13 @@ class RationalCone:
         if self.basis_labels is not None and len(self.basis_labels) != self.ambient_dimension:
             raise ValueError("need one basis label per coordinate")
 
-    @property
+    @cached_property
     def is_full_dimensional(self) -> bool:
         return _rank(self.generators, self.ambient_dimension) == self.ambient_dimension
+
+    @cached_property
+    def _facet_normals(self) -> tuple[tuple[int, ...], ...]:
+        return dual_cone(self.generators, _identity(self.ambient_dimension)).generators
 
     def contains(self, vector: Sequence[int]) -> bool:
         """Exact membership test; implemented for full-dimensional cones."""
@@ -349,8 +357,7 @@ class RationalCone:
             raise ValueError("vector length must match the ambient dimension")
         if not self.is_full_dimensional:
             raise ValueError("membership test needs a full-dimensional cone")
-        facet_normals = dual_cone(self.generators, _identity(self.ambient_dimension)).generators
-        return all(_dot(normal, vector) >= 0 for normal in facet_normals)
+        return all(_dot(normal, vector) >= 0 for normal in self._facet_normals)
 
     def generator_expressions(self) -> list[str]:
         """Generators written in the labeled class basis, e.g. "a + 2*b"."""
@@ -400,24 +407,45 @@ def dual_cone(
             raise ValueError("generator length must match the pairing matrix columns")
         if not any(g):
             raise ValueError("effective generators must be nonzero")
-    normals: list[tuple[int, ...]] = []
-    for g in gens:
-        normal = tuple(_dot(row, g) for row in matrix)
-        if any(normal) and normal not in normals:
-            normals.append(normal)
+    normals = [tuple(_dot(row, g) for row in matrix) for g in gens]
+    normals = list(dict.fromkeys(normal for normal in normals if any(normal)))
     if not normals:
         raise ValueError("every generator pairs to zero; the dual is all of space")
-    if _rank(normals, m) < m:
+    # pivot columns of the transposed normals: the first independent normals
+    base = _echelon(list(zip(*normals)), len(normals))[1]
+    if len(base) < m:
         raise ValueError("dual cone contains a linear subspace")
-    rays: set[tuple[int, ...]] = set()
-    for subset in combinations(range(len(normals)), m - 1):
-        candidate = _kernel_line([normals[i] for i in subset], m)
-        if candidate is None:
+    # Each ray is kept with the bitmask of the processed normals tight at it.
+    rays: list[tuple[tuple[int, ...], int]] = []
+    base_mask = sum(1 << j for j in base)
+    for j in base:
+        ray = _kernel_line([normals[i] for i in base if i != j], m)
+        if _dot(normals[j], ray) < 0:
+            ray = tuple(-x for x in ray)
+        rays.append((ray, base_mask & ~(1 << j)))
+    for j, a in enumerate(normals):
+        if j in base:
             continue
-        for ray in (candidate, tuple(-x for x in candidate)):
-            if all(_dot(normal, ray) >= 0 for normal in normals):
-                rays.add(ray)
-    return RationalCone(m, tuple(sorted(rays)), basis_labels)
+        bit = 1 << j
+        side = [_dot(a, ray) for ray, _ in rays]
+        masks = [mask for _, mask in rays]
+        kept = [(ray, mask | bit if dot == 0 else mask)
+                for (ray, mask), dot in zip(rays, side) if dot >= 0]
+        positive = [(p, mask, dot) for (p, mask), dot in zip(rays, side) if dot > 0]
+        negative = [(n, mask, dot) for (n, mask), dot in zip(rays, side) if dot < 0]
+        for p, p_mask, ap in positive:
+            for n, n_mask, an in negative:
+                # adjacent: no ray besides p and n is tight on all of common
+                common = p_mask & n_mask
+                if common.bit_count() < m - 2 or sum(
+                    mask & common == common for mask in masks
+                ) > 2:
+                    continue
+                ray = [ap * y - an * x for x, y in zip(p, n)]
+                g = gcd(*ray)
+                kept.append((tuple(x // g for x in ray), common | bit))
+        rays = kept
+    return RationalCone(m, tuple(sorted(ray for ray, _ in rays)), basis_labels)
 
 
 # ---------------------------------------------------------------------------

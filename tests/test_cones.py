@@ -2,20 +2,24 @@
 
 The shipped Grassmannian dataset is re-derived here from scratch with a
 Pieri/Giambelli oracle, so the JSON numbers are never trusted blind. Dual
-cones are validated against hand-solved examples and by the involution
-dual(dual(C)) == C on seeded random pointed cones; their integer elimination
-is checked against a reduced row echelon form over Fraction.
+cones are validated against hand-solved examples, by the involution
+dual(dual(C)) == C on seeded random pointed cones, and against a brute-force
+enumeration of the kernels of all (m-1)-subsets of the normals; their integer
+elimination is checked against a reduced row echelon form over Fraction.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 
+from nefkit import cones
 from nefkit.cones import (
     CycleDataset,
     DelPezzo5Cones,
@@ -348,6 +352,35 @@ def fraction_kernel_line(rows: list[list[int]], width: int) -> tuple[int, ...] |
     return primitive_of(tuple(int(x * scale) for x in vec))
 
 
+def brute_force_dual_cone(effective_generators, pairing_matrix) -> tuple[tuple[int, ...], ...]:
+    """Generators of the dual cone by enumeration, the reference for dual_cone.
+
+    Every (m-1)-subset of the normals whose kernel is a line gives a candidate
+    ray of either sign, kept when it pairs non-negatively with every normal:
+    C(k, m-1) eliminations. Inputs are taken as well formed; the two errors
+    for a dual that is all of space or not pointed follow dual_cone.
+    """
+    m = len(pairing_matrix)
+    normals: list[tuple[int, ...]] = []
+    for g in effective_generators:
+        normal = tuple(sum(x * y for x, y in zip(row, g)) for row in pairing_matrix)
+        if any(normal) and normal not in normals:
+            normals.append(normal)
+    if not normals:
+        raise ValueError("every generator pairs to zero; the dual is all of space")
+    if _rank(normals, m) < m:
+        raise ValueError("dual cone contains a linear subspace")
+    rays: set[tuple[int, ...]] = set()
+    for subset in combinations(range(len(normals)), m - 1):
+        candidate = _kernel_line([normals[i] for i in subset], m)
+        if candidate is None:
+            continue
+        for ray in (candidate, tuple(-x for x in candidate)):
+            if all(sum(x * y for x, y in zip(normal, ray)) >= 0 for normal in normals):
+                rays.add(ray)
+    return tuple(sorted(rays))
+
+
 def random_deficient_matrix(rng: random.Random, width: int) -> list[list[int]]:
     # width - 2 .. width + 1 integer combinations of width - 2 .. width random
     # rows: the rank often falls short of both the row count and the width,
@@ -384,6 +417,56 @@ def test_integer_elimination_matches_fraction_reference(width: int) -> None:
         assert gcd(*line) == 1
         expected = fraction_kernel_line(rows, width)
         assert line in (expected, tuple(-x for x in expected))
+
+
+def random_dual_cone_input(rng: random.Random, m: int) -> tuple[list, list]:
+    # small entries make degenerate vertices (more than m - 1 tight normals)
+    # common; repeated, scaled and opposite generators, and a generator that
+    # closes the others into a linear subspace, give flat, zero and
+    # non-pointed duals; a random pairing matrix may be rank-deficient or
+    # non-square
+    width = m if rng.random() < 0.7 else rng.randint(1, m + 1)
+    if width == m and rng.random() < 0.5:
+        matrix = identity(m)
+    else:
+        matrix = [tuple(rng.randint(-2, 2) for _ in range(width)) for _ in range(m)]
+    bound = rng.choice((1, 2))
+    gens: list[tuple[int, ...]] = []
+    count = rng.randint(max(1, m - 1), m + 5)
+    while len(gens) < count:
+        g = tuple(rng.randint(-bound, bound) for _ in range(width))
+        if not any(g):
+            continue
+        gens.append(g)
+        roll = rng.random()
+        if roll < 0.15:
+            gens.append(tuple(-x for x in g))
+        elif roll < 0.25:
+            gens.append(tuple(rng.randint(1, 3) * x for x in g))
+    closing = tuple(-sum(col) for col in zip(*gens))
+    if rng.random() < 0.2 and any(closing):
+        gens.append(closing)
+    return gens, matrix
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_dual_cone_matches_brute_force(m: int) -> None:
+    rng = random.Random(7919 + m)
+    kinds = set()
+    for _ in range(150):
+        gens, matrix = random_dual_cone_input(rng, m)
+        try:
+            expected = brute_force_dual_cone(gens, matrix)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                dual_cone(gens, matrix)
+            assert str(raised.value) == str(exc)
+            kinds.add("raises")
+            continue
+        cone = dual_cone(gens, matrix)
+        assert cone.generators == expected, (gens, matrix)
+        kinds.add("zero" if not expected else "full" if cone.is_full_dimensional else "flat")
+    assert kinds == ({"raises", "zero", "full"} | ({"flat"} if m > 1 else set()))
 
 
 def test_dual_cone_two_dimensional_example() -> None:
@@ -451,7 +534,7 @@ def primitive_of(vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_dual_of_dual_recovers_cone(m: int) -> None:
     rng = random.Random(20260813 + m)
     for _ in range(10):
@@ -464,6 +547,38 @@ def test_dual_of_dual_recovers_cone(m: int) -> None:
         assert all(second.contains(g) for g in gens)
         # the involution is then stable
         assert dual_cone(second.generators, identity(m)) == first
+
+
+def test_dual_cone_meets_time_budgets() -> None:
+    # m = 6 with 16 generators inside 0.1 s and m = 8 with 24 inside 1 s;
+    # enumerating (m-1)-subsets took about 0.2 s and 41 s
+    for m, count, budget in ((6, 16, 0.1), (8, 24, 1.0)):
+        rng = random.Random(20260813 + m)
+        for _ in range(3):
+            gens = random_pointed_generators(rng, m, count)
+            start = time.monotonic()
+            cone = dual_cone(gens, identity(m))
+            elapsed = time.monotonic() - start
+            assert cone.is_full_dimensional
+            assert elapsed < budget, f"m={m}, {count} generators: {elapsed:.3f}s"
+
+
+def test_contains_builds_facets_once(monkeypatch) -> None:
+    builds = []
+    real_dual_cone, real_rank = cones.dual_cone, cones._rank
+    monkeypatch.setattr(
+        cones, "dual_cone", lambda *args: builds.append("dual_cone") or real_dual_cone(*args)
+    )
+    monkeypatch.setattr(cones, "_rank", lambda *args: builds.append("_rank") or real_rank(*args))
+    cone = RationalCone(2, ((1, 0), (1, 1)))
+    fresh = RationalCone(2, ((1, 0), (1, 1)))
+    assert cone.contains((2, 1))
+    assert builds == ["_rank", "dual_cone"]
+    assert not cone.contains((0, 1))
+    assert cone.is_full_dimensional
+    assert builds == ["_rank", "dual_cone"]
+    # the cached facets are not part of the value
+    assert cone == fresh and hash(cone) == hash(fresh) and repr(cone) == repr(fresh)
 
 
 def test_rational_cone_validation_and_membership() -> None:
