@@ -6,7 +6,8 @@ characteristic is exposed through three independent routes that must agree:
 
 * euler_ci_formula: the symmetric-function expansion,
 * euler_ci_series: the coefficient of a truncated rational series,
-* euler_ci_recursive: a two-term recursion in (degrees, dimension).
+* euler_ci_recursive: a two-term recursion in (degrees, dimension), the last
+  entry of euler_ci_row, which gives chi(degrees; m) for every m <= n at once.
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
@@ -34,6 +35,7 @@ __all__ = [
     "euler_ci_formula",
     "euler_ci_series",
     "euler_ci_recursive",
+    "euler_ci_row",
     "chern_degrees_ci",
     "quadrics_b",
     "quadrics_b_column",
@@ -133,7 +135,13 @@ def euler_ci_series(ci: CIType) -> int:
 
 
 def euler_ci_recursive(ci: CIType) -> int:
-    """Euler characteristic by peeling one degree at a time.
+    """Euler characteristic by the recursive route: the last entry of
+    euler_ci_row(ci)."""
+    return euler_ci_row(ci)[-1]
+
+
+def euler_ci_row(ci: CIType) -> list[int]:
+    """[chi(degrees; 0), ..., chi(degrees; n)], by peeling one degree at a time.
 
     chi(d_1..d_r; n) = d_1 chi(d_2..d_r; n) - (d_1 - 1) chi(d_1..d_r; n-1),
     with bases chi(...; 0) = prod d_j and chi(; n) = n + 1. Evaluated as an
@@ -148,7 +156,7 @@ def euler_ci_recursive(ci: CIType) -> int:
             # row[m - 1] already holds chi(d, ...; m - 1), the value the
             # recursion subtracts.
             row[m] = d * row[m] - (d - 1) * row[m - 1]
-    return row[-1]
+    return row
 
 
 def chern_degrees_ci(ci: CIType) -> list[int]:

@@ -14,16 +14,19 @@ fibering an odd-dimensional intersection of two quadrics in projective lines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from importlib import resources
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .chern import (
     CIType,
+    _check_int,
     euler_ci_formula,
+    euler_ci_row,
     euler_delpezzo_closed,
     poincare_polynomial_ci,
     quadrics_b_column,
@@ -175,7 +178,6 @@ class ProjectionBoundCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class ExceptionEntry:
-    degrees: tuple[int, ...]
     reason: Reason
     detail: str
     dimension: int | None = None
@@ -184,15 +186,15 @@ class ExceptionEntry:
     classes: tuple[str, str] | None = None
     value: int | None = None
 
-    def matches(self, ci: CIType) -> bool:
-        if ci.degrees != self.degrees:
-            return False
+    def matches(self, n: int) -> bool:
+        """Whether the entry covers dimension n; its degrees are matched by
+        the table's index."""
         if self.dimension is not None:
-            return ci.dimension == self.dimension
+            return n == self.dimension
         if self.dimension_parity is not None:
             parity = 0 if self.dimension_parity == "even" else 1
-            return ci.dimension % 2 == parity and ci.dimension >= self.min_dimension
-        return ci.dimension >= self.min_dimension
+            return n % 2 == parity and n >= self.min_dimension
+        return n >= self.min_dimension
 
     def verdict(self) -> Verdict:
         if self.reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
@@ -204,15 +206,15 @@ class ExceptionEntry:
 
 
 @cache
-def _exception_table() -> tuple[ExceptionEntry, ...]:
+def _exception_table() -> dict[tuple[int, ...], list[ExceptionEntry]]:
+    """The exception entries by degree tuple, each list in file order."""
     text = resources.files("nefkit").joinpath("data/ci_exceptions.json").read_text("utf-8")
     doc = json.loads(text)
-    entries = []
+    entries: dict[tuple[int, ...], list[ExceptionEntry]] = {}
     for raw in doc["entries"]:
         classes = raw.get("classes")
-        entries.append(
+        entries.setdefault(tuple(sorted(raw["degrees"])), []).append(
             ExceptionEntry(
-                degrees=tuple(sorted(raw["degrees"])),
                 reason=Reason(raw["reason"]),
                 detail=raw["detail"],
                 dimension=raw.get("dimension"),
@@ -222,14 +224,7 @@ def _exception_table() -> tuple[ExceptionEntry, ...]:
                 value=raw.get("value"),
             )
         )
-    return tuple(entries)
-
-
-def _exception_entry(ci: CIType) -> ExceptionEntry | None:
-    for entry in _exception_table():
-        if entry.matches(ci):
-            return entry
-    return None
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +263,11 @@ def projection_bound_violated(ci: CIType) -> ProjectionBoundCheck:
     chi <= (n+1) m; linear projection makes a complete intersection such a
     cover with m = prod(degrees). chi comes from euler_ci_formula.
     """
-    return _projection_bound(ci, euler_ci_formula(ci))
+    return _projection_bound(ci.dimension, ci.degree_product, euler_ci_formula(ci))
 
 
-def _projection_bound(ci: CIType, chi: int) -> ProjectionBoundCheck:
-    bound = (ci.dimension + 1) * ci.degree_product
+def _projection_bound(n: int, degree_product: int, chi: int) -> ProjectionBoundCheck:
+    bound = (n + 1) * degree_product
     return ProjectionBoundCheck(chi > bound, chi, bound)
 
 
@@ -286,22 +281,22 @@ def verdict_ci(ci: CIType) -> Verdict:
     """
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
-    return _classify(ci, lambda: euler_ci_formula(ci))
+    return _classify(ci.degrees, ci.dimension, lambda: euler_ci_formula(ci))
 
 
-def _classify(ci: CIType, chi_of: Callable[[], int]) -> Verdict:
-    """The priority chain of verdict_ci; chi_of() returns euler_ci_formula(ci).
+def _classify(degrees: tuple[int, ...], n: int, chi_of: Callable[[], int]) -> Verdict:
+    """The priority chain of verdict_ci on the canonical type (degrees, n);
+    chi_of() returns its Euler characteristic.
 
     chi_of is called at most once, and only on the steps that need chi, so
     projective spaces, quadrics and the table entries stay instant at any
     dimension.
     """
-    n = ci.dimension
-    if ci.codimension == 0:
+    if not degrees:
         return Verdict(
             Status.NEF, Reason.HOMOGENEOUS, "projective space is a homogeneous variety"
         )
-    if ci.degrees == (2,):
+    if degrees == (2,):
         return Verdict(
             Status.NEF, Reason.HOMOGENEOUS, "a smooth quadric is a homogeneous variety"
         )
@@ -309,7 +304,7 @@ def _classify(ci: CIType, chi_of: Callable[[], int]) -> Verdict:
         chi = chi_of()
         assert chi % 2 == 0
         return verdict_curve((2 - chi) // 2)
-    if ci.degrees == (2, 2) and n % 2 == 1:
+    if degrees == (2, 2) and n % 2 == 1:
         return Verdict(
             Status.OPEN,
             Reason.OPEN_QUESTION,
@@ -317,9 +312,9 @@ def _classify(ci: CIType, chi_of: Callable[[], int]) -> Verdict:
             " nef diagonal is an open problem for every dimension >= 3",
             {"reference": OPEN_TWO_QUADRICS_REFERENCE},
         )
-    entry = _exception_entry(ci)
-    if entry is not None:
-        return entry.verdict()
+    for entry in _exception_table().get(degrees, ()):
+        if entry.matches(n):
+            return entry.verdict()
     chi = chi_of()
     if chi < 0:
         return Verdict(
@@ -328,14 +323,15 @@ def _classify(ci: CIType, chi_of: Callable[[], int]) -> Verdict:
             f"deg Delta^2 = chi = {chi} < 0",
             {"chi": chi},
         )
-    check = _projection_bound(ci, chi)
+    degree_product = math.prod(degrees)
+    check = _projection_bound(n, degree_product, chi)
     if check.violated:
         return Verdict(
             Status.NOT_NEF,
             Reason.PROJECTION_BOUND,
             f"chi = {check.chi} exceeds (n+1) deg X = {check.bound}, impossible"
             " for a nef diagonal under linear projection to P^n",
-            {"chi": check.chi, "bound": check.bound, "cover_degree": ci.degree_product},
+            {"chi": check.chi, "bound": check.bound, "cover_degree": degree_product},
         )
     return Verdict(
         Status.OPEN,
@@ -599,13 +595,6 @@ class ScanReport:
         }
 
 
-def _ci_grid(max_dimension: int, max_degree: int, max_codimension: int) -> Iterator[CIType]:
-    for n in range(1, max_dimension + 1):
-        for r in range(0, max_codimension + 1):
-            for degrees in combinations_with_replacement(range(2, max_degree + 1), r):
-                yield CIType(degrees, n)
-
-
 def scan_ci(
     max_dimension: int = 12,
     max_degree: int = 6,
@@ -628,12 +617,20 @@ def scan_ci(
     * verdict_classified: verdict_ci never lands on the unclassified
       fallback.
 
-    chi is computed once per case, by euler_ci_formula, and shared by the
-    sign law, the bound law and the verdict. Any failure raises ScanViolation
-    naming the law and the offending type; a clean run returns counts per law
-    and per verdict status.
+    chi comes from one euler_ci_row per degree tuple, the recursive route:
+    the row is built up to max_dimension and read for every n, and chi is
+    shared by the sign law, the bound law and the verdict. Cases run in the
+    order n, then r, then degrees. Any failure raises ScanViolation naming
+    the law and the offending type; a clean run returns counts per law and
+    per verdict status.
     """
-    if min(max_dimension, max_degree, max_codimension, quadrics_max_codimension) < 1:
+    bounds = {
+        "max_dimension": max_dimension,
+        "max_degree": max_degree,
+        "max_codimension": max_codimension,
+        "quadrics_max_codimension": quadrics_max_codimension,
+    }
+    if min(_check_int(value, name) for name, value in bounds.items()) < 1:
         raise ValueError("scan bounds must be positive")
     law_checks = {
         "hypersurface_sign": 0,
@@ -644,35 +641,41 @@ def scan_ci(
         "verdict_classified": 0,
     }
     verdict_counts = {status.value: 0 for status in Status}
-    cases = 0
-    for ci in _ci_grid(max_dimension, max_degree, max_codimension):
-        cases += 1
-        n = ci.dimension
-        degrees = ci.degrees
-        r = ci.codimension
-        chi = euler_ci_formula(ci)
-        sign_law = None
-        if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
-            sign_law = "hypersurface_sign"
-        elif r >= 2 and degrees[-1] >= 3:
-            sign_law = "multidegree_sign"
-        if sign_law is not None:
-            if (-1) ** n * chi <= 0:
-                raise ScanViolation(sign_law, ci, f"chi = {chi}")
-            law_checks[sign_law] += 1
-            cubic_surface = sign_law == "hypersurface_sign" and (n, degrees[0]) == (2, 3)
-            if n % 2 == 0 and not cubic_surface:
-                check = _projection_bound(ci, chi)
-                if not check.violated:
-                    raise ScanViolation(
-                        "even_dimension_bound", ci, f"chi = {check.chi} <= {check.bound}"
-                    )
-                law_checks["even_dimension_bound"] += 1
-        verdict = _classify(ci, lambda: chi)
-        if verdict.is_unclassified:
-            raise ScanViolation("verdict_classified", ci, "fell through every criterion")
-        law_checks["verdict_classified"] += 1
-        verdict_counts[verdict.status.value] += 1
+    rows = []
+    for r in range(max_codimension + 1):
+        for degrees in combinations_with_replacement(range(2, max_degree + 1), r):
+            ci = CIType(degrees, max_dimension)
+            rows.append((degrees, ci.degree_product, euler_ci_row(ci)))
+    for n in range(1, max_dimension + 1):
+        for degrees, degree_product, row in rows:
+            r = len(degrees)
+            chi = row[n]
+            sign_law = None
+            if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
+                sign_law = "hypersurface_sign"
+            elif r >= 2 and degrees[-1] >= 3:
+                sign_law = "multidegree_sign"
+            if sign_law is not None:
+                if (-1) ** n * chi <= 0:
+                    raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
+                law_checks[sign_law] += 1
+                cubic_surface = sign_law == "hypersurface_sign" and (n, degrees[0]) == (2, 3)
+                if n % 2 == 0 and not cubic_surface:
+                    check = _projection_bound(n, degree_product, chi)
+                    if not check.violated:
+                        raise ScanViolation(
+                            "even_dimension_bound",
+                            CIType(degrees, n),
+                            f"chi = {check.chi} <= {check.bound}",
+                        )
+                    law_checks["even_dimension_bound"] += 1
+            verdict = _classify(degrees, n, lambda: chi)
+            if verdict.is_unclassified:
+                raise ScanViolation(
+                    "verdict_classified", CIType(degrees, n), "fell through every criterion"
+                )
+            law_checks["verdict_classified"] += 1
+            verdict_counts[verdict.status.value] += 1
     columns = {r: quadrics_b_column(max_dimension, r)
                for r in range(3, quadrics_max_codimension + 1)}
     for n in range(1, max_dimension + 1):
@@ -690,7 +693,7 @@ def scan_ci(
         max_degree=max_degree,
         max_codimension=max_codimension,
         quadrics_max_codimension=quadrics_max_codimension,
-        cases=cases,
+        cases=max_dimension * len(rows),
         law_checks=law_checks,
         verdict_counts=verdict_counts,
     )

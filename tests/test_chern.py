@@ -24,6 +24,7 @@ from nefkit.chern import (
     chern_degrees_ci,
     euler_ci_formula,
     euler_ci_recursive,
+    euler_ci_row,
     euler_ci_series,
     euler_delpezzo_closed,
     euler_weighted,
@@ -122,6 +123,23 @@ def test_recursion_base_cases():
 def test_recursion_route_has_no_depth_limit():
     ci = CIType((2, 3), 500)
     assert euler_ci_recursive(ci) == euler_ci_formula(ci)
+
+
+def test_euler_ci_row_matches_formula_for_every_dimension():
+    # the gate-3 scan grid: degrees 2..6, at most five factors, n up to 12
+    tuples = [
+        degrees
+        for r in range(6)
+        for degrees in itertools.combinations_with_replacement(range(2, 7), r)
+    ]
+    cases = [(degrees, 12) for degrees in tuples]
+    cases += [((), 30), ((3,), 30), ((2, 2), 30), ((2, 5, 9), 30), ((2, 3, 4, 7, 10, 10), 30)]
+    for degrees, n in cases:
+        ci = CIType(degrees, n)
+        row = euler_ci_row(ci)
+        assert len(row) == n + 1
+        assert row == [euler_ci_formula(CIType(degrees, m)) for m in range(n + 1)], ci
+        assert euler_ci_recursive(ci) == row[-1]
 
 
 def test_hypersurface_closed_form_agreement():

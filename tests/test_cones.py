@@ -35,6 +35,7 @@ from nefkit.cones import (
     builtin_dataset,
     delpezzo5_cones,
     dual_cone,
+    effective_cone_of_codim,
     load_dataset,
     load_dataset_file,
     pair,
@@ -634,6 +635,15 @@ def test_delpezzo5_cones_exact_generators() -> None:
         "tau(3,0)",
         "tau(3,0) + tau(2,1)",
     ]
+
+
+def test_effective_cone_of_codim_is_the_coordinate_orthant() -> None:
+    ds = builtin_dataset("gw2c5")
+    eff = effective_cone_of_codim(ds, 2)
+    assert eff == RationalCone(2, ((0, 1), (1, 0)), ("tau(2,0)", "tau(3,-1)"))
+    assert eff.generator_expressions() == ["tau(3,-1)", "tau(2,0)"]
+    with pytest.raises(ValueError, match="no classes of codimension 6"):
+        effective_cone_of_codim(ds, 6)
 
 
 def test_delpezzo5_nef_inside_effective() -> None:

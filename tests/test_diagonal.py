@@ -7,10 +7,13 @@ covering degrees from the anticanonical double/2^n covers).
 
 from __future__ import annotations
 
+import time
+from itertools import combinations_with_replacement
+
 import pytest
 
 from nefkit import diagonal
-from nefkit.chern import CIType, euler_ci_formula
+from nefkit.chern import CIType, euler_ci_formula, euler_ci_row
 from nefkit.diagonal import (
     DELPEZZO_TABLE,
     OPEN_TWO_QUADRICS_REFERENCE,
@@ -27,6 +30,16 @@ from nefkit.diagonal import (
     verdict_curve,
     verdict_delpezzo,
 )
+
+
+def scan_grid(max_dimension: int, max_degree: int, max_codimension: int) -> list[CIType]:
+    """The canonical types scan_ci visits, in its order: n, then r, then degrees."""
+    return [
+        CIType(degrees, n)
+        for n in range(1, max_dimension + 1)
+        for r in range(max_codimension + 1)
+        for degrees in combinations_with_replacement(range(2, max_degree + 1), r)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +155,7 @@ def test_verdict_sign_and_bound_cases():
 
 
 def test_verdict_witnesses_recheck_on_scan_range():
-    from nefkit.diagonal import _ci_grid
-
-    for ci in _ci_grid(8, 5, 3):
+    for ci in scan_grid(8, 5, 3):
         v = verdict_ci(ci)
         if v.status is not Status.NOT_NEF:
             continue
@@ -339,10 +350,56 @@ def formula_calls(monkeypatch) -> list:
     return calls
 
 
-def test_scan_computes_chi_once_per_case(formula_calls):
+@pytest.fixture
+def row_calls(monkeypatch) -> list:
+    """Types passed to euler_ci_row from inside the diagonal module."""
+    calls = []
+
+    def counting(ci):
+        calls.append(ci)
+        return euler_ci_row(ci)
+
+    monkeypatch.setattr(diagonal, "euler_ci_row", counting)
+    return calls
+
+
+def test_scan_reads_chi_from_one_row_per_degree_tuple(formula_calls, row_calls):
     report = scan_ci(6, 4, 3, quadrics_max_codimension=4)
-    assert len(formula_calls) == report.cases
-    assert len(set(formula_calls)) == report.cases
+    assert formula_calls == []
+    tuples = [ci.degrees for ci in scan_grid(1, 4, 3)]
+    assert [ci.degrees for ci in row_calls] == tuples
+    assert {ci.dimension for ci in row_calls} == {6}
+    assert report.cases == 6 * len(tuples)
+
+
+def test_scan_meets_time_budget():
+    start = time.perf_counter()
+    report = scan_ci(30, 10, 6, 10)
+    elapsed = time.perf_counter() - start
+    assert report.cases == 150_150
+    assert elapsed < 3.0, f"scan_ci(30, 10, 6, 10) took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    ("degrees", "n", "law", "message"),
+    [
+        ((4,), 3, "hypersurface_sign", "hypersurface_sign violated at (4;3): chi = 56"),
+        ((2, 3), 4, "multidegree_sign", "multidegree_sign violated at (2,3;4): chi = -90"),
+    ],
+)
+def test_scan_violation_names_law_and_type(monkeypatch, degrees, n, law, message):
+    def flipped(ci):
+        row = euler_ci_row(ci)
+        if ci.degrees == degrees:
+            row[n] = -row[n]
+        return row
+
+    monkeypatch.setattr(diagonal, "euler_ci_row", flipped)
+    with pytest.raises(ScanViolation) as info:
+        scan_ci(6, 4, 3, quadrics_max_codimension=4)
+    assert info.value.law == law
+    assert info.value.subject == CIType(degrees, n)
+    assert str(info.value) == message
 
 
 def test_verdict_ci_computes_chi_at_most_once(formula_calls):
@@ -360,6 +417,22 @@ def test_verdict_ci_computes_chi_at_most_once(formula_calls):
 def test_scan_rejects_bad_bounds():
     with pytest.raises(ValueError):
         scan_ci(0, 6, 5)
+
+
+@pytest.mark.parametrize(
+    ("bounds", "name"),
+    [
+        ((12.0,), "max_dimension"),
+        ((True, 2, 2, 3), "max_dimension"),
+        ((4, 3, 2, "8"), "quadrics_max_codimension"),
+        ((4, 3.0, 2), "max_degree"),
+        ((4, 3, None), "max_codimension"),
+    ],
+)
+def test_scan_type_checks_bounds_before_any_work(row_calls, bounds, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        scan_ci(*bounds)
+    assert row_calls == []
 
 
 def test_scan_violation_formatting():
