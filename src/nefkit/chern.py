@@ -5,7 +5,8 @@ hypersurfaces in weighted projective space. The complete intersection Euler
 characteristic is exposed through three independent routes that must agree:
 
 * euler_ci_formula: the symmetric-function expansion,
-* euler_ci_series: the coefficient of a truncated rational series,
+* euler_ci_series: the coefficient of a truncated rational series, the last
+  entry of chern_degrees_ci,
 * euler_ci_recursive: a two-term recursion in (degrees, dimension), the last
   entry of euler_ci_row, which gives chi(degrees; m) for every m <= n at once.
 
@@ -121,17 +122,9 @@ def euler_ci_formula(ci: CIType) -> int:
 
 
 def euler_ci_series(ci: CIType) -> int:
-    """Euler characteristic as (prod d_j) times a truncated series coefficient.
-
-    The series is (1+t)^(n+r+1) / prod (1 + d_j t); its coefficients are
-    integral for integer degrees, which is asserted.
-    """
-    n = ci.dimension
-    r = ci.codimension
-    series = series_rational_coefficients([(1, n + r + 1)], list(ci.degrees), n)
-    value = series.coefficient(n) * ci.degree_product
-    assert value.denominator == 1, "series route must land on an integer"
-    return int(value)
+    """Euler characteristic by the series route: the last entry of
+    chern_degrees_ci(ci)."""
+    return chern_degrees_ci(ci)[-1]
 
 
 def euler_ci_recursive(ci: CIType) -> int:
@@ -162,8 +155,10 @@ def euler_ci_row(ci: CIType) -> list[int]:
 def chern_degrees_ci(ci: CIType) -> list[int]:
     """Degrees deg(c_k(X) . h^(n-k)) for k = 0..n, h the hyperplane class.
 
-    Entry 0 is the degree of X in its ambient projective space and entry n is
-    the Euler characteristic.
+    Entry k is (prod d_j) times the coefficient of t^k in the truncated series
+    (1+t)^(n+r+1) / prod (1 + d_j t), whose coefficients are integral for
+    integer degrees, which is asserted. Entry 0 is the degree of X in its
+    ambient projective space and entry n is the Euler characteristic.
     """
     n = ci.dimension
     r = ci.codimension
@@ -329,6 +324,7 @@ def euler_delpezzo_closed(n: int, degree: int) -> int:
     """
     if _check_int(n, "n") < 3:
         raise ValueError("del Pezzo manifolds here have dimension >= 3")
+    _check_int(degree, "degree")
     if degree == 1:
         numerator, modulus = 3 * n + 2 + (-5) ** n, 3
     elif degree == 2:

@@ -3,10 +3,12 @@
 Every subcommand is declared once, in the COMMANDS table at the end of this
 module: its help text, its arguments, the handler that computes it and the
 renderer of its text report. build_parser turns the table into the argparse
-tree. Every invocation runs one handler, wraps its canonicalized inputs,
-result payload and provenance notes in a Report and prints it. JSON output is
-byte-reproducible: keys sorted, two-space indent, no timestamps. Exit status:
-0 success, 2 invalid input, 3 dataset error, 4 scan violation.
+tree. Every invocation runs one handler and prints its canonicalized inputs,
+result payload and provenance notes; the JSON report is the object
+{"command", "inputs", "result", "notes"} of JSON-native values only, so it
+re-parses to an equal payload. JSON output is byte-reproducible: keys sorted,
+two-space indent, no timestamps. Exit status: 0 success, 2 invalid input,
+3 dataset error, 4 scan violation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -47,29 +48,7 @@ from .diagonal import (
     verdict_delpezzo,
 )
 
-__all__ = ["Report", "main"]
-
-
-@dataclass(frozen=True)
-class Report:
-    """One command's outcome, in a JSON-native shape.
-
-    The result payload only holds lists, dicts, strings, integers and
-    booleans, so the JSON report re-parses to an equal payload.
-    """
-
-    command: str
-    inputs: dict
-    result: object
-    notes: tuple[str, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "notes": list(self.notes),
-        }
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +358,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inputs, result, notes = args.handler(args)
-        report = Report(f"{args.group} {args.kind}", inputs, result, notes)
         if args.format == "json":
-            output = json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
+            report = {"command": f"{args.group} {args.kind}", "inputs": inputs,
+                      "result": result, "notes": list(notes)}
+            output = json.dumps(report, sort_keys=True, indent=2) + "\n"
         else:
             lines = [*args.render(result), *(f"# {note}" for note in notes)]
             output = "\n".join(lines) + "\n"

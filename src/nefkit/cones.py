@@ -251,7 +251,7 @@ def tau_top_pairing(n: int, a: int, b: int) -> int:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    if not a >= b >= 0:
+    if not _check_int(a, "a") >= _check_int(b, "b") >= 0:
         raise InvalidPartition(f"({a},{b}) is not weakly decreasing and non-negative")
     if a + b != 2 * n - 1:
         raise InvalidPartition(
@@ -484,7 +484,7 @@ def _identity(m: int) -> list[tuple[int, ...]]:
 def effective_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     """Effective cone in the given codimension: the simplicial cone spanned
     by the dataset's classes, in their own coordinate basis."""
-    classes = ds.classes_of_codim(codim)
+    classes = ds.classes_of_codim(_check_int(codim, "codim"))
     if not classes:
         raise ValueError(f"dataset has no classes of codimension {codim}")
     labels = tuple(c.label for c in classes)
@@ -494,7 +494,7 @@ def effective_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
 def nef_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     """Nef cone in the given codimension: dual of the effective cone of the
     complementary codimension under the dataset's pairing matrix."""
-    if not 0 <= codim <= ds.dimension:
+    if not 0 <= _check_int(codim, "codim") <= ds.dimension:
         raise ValueError(f"codimension must lie in 0..{ds.dimension}")
     rows = ds.classes_of_codim(codim)
     cols = ds.classes_of_codim(ds.dimension - codim)

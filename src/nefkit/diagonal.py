@@ -385,6 +385,8 @@ DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
 
 
 def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
+    _check_int(n, "dimension")
+    _check_int(degree, "degree")
     for row in DELPEZZO_TABLE:
         if row.degree == degree:
             if not row.admits(n):
@@ -401,8 +403,6 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     The optional variant label (degree 6 comes in three varieties) is echoed
     in the detail text only; it never changes the verdict.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("dimension must be an integer")
     row = _delpezzo_row(n, degree)
     if degree in (1, 2):
         chi = euler_delpezzo_closed(n, degree)
@@ -617,12 +617,14 @@ def scan_ci(
     * verdict_classified: verdict_ci never lands on the unclassified
       fallback.
 
-    chi comes from one euler_ci_row per degree tuple, the recursive route:
-    the row is built up to max_dimension and read for every n, and chi is
-    shared by the sign law, the bound law and the verdict. Cases run in the
-    order n, then r, then degrees. Any failure raises ScanViolation naming
-    the law and the offending type; a clean run returns counts per law and
-    per verdict status.
+    Degree tuples run by r, then degrees, and each tuple runs over
+    n = 1..max_dimension. chi comes from one euler_ci_row per tuple, the
+    recursive route, built up to max_dimension and shared by the sign law,
+    the bound law and the verdict; the row is dropped before the next tuple,
+    so one row is held at a time. The quadrics sweep then runs by r, then n,
+    over one quadrics_b_column per r. Any failure raises ScanViolation
+    naming the law and the offending type; a clean run returns counts per
+    law and per verdict status.
     """
     bounds = {
         "max_dimension": max_dimension,
@@ -641,46 +643,40 @@ def scan_ci(
         "verdict_classified": 0,
     }
     verdict_counts = {status.value: 0 for status in Status}
-    rows = []
+    tuples = 0
     for r in range(max_codimension + 1):
         for degrees in combinations_with_replacement(range(2, max_degree + 1), r):
+            tuples += 1
             ci = CIType(degrees, max_dimension)
-            rows.append((degrees, ci.degree_product, euler_ci_row(ci)))
-    for n in range(1, max_dimension + 1):
-        for degrees, degree_product, row in rows:
-            r = len(degrees)
-            chi = row[n]
-            sign_law = None
-            if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
-                sign_law = "hypersurface_sign"
-            elif r >= 2 and degrees[-1] >= 3:
-                sign_law = "multidegree_sign"
-            if sign_law is not None:
-                if (-1) ** n * chi <= 0:
-                    raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
-                law_checks[sign_law] += 1
-                cubic_surface = sign_law == "hypersurface_sign" and (n, degrees[0]) == (2, 3)
-                if n % 2 == 0 and not cubic_surface:
-                    check = _projection_bound(n, degree_product, chi)
-                    if not check.violated:
-                        raise ScanViolation(
-                            "even_dimension_bound",
-                            CIType(degrees, n),
-                            f"chi = {check.chi} <= {check.bound}",
-                        )
-                    law_checks["even_dimension_bound"] += 1
-            verdict = _classify(degrees, n, lambda: chi)
-            if verdict.is_unclassified:
-                raise ScanViolation(
-                    "verdict_classified", CIType(degrees, n), "fell through every criterion"
-                )
-            law_checks["verdict_classified"] += 1
-            verdict_counts[verdict.status.value] += 1
-    columns = {r: quadrics_b_column(max_dimension, r)
-               for r in range(3, quadrics_max_codimension + 1)}
-    for n in range(1, max_dimension + 1):
-        for r, column in columns.items():
-            b = column[n - 1]
+            row, degree_product = euler_ci_row(ci), ci.degree_product
+            for n in range(1, max_dimension + 1):
+                chi = row[n]
+                sign_law = None
+                if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
+                    sign_law = "hypersurface_sign"
+                elif r >= 2 and degrees[-1] >= 3:
+                    sign_law = "multidegree_sign"
+                if sign_law is not None:
+                    if (-1) ** n * chi <= 0:
+                        raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
+                    law_checks[sign_law] += 1
+                    if n % 2 == 0 and (degrees, n) != ((3,), 2):
+                        check = _projection_bound(n, degree_product, chi)
+                        if not check.violated:
+                            raise ScanViolation(
+                                "even_dimension_bound",
+                                CIType(degrees, n),
+                                f"chi = {check.chi} <= {check.bound}",
+                            )
+                        law_checks["even_dimension_bound"] += 1
+                verdict = _classify(degrees, n, lambda: chi)
+                if verdict.is_unclassified:
+                    raise ScanViolation("verdict_classified", CIType(degrees, n),
+                                        "fell through every criterion")
+                law_checks["verdict_classified"] += 1
+                verdict_counts[verdict.status.value] += 1
+    for r in range(3, quadrics_max_codimension + 1):
+        for n, b in enumerate(quadrics_b_column(max_dimension, r), start=1):
             if b <= 0:
                 raise ScanViolation("quadrics_positive", (n, r), f"b = {b}")
             law_checks["quadrics_positive"] += 1
@@ -693,7 +689,7 @@ def scan_ci(
         max_degree=max_degree,
         max_codimension=max_codimension,
         quadrics_max_codimension=quadrics_max_codimension,
-        cases=max_dimension * len(rows),
+        cases=max_dimension * tuples,
         law_checks=law_checks,
         verdict_counts=verdict_counts,
     )

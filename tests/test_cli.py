@@ -8,13 +8,15 @@ violation, and JSON reports must be byte-reproducible and re-parseable.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nefkit import cli
-from nefkit.cli import Report, main
+from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
 
 
@@ -155,12 +157,12 @@ def test_json_reports_are_byte_identical(capsys) -> None:
 def test_json_report_round_trips(capsys) -> None:
     _, out, _ = run_cli(capsys, "--format", "json", "euler", "ci",
                         "--dim", "2", "--degrees", "3")
-    assert json.loads(out) == Report(
-        command="euler ci",
-        inputs={"degrees": [3], "dim": 2},
-        result=9,
-        notes=("Euler characteristic of the complete intersection (3;2)",),
-    ).to_payload()
+    assert json.loads(out) == {
+        "command": "euler ci",
+        "inputs": {"degrees": [3], "dim": 2},
+        "result": 9,
+        "notes": ["Euler characteristic of the complete intersection (3;2)"],
+    }
 
 
 def test_unknown_format_exits_2(capsys) -> None:
@@ -277,11 +279,15 @@ def test_nefkit_data_directory_override(capsys, tmp_path, monkeypatch) -> None:
 
 
 def test_module_entry_point_runs() -> None:
+    # The child imports nefkit from the source tree this process imported,
+    # installed or not.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "nefkit", "euler", "ci", "--dim", "1"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2"

@@ -8,12 +8,25 @@ covering degrees from the anticanonical double/2^n covers).
 from __future__ import annotations
 
 import time
+import weakref
 from itertools import combinations_with_replacement
 
 import pytest
 
 from nefkit import diagonal
-from nefkit.chern import CIType, euler_ci_formula, euler_ci_row
+from nefkit.chern import (
+    CIType,
+    euler_ci_formula,
+    euler_ci_row,
+    euler_delpezzo_closed,
+    quadrics_b_column,
+)
+from nefkit.cones import (
+    builtin_dataset,
+    effective_cone_of_codim,
+    nef_cone_of_codim,
+    tau_top_pairing,
+)
 from nefkit.diagonal import (
     DELPEZZO_TABLE,
     OPEN_TWO_QUADRICS_REFERENCE,
@@ -33,12 +46,12 @@ from nefkit.diagonal import (
 
 
 def scan_grid(max_dimension: int, max_degree: int, max_codimension: int) -> list[CIType]:
-    """The canonical types scan_ci visits, in its order: n, then r, then degrees."""
+    """The canonical types scan_ci visits, in its order: r, then degrees, then n."""
     return [
         CIType(degrees, n)
-        for n in range(1, max_dimension + 1)
         for r in range(max_codimension + 1)
         for degrees in combinations_with_replacement(range(2, max_degree + 1), r)
+        for n in range(1, max_dimension + 1)
     ]
 
 
@@ -270,6 +283,26 @@ def test_nef_big_filter():
         nef_big_filter("surface", CIType((), 2))
 
 
+@pytest.mark.parametrize(
+    ("call", "args", "name"),
+    [
+        (verdict_delpezzo, (3, True), "degree"),
+        (verdict_delpezzo, (4, 2.0), "degree"),
+        (nef_big_filter, ("delpezzo", (3.0, 5)), "dimension"),
+        (euler_delpezzo_closed, (3, True), "degree"),
+        (tau_top_pairing, (2, 2.0, 1), "a"),
+        (nef_cone_of_codim, (builtin_dataset("gw2c5"), 2.0), "codim"),
+        (effective_cone_of_codim, (builtin_dataset("gw2c5"), 2.0), "codim"),
+    ],
+    ids=["delpezzo-bool-degree", "delpezzo-float-degree", "nef-big-float-dimension",
+         "closed-form-bool-degree", "tau-float-part", "nef-cone-float-codim",
+         "effective-cone-float-codim"],
+)
+def test_entry_points_reject_non_integer_arguments(call, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(*args)
+
+
 def test_nef_big_filter_implies_nef_verdict():
     for n in range(1, 10):
         if nef_big_filter("ci", CIType((2,), n)):
@@ -370,6 +403,31 @@ def test_scan_reads_chi_from_one_row_per_degree_tuple(formula_calls, row_calls):
     assert [ci.degrees for ci in row_calls] == tuples
     assert {ci.dimension for ci in row_calls} == {6}
     assert report.cases == 6 * len(tuples)
+
+
+class TrackedList(list):
+    """A list that a weak reference can follow."""
+
+
+def test_scan_holds_one_row_at_a_time(monkeypatch):
+    refs: list = []
+    alive_at_call: list = []
+
+    def tracked(build):
+        def call(*args):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            out = TrackedList(build(*args))
+            refs.append(weakref.ref(out))
+            return out
+
+        return call
+
+    monkeypatch.setattr(diagonal, "euler_ci_row", tracked(euler_ci_row))
+    monkeypatch.setattr(diagonal, "quadrics_b_column", tracked(quadrics_b_column))
+    scan_ci(6, 4, 3, quadrics_max_codimension=4)
+    # 20 degree tuples, then one column for each of r = 3, 4.
+    assert len(alive_at_call) == 22
+    assert max(alive_at_call) <= 1, alive_at_call
 
 
 def test_scan_meets_time_budget():
