@@ -2,9 +2,12 @@
 
 A verdict is three-valued: the diagonal class of a variety is certified
 not nef (with a numeric or named witness), certified nef (with a structural
-reason), or the question is open. Criteria are applied in a fixed priority
-order: positive structural families first, then the exception table, then the
-sign of the diagonal self-intersection, then the projection degree bound.
+reason), or the question is open. One chain applies the criteria in a fixed
+priority order (positive structural families, the exception table, the sign
+of the diagonal self-intersection, the projection degree bound) and names the
+step that fired with its numbers. verdict_ci builds its Verdict once, from
+that step; scan_ci counts the step's status under the same witness checks
+and builds no Verdict.
 
 The module also hosts the del Pezzo classification table, the nef-and-big
 filter, the consistency scans, and the Poincare polynomial obstruction to
@@ -127,15 +130,10 @@ class Verdict:
         if self.reason not in _REASONS_BY_STATUS[self.status]:
             raise ValueError(f"reason {self.reason.value} invalid for {self.status.value}")
         w = self.witness
-        if self.reason is Reason.NEGATIVE_SELF_INTERSECTION:
-            if not isinstance(w.get("chi"), int) or w["chi"] >= 0:
-                raise ValueError("NegativeSelfIntersection needs witness chi < 0")
-        elif self.reason is Reason.PROJECTION_BOUND:
-            if not (isinstance(w.get("chi"), int) and isinstance(w.get("bound"), int)):
-                raise ValueError("ProjectionBound needs integer chi and bound")
-            if w["chi"] <= w["bound"]:
-                raise ValueError("ProjectionBound witness must have chi > bound")
-        elif self.reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
+        error = _chi_witness_error(self.reason, w.get("chi"), w.get("bound"))
+        if error:
+            raise ValueError(error)
+        if self.reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
             classes = w.get("classes")
             if not (isinstance(classes, (list, tuple)) and len(classes) == 2):
                 raise ValueError("NegativeEffectivePair needs a pair of class names")
@@ -151,10 +149,6 @@ class Verdict:
             if not w.get("reference"):
                 raise ValueError("Open verdicts must carry a reference id")
 
-    @property
-    def is_unclassified(self) -> bool:
-        return self.witness.get("reference") == UNCLASSIFIED_REFERENCE
-
     def to_payload(self) -> dict:
         return {
             "status": self.status.value,
@@ -162,6 +156,28 @@ class Verdict:
             "detail": self.detail,
             "witness": dict(self.witness),
         }
+
+
+def _chi_witness_error(reason: Reason, chi: object, bound: object) -> str | None:
+    """Why chi and bound cannot witness a verdict with this reason, or None:
+    the chi witness laws that Verdict enforces and scan_ci checks per case."""
+    if reason is Reason.NEGATIVE_SELF_INTERSECTION:
+        if not isinstance(chi, int) or chi >= 0:
+            return "NegativeSelfIntersection needs witness chi < 0"
+    elif reason is Reason.PROJECTION_BOUND:
+        if not (isinstance(chi, int) and isinstance(bound, int)):
+            return "ProjectionBound needs integer chi and bound"
+        if chi <= bound:
+            return "ProjectionBound witness must have chi > bound"
+    return None
+
+
+def _number(x: int) -> str:
+    """x for detail text: in decimal up to 14,000 bits (4,215 digits, under
+    Python's default int-to-str limit of 4,300), else by sign and bit length."""
+    if x.bit_length() <= 14_000:
+        return str(x)
+    return f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)"
 
 
 class ProjectionBoundCheck(NamedTuple):
@@ -176,15 +192,23 @@ class ProjectionBoundCheck(NamedTuple):
 # Exception table
 
 
+class _Step(NamedTuple):
+    """A step of the priority chain with the status and reason of its verdict.
+    A step that reads no numbers also holds that verdict's detail and witness."""
+
+    name: str
+    status: Status
+    reason: Reason
+    detail: str = ""
+    witness: Mapping[str, object] = {}
+
+
 @dataclass(frozen=True)
 class ExceptionEntry:
-    reason: Reason
-    detail: str
+    step: _Step
     dimension: int | None = None
     dimension_parity: str | None = None
     min_dimension: int = 0
-    classes: tuple[str, str] | None = None
-    value: int | None = None
 
     def matches(self, n: int) -> bool:
         """Whether the entry covers dimension n; its degrees are matched by
@@ -196,34 +220,25 @@ class ExceptionEntry:
             return n % 2 == parity and n >= self.min_dimension
         return n >= self.min_dimension
 
-    def verdict(self) -> Verdict:
-        if self.reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
-            assert self.classes is not None and self.value is not None
-            witness = {"classes": list(self.classes), "value": self.value}
-        else:
-            witness = {"table_entry": self.detail}
-        return Verdict(Status.NOT_NEF, self.reason, self.detail, witness)
-
 
 @cache
 def _exception_table() -> dict[tuple[int, ...], list[ExceptionEntry]]:
-    """The exception entries by degree tuple, each list in file order."""
+    """The exception entries by degree tuple, each list in file order; each
+    entry's verdict is built once here, which checks its witness."""
     text = resources.files("nefkit").joinpath("data/ci_exceptions.json").read_text("utf-8")
     doc = json.loads(text)
     entries: dict[tuple[int, ...], list[ExceptionEntry]] = {}
     for raw in doc["entries"]:
-        classes = raw.get("classes")
-        entries.setdefault(tuple(sorted(raw["degrees"])), []).append(
-            ExceptionEntry(
-                reason=Reason(raw["reason"]),
-                detail=raw["detail"],
-                dimension=raw.get("dimension"),
-                dimension_parity=raw.get("dimension_parity"),
-                min_dimension=raw.get("min_dimension", 0),
-                classes=tuple(classes) if classes else None,
-                value=raw.get("value"),
-            )
-        )
+        reason = Reason(raw["reason"])
+        if reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
+            witness = {"classes": list(raw["classes"]), "value": raw["value"]}
+        else:
+            witness = {"table_entry": raw["detail"]}
+        step = _Step("exception table", Status.NOT_NEF, reason, raw["detail"], witness)
+        Verdict(*step[1:])
+        entries.setdefault(tuple(sorted(raw["degrees"])), []).append(ExceptionEntry(
+            step, raw.get("dimension"), raw.get("dimension_parity"), raw.get("min_dimension", 0)
+        ))
     return entries
 
 
@@ -251,7 +266,7 @@ def verdict_curve(genus: int) -> Verdict:
     return Verdict(
         Status.NOT_NEF,
         Reason.NEGATIVE_SELF_INTERSECTION,
-        f"deg Delta^2 = chi = {chi} < 0 on a curve of genus {genus}",
+        f"deg Delta^2 = chi = {_number(chi)} < 0 on a curve of genus {_number(genus)}",
         {"chi": chi, "genus": genus},
     )
 
@@ -263,11 +278,8 @@ def projection_bound_violated(ci: CIType) -> ProjectionBoundCheck:
     chi <= (n+1) m; linear projection makes a complete intersection such a
     cover with m = prod(degrees). chi comes from euler_ci_formula.
     """
-    return _projection_bound(ci.dimension, ci.degree_product, euler_ci_formula(ci))
-
-
-def _projection_bound(n: int, degree_product: int, chi: int) -> ProjectionBoundCheck:
-    bound = (n + 1) * degree_product
+    chi = euler_ci_formula(ci)
+    bound = (ci.dimension + 1) * ci.degree_product
     return ProjectionBoundCheck(chi > bound, chi, bound)
 
 
@@ -277,68 +289,78 @@ def verdict_ci(ci: CIType) -> Verdict:
     Positive structural families come first (projective space, quadrics,
     curves of genus <= 1, the open odd-dimensional (2,2) family), then the
     exception table, then the sign test, then the projection bound. Inside
-    the scanned classification range the final fallback never fires.
+    the scanned classification range the final fallback never fires. The
+    Verdict is built once, from the step of that chain that fired.
     """
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
-    return _classify(ci.degrees, ci.dimension, lambda: euler_ci_formula(ci))
+    step, chi, bound = _chain(ci.degrees, ci.dimension, lambda: euler_ci_formula(ci))
+    return _verdict(step, chi, bound, ci.degree_product)
 
 
-def _classify(degrees: tuple[int, ...], n: int, chi_of: Callable[[], int]) -> Verdict:
-    """The priority chain of verdict_ci on the canonical type (degrees, n);
-    chi_of() returns its Euler characteristic.
+def _verdict(step: _Step, chi: int | None, bound: int | None, cover_degree: int) -> Verdict:
+    """The Verdict of the step that fired, with the cover degree a bound names."""
+    if step.name == "curve":
+        return verdict_curve((2 - chi) // 2)
+    if step is _SIGN:
+        return Verdict(step.status, step.reason, f"deg Delta^2 = chi = {_number(chi)} < 0",
+                       {"chi": chi})
+    if step is _BOUND:
+        detail = (f"chi = {_number(chi)} exceeds (n+1) deg X = {_number(bound)}, impossible"
+                  " for a nef diagonal under linear projection to P^n")
+        witness = {"chi": chi, "bound": bound, "cover_degree": cover_degree}
+        return Verdict(step.status, step.reason, detail, witness)
+    return Verdict(step.status, step.reason, step.detail, dict(step.witness))
 
-    chi_of is called at most once, and only on the steps that need chi, so
-    projective spaces, quadrics and the table entries stay instant at any
-    dimension.
+
+_PROJECTIVE_SPACE = _Step("projective space", Status.NEF, Reason.HOMOGENEOUS,
+                          "projective space is a homogeneous variety")
+_QUADRIC = _Step("quadric", Status.NEF, Reason.HOMOGENEOUS,
+                 "a smooth quadric is a homogeneous variety")
+# By genus; every genus >= 2 shares the last. verdict_curve builds their verdicts.
+_CURVES = (_Step("curve", Status.NEF, Reason.HOMOGENEOUS),
+           _Step("curve", Status.NEF, Reason.GROUP_VARIETY),
+           _Step("curve", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION))
+_OPEN_TWO_QUADRICS = _Step(
+    "open (2,2)", Status.OPEN, Reason.OPEN_QUESTION,
+    "whether an odd-dimensional smooth intersection of two quadrics has"
+    " nef diagonal is an open problem for every dimension >= 3",
+    {"reference": OPEN_TWO_QUADRICS_REFERENCE},
+)
+_SIGN = _Step("sign", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION)
+_BOUND = _Step("projection bound", Status.NOT_NEF, Reason.PROJECTION_BOUND)
+_UNCLASSIFIED = _Step("unclassified", Status.OPEN, Reason.OPEN_QUESTION,
+                      "no implemented criterion decides this type",
+                      {"reference": UNCLASSIFIED_REFERENCE})
+
+
+def _chain(degrees: tuple[int, ...], n: int,
+           chi_of: Callable[[], int]) -> tuple[_Step, int | None, int | None]:
+    """The priority chain on the canonical type (degrees, n): the step that
+    fired, chi if the step read it, and the bound if it computed one.
+
+    chi_of() returns the Euler characteristic. It is called at most once,
+    and only on the steps that need chi, so projective spaces, quadrics and
+    the table entries stay instant at any dimension.
     """
     if not degrees:
-        return Verdict(
-            Status.NEF, Reason.HOMOGENEOUS, "projective space is a homogeneous variety"
-        )
+        return _PROJECTIVE_SPACE, None, None
     if degrees == (2,):
-        return Verdict(
-            Status.NEF, Reason.HOMOGENEOUS, "a smooth quadric is a homogeneous variety"
-        )
+        return _QUADRIC, None, None
     if n == 1:
         chi = chi_of()
         assert chi % 2 == 0
-        return verdict_curve((2 - chi) // 2)
+        return _CURVES[min((2 - chi) // 2, 2)], chi, None
     if degrees == (2, 2) and n % 2 == 1:
-        return Verdict(
-            Status.OPEN,
-            Reason.OPEN_QUESTION,
-            "whether an odd-dimensional smooth intersection of two quadrics has"
-            " nef diagonal is an open problem for every dimension >= 3",
-            {"reference": OPEN_TWO_QUADRICS_REFERENCE},
-        )
+        return _OPEN_TWO_QUADRICS, None, None
     for entry in _exception_table().get(degrees, ()):
         if entry.matches(n):
-            return entry.verdict()
+            return entry.step, None, None
     chi = chi_of()
     if chi < 0:
-        return Verdict(
-            Status.NOT_NEF,
-            Reason.NEGATIVE_SELF_INTERSECTION,
-            f"deg Delta^2 = chi = {chi} < 0",
-            {"chi": chi},
-        )
-    degree_product = math.prod(degrees)
-    check = _projection_bound(n, degree_product, chi)
-    if check.violated:
-        return Verdict(
-            Status.NOT_NEF,
-            Reason.PROJECTION_BOUND,
-            f"chi = {check.chi} exceeds (n+1) deg X = {check.bound}, impossible"
-            " for a nef diagonal under linear projection to P^n",
-            {"chi": check.chi, "bound": check.bound, "cover_degree": degree_product},
-        )
-    return Verdict(
-        Status.OPEN,
-        Reason.OPEN_QUESTION,
-        "no implemented criterion decides this type",
-        {"reference": UNCLASSIFIED_REFERENCE},
-    )
+        return _SIGN, chi, None
+    bound = (n + 1) * math.prod(degrees)
+    return (_BOUND if chi > bound else _UNCLASSIFIED), chi, bound
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +428,15 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     row = _delpezzo_row(n, degree)
     if degree in (1, 2):
         chi = euler_delpezzo_closed(n, degree)
-        if n % 2 == 1:
-            return Verdict(
-                Status.NOT_NEF,
-                Reason.NEGATIVE_SELF_INTERSECTION,
-                f"deg Delta^2 = chi = {chi} < 0",
-                {"chi": chi},
-            )
         cover = 2**n if degree == 1 else 2
+        if n % 2 == 1:
+            return _verdict(_SIGN, chi, None, cover)
         bound = (n + 1) * cover
         return Verdict(
             Status.NOT_NEF,
             Reason.PROJECTION_BOUND,
-            f"chi = {chi} exceeds (n+1) * {cover} = {bound}, impossible for a"
-            f" nef diagonal on a degree-{cover} cover of P^n",
+            f"chi = {_number(chi)} exceeds (n+1) * {_number(cover)} = {_number(bound)},"
+            f" impossible for a nef diagonal on a degree-{_number(cover)} cover of P^n",
             {"chi": chi, "bound": bound, "cover_degree": cover},
         )
     if degree == 3:
@@ -614,17 +631,19 @@ def scan_ci(
     * quadrics_positive / quadrics_even_bound: for r >= 3 quadrics,
       b(n, r) > 0, and b(n, r) > n + 1 for even n unless (n, r) = (2, 3);
       this sweep goes deeper in r than the general grid.
-    * verdict_classified: verdict_ci never lands on the unclassified
-      fallback.
+    * verdict_classified: the verdict_ci chain never lands on the
+      unclassified fallback, and the step that fires obeys the chi witness
+      laws of Verdict (ScanViolation "verdict_witness" if not).
 
     Degree tuples run by r, then degrees, and each tuple runs over
     n = 1..max_dimension. chi comes from one euler_ci_row per tuple, the
     recursive route, built up to max_dimension and shared by the sign law,
-    the bound law and the verdict; the row is dropped before the next tuple,
-    so one row is held at a time. The quadrics sweep then runs by r, then n,
-    over one quadrics_b_column per r. Any failure raises ScanViolation
-    naming the law and the offending type; a clean run returns counts per
-    law and per verdict status.
+    the bound law and the chain; the row is dropped before the next tuple,
+    so one row is held at a time. Each case counts the status of the step
+    that fired and builds no Verdict. The quadrics sweep then runs by r,
+    then n, over one quadrics_b_column per r. Any failure raises
+    ScanViolation naming the law and the offending type; a clean run returns
+    counts per law and per verdict status.
     """
     bounds = {
         "max_dimension": max_dimension,
@@ -634,15 +653,10 @@ def scan_ci(
     }
     if min(_check_int(value, name) for name, value in bounds.items()) < 1:
         raise ValueError("scan bounds must be positive")
-    law_checks = {
-        "hypersurface_sign": 0,
-        "multidegree_sign": 0,
-        "even_dimension_bound": 0,
-        "quadrics_positive": 0,
-        "quadrics_even_bound": 0,
-        "verdict_classified": 0,
-    }
-    verdict_counts = {status.value: 0 for status in Status}
+    law_checks = dict.fromkeys(("hypersurface_sign", "multidegree_sign",
+                                "even_dimension_bound", "quadrics_positive",
+                                "quadrics_even_bound", "verdict_classified"), 0)
+    status_counts = dict.fromkeys(Status, 0)
     tuples = 0
     for r in range(max_codimension + 1):
         for degrees in combinations_with_replacement(range(2, max_degree + 1), r):
@@ -661,20 +675,19 @@ def scan_ci(
                         raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
                     law_checks[sign_law] += 1
                     if n % 2 == 0 and (degrees, n) != ((3,), 2):
-                        check = _projection_bound(n, degree_product, chi)
-                        if not check.violated:
-                            raise ScanViolation(
-                                "even_dimension_bound",
-                                CIType(degrees, n),
-                                f"chi = {check.chi} <= {check.bound}",
-                            )
+                        if chi <= (n + 1) * degree_product:
+                            raise ScanViolation("even_dimension_bound", CIType(degrees, n),
+                                                f"chi = {chi} <= {(n + 1) * degree_product}")
                         law_checks["even_dimension_bound"] += 1
-                verdict = _classify(degrees, n, lambda: chi)
-                if verdict.is_unclassified:
+                step, step_chi, bound = _chain(degrees, n, lambda: chi)
+                if step is _UNCLASSIFIED:
                     raise ScanViolation("verdict_classified", CIType(degrees, n),
                                         "fell through every criterion")
+                error = _chi_witness_error(step.reason, step_chi, bound)
+                if error:
+                    raise ScanViolation("verdict_witness", CIType(degrees, n), error)
                 law_checks["verdict_classified"] += 1
-                verdict_counts[verdict.status.value] += 1
+                status_counts[step.status] += 1
     for r in range(3, quadrics_max_codimension + 1):
         for n, b in enumerate(quadrics_b_column(max_dimension, r), start=1):
             if b <= 0:
@@ -685,11 +698,8 @@ def scan_ci(
                     raise ScanViolation("quadrics_even_bound", (n, r), f"b = {b}")
                 law_checks["quadrics_even_bound"] += 1
     return ScanReport(
-        max_dimension=max_dimension,
-        max_degree=max_degree,
-        max_codimension=max_codimension,
-        quadrics_max_codimension=quadrics_max_codimension,
+        **bounds,
         cases=max_dimension * tuples,
         law_checks=law_checks,
-        verdict_counts=verdict_counts,
+        verdict_counts={status.value: count for status, count in status_counts.items()},
     )

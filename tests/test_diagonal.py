@@ -7,8 +7,10 @@ covering degrees from the anticanonical double/2^n covers).
 
 from __future__ import annotations
 
+import sys
 import time
 import weakref
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -191,6 +193,43 @@ def test_verdict_ci_rejects_dimension_zero():
         verdict_ci(CIType((2,), 0))
 
 
+def test_huge_numbers_are_described_by_bit_length():
+    # chi(5,7; 6000) has 15,517 bits, past Python's default limit of 4,300
+    # digits for int-to-str; (5,7; 20000) is the same case at 51,706 bits.
+    ci = CIType((5, 7), 6000)
+    chi = euler_ci_formula(ci)
+    bound_step = verdict_ci(ci)
+    assert bound_step.witness == {"chi": chi, "bound": 6001 * 35, "cover_degree": 35}
+    assert bound_step.detail.startswith(
+        f"chi = (positive integer of {chi.bit_length()} bits) exceeds (n+1) deg X = 210035,"
+    )
+    genus = 10**5000
+    curve = verdict_curve(genus)
+    assert curve.witness == {"chi": 2 - 2 * genus, "genus": genus}
+    assert curve.detail == (
+        "deg Delta^2 = chi = (negative integer of 16611 bits) < 0"
+        " on a curve of genus (positive integer of 16610 bits)"
+    )
+    odd, even = verdict_delpezzo(20001, 1), verdict_delpezzo(20000, 1)
+    assert odd.witness["chi"] == euler_delpezzo_closed(20001, 1)
+    assert odd.detail.startswith("deg Delta^2 = chi = (negative integer of ")
+    assert even.witness["cover_degree"] == 2**20000
+    assert "degree-(positive integer of 20001 bits) cover" in even.detail
+
+
+def test_detail_prints_decimal_up_to_14000_bits_whatever_the_str_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting in (0, limit):
+            sys.set_int_max_str_digits(setting)
+            assert verdict_curve(2**13999).detail.endswith(f"genus {2**13999}")
+            assert verdict_curve(2**14000).detail.endswith(
+                "genus (positive integer of 14001 bits)"
+            )
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # Del Pezzo manifolds
 
@@ -360,6 +399,47 @@ def test_scan_small_grid_clean():
     assert report.law_checks["hypersurface_sign"] > 0
     assert report.law_checks["even_dimension_bound"] > 0
     assert sum(report.verdict_counts.values()) == report.cases
+
+
+@pytest.mark.parametrize("grid", [(8, 5, 3), (12, 6, 5)])
+def test_scan_counts_match_verdict_ci(grid):
+    counts = Counter(verdict_ci(ci).status.value for ci in scan_grid(*grid))
+    assert Counter(scan_ci(*grid).verdict_counts) == counts
+
+
+def test_scan_builds_no_verdict(monkeypatch):
+    built = []
+    post_init = Verdict.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    diagonal._exception_table()
+    monkeypatch.setattr(Verdict, "__post_init__", counting)
+    scan_ci(6, 4, 3, 4)
+    assert built == []
+    for ci in scan_grid(6, 4, 3):
+        built.clear()
+        verdict = verdict_ci(ci)
+        assert built == [verdict], ci
+
+
+@pytest.mark.parametrize(
+    ("step", "chi", "bound", "message"),
+    [
+        ("_SIGN", 0, None, "NegativeSelfIntersection needs witness chi < 0"),
+        ("_BOUND", 15, 15, "ProjectionBound witness must have chi > bound"),
+    ],
+)
+def test_scan_checks_the_witness_of_every_step(monkeypatch, step, chi, bound, message):
+    fired = (getattr(diagonal, step), chi, bound)
+    monkeypatch.setattr(diagonal, "_chain", lambda degrees, n, chi_of: fired)
+    with pytest.raises(ScanViolation) as info:
+        scan_ci(6, 4, 3, 4)
+    assert info.value.law == "verdict_witness"
+    assert info.value.subject == CIType((), 1)
+    assert str(info.value) == f"verdict_witness violated at (;1): {message}"
 
 
 def test_scan_verdict_counts_small():
