@@ -223,8 +223,7 @@ class ExceptionEntry:
 
 @cache
 def _exception_table() -> dict[tuple[int, ...], list[ExceptionEntry]]:
-    """The exception entries by degree tuple, each list in file order; each
-    entry's verdict is built once here, which checks its witness."""
+    """The exception entries by degree tuple in file order, each witness checked once."""
     text = resources.files("nefkit").joinpath("data/ci_exceptions.json").read_text("utf-8")
     doc = json.loads(text)
     entries: dict[tuple[int, ...], list[ExceptionEntry]] = {}
@@ -298,8 +297,9 @@ def verdict_ci(ci: CIType) -> Verdict:
     return _verdict(step, chi, bound, ci.degree_product)
 
 
-def _verdict(step: _Step, chi: int | None, bound: int | None, cover_degree: int) -> Verdict:
-    """The Verdict of the step that fired, with the cover degree a bound names."""
+def _verdict(step: _Step, chi: int | None = None, bound: int | None = None,
+             cover_degree: int | None = None) -> Verdict:
+    """The Verdict of the step that fired and its numbers."""
     if step.name == "curve":
         return verdict_curve((2 - chi) // 2)
     if step is _SIGN:
@@ -428,9 +428,9 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     row = _delpezzo_row(n, degree)
     if degree in (1, 2):
         chi = euler_delpezzo_closed(n, degree)
-        cover = 2**n if degree == 1 else 2
         if n % 2 == 1:
-            return _verdict(_SIGN, chi, None, cover)
+            return _verdict(_SIGN, chi)
+        cover = 2**n if degree == 1 else 2
         bound = (n + 1) * cover
         return Verdict(
             Status.NOT_NEF,
