@@ -317,10 +317,11 @@ _PROJECTIVE_SPACE = _Step("projective space", Status.NEF, Reason.HOMOGENEOUS,
                           "projective space is a homogeneous variety")
 _QUADRIC = _Step("quadric", Status.NEF, Reason.HOMOGENEOUS,
                  "a smooth quadric is a homogeneous variety")
-# By genus; every genus >= 2 shares the last. verdict_curve builds their verdicts.
-_CURVES = (_Step("curve", Status.NEF, Reason.HOMOGENEOUS),
-           _Step("curve", Status.NEF, Reason.GROUP_VARIETY),
-           _Step("curve", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION))
+# The curve steps by genus; verdict_curve builds their verdicts. Every other
+# genus takes _CURVE, whose chi witness law rejects a genus below 0.
+_CURVES = {0: _Step("curve", Status.NEF, Reason.HOMOGENEOUS),
+           1: _Step("curve", Status.NEF, Reason.GROUP_VARIETY)}
+_CURVE = _Step("curve", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION)
 _OPEN_TWO_QUADRICS = _Step(
     "open (2,2)", Status.OPEN, Reason.OPEN_QUESTION,
     "whether an odd-dimensional smooth intersection of two quadrics has"
@@ -338,11 +339,9 @@ def _chain(degrees: tuple[int, ...], n: int,
            chi_of: Callable[[], int]) -> tuple[_Step, int | None, int | None]:
     """The priority chain on the canonical type (degrees, n): the step that
     fired, chi if the step read it, and the bound if it computed one.
-
-    chi_of() returns the Euler characteristic. It is called at most once,
-    and only on the steps that need chi, so projective spaces, quadrics and
-    the table entries stay instant at any dimension.
-    """
+    chi_of() returns the Euler characteristic, at most once and only on the
+    steps that need it, so projective spaces, quadrics and the table entries
+    stay instant at any dimension."""
     if not degrees:
         return _PROJECTIVE_SPACE, None, None
     if degrees == (2,):
@@ -350,7 +349,7 @@ def _chain(degrees: tuple[int, ...], n: int,
     if n == 1:
         chi = chi_of()
         assert chi % 2 == 0
-        return _CURVES[min((2 - chi) // 2, 2)], chi, None
+        return _CURVES.get((2 - chi) // 2, _CURVE), chi, None
     if degrees == (2, 2) and n % 2 == 1:
         return _OPEN_TWO_QUADRICS, None, None
     for entry in _exception_table().get(degrees, ()):

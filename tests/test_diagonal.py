@@ -442,6 +442,20 @@ def test_scan_checks_the_witness_of_every_step(monkeypatch, step, chi, bound, me
     assert str(info.value) == f"verdict_witness violated at (;1): {message}"
 
 
+def test_scan_rejects_a_curve_of_negative_genus(monkeypatch):
+    def bumped(ci):
+        row = euler_ci_row(ci)
+        if ci.degrees == (2, 2):
+            row[1] = 6  # genus -2; no sign law covers (2,2;1)
+        return row
+
+    monkeypatch.setattr(diagonal, "euler_ci_row", bumped)
+    with pytest.raises(ScanViolation) as info:
+        scan_ci(6, 4, 3, 4)
+    assert info.value.law == "verdict_witness"
+    assert info.value.subject == CIType((2, 2), 1)
+
+
 def test_scan_verdict_counts_small():
     report = scan_ci(6, 4, 3, quadrics_max_codimension=4)
     # Nef: P^n (6) + quadric (6) + elliptic curves (3;1) and (2,2;1).
