@@ -415,7 +415,7 @@ def test_scan_builds_no_verdict(monkeypatch):
         built.append(self)
         post_init(self)
 
-    diagonal._exception_table()
+    diagonal._exception_table()  # its first load checks each entry through a Verdict
     monkeypatch.setattr(Verdict, "__post_init__", counting)
     scan_ci(6, 4, 3, 4)
     assert built == []
