@@ -35,8 +35,18 @@ SUBCOMMANDS = [
     ["betti", "ci", "--dim", "3", "--degrees", "2,2"],
     ["verdict", "ci", "--dim", "4", "--degrees", "3"],
     ["verdict", "ci", "--dim", "5", "--degrees", "2,2"],
+    ["verdict", "ci", "--dim", "1", "--degrees", "2,3"],
+    ["verdict", "ci", "--dim", "2", "--degrees", "3"],
+    ["verdict", "ci", "--dim", "3", "--degrees", "4"],
     ["verdict", "delpezzo", "--dim", "4", "--degree", "5"],
     ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P1xP1xP1"],
+    # every del Pezzo verdict path: degrees 1-2 by parity, 3-4 through the
+    # complete intersection chain, the fixed degree-5 and degree-7 verdicts
+    *(["verdict", "delpezzo", "--dim", str(dim), "--degree", str(degree)]
+      for dim, degree in ((3, 1), (4, 1), (3, 2), (4, 2), (3, 3), (4, 4), (5, 4),
+                          (3, 5), (5, 5), (6, 5), (4, 6), (3, 7))),
+    ["verdict", "curve", "--genus", "0"],
+    ["verdict", "curve", "--genus", "1"],
     ["verdict", "curve", "--genus", "2"],
     # every codimension of both shipped datasets
     *(["cone", "dual", "--dataset", name, "--codim", str(codim)]
