@@ -2,12 +2,14 @@
 
 A verdict is three-valued: the diagonal class of a variety is certified
 not nef (with a numeric or named witness), certified nef (with a structural
-reason), or the question is open. One chain applies the criteria in a fixed
-priority order (positive structural families, the exception table, the sign
-of the diagonal self-intersection, the projection degree bound) and names the
-step that fired with its numbers. verdict_ci builds its Verdict once, from
-that step; scan_ci counts the step's status under the same witness checks
-and builds no Verdict.
+reason), or the question is open. Each verdict is a _Step, built by
+_verdict; only the degree-6 del Pezzo verdict, which echoes its variant
+label, is built in place. One chain applies the criteria in a fixed
+priority order (positive structural families, the exception table, the
+sign of the diagonal self-intersection, the projection degree bound) and
+names the step that fired with its numbers. verdict_ci builds its Verdict
+once, from that step; scan_ci counts the step's status under the same
+witness checks and builds no Verdict.
 
 The module also hosts the del Pezzo classification table, the nef-and-big
 filter, the consistency scans, and the Poincare polynomial obstruction to
@@ -17,7 +19,6 @@ fibering an odd-dimensional intersection of two quadrics in projective lines.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
@@ -41,7 +42,6 @@ __all__ = [
     "Verdict",
     "InvalidDelPezzo",
     "ScanViolation",
-    "ProjectionBoundCheck",
     "DelPezzoRow",
     "DELPEZZO_TABLE",
     "FibrationObstruction",
@@ -49,7 +49,6 @@ __all__ = [
     "UNCLASSIFIED_REFERENCE",
     "OPEN_TWO_QUADRICS_REFERENCE",
     "verdict_curve",
-    "projection_bound_violated",
     "verdict_ci",
     "verdict_delpezzo",
     "nef_big_filter",
@@ -180,27 +179,21 @@ def _number(x: int) -> str:
     return f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)"
 
 
-class ProjectionBoundCheck(NamedTuple):
-    """Result of the degree bound test for a complete intersection."""
-
-    violated: bool
-    chi: int
-    bound: int
-
-
 # ---------------------------------------------------------------------------
-# Exception table
+# Verdict steps and the exception table
 
 
 class _Step(NamedTuple):
-    """A step of the priority chain with the status and reason of its verdict.
-    A step that reads no numbers also holds that verdict's detail and witness."""
+    """A verdict the module issues, named after its criterion. A fixed step
+    holds the verdict's detail and witness; a step that reads numbers names
+    them, as its witness keys, and its detail is a template over them."""
 
     name: str
     status: Status
     reason: Reason
     detail: str = ""
     witness: Mapping[str, object] = {}
+    numbers: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,7 @@ def _exception_table() -> dict[tuple[int, ...], list[ExceptionEntry]]:
         else:
             witness = {"table_entry": raw["detail"]}
         step = _Step("exception table", Status.NOT_NEF, reason, raw["detail"], witness)
-        Verdict(*step[1:])
+        _verdict(step)
         entries.setdefault(tuple(sorted(raw["degrees"])), []).append(ExceptionEntry(
             step, raw.get("dimension"), raw.get("dimension_parity"), raw.get("min_dimension", 0)
         ))
@@ -249,37 +242,7 @@ def verdict_curve(genus: int) -> Verdict:
     """Nef-diagonal verdict for a smooth projective curve of the given genus."""
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
         raise ValueError("genus must be a non-negative integer")
-    if genus == 0:
-        return Verdict(
-            Status.NEF,
-            Reason.HOMOGENEOUS,
-            "a genus-0 curve is the projective line, a homogeneous variety",
-        )
-    if genus == 1:
-        return Verdict(
-            Status.NEF,
-            Reason.GROUP_VARIETY,
-            "a genus-1 curve is an elliptic curve, hence a group variety",
-        )
-    chi = 2 - 2 * genus
-    return Verdict(
-        Status.NOT_NEF,
-        Reason.NEGATIVE_SELF_INTERSECTION,
-        f"deg Delta^2 = chi = {_number(chi)} < 0 on a curve of genus {_number(genus)}",
-        {"chi": chi, "genus": genus},
-    )
-
-
-def projection_bound_violated(ci: CIType) -> ProjectionBoundCheck:
-    """Check chi > (n+1) * deg X, the bound a nef diagonal cannot exceed.
-
-    A degree-m finite cover of P^n with nef diagonal satisfies
-    chi <= (n+1) m; linear projection makes a complete intersection such a
-    cover with m = prod(degrees). chi comes from euler_ci_formula.
-    """
-    chi = euler_ci_formula(ci)
-    bound = (ci.dimension + 1) * ci.degree_product
-    return ProjectionBoundCheck(chi > bound, chi, bound)
+    return _verdict(_CURVES.get(genus, _CURVE), 2 - 2 * genus)
 
 
 def verdict_ci(ci: CIType) -> Verdict:
@@ -293,55 +256,63 @@ def verdict_ci(ci: CIType) -> Verdict:
     """
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
-    step, chi, bound = _chain(ci.degrees, ci.dimension, lambda: euler_ci_formula(ci))
-    return _verdict(step, chi, bound, ci.degree_product)
+    product = ci.degree_product
+    step, chi, bound = _chain(ci.degrees, ci.dimension, lambda: euler_ci_formula(ci), product)
+    return _verdict(step, chi, bound, product)
 
 
 def _verdict(step: _Step, chi: int | None = None, bound: int | None = None,
              cover_degree: int | None = None) -> Verdict:
-    """The Verdict of the step that fired and its numbers."""
-    if step.name == "curve":
-        return verdict_curve((2 - chi) // 2)
-    if step is _SIGN:
-        return Verdict(step.status, step.reason, f"deg Delta^2 = chi = {_number(chi)} < 0",
-                       {"chi": chi})
-    if step is _BOUND:
-        detail = (f"chi = {_number(chi)} exceeds (n+1) deg X = {_number(bound)}, impossible"
-                  " for a nef diagonal under linear projection to P^n")
-        witness = {"chi": chi, "bound": bound, "cover_degree": cover_degree}
-        return Verdict(step.status, step.reason, detail, witness)
-    return Verdict(step.status, step.reason, step.detail, dict(step.witness))
+    """The Verdict of a step and its numbers (a curve's genus is 1 - chi/2),
+    which fill its detail through _number. A fixed step's lists are copied,
+    so no caller can edit the table."""
+    if not step.numbers:
+        witness = {key: list(value) if isinstance(value, list) else value
+                   for key, value in step.witness.items()}
+        return Verdict(step.status, step.reason, step.detail, witness)
+    numbers = {"chi": chi, "bound": bound, "cover_degree": cover_degree, "genus": 1 - chi // 2}
+    witness = {key: numbers[key] for key in step.numbers}
+    detail = step.detail.format_map({key: _number(value) for key, value in witness.items()})
+    return Verdict(step.status, step.reason, detail, witness)
 
 
 _PROJECTIVE_SPACE = _Step("projective space", Status.NEF, Reason.HOMOGENEOUS,
                           "projective space is a homogeneous variety")
 _QUADRIC = _Step("quadric", Status.NEF, Reason.HOMOGENEOUS,
                  "a smooth quadric is a homogeneous variety")
-# The curve steps by genus; verdict_curve builds their verdicts. Every other
-# genus takes _CURVE, whose chi witness law rejects a genus below 0.
-_CURVES = {0: _Step("curve", Status.NEF, Reason.HOMOGENEOUS),
-           1: _Step("curve", Status.NEF, Reason.GROUP_VARIETY)}
-_CURVE = _Step("curve", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION)
+# The curve steps by genus. Every other genus takes _CURVE, whose chi witness
+# law rejects a genus below 0.
+_CURVES = {0: _Step("curve", Status.NEF, Reason.HOMOGENEOUS,
+                    "a genus-0 curve is the projective line, a homogeneous variety"),
+           1: _Step("curve", Status.NEF, Reason.GROUP_VARIETY,
+                    "a genus-1 curve is an elliptic curve, hence a group variety")}
+_CURVE = _Step("curve", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION,
+               "deg Delta^2 = chi = {chi} < 0 on a curve of genus {genus}",
+               numbers=("chi", "genus"))
 _OPEN_TWO_QUADRICS = _Step(
     "open (2,2)", Status.OPEN, Reason.OPEN_QUESTION,
     "whether an odd-dimensional smooth intersection of two quadrics has"
     " nef diagonal is an open problem for every dimension >= 3",
     {"reference": OPEN_TWO_QUADRICS_REFERENCE},
 )
-_SIGN = _Step("sign", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION)
-_BOUND = _Step("projection bound", Status.NOT_NEF, Reason.PROJECTION_BOUND)
+_SIGN = _Step("sign", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION,
+              "deg Delta^2 = chi = {chi} < 0", numbers=("chi",))
+_BOUND = _Step("projection bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
+               "chi = {chi} exceeds (n+1) deg X = {bound}, impossible for a nef"
+               " diagonal under linear projection to P^n",
+               numbers=("chi", "bound", "cover_degree"))
 _UNCLASSIFIED = _Step("unclassified", Status.OPEN, Reason.OPEN_QUESTION,
                       "no implemented criterion decides this type",
                       {"reference": UNCLASSIFIED_REFERENCE})
 
 
-def _chain(degrees: tuple[int, ...], n: int,
-           chi_of: Callable[[], int]) -> tuple[_Step, int | None, int | None]:
-    """The priority chain on the canonical type (degrees, n): the step that
-    fired, chi if the step read it, and the bound if it computed one.
-    chi_of() returns the Euler characteristic, at most once and only on the
-    steps that need it, so projective spaces, quadrics and the table entries
-    stay instant at any dimension."""
+def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[], int],
+           degree_product: int) -> tuple[_Step, int | None, int | None]:
+    """The priority chain on the canonical type (degrees, n) of the given
+    degree product: the step that fired, chi if the step read it, and the
+    bound if it computed one. chi_of() returns the Euler characteristic, at
+    most once and only on the steps that need it, so projective spaces,
+    quadrics and the table entries stay instant at any dimension."""
     if not degrees:
         return _PROJECTIVE_SPACE, None, None
     if degrees == (2,):
@@ -358,7 +329,7 @@ def _chain(degrees: tuple[int, ...], n: int,
     chi = chi_of()
     if chi < 0:
         return _SIGN, chi, None
-    bound = (n + 1) * math.prod(degrees)
+    bound = (n + 1) * degree_product
     return (_BOUND if chi > bound else _UNCLASSIFIED), chi, bound
 
 
@@ -405,6 +376,31 @@ DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
 )
 
 
+_COVER_BOUND = _Step("cover bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
+                     "chi = {chi} exceeds (n+1) * {cover_degree} = {bound}, impossible for"
+                     " a nef diagonal on a degree-{cover_degree} cover of P^n",
+                     numbers=("chi", "bound", "cover_degree"))
+# The fixed del Pezzo verdicts by (degree, n).
+_DELPEZZO_STEPS = {
+    (5, 3): _Step("del Pezzo", Status.NEF, Reason.FAKE_PROJECTIVE_SPACE,
+                  "the degree-5 del Pezzo threefold has the sheaf-theoretic positivity of"
+                  " projective space (it is a fake projective space in the diagonal sense)"),
+    (5, 4): _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+                  "two effective families of planes pair negatively:"
+                  " deg sigma(3,1).sigma(2,2) = -1",
+                  {"classes": ["sigma(3,1)", "sigma(2,2)"], "value": -1}),
+    (5, 5): _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+                  "two effective orbit-closure classes pair negatively:"
+                  " deg tau(3,-1).tau(2,1) = -1",
+                  {"classes": ["tau(3,-1)", "tau(2,1)"], "value": -1}),
+    (5, 6): _Step("del Pezzo", Status.NEF, Reason.HOMOGENEOUS,
+                  "the Grassmannian G(2,C^5) is a homogeneous variety"),
+    (7, 3): _Step("del Pezzo", Status.NOT_NEF, Reason.BIRATIONAL_CONTRACTION,
+                  DELPEZZO_TABLE[6].description + " admits an extremal birational contraction",
+                  {"contraction": "blow-down of the exceptional divisor to a point of P^3"}),
+}
+
+
 def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
     _check_int(n, "dimension")
     _check_int(degree, "degree")
@@ -424,67 +420,22 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     The optional variant label (degree 6 comes in three varieties) is echoed
     in the detail text only; it never changes the verdict.
     """
-    row = _delpezzo_row(n, degree)
+    _delpezzo_row(n, degree)
     if degree in (1, 2):
         chi = euler_delpezzo_closed(n, degree)
         if n % 2 == 1:
             return _verdict(_SIGN, chi)
         cover = 2**n if degree == 1 else 2
-        bound = (n + 1) * cover
-        return Verdict(
-            Status.NOT_NEF,
-            Reason.PROJECTION_BOUND,
-            f"chi = {_number(chi)} exceeds (n+1) * {_number(cover)} = {_number(bound)},"
-            f" impossible for a nef diagonal on a degree-{_number(cover)} cover of P^n",
-            {"chi": chi, "bound": bound, "cover_degree": cover},
-        )
+        return _verdict(_COVER_BOUND, chi, (n + 1) * cover, cover)
     if degree == 3:
         return verdict_ci(CIType((3,), n))
     if degree == 4:
         return verdict_ci(CIType((2, 2), n))
-    if degree == 5:
-        if n == 3:
-            return Verdict(
-                Status.NEF,
-                Reason.FAKE_PROJECTIVE_SPACE,
-                "the degree-5 del Pezzo threefold has the sheaf-theoretic"
-                " positivity of projective space (it is a fake projective"
-                " space in the diagonal sense)",
-            )
-        if n == 4:
-            return Verdict(
-                Status.NOT_NEF,
-                Reason.NEGATIVE_EFFECTIVE_PAIR,
-                "two effective families of planes pair negatively:"
-                " deg sigma(3,1).sigma(2,2) = -1",
-                {"classes": ["sigma(3,1)", "sigma(2,2)"], "value": -1},
-            )
-        if n == 5:
-            return Verdict(
-                Status.NOT_NEF,
-                Reason.NEGATIVE_EFFECTIVE_PAIR,
-                "two effective orbit-closure classes pair negatively:"
-                " deg tau(3,-1).tau(2,1) = -1",
-                {"classes": ["tau(3,-1)", "tau(2,1)"], "value": -1},
-            )
-        return Verdict(
-            Status.NEF,
-            Reason.HOMOGENEOUS,
-            "the Grassmannian G(2,C^5) is a homogeneous variety",
-        )
     if degree == 6:
         label = f" ({variant})" if variant else ""
-        return Verdict(
-            Status.NEF,
-            Reason.HOMOGENEOUS,
-            f"every degree-6 del Pezzo manifold{label} is a homogeneous variety",
-        )
-    return Verdict(
-        Status.NOT_NEF,
-        Reason.BIRATIONAL_CONTRACTION,
-        row.description + " admits an extremal birational contraction",
-        {"contraction": "blow-down of the exceptional divisor to a point of P^3"},
-    )
+        return Verdict(Status.NEF, Reason.HOMOGENEOUS,
+                       f"every degree-6 del Pezzo manifold{label} is a homogeneous variety")
+    return _verdict(_DELPEZZO_STEPS[degree, n])
 
 
 def nef_big_filter(kind: str, params: object) -> bool:
@@ -678,7 +629,7 @@ def scan_ci(
                             raise ScanViolation("even_dimension_bound", CIType(degrees, n),
                                                 f"chi = {chi} <= {(n + 1) * degree_product}")
                         law_checks["even_dimension_bound"] += 1
-                step, step_chi, bound = _chain(degrees, n, lambda: chi)
+                step, step_chi, bound = _chain(degrees, n, lambda: chi, degree_product)
                 if step is _UNCLASSIFIED:
                     raise ScanViolation("verdict_classified", CIType(degrees, n),
                                         "fell through every criterion")

@@ -7,6 +7,7 @@ covering degrees from the anticanonical double/2^n covers).
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 import weakref
@@ -19,6 +20,7 @@ from nefkit import diagonal
 from nefkit.chern import (
     CIType,
     euler_ci_formula,
+    euler_ci_recursive,
     euler_ci_row,
     euler_delpezzo_closed,
     quadrics_b_column,
@@ -39,7 +41,6 @@ from nefkit.diagonal import (
     Verdict,
     cp_fibration_obstruction,
     nef_big_filter,
-    projection_bound_violated,
     scan_ci,
     verdict_ci,
     verdict_curve,
@@ -89,6 +90,29 @@ def test_verdict_payload_round_trips_to_plain_data():
     assert payload["witness"] == {"chi": -56}
 
 
+def test_verdicts_do_not_share_witness_lists():
+    cubic_surface = {"classes": ["(-1)-curve", "(-1)-curve"], "value": -1}
+    verdict_ci(CIType((3,), 2)).witness["classes"].append("junk")
+    assert verdict_ci(CIType((3,), 2)).witness == cubic_surface
+    verdict_ci(CIType((2, 2), 4)).to_payload()["witness"]["classes"][0] = "junk"
+    assert verdict_ci(CIType((2, 2), 6)).witness["classes"] == ["Lambda_1", "Lambda_2"]
+    verdict_delpezzo(4, 5).to_payload()["witness"]["classes"].clear()
+    assert verdict_delpezzo(4, 5).witness["classes"] == ["sigma(3,1)", "sigma(2,2)"]
+
+
+def test_every_fixed_step_builds_its_verdict():
+    steps = [value for value in vars(diagonal).values() if isinstance(value, diagonal._Step)]
+    steps += [step for value in vars(diagonal).values() if isinstance(value, dict)
+              for step in value.values() if isinstance(step, diagonal._Step)]
+    fixed = [step for step in steps if not step.numbers]
+    assert diagonal._UNCLASSIFIED in fixed
+    assert {step.name for step in fixed} >= {"curve", "del Pezzo", "open (2,2)"}
+    for step in fixed:
+        verdict = diagonal._verdict(step)
+        assert (verdict.status, verdict.reason, verdict.detail) == step[1:4], step.name
+        assert verdict.witness == step.witness, step.name
+
+
 # ---------------------------------------------------------------------------
 # Curves
 
@@ -102,17 +126,6 @@ def test_verdict_curve():
     assert high.witness["chi"] == -2
     with pytest.raises(ValueError):
         verdict_curve(-1)
-
-
-# ---------------------------------------------------------------------------
-# Projection bound
-
-
-def test_projection_bound_examples():
-    violated, chi, bound = projection_bound_violated(CIType((3,), 4))
-    assert (violated, chi, bound) == (True, 27, 15)
-    violated, chi, bound = projection_bound_violated(CIType((2, 2), 4))
-    assert (violated, chi, bound) == (False, 12, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +188,12 @@ def test_verdict_witnesses_recheck_on_scan_range():
         if v.status is not Status.NOT_NEF:
             continue
         if v.reason is Reason.NEGATIVE_SELF_INTERSECTION:
-            assert v.witness["chi"] == euler_ci_formula(ci) < 0, ci
+            assert v.witness["chi"] == euler_ci_recursive(ci) < 0, ci
         elif v.reason is Reason.PROJECTION_BOUND:
-            check = projection_bound_violated(ci)
-            assert v.witness["chi"] == check.chi
-            assert v.witness["bound"] == check.bound
-            assert check.violated, ci
+            product = math.prod(ci.degrees)
+            chi, bound = euler_ci_recursive(ci), (ci.dimension + 1) * product
+            assert v.witness == {"chi": chi, "bound": bound, "cover_degree": product}, ci
+            assert chi > bound, ci
         elif v.reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
             assert v.witness["value"] < 0, ci
         else:
@@ -434,7 +447,7 @@ def test_scan_builds_no_verdict(monkeypatch):
 )
 def test_scan_checks_the_witness_of_every_step(monkeypatch, step, chi, bound, message):
     fired = (getattr(diagonal, step), chi, bound)
-    monkeypatch.setattr(diagonal, "_chain", lambda degrees, n, chi_of: fired)
+    monkeypatch.setattr(diagonal, "_chain", lambda degrees, n, chi_of, degree_product: fired)
     with pytest.raises(ScanViolation) as info:
         scan_ci(6, 4, 3, 4)
     assert info.value.law == "verdict_witness"
