@@ -38,8 +38,14 @@ SUBCOMMANDS = [
     ["verdict", "ci", "--dim", "1", "--degrees", "2,3"],
     ["verdict", "ci", "--dim", "2", "--degrees", "3"],
     ["verdict", "ci", "--dim", "3", "--degrees", "4"],
+    # the exception steps: the K3 surface and even-dimensional (2,2), beside
+    # the three-quadric fourfold that falls through them to the sign test
+    ["verdict", "ci", "--dim", "2", "--degrees", "2,2,2"],
+    ["verdict", "ci", "--dim", "4", "--degrees", "2,2"],
+    ["verdict", "ci", "--dim", "4", "--degrees", "2,2,2"],
     ["verdict", "delpezzo", "--dim", "4", "--degree", "5"],
     ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P1xP1xP1"],
+    ["verdict", "delpezzo", "--dim", "4", "--degree", "6", "--variant", "P2xP2"],
     # every del Pezzo verdict path: degrees 1-2 by parity, 3-4 through the
     # complete intersection chain, the fixed degree-5 and degree-7 verdicts
     *(["verdict", "delpezzo", "--dim", str(dim), "--degree", str(degree)]
