@@ -5,11 +5,12 @@ not nef (with a numeric or named witness), certified nef (with a structural
 reason), or the question is open. Each verdict is a _Step, built by
 _verdict; only the degree-6 del Pezzo verdict, which echoes its variant
 label, is built in place. One chain applies the criteria in a fixed
-priority order (positive structural families, the exception table, the
-sign of the diagonal self-intersection, the projection degree bound) and
-names the step that fired with its numbers. verdict_ci builds its Verdict
-once, from that step; scan_ci counts the step's status under the same
-witness checks and builds no Verdict.
+priority order (positive structural families, the exception steps for the
+cubic surface, the K3 surface of three quadrics and the even-dimensional
+intersections of two quadrics, the sign of the diagonal self-intersection,
+the projection degree bound) and names the step that fired with its
+numbers. verdict_ci builds its Verdict once, from that step; scan_ci counts
+the step's status under the same witness checks and builds no Verdict.
 
 The module also hosts the del Pezzo classification table, the nef-and-big
 filter, the consistency scans, and the Poincare polynomial obstruction to
@@ -18,11 +19,8 @@ fibering an odd-dimensional intersection of two quadrics in projective lines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
-from importlib import resources
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, NamedTuple
 
@@ -180,7 +178,7 @@ def _number(x: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Verdict steps and the exception table
+# Verdict steps
 
 
 class _Step(NamedTuple):
@@ -194,44 +192,6 @@ class _Step(NamedTuple):
     detail: str = ""
     witness: Mapping[str, object] = {}
     numbers: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ExceptionEntry:
-    step: _Step
-    dimension: int | None = None
-    dimension_parity: str | None = None
-    min_dimension: int = 0
-
-    def matches(self, n: int) -> bool:
-        """Whether the entry covers dimension n; its degrees are matched by
-        the table's index."""
-        if self.dimension is not None:
-            return n == self.dimension
-        if self.dimension_parity is not None:
-            parity = 0 if self.dimension_parity == "even" else 1
-            return n % 2 == parity and n >= self.min_dimension
-        return n >= self.min_dimension
-
-
-@cache
-def _exception_table() -> dict[tuple[int, ...], list[ExceptionEntry]]:
-    """The exception entries by degree tuple in file order, each witness checked once."""
-    text = resources.files("nefkit").joinpath("data/ci_exceptions.json").read_text("utf-8")
-    doc = json.loads(text)
-    entries: dict[tuple[int, ...], list[ExceptionEntry]] = {}
-    for raw in doc["entries"]:
-        reason = Reason(raw["reason"])
-        if reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
-            witness = {"classes": list(raw["classes"]), "value": raw["value"]}
-        else:
-            witness = {"table_entry": raw["detail"]}
-        step = _Step("exception table", Status.NOT_NEF, reason, raw["detail"], witness)
-        _verdict(step)
-        entries.setdefault(tuple(sorted(raw["degrees"])), []).append(ExceptionEntry(
-            step, raw.get("dimension"), raw.get("dimension_parity"), raw.get("min_dimension", 0)
-        ))
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +210,7 @@ def verdict_ci(ci: CIType) -> Verdict:
 
     Positive structural families come first (projective space, quadrics,
     curves of genus <= 1, the open odd-dimensional (2,2) family), then the
-    exception table, then the sign test, then the projection bound. Inside
+    exception steps, then the sign test, then the projection bound. Inside
     the scanned classification range the final fallback never fires. The
     Verdict is built once, from the step of that chain that fired.
     """
@@ -295,6 +255,24 @@ _OPEN_TWO_QUADRICS = _Step(
     " nef diagonal is an open problem for every dimension >= 3",
     {"reference": OPEN_TWO_QUADRICS_REFERENCE},
 )
+# The exceptions that the sign and bound tests cannot catch: even-dimensional
+# (2,2), and the surfaces by their degrees.
+_EVEN_TWO_QUADRICS = _Step(
+    "exception table", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+    "an even-dimensional intersection of two quadrics carries middle-dimensional"
+    " linear subspaces with deg Lambda_1.Lambda_2 = -1",
+    {"classes": ["Lambda_1", "Lambda_2"], "value": -1},
+)
+_K3 = ("a 2-dimensional intersection of three quadrics is a K3 surface, and K3 surfaces"
+       " never have nef diagonal")
+_SURFACES = {
+    (3,): _Step("exception table", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+                "a smooth cubic surface contains a (-1)-curve, an effective class of"
+                " negative self-intersection",
+                {"classes": ["(-1)-curve", "(-1)-curve"], "value": -1}),
+    (2, 2, 2): _Step("exception table", Status.NOT_NEF, Reason.K3_SURFACE, _K3,
+                     {"table_entry": _K3}),
+}
 _SIGN = _Step("sign", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION,
               "deg Delta^2 = chi = {chi} < 0", numbers=("chi",))
 _BOUND = _Step("projection bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
@@ -312,7 +290,7 @@ def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[], int],
     degree product: the step that fired, chi if the step read it, and the
     bound if it computed one. chi_of() returns the Euler characteristic, at
     most once and only on the steps that need it, so projective spaces,
-    quadrics and the table entries stay instant at any dimension."""
+    quadrics and the exception steps stay instant at any dimension."""
     if not degrees:
         return _PROJECTIVE_SPACE, None, None
     if degrees == (2,):
@@ -321,11 +299,10 @@ def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[], int],
         chi = chi_of()
         assert chi % 2 == 0
         return _CURVES.get((2 - chi) // 2, _CURVE), chi, None
-    if degrees == (2, 2) and n % 2 == 1:
-        return _OPEN_TWO_QUADRICS, None, None
-    for entry in _exception_table().get(degrees, ()):
-        if entry.matches(n):
-            return entry.step, None, None
+    if degrees == (2, 2):
+        return (_OPEN_TWO_QUADRICS if n % 2 else _EVEN_TWO_QUADRICS), None, None
+    if n == 2 and degrees in _SURFACES:
+        return _SURFACES[degrees], None, None
     chi = chi_of()
     if chi < 0:
         return _SIGN, chi, None

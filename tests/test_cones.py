@@ -14,6 +14,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations
 from math import gcd, lcm
 
@@ -311,6 +312,14 @@ def test_complementary_pairs_visit_only_present_codims(dimension: int) -> None:
 def test_builtin_dataset_unknown_name() -> None:
     with pytest.raises(FileNotFoundError):
         builtin_dataset("no-such-dataset")
+
+
+def test_shipped_data_holds_only_pairing_datasets() -> None:
+    records = sorted((record for record in resources.files("nefkit").joinpath("data").iterdir()
+                      if record.name.endswith(".json")), key=lambda record: record.name)
+    assert [record.name for record in records] == ["g2c5.json", "gw2c5.json"]
+    for record in records:
+        assert load_dataset(record.read_text("utf-8")).pairings, record.name
 
 
 # ---------------------------------------------------------------------------

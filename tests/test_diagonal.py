@@ -106,7 +106,8 @@ def test_every_fixed_step_builds_its_verdict():
               for step in value.values() if isinstance(step, diagonal._Step)]
     fixed = [step for step in steps if not step.numbers]
     assert diagonal._UNCLASSIFIED in fixed
-    assert {step.name for step in fixed} >= {"curve", "del Pezzo", "open (2,2)"}
+    assert {step.name for step in fixed} >= {"curve", "del Pezzo", "open (2,2)",
+                                              "exception table"}
     for step in fixed:
         verdict = diagonal._verdict(step)
         assert (verdict.status, verdict.reason, verdict.detail) == step[1:4], step.name
@@ -428,7 +429,6 @@ def test_scan_builds_no_verdict(monkeypatch):
         built.append(self)
         post_init(self)
 
-    diagonal._exception_table()  # its first load checks each entry through a Verdict
     monkeypatch.setattr(Verdict, "__post_init__", counting)
     scan_ci(6, 4, 3, 4)
     assert built == []
