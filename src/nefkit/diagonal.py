@@ -333,6 +333,9 @@ class DelPezzoRow:
         return n == 3
 
 
+# The degree-6 del Pezzo manifolds by label, with their dimensions.
+_DEGREE_SIX_VARIANTS = {"P1xP1xP1": 3, "P2xP2": 4, "P(T_P2)": 3}
+
 DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
     DelPezzoRow(1, "n >= 3", "a weighted hypersurface of degree 6 in P(3,2,1,...,1)"),
     DelPezzoRow(2, "n >= 3", "a weighted hypersurface of degree 4 in P(2,1,...,1)"),
@@ -347,7 +350,7 @@ DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
         6,
         "n = 3 or n = 4",
         "P^1 x P^1 x P^1, P^2 x P^2, or P(T_P2)",
-        ("P1xP1xP1", "P2xP2", "P(T_P2)"),
+        tuple(_DEGREE_SIX_VARIANTS),
     ),
     DelPezzoRow(7, "n = 3", "the blow-up of P^3 at a point"),
 )
@@ -394,10 +397,14 @@ def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
 def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict:
     """Nef-diagonal verdict for the del Pezzo manifold of the given data.
 
-    The optional variant label (degree 6 comes in three varieties) is echoed
-    in the detail text only; it never changes the verdict.
+    The optional variant label (degree 6 comes in three varieties) must name
+    a degree-6 manifold of dimension n, or InvalidDelPezzo is raised. It is
+    echoed in the detail text only; it never changes the verdict.
     """
     _delpezzo_row(n, degree)
+    if variant is not None and (degree != 6 or _DEGREE_SIX_VARIANTS.get(variant) != n):
+        raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
+                              f" manifold of dimension {n}")
     if degree in (1, 2):
         chi = euler_delpezzo_closed(n, degree)
         if n % 2 == 1:

@@ -76,6 +76,10 @@ ERRORS = [
     ["euler", "ci", "--dim", "-1"],
     ["euler", "weighted", "--weights", "2,1,1,1,1", "--degree", "3"],
     ["verdict", "delpezzo", "--dim", "2", "--degree", "5"],
+    # a del Pezzo variant must label a degree-6 manifold of the given dimension
+    ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "junk"],
+    ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P2xP2"],
+    ["verdict", "delpezzo", "--dim", "4", "--degree", "5", "--variant", "P2xP2"],
     ["betti", "ci", "--dim", "0"],
     ["cone", "dual", "--dataset", "gw2c5", "--codim", "9"],
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],

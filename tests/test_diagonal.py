@@ -302,6 +302,15 @@ def test_delpezzo_degree_six_and_seven():
     assert "blow-down" in str(blowup.witness["contraction"])
 
 
+@pytest.mark.parametrize(("n", "degree", "variant"), [
+    (3, 6, "junk"), (3, 6, ""), (3, 6, "P2xP2"), (4, 6, "P1xP1xP1"), (4, 6, "P(T_P2)"),
+    (4, 5, "P2xP2"), (3, 7, "P1xP1xP1"), (3, 3, "P1xP1xP1"),
+])
+def test_delpezzo_variant_must_label_a_degree_six_manifold_of_the_dimension(n, degree, variant):
+    with pytest.raises(InvalidDelPezzo, match="names no degree"):
+        verdict_delpezzo(n, degree, variant)
+
+
 def test_delpezzo_nef_golden_set():
     pairs = [(n, d) for d in (1, 2, 3, 4) for n in range(3, 13)]
     pairs += [(n, 5) for n in range(3, 7)]
