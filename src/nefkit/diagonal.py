@@ -263,15 +263,15 @@ _EVEN_TWO_QUADRICS = _Step(
     " linear subspaces with deg Lambda_1.Lambda_2 = -1",
     {"classes": ["Lambda_1", "Lambda_2"], "value": -1},
 )
-_K3 = ("a 2-dimensional intersection of three quadrics is a K3 surface, and K3 surfaces"
-       " never have nef diagonal")
+_K3_DETAIL = ("a 2-dimensional intersection of three quadrics is a K3 surface, and K3 surfaces"
+              " never have nef diagonal")
 _SURFACES = {
     (3,): _Step("exception table", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
                 "a smooth cubic surface contains a (-1)-curve, an effective class of"
                 " negative self-intersection",
                 {"classes": ["(-1)-curve", "(-1)-curve"], "value": -1}),
-    (2, 2, 2): _Step("exception table", Status.NOT_NEF, Reason.K3_SURFACE, _K3,
-                     {"table_entry": _K3}),
+    (2, 2, 2): _Step("exception table", Status.NOT_NEF, Reason.K3_SURFACE, _K3_DETAIL,
+                     {"table_entry": _K3_DETAIL}),
 }
 _SIGN = _Step("sign", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION,
               "deg Delta^2 = chi = {chi} < 0", numbers=("chi",))

@@ -39,7 +39,7 @@ SUBCOMMANDS = [
     ["verdict", "ci", "--dim", "2", "--degrees", "3"],
     ["verdict", "ci", "--dim", "3", "--degrees", "4"],
     # the exception steps: the K3 surface and even-dimensional (2,2), beside
-    # the three-quadric fourfold that falls through them to the sign test
+    # the three-quadric fourfold that falls through them to the projection bound
     ["verdict", "ci", "--dim", "2", "--degrees", "2,2,2"],
     ["verdict", "ci", "--dim", "4", "--degrees", "2,2"],
     ["verdict", "ci", "--dim", "4", "--degrees", "2,2,2"],
