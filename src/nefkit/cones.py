@@ -163,14 +163,18 @@ def load_dataset(text: str) -> CycleDataset:
 
     Malformed structure raises SchemaError: among others a missing field, a
     variety that is not a non-empty string, and classes or pairings that are
-    not lists. Duplicate pair entries with conflicting values (including
-    asymmetric duplicates) raise InconsistentPairing. Duplicates that agree
-    are tolerated.
+    not lists. So does a document the JSON parser cannot read: nesting past
+    the recursion limit, or an integer past the int-to-str digit limit.
+    Duplicate pair entries with conflicting values (including asymmetric
+    duplicates) raise InconsistentPairing. Duplicates that agree are
+    tolerated.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise SchemaError(f"dataset cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("dataset document must be a JSON object")
     for key in ("variety", "dimension", "classes", "pairings"):

@@ -87,6 +87,11 @@ ERRORS = [
     ["cone", "check", "--dataset", "no-such-dataset"],
     ["cone", "check", "--dataset", BAD_DATASET],
     ["--format", "json", "cone", "dual", "--dataset", BAD_DATASET, "--codim", "1"],
+    # documents the JSON parser cannot read: nesting at the default recursion
+    # limit, and a dimension one digit past the int-to-str limit
+    ["cone", "check", "--dataset", "tests/golden/deep_nesting.json"],
+    ["--format", "json", "cone", "dual", "--dataset", "tests/golden/long_dimension.json",
+     "--codim", "1"],
 ]
 
 

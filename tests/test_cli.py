@@ -235,6 +235,18 @@ def test_dataset_errors_exit_3(capsys, tmp_path) -> None:
     assert code == 3 and "dataset error" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"variety": "toy", "dimension": ' + "7" * 5_000 + ', "classes": [], "pairings": []}',
+], ids=["deep-nesting", "long-dimension"])
+def test_unreadable_dataset_exits_3(capsys, tmp_path, text) -> None:
+    path = tmp_path / "unreadable.json"
+    path.write_text(text, "utf-8")
+    code, out, err = run_cli(capsys, "cone", "check", "--dataset", str(path))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("dataset error: dataset cannot be read: ")
+
+
 def test_scan_violation_exits_4(capsys, monkeypatch) -> None:
     # the shipped laws hold on every finite grid, so a violation cannot be
     # provoked with real inputs; substitute a failing scan to pin the

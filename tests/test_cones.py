@@ -229,6 +229,15 @@ def test_load_dataset_schema_errors() -> None:
         load_dataset(json.dumps(bad))
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+    json.dumps(make_doc()).replace('"dimension": 2', '"dimension": ' + "7" * 5_000),
+], ids=["deep-nesting", "long-dimension"])
+def test_load_dataset_rejects_unreadable_documents(text) -> None:
+    with pytest.raises(SchemaError, match="^dataset cannot be read: "):
+        load_dataset(text)
+
+
 @pytest.mark.parametrize("overrides", [
     {"pairings": {}},
     {"pairings": "one,pt"},
