@@ -8,7 +8,9 @@ characteristic is exposed through three independent routes that must agree:
 * euler_ci_series: the coefficient of a truncated rational series, the last
   entry of chern_degrees_ci,
 * euler_ci_recursive: a two-term recursion in (degrees, dimension), the last
-  entry of euler_ci_row, which gives chi(degrees; m) for every m <= n at once.
+  entry of euler_ci_row, which gives chi(degrees; m) for every m <= n at once;
+  euler_ci_rows walks the same recursion over a whole grid of degree tuples,
+  one step per tuple.
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exactnum import (
     complete_homogeneous_prefix,
@@ -37,6 +39,7 @@ __all__ = [
     "euler_ci_series",
     "euler_ci_recursive",
     "euler_ci_row",
+    "euler_ci_rows",
     "chern_degrees_ci",
     "quadrics_b",
     "quadrics_b_column",
@@ -144,12 +147,46 @@ def euler_ci_row(ci: CIType) -> list[int]:
     """
     row = list(range(1, ci.dimension + 2))
     for d in reversed(ci.degrees):
-        row[0] *= d
-        for m in range(1, len(row)):
-            # row[m - 1] already holds chi(d, ...; m - 1), the value the
-            # recursion subtracts.
-            row[m] = d * row[m] - (d - 1) * row[m - 1]
+        _peel(row, d)
     return row
+
+
+def _peel(row: list[int], d: int) -> list[int]:
+    """One step of the recursion, in place: the row of rest becomes the row
+    of (d, *rest). prev holds chi(d, rest; m - 1), the value it subtracts."""
+    e = d - 1
+    prev = row[0] = row[0] * d
+    for m in range(1, len(row)):
+        prev = row[m] = d * row[m] - e * prev
+    return row
+
+
+def euler_ci_rows(
+    max_degree: int, max_codimension: int, max_dimension: int
+) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """(degrees, euler_ci_row(CIType(degrees, max_dimension)), degree product)
+    for every sorted tuple of at most max_codimension degrees in 2..max_degree.
+
+    A depth-first walk over an explicit path, with no recursion, parents
+    before children: (), (2,), (2, 2), ... The row of (d, *rest), d <= rest[0],
+    is one _peel of a copy of rest's row, O(max_dimension) steps, and only
+    the path's rows are kept, at most max_codimension + 1. Yielded rows are
+    shared with the path and must not be changed.
+    """
+    row = list(range(1, max_dimension + 2))
+    yield (), row, 1
+    path = [((), row, iter(range(2, max_degree + 1)))] if max_codimension else []
+    while path:
+        degrees, row, children = path[-1]
+        d = next(children, None)
+        if d is None:
+            path.pop()
+            continue
+        degrees = (d, *degrees)
+        row = _peel(row.copy(), d)
+        yield degrees, row, row[0]
+        if len(degrees) < max_codimension:
+            path.append((degrees, row, iter(range(2, d + 1))))
 
 
 def chern_degrees_ci(ci: CIType) -> list[int]:

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations_with_replacement
 from typing import Callable, Mapping, NamedTuple
 
 from .chern import (
     CIType,
     _check_int,
     euler_ci_formula,
-    euler_ci_row,
+    euler_ci_rows,
     euler_delpezzo_closed,
     poincare_polynomial_ci,
     quadrics_b_column,
@@ -569,13 +568,14 @@ def scan_ci(
       unclassified fallback, and the step that fires obeys the chi witness
       laws of Verdict (ScanViolation "verdict_witness" if not).
 
-    Degree tuples run by r, then degrees, and each tuple runs over
-    n = 1..max_dimension. chi comes from one euler_ci_row per tuple, the
-    recursive route, built up to max_dimension and shared by the sign law,
-    the bound law and the chain; the row is dropped before the next tuple,
-    so one row is held at a time. Each case counts the status of the step
-    that fired and builds no Verdict. The quadrics sweep then runs by r,
-    then n, over one quadrics_b_column per r. Any failure raises
+    Degree tuples come in the walk order of chern.euler_ci_rows, each
+    parent tuple before its children, and each tuple runs over
+    n = 1..max_dimension. chi comes from the tuple's row of the recursive
+    route, built up to max_dimension in one step from its parent's row and
+    shared by the sign law, the bound law and the chain; the walk keeps only
+    the rows of its path, at most r + 1 of them. Each case counts the status
+    of the step that fired and builds no Verdict. The quadrics sweep then
+    runs by r, then n, over one quadrics_b_column per r. Any failure raises
     ScanViolation naming the law and the offending type; a clean run returns
     counts per law and per verdict status.
     """
@@ -592,36 +592,35 @@ def scan_ci(
                                 "quadrics_even_bound", "verdict_classified"), 0)
     status_counts = dict.fromkeys(Status, 0)
     tuples = 0
-    for r in range(max_codimension + 1):
-        for degrees in combinations_with_replacement(range(2, max_degree + 1), r):
-            tuples += 1
-            ci = CIType(degrees, max_dimension)
-            row, degree_product = euler_ci_row(ci), ci.degree_product
-            for n in range(1, max_dimension + 1):
-                chi = row[n]
-                sign_law = None
-                if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
-                    sign_law = "hypersurface_sign"
-                elif r >= 2 and degrees[-1] >= 3:
-                    sign_law = "multidegree_sign"
-                if sign_law is not None:
-                    if (-1) ** n * chi <= 0:
-                        raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
-                    law_checks[sign_law] += 1
-                    if n % 2 == 0 and (degrees, n) != ((3,), 2):
-                        if chi <= (n + 1) * degree_product:
-                            raise ScanViolation("even_dimension_bound", CIType(degrees, n),
-                                                f"chi = {chi} <= {(n + 1) * degree_product}")
-                        law_checks["even_dimension_bound"] += 1
-                step, step_chi, bound = _chain(degrees, n, lambda: chi, degree_product)
-                if step is _UNCLASSIFIED:
-                    raise ScanViolation("verdict_classified", CIType(degrees, n),
-                                        "fell through every criterion")
-                error = _chi_witness_error(step.reason, step_chi, bound)
-                if error:
-                    raise ScanViolation("verdict_witness", CIType(degrees, n), error)
-                law_checks["verdict_classified"] += 1
-                status_counts[step.status] += 1
+    for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
+                                                      max_dimension):
+        tuples += 1
+        r = len(degrees)
+        for n in range(1, max_dimension + 1):
+            chi = row[n]
+            sign_law = None
+            if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
+                sign_law = "hypersurface_sign"
+            elif r >= 2 and degrees[-1] >= 3:
+                sign_law = "multidegree_sign"
+            if sign_law is not None:
+                if (-1) ** n * chi <= 0:
+                    raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
+                law_checks[sign_law] += 1
+                if n % 2 == 0 and (degrees, n) != ((3,), 2):
+                    if chi <= (n + 1) * degree_product:
+                        raise ScanViolation("even_dimension_bound", CIType(degrees, n),
+                                            f"chi = {chi} <= {(n + 1) * degree_product}")
+                    law_checks["even_dimension_bound"] += 1
+            step, step_chi, bound = _chain(degrees, n, lambda: chi, degree_product)
+            if step is _UNCLASSIFIED:
+                raise ScanViolation("verdict_classified", CIType(degrees, n),
+                                    "fell through every criterion")
+            error = _chi_witness_error(step.reason, step_chi, bound)
+            if error:
+                raise ScanViolation("verdict_witness", CIType(degrees, n), error)
+            law_checks["verdict_classified"] += 1
+            status_counts[step.status] += 1
     for r in range(3, quadrics_max_codimension + 1):
         for n, b in enumerate(quadrics_b_column(max_dimension, r), start=1):
             if b <= 0:

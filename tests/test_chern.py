@@ -10,6 +10,7 @@ a small grid (the full grid lives in the acceptance suite).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from nefkit.chern import (
     euler_ci_formula,
     euler_ci_recursive,
     euler_ci_row,
+    euler_ci_rows,
     euler_ci_series,
     euler_delpezzo_closed,
     euler_weighted,
@@ -140,6 +142,34 @@ def test_euler_ci_row_matches_formula_for_every_dimension():
         assert len(row) == n + 1
         assert row == [euler_ci_formula(CIType(degrees, m)) for m in range(n + 1)], ci
         assert euler_ci_recursive(ci) == row[-1]
+
+
+def test_euler_ci_rows_walks_every_tuple_once_with_its_row():
+    # the gate-3 scan grid: degrees 2..6, at most five factors, n up to 12
+    walked = [(degrees, list(row), product) for degrees, row, product in euler_ci_rows(6, 5, 12)]
+    tuples = [
+        degrees
+        for r in range(6)
+        for degrees in itertools.combinations_with_replacement(range(2, 7), r)
+    ]
+    assert sorted(degrees for degrees, _, _ in walked) == sorted(tuples)
+    for degrees, row, product in walked:
+        assert row == euler_ci_row(CIType(degrees, 12)), degrees
+        assert product == math.prod(degrees), degrees
+    # the large-n cases of the row test, walked at n = 30
+    large = {(), (3,), (2, 2), (2, 5, 9), (2, 3, 4, 7, 10, 10)}
+    for degrees, row, product in euler_ci_rows(10, 6, 30):
+        if degrees in large:
+            large.remove(degrees)
+            assert row == euler_ci_row(CIType(degrees, 30)), degrees
+    assert large == set()
+
+
+def test_euler_ci_rows_visits_parents_first():
+    order = [degrees for degrees, _, _ in euler_ci_rows(3, 2, 1)]
+    assert order == [(), (2,), (2, 2), (3,), (2, 3), (3, 3)]
+    assert [degrees for degrees, _, _ in euler_ci_rows(5, 0, 4)] == [()]
+    assert [row for _, row, _ in euler_ci_rows(1, 3, 4)] == [[1, 2, 3, 4, 5]]
 
 
 def test_hypersurface_closed_form_agreement():

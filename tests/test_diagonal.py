@@ -16,12 +16,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from nefkit import diagonal
+from nefkit import chern, diagonal
 from nefkit.chern import (
     CIType,
     euler_ci_formula,
     euler_ci_recursive,
-    euler_ci_row,
+    euler_ci_rows,
     euler_delpezzo_closed,
     quadrics_b_column,
 )
@@ -49,7 +49,8 @@ from nefkit.diagonal import (
 
 
 def scan_grid(max_dimension: int, max_degree: int, max_codimension: int) -> list[CIType]:
-    """The canonical types scan_ci visits, in its order: r, then degrees, then n."""
+    """The canonical types scan_ci visits, ordered by r, then degrees, then n
+    (scan_ci itself takes the degree tuples in walk order)."""
     return [
         CIType(degrees, n)
         for r in range(max_codimension + 1)
@@ -464,14 +465,23 @@ def test_scan_checks_the_witness_of_every_step(monkeypatch, step, chi, bound, me
     assert str(info.value) == f"verdict_witness violated at (;1): {message}"
 
 
-def test_scan_rejects_a_curve_of_negative_genus(monkeypatch):
-    def bumped(ci):
-        row = euler_ci_row(ci)
-        if ci.degrees == (2, 2):
-            row[1] = 6  # genus -2; no sign law covers (2,2;1)
-        return row
+def rows_with(degrees, n, value):
+    """A stand-in for euler_ci_rows whose row of the given degree tuple reads
+    value at dimension n. The row is a copy, so the walk's path is untouched."""
 
-    monkeypatch.setattr(diagonal, "euler_ci_row", bumped)
+    def walk(*bounds):
+        for walked, row, degree_product in euler_ci_rows(*bounds):
+            if walked == degrees:
+                row = [*row]
+                row[n] = value(row[n])
+            yield walked, row, degree_product
+
+    return walk
+
+
+def test_scan_rejects_a_curve_of_negative_genus(monkeypatch):
+    # genus -2; no sign law covers (2,2;1)
+    monkeypatch.setattr(diagonal, "euler_ci_rows", rows_with((2, 2), 1, lambda chi: 6))
     with pytest.raises(ScanViolation) as info:
         scan_ci(6, 4, 3, 4)
     assert info.value.law == "verdict_witness"
@@ -500,24 +510,30 @@ def formula_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
-def row_calls(monkeypatch) -> list:
-    """Types passed to euler_ci_row from inside the diagonal module."""
-    calls = []
+def walks(monkeypatch) -> list:
+    """(bounds, [(degrees, row length), ...]) for each walk of euler_ci_rows
+    started from inside the diagonal module."""
+    out = []
 
-    def counting(ci):
-        calls.append(ci)
-        return euler_ci_row(ci)
+    def recording(*bounds):
+        rows = []
+        out.append((bounds, rows))
+        for degrees, row, degree_product in euler_ci_rows(*bounds):
+            rows.append((degrees, len(row)))
+            yield degrees, row, degree_product
 
-    monkeypatch.setattr(diagonal, "euler_ci_row", counting)
-    return calls
+    monkeypatch.setattr(diagonal, "euler_ci_rows", recording)
+    return out
 
 
-def test_scan_reads_chi_from_one_row_per_degree_tuple(formula_calls, row_calls):
+def test_scan_reads_chi_from_one_row_per_degree_tuple(formula_calls, walks):
     report = scan_ci(6, 4, 3, quadrics_max_codimension=4)
     assert formula_calls == []
+    [(bounds, rows)] = walks
+    assert bounds == (4, 3, 6)
     tuples = [ci.degrees for ci in scan_grid(1, 4, 3)]
-    assert [ci.degrees for ci in row_calls] == tuples
-    assert {ci.dimension for ci in row_calls} == {6}
+    assert len(rows) == len(set(rows)) == len(tuples)
+    assert sorted(rows) == sorted((degrees, 7) for degrees in tuples)
     assert report.cases == 6 * len(tuples)
 
 
@@ -525,7 +541,7 @@ class TrackedList(list):
     """A list that a weak reference can follow."""
 
 
-def test_scan_holds_one_row_at_a_time(monkeypatch):
+def test_scan_holds_the_rows_of_one_path(monkeypatch):
     refs: list = []
     alive_at_call: list = []
 
@@ -538,12 +554,17 @@ def test_scan_holds_one_row_at_a_time(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(diagonal, "euler_ci_row", tracked(euler_ci_row))
+    # Every row but the root's (degrees ()) is one _peel of its parent's.
+    monkeypatch.setattr(chern, "_peel", tracked(chern._peel))
     monkeypatch.setattr(diagonal, "quadrics_b_column", tracked(quadrics_b_column))
-    scan_ci(6, 4, 3, quadrics_max_codimension=4)
-    # 20 degree tuples, then one column for each of r = 3, 4.
-    assert len(alive_at_call) == 22
-    assert max(alive_at_call) <= 1, alive_at_call
+    scan_ci(6, 7, 3, quadrics_max_codimension=4)
+    # 83 degree tuples below the root, then one column for each of r = 3, 4.
+    assert len(alive_at_call) == 85
+    # As each row is built, the rows alive are the root's, at most r - 1 = 2
+    # more on the path and the last row read: r + 1 = 4 with the root.
+    assert max(alive_at_call[:83]) + 1 <= 3 + 1, alive_at_call
+    # Only the last row read outlives the walk, and no column another.
+    assert alive_at_call[83:] == [1, 1], alive_at_call
 
 
 def test_scan_meets_time_budget():
@@ -554,6 +575,21 @@ def test_scan_meets_time_budget():
     assert elapsed < 3.0, f"scan_ci(30, 10, 6, 10) took {elapsed:.2f}s"
 
 
+def test_scan_walks_deep_codimension_without_recursion():
+    # 3,001 quadric tuples, three times deeper than the default recursion limit
+    report = scan_ci(3, 2, 3000, 3)
+    assert report.cases == 9003
+    assert sum(report.verdict_counts.values()) == report.cases
+    # Every Nef and Open type has at most two quadrics; a sample of the deeper
+    # ones is NotNef, and the scan counts the rest the same.
+    shallow = Counter(verdict_ci(ci).status.value for ci in scan_grid(3, 2, 4))
+    for r in (5, 6, 100, 999, 1000, 2999, 3000):
+        for n in (1, 2, 3):
+            assert verdict_ci(CIType((2,) * r, n)).status is Status.NOT_NEF, (r, n)
+    shallow[Status.NOT_NEF.value] += 3 * (3000 - 4)
+    assert Counter(report.verdict_counts) == shallow
+
+
 @pytest.mark.parametrize(
     ("degrees", "n", "law", "message"),
     [
@@ -562,13 +598,7 @@ def test_scan_meets_time_budget():
     ],
 )
 def test_scan_violation_names_law_and_type(monkeypatch, degrees, n, law, message):
-    def flipped(ci):
-        row = euler_ci_row(ci)
-        if ci.degrees == degrees:
-            row[n] = -row[n]
-        return row
-
-    monkeypatch.setattr(diagonal, "euler_ci_row", flipped)
+    monkeypatch.setattr(diagonal, "euler_ci_rows", rows_with(degrees, n, lambda chi: -chi))
     with pytest.raises(ScanViolation) as info:
         scan_ci(6, 4, 3, quadrics_max_codimension=4)
     assert info.value.law == law
@@ -603,10 +633,10 @@ def test_scan_rejects_bad_bounds():
         ((4, 3, None), "max_codimension"),
     ],
 )
-def test_scan_type_checks_bounds_before_any_work(row_calls, bounds, name):
+def test_scan_type_checks_bounds_before_any_work(walks, bounds, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         scan_ci(*bounds)
-    assert row_calls == []
+    assert walks == []
 
 
 def test_scan_violation_formatting():
