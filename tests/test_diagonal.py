@@ -557,12 +557,13 @@ def test_scan_holds_the_rows_of_one_path(monkeypatch):
     # Every row but the root's (degrees ()) is one _peel of its parent's.
     monkeypatch.setattr(chern, "_peel", tracked(chern._peel))
     monkeypatch.setattr(diagonal, "quadrics_b_column", tracked(quadrics_b_column))
-    scan_ci(6, 7, 3, quadrics_max_codimension=4)
+    r = 3
+    scan_ci(6, 7, r, quadrics_max_codimension=4)
     # 83 degree tuples below the root, then one column for each of r = 3, 4.
     assert len(alive_at_call) == 85
-    # As each row is built, the rows alive are the root's, at most r - 1 = 2
-    # more on the path and the last row read: r + 1 = 4 with the root.
-    assert max(alive_at_call[:83]) + 1 <= 3 + 1, alive_at_call
+    # As each row is built, the rows alive are the root's (not tracked), at
+    # most r - 1 more on the path and the last row read: r + 1 in all.
+    assert 1 + max(alive_at_call[:83]) <= r + 1, alive_at_call
     # Only the last row read outlives the walk, and no column another.
     assert alive_at_call[83:] == [1, 1], alive_at_call
 
