@@ -216,7 +216,7 @@ def verdict_ci(ci: CIType) -> Verdict:
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
     product = ci.degree_product
-    step, chi, bound = _chain(ci.degrees, ci.dimension, lambda: euler_ci_formula(ci), product)
+    step, chi, bound = _chain(ci.degrees, ci.dimension, lambda _: euler_ci_formula(ci), product)
     return _verdict(step, chi, bound, product)
 
 
@@ -283,26 +283,27 @@ _UNCLASSIFIED = _Step("unclassified", Status.OPEN, Reason.OPEN_QUESTION,
                       {"reference": UNCLASSIFIED_REFERENCE})
 
 
-def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[], int],
+def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
            degree_product: int) -> tuple[_Step, int | None, int | None]:
     """The priority chain on the canonical type (degrees, n) of the given
     degree product: the step that fired, chi if the step read it, and the
-    bound if it computed one. chi_of() returns the Euler characteristic, at
-    most once and only on the steps that need it, so projective spaces,
-    quadrics and the exception steps stay instant at any dimension."""
+    bound if it computed one. chi_of(n) returns the Euler characteristic (a
+    row lookup in scan_ci, euler_ci_formula in verdict_ci), at most once and
+    only on the steps that need it, so projective spaces, quadrics and the
+    exception steps stay instant at any dimension."""
     if not degrees:
         return _PROJECTIVE_SPACE, None, None
     if degrees == (2,):
         return _QUADRIC, None, None
     if n == 1:
-        chi = chi_of()
+        chi = chi_of(n)
         assert chi % 2 == 0
         return _CURVES.get((2 - chi) // 2, _CURVE), chi, None
     if degrees == (2, 2):
         return (_OPEN_TWO_QUADRICS if n % 2 else _EVEN_TWO_QUADRICS), None, None
     if n == 2 and degrees in _SURFACES:
         return _SURFACES[degrees], None, None
-    chi = chi_of()
+    chi = chi_of(n)
     if chi < 0:
         return _SIGN, chi, None
     bound = (n + 1) * degree_product
@@ -571,13 +572,16 @@ def scan_ci(
     Degree tuples come in the walk order of chern.euler_ci_rows, each
     parent tuple before its children, and each tuple runs over
     n = 1..max_dimension. chi comes from the tuple's row of the recursive
-    route, built up to max_dimension in one step from its parent's row and
-    shared by the sign law, the bound law and the chain; the walk keeps only
-    the rows of its path, at most r + 1 of them. Each case counts the status
-    of the step that fired and builds no Verdict. The quadrics sweep then
-    runs by r, then n, over one quadrics_b_column per r. Any failure raises
-    ScanViolation naming the law and the offending type; a clean run returns
-    counts per law and per verdict status.
+    route, built up to max_dimension in one step from its parent's row; the
+    walk keeps only the rows of its path, at most r + 1 of them. Once per
+    tuple the scan picks the sign law and hands the row's lookup to the
+    chain as chi_of. Per case it tests the sign of chi by the parity of n
+    and the bound at even n, with the plane cubic and the cubic surface as
+    the only exclusions by (n, degrees), then runs the chain and its witness
+    laws and counts the status of the step that fired; it builds no Verdict.
+    The quadrics sweep then runs by r, then n, over one quadrics_b_column
+    per r. Any failure raises ScanViolation naming the law and the offending
+    type; a clean run returns counts per law and per verdict status.
     """
     bounds = {
         "max_dimension": max_dimension,
@@ -587,40 +591,42 @@ def scan_ci(
     }
     if min(_check_int(value, name) for name, value in bounds.items()) < 1:
         raise ValueError("scan bounds must be positive")
-    law_checks = dict.fromkeys(("hypersurface_sign", "multidegree_sign",
-                                "even_dimension_bound", "quadrics_positive",
-                                "quadrics_even_bound", "verdict_classified"), 0)
+    hypersurface = multidegree = even_bound = tuples = 0
     status_counts = dict.fromkeys(Status, 0)
-    tuples = 0
     for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
                                                       max_dimension):
         tuples += 1
-        r = len(degrees)
+        chi_of = row.__getitem__
+        sign_law = (None if not degrees or degrees[-1] < 3 else
+                    "hypersurface_sign" if len(degrees) == 1 else "multidegree_sign")
+        cubic = degrees == (3,)
+        signs = 0
         for n in range(1, max_dimension + 1):
-            chi = row[n]
-            sign_law = None
-            if r == 1 and degrees[0] >= 3 and (n, degrees[0]) != (1, 3):
-                sign_law = "hypersurface_sign"
-            elif r >= 2 and degrees[-1] >= 3:
-                sign_law = "multidegree_sign"
-            if sign_law is not None:
-                if (-1) ** n * chi <= 0:
+            if sign_law is not None and not (cubic and n == 1):
+                chi = row[n]
+                if chi >= 0 if n % 2 else chi <= 0:
                     raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
-                law_checks[sign_law] += 1
-                if n % 2 == 0 and (degrees, n) != ((3,), 2):
+                signs += 1
+                if n % 2 == 0 and not (cubic and n == 2):
                     if chi <= (n + 1) * degree_product:
                         raise ScanViolation("even_dimension_bound", CIType(degrees, n),
                                             f"chi = {chi} <= {(n + 1) * degree_product}")
-                    law_checks["even_dimension_bound"] += 1
-            step, step_chi, bound = _chain(degrees, n, lambda: chi, degree_product)
+                    even_bound += 1
+            step, step_chi, bound = _chain(degrees, n, chi_of, degree_product)
             if step is _UNCLASSIFIED:
                 raise ScanViolation("verdict_classified", CIType(degrees, n),
                                     "fell through every criterion")
             error = _chi_witness_error(step.reason, step_chi, bound)
             if error:
                 raise ScanViolation("verdict_witness", CIType(degrees, n), error)
-            law_checks["verdict_classified"] += 1
             status_counts[step.status] += 1
+        if len(degrees) == 1:
+            hypersurface += signs
+        else:
+            multidegree += signs
+    law_checks = {"hypersurface_sign": hypersurface, "multidegree_sign": multidegree,
+                  "even_dimension_bound": even_bound, "quadrics_positive": 0,
+                  "quadrics_even_bound": 0, "verdict_classified": sum(status_counts.values())}
     for r in range(3, quadrics_max_codimension + 1):
         for n, b in enumerate(quadrics_b_column(max_dimension, r), start=1):
             if b <= 0:
