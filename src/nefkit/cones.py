@@ -462,9 +462,13 @@ def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     On a spherical variety the diagonal is nef exactly when every pairing of
     complementary effective (orbit-closure) classes is non-negative. The
     first negative pair in dataset order is returned as the witness; a
-    missing required pairing raises MissingPairing.
+    missing required pairing, or no complementary pair, raises MissingPairing.
     """
-    for a, b in ds.complementary_pairs():
+    pairs = tuple(ds.complementary_pairs())
+    if not pairs:
+        raise MissingPairing("no complementary pair of classes: no class, the fundamental"
+                             " class included, has a partner of complementary codimension")
+    for a, b in pairs:
         value = ds.pairing_value(a.label, b.label)
         if value < 0:
             return Verdict(

@@ -87,6 +87,8 @@ ERRORS = [
     ["cone", "check", "--dataset", "no-such-dataset"],
     ["cone", "check", "--dataset", BAD_DATASET],
     ["--format", "json", "cone", "dual", "--dataset", BAD_DATASET, "--codim", "1"],
+    # no complementary pair of classes, so no pairing can certify a nef diagonal
+    ["cone", "check", "--dataset", "tests/golden/no_pairs.json"],
     # documents the JSON parser cannot read: nesting at the default recursion
     # limit, and a dimension one digit past the int-to-str limit
     ["cone", "check", "--dataset", "tests/golden/deep_nesting.json"],

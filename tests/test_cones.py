@@ -307,7 +307,9 @@ def test_complementary_pairs_visit_only_present_codims(dimension: int) -> None:
     pt = {"label": "pt", "partition": [dimension, 0], "codim": dimension}
     lonely = load_dataset(json.dumps(make_doc(dimension=dimension, classes=[one], pairings=[])))
     assert list(lonely.complementary_pairs()) == []
-    assert spherical_nef_diagonal_check(lonely).status is Status.NEF
+    # no pairing was checked, so nothing certifies a nef diagonal
+    with pytest.raises(MissingPairing, match="^no complementary pair of classes"):
+        spherical_nef_diagonal_check(lonely)
     ds = load_dataset(json.dumps(make_doc(
         dimension=dimension, classes=[one, pt],
         pairings=[{"a": "one", "b": "pt", "value": -1}],
