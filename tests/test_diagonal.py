@@ -496,6 +496,69 @@ def test_scan_verdict_counts_small():
     assert report.verdict_counts["Open"] == 2
 
 
+def scan_counts(max_dimension, max_degree, max_codimension, quadrics_max_codimension):
+    """law_checks and verdict_counts of a clean scan_ci, by counting types.
+
+    k degrees 2..max_degree give comb(k + r - 1, r) tuples of r degrees. The
+    hypersurface law covers the k - 1 degrees d >= 3 at every n but the plane
+    cubic's n = 1; the multidegree law covers the r >= 2 tuples other than r
+    quadrics. The bound law covers the even n of both but the cubic surface,
+    the quadrics laws every (n, r) with r >= 3 but (2, 3) for the even bound.
+    Nef are P^n, the quadrics and the elliptic curves (3;1) and (2,2;1);
+    Open the odd n >= 3 of (2,2).
+    """
+    dims, evens, k = max_dimension, max_dimension // 2, max_degree - 1
+    cases = dims * math.comb(k + max_codimension, max_codimension)
+    hypersurface = max(k - 1, 0)
+    multidegree = sum(math.comb(k + r - 1, r) - 1 for r in range(2, max_codimension + 1) if k)
+    cubic, quadrics = max_degree >= 3, max(quadrics_max_codimension - 2, 0)
+    two_quadrics = k >= 1 and max_codimension >= 2
+    nef = dims + dims * (k >= 1) + cubic + two_quadrics
+    open_ = len(range(3, dims + 1, 2)) if two_quadrics else 0
+    law_checks = {
+        "hypersurface_sign": dims * hypersurface - cubic,
+        "multidegree_sign": dims * multidegree,
+        "even_dimension_bound": evens * (hypersurface + multidegree) - (cubic and dims >= 2),
+        "quadrics_positive": dims * quadrics,
+        "quadrics_even_bound": evens * quadrics - (quadrics > 0 and dims >= 2),
+        "verdict_classified": cases,
+    }
+    verdict_counts = {"Nef": nef, "NotNef": cases - nef - open_, "Open": open_}
+    return cases, law_checks, verdict_counts
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (6, 4, 3, 4),
+        (12, 6, 5, 8),
+        (9, 7, 4, 3),
+        (7, 2, 4, 6),  # max_degree 2: quadrics only, no sign law fires
+        (5, 1, 3, 2),  # max_degree 1: projective spaces only
+        (1, 4, 3, 5),  # max_dimension 1: the plane cubic, no even n
+        (2, 3, 2, 5),  # max_dimension 2: the cubic surface and (n, r) = (2, 3)
+        (8, 6, 1, 1),  # max_codimension 1: hypersurfaces, no quadrics sweep
+        (3, 2, 3000, 3),
+    ],
+)
+def test_scan_counts_every_law_exactly(monkeypatch, bounds):
+    chains = []
+    chain = diagonal._chain
+
+    def counting(*args):
+        chains.append(args[:2])
+        return chain(*args)
+
+    monkeypatch.setattr(diagonal, "_chain", counting)
+    report = scan_ci(*bounds)
+    cases, law_checks, verdict_counts = scan_counts(*bounds)
+    assert report.cases == cases
+    assert report.law_checks == law_checks
+    assert report.verdict_counts == verdict_counts
+    # the priority chain classifies every case once
+    assert len(chains) == len(set(chains)) == cases
+
+
 @pytest.fixture
 def formula_calls(monkeypatch) -> list:
     """Types passed to euler_ci_formula from inside the diagonal module."""
