@@ -11,14 +11,15 @@ Three layers:
 
 The package root re-exports the names the README shows; everything else is
 imported from its module, each of which lists its public names in __all__.
+`import nefkit` loads none of the layers: a re-exported name imports its
+module on first use (PEP 562), so `nefkit.CIType` loads exactnum and chern,
+`nefkit.verdict_ci` also diagonal, and `nefkit.delpezzo5_cones` also cones.
 The command line front end lives in nefkit.cli.
 """
 
 from __future__ import annotations
 
-from .chern import CIType, betti_ci, euler_ci_formula
-from .cones import delpezzo5_cones
-from .diagonal import verdict_ci
+import importlib
 
 __version__ = "0.1.0"
 
@@ -30,3 +31,23 @@ __all__ = [
     "verdict_ci",
     "delpezzo5_cones",
 ]
+
+# re-exported name -> the module that defines it
+_HOMES = {
+    "CIType": "chern",
+    "euler_ci_formula": "chern",
+    "betti_ci": "chern",
+    "verdict_ci": "diagonal",
+    "delpezzo5_cones": "cones",
+}
+
+
+def __getattr__(name: str) -> object:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,13 @@ result payload and provenance notes; the JSON report is the object
 re-parses to an equal payload. JSON output is byte-reproducible: keys sorted,
 two-space indent, no timestamps. Exit status: 0 success, 2 invalid input,
 3 dataset error, 4 scan violation.
+
+Importing this module loads no library layer. Each handler imports what it
+calls when it runs, so euler, chern and betti load exactnum and chern;
+verdict, scan and table also diagonal; cone also cones; and a usage error
+that argparse rejects loads none of them. main maps a library exception to
+its exit status only if that exception's module is loaded, which it must be
+if the exception was raised.
 """
 
 from __future__ import annotations
@@ -18,35 +25,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .chern import (
-    CIType,
-    WeightedHypersurface,
-    betti_ci,
-    chern_degrees_ci,
-    euler_ci_formula,
-    euler_weighted,
-    poincare_polynomial_ci,
-)
-from .cones import (
-    CycleDataset,
-    InconsistentPairing,
-    MissingPairing,
-    SchemaError,
-    builtin_dataset,
-    load_dataset_file,
-    nef_cone_of_codim,
-    spherical_nef_diagonal_check,
-)
-from .diagonal import (
-    DELPEZZO_TABLE,
-    ScanViolation,
-    scan_ci,
-    verdict_ci,
-    verdict_curve,
-    verdict_delpezzo,
-)
+if TYPE_CHECKING:
+    from .chern import CIType
+    from .cones import CycleDataset
 
 __all__ = ["main"]
 
@@ -130,6 +113,8 @@ def _comma_ints(text: str) -> tuple[int, ...]:
 
 def _resolve_dataset(name: str) -> CycleDataset:
     """Dataset lookup order: literal path, NEFKIT_DATA directory, shipped data."""
+    from .cones import builtin_dataset, load_dataset_file
+
     path = Path(name)
     if path.is_file():
         return load_dataset_file(path)
@@ -143,6 +128,8 @@ def _resolve_dataset(name: str) -> CycleDataset:
 
 
 def _ci_from_args(args: argparse.Namespace) -> CIType:
+    from .chern import CIType
+
     return CIType(args.degrees, args.dim)
 
 
@@ -151,19 +138,25 @@ def _ci_inputs(ci: CIType) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: args -> (inputs, result payload, notes). They look up
-# library calls as module globals at call time, so tests can substitute them.
+# Subcommand handlers: args -> (inputs, result payload, notes). Each imports
+# the library calls it makes when it runs, so an invocation loads only its
+# own layer, and a test substitutes a call on the module that defines it,
+# such as nefkit.diagonal.scan_ci.
 
 Outcome = tuple[dict, object, tuple[str, ...]]
 
 
 def _handle_euler_ci(args: argparse.Namespace) -> Outcome:
+    from .chern import euler_ci_formula
+
     ci = _ci_from_args(args)
     return (_ci_inputs(ci), euler_ci_formula(ci),
             (f"Euler characteristic of the complete intersection {ci}",))
 
 
 def _handle_euler_weighted(args: argparse.Namespace) -> Outcome:
+    from .chern import WeightedHypersurface, euler_weighted
+
     surface = WeightedHypersurface(args.weights, args.degree)
     ambient = "P(" + ",".join(str(w) for w in surface.weights) + ")"
     return (
@@ -174,12 +167,16 @@ def _handle_euler_weighted(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_chern_ci(args: argparse.Namespace) -> Outcome:
+    from .chern import chern_degrees_ci
+
     ci = _ci_from_args(args)
     return (_ci_inputs(ci), chern_degrees_ci(ci),
             (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",))
 
 
 def _handle_betti_ci(args: argparse.Namespace) -> Outcome:
+    from .chern import betti_ci, poincare_polynomial_ci
+
     ci = _ci_from_args(args)
     table = betti_ci(ci)
     result = {
@@ -192,6 +189,8 @@ def _handle_betti_ci(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_verdict_ci(args: argparse.Namespace) -> Outcome:
+    from .diagonal import verdict_ci
+
     ci = _ci_from_args(args)
     verdict = verdict_ci(ci)
     return (_ci_inputs(ci), verdict.to_payload(),
@@ -199,6 +198,8 @@ def _handle_verdict_ci(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_verdict_delpezzo(args: argparse.Namespace) -> Outcome:
+    from .diagonal import verdict_delpezzo
+
     verdict = verdict_delpezzo(args.dim, args.degree, args.variant)
     inputs = {"dim": args.dim, "degree": args.degree}
     if args.variant is not None:
@@ -210,6 +211,8 @@ def _handle_verdict_delpezzo(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_verdict_curve(args: argparse.Namespace) -> Outcome:
+    from .diagonal import verdict_curve
+
     verdict = verdict_curve(args.genus)
     return ({"genus": args.genus}, verdict.to_payload(),
             (f"nef-diagonal classification of a genus-{args.genus} curve",
@@ -217,6 +220,8 @@ def _handle_verdict_curve(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_cone_dual(args: argparse.Namespace) -> Outcome:
+    from .cones import nef_cone_of_codim
+
     ds = _resolve_dataset(args.dataset)
     cone = nef_cone_of_codim(ds, args.codim)
     result = {
@@ -234,6 +239,8 @@ def _handle_cone_dual(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_cone_check(args: argparse.Namespace) -> Outcome:
+    from .cones import spherical_nef_diagonal_check
+
     ds = _resolve_dataset(args.dataset)
     verdict = spherical_nef_diagonal_check(ds)
     return ({"dataset": args.dataset}, {"variety": ds.variety, **verdict.to_payload()},
@@ -242,6 +249,8 @@ def _handle_cone_check(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_scan_ci(args: argparse.Namespace) -> Outcome:
+    from .diagonal import scan_ci
+
     scan = scan_ci(
         max_dimension=args.max_dim,
         max_degree=args.max_degree,
@@ -259,6 +268,8 @@ def _handle_scan_ci(args: argparse.Namespace) -> Outcome:
 
 
 def _handle_table_delpezzo(args: argparse.Namespace) -> Outcome:
+    from .diagonal import DELPEZZO_TABLE
+
     rows = [
         {
             "degree": row.degree,
@@ -354,6 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(module: str, *names: str) -> tuple[type[BaseException], ...]:
+    """The named exception classes of a library module, or () if it is not loaded.
+
+    A class can only have been raised once its module is loaded, so matching
+    against the loaded ones is exact and imports nothing."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -365,10 +385,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             lines = [*args.render(result), *(f"# {note}" for note in notes)]
             output = "\n".join(lines) + "\n"
-    except ScanViolation as exc:
+    except _loaded("diagonal", "ScanViolation") as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4
-    except (SchemaError, InconsistentPairing, MissingPairing, OSError) as exc:
+    except (*_loaded("cones", "SchemaError", "InconsistentPairing", "MissingPairing"),
+            OSError) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,16 +1,22 @@
-"""Rewrite the golden CLI corpus, tests/golden/corpus.json.
+"""Rewrite or check the golden CLI corpus, tests/golden/corpus.json.
 
-Run it by hand from any directory, and only when a change to the bytes the
-command line prints is intended:
+Run it by hand from any directory, and rewrite the corpus only when a change
+to the bytes the command line prints is intended:
 
-    python tests/golden/record.py
+    python tests/golden/record.py            # rewrite the corpus
+    python tests/golden/record.py --check    # compare, write nothing
+
+--check re-runs every case the same way, lists each case whose exit status,
+stdout or stderr differs from the corpus (or that is missing from one side),
+and exits 1 if any does, 0 if the corpus would be rewritten byte for byte.
 
 Each case runs `python -m nefkit` in a fresh interpreter from the repository
 root, with the sources under src/ first on the path, COLUMNS=80 (argparse
 wraps --help text to the terminal width) and NEFKIT_DATA unset unless the
 case sets it. The corpus stores argv, environment, exit status, stdout and
 stderr; tests/test_golden.py replays every case in-process through
-nefkit.cli.main and compares them byte for byte.
+nefkit.cli.main, and every case with a non-zero exit status through record()
+in a fresh interpreter, and compares them byte for byte.
 """
 
 from __future__ import annotations
@@ -128,11 +134,32 @@ def record(argv: list[str], extra_env: dict[str, str]) -> dict:
     }
 
 
-def main() -> None:
+def case_id(case: dict) -> str:
+    env = " ".join(f"{k}={v}" for k, v in case["env"].items())
+    return " ".join([env, *case["argv"]]).strip() or "(no arguments)"
+
+
+def main(args: list[str]) -> int:
+    if args not in ([], ["--check"]):
+        print("usage: python tests/golden/record.py [--check]", file=sys.stderr)
+        return 2
     corpus = [record(argv, env) for argv, env in cases()]
-    CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", "utf-8")
-    print(f"wrote {len(corpus)} cases to {CORPUS.relative_to(ROOT)}")
+    text = json.dumps(corpus, indent=1) + "\n"
+    if not args:
+        CORPUS.write_text(text, "utf-8")
+        print(f"wrote {len(corpus)} cases to {CORPUS.relative_to(ROOT)}")
+        return 0
+    stored_text = CORPUS.read_text("utf-8")
+    stored = {case_id(case): case for case in json.loads(stored_text)}
+    fresh = {case_id(case): case for case in corpus}
+    differ = [name for name in {**fresh, **stored} if fresh.get(name) != stored.get(name)]
+    if not differ and text != stored_text:
+        differ = ["(case order or layout)"]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(corpus)} cases differ from {CORPUS.relative_to(ROOT)}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from nefkit import cli
+from nefkit import cli, diagonal
 from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
 
@@ -254,7 +254,8 @@ def test_scan_violation_exits_4(capsys, monkeypatch) -> None:
     def explode(**kwargs):
         raise ScanViolation("multidegree_sign", "(2,2;4)", "sign flipped")
 
-    monkeypatch.setattr(cli, "scan_ci", explode)
+    # the handler imports scan_ci from its module when it runs
+    monkeypatch.setattr(diagonal, "scan_ci", explode)
     code, out, err = run_cli(capsys, "scan", "ci")
     assert code == 4 and out == "" and "scan violation" in err
 

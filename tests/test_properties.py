@@ -1,5 +1,6 @@
 """Property tests: the scan against the verdict chain, the shared-row walk
-against the per-type row, and the three Euler routes against each other.
+against the per-type row, the three Euler routes against each other, and the
+command line's exit-status and determinism contract on drawn argv.
 
 Examples are derandomized and no example database is written, so every run
 draws the same inputs; the example counts keep the file to a few seconds.
@@ -7,12 +8,17 @@ draws the same inputs; the example counts keep the file to a few seconds.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from collections import Counter
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nefkit import cli
 from nefkit.chern import (
     CIType,
     euler_ci_formula,
@@ -66,3 +72,66 @@ def test_walk_rows_equal_the_row_of_their_type(max_degree, max_codimension, max_
 def test_three_euler_routes_agree(degrees, n):
     ci = CIType(degrees, n)
     assert euler_ci_formula(ci) == euler_ci_series(ci) == euler_ci_recursive(ci)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# small or malformed values, by argument; a required argument may be left out
+SCAN_BOUND = st.integers(-1, 6).map(str)
+
+
+def mostly(valid, malformed: list[str]):
+    """Three valid draws to one malformed one."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else st.sampled_from(malformed))
+
+
+INTEGER = mostly(st.integers(0, 30).map(str), ["-1", "x", "", "1.5"])
+
+
+def comma_ints(min_size: int, max_size: int):
+    return mostly(st.lists(st.integers(1, 6), min_size=min_size, max_size=max_size)
+                  .map(lambda ds: ",".join(map(str, ds))), ["0", "2,-1", "2,x", ",", "2,,2"])
+
+
+VALUES = {
+    "--dataset": st.sampled_from(["gw2c5", "g2c5", "no-such-dataset",
+                                  *(str(path) for path in sorted(GOLDEN.glob("*.json")))]),
+    "--variant": st.sampled_from(["P1xP1xP1", "P2xP2", "junk"]),
+    "--degree": mostly(st.integers(1, 9).map(str), ["0", "12", "x"]),
+    "--codim": st.integers(-1, 7).map(str),
+    "--degrees": comma_ints(0, 4),
+    "--weights": comma_ints(4, 7),
+    **dict.fromkeys(["--max-dim", "--max-degree", "--max-r", "--quadrics-max-r"], SCAN_BOUND),
+}
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    group = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    kinds = cli.COMMANDS[group][1]
+    kind = draw(st.sampled_from(sorted(kinds)))
+    argv = [*draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]])),
+            group, kind]
+    for flag, _ in kinds[kind][1]:
+        if draw(st.integers(0, 9)):  # leave one out in ten draws
+            argv += [flag, draw(VALUES.get(flag, INTEGER))]
+    return argv
+
+
+def run_main(argv: list[str]) -> tuple[object, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+@bounded(150)
+@given(argv=cli_argv())
+def test_cli_exit_status_and_output_are_contracted(argv):
+    code, out = run_main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert run_main(argv) == (code, out)
+    if code == 0 and "json" in argv[:2]:
+        assert json.loads(out)["command"] == " ".join(argv[2:4])
