@@ -52,6 +52,8 @@ SUBCOMMANDS = [
     ["verdict", "delpezzo", "--dim", "4", "--degree", "5"],
     ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P1xP1xP1"],
     ["verdict", "delpezzo", "--dim", "4", "--degree", "6", "--variant", "P2xP2"],
+    ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P(T_P2)"],
+    ["verdict", "delpezzo", "--dim", "3", "--degree", "6"],
     # every del Pezzo verdict path: degrees 1-2 by parity, 3-4 through the
     # complete intersection chain, the fixed degree-5 and degree-7 verdicts
     *(["verdict", "delpezzo", "--dim", str(dim), "--degree", str(degree)]
@@ -82,10 +84,16 @@ ERRORS = [
     ["euler", "ci", "--dim", "-1"],
     ["euler", "weighted", "--weights", "2,1,1,1,1", "--degree", "3"],
     ["verdict", "delpezzo", "--dim", "2", "--degree", "5"],
+    # a dimension out of range for each way a row is decided (closed form,
+    # complete intersection, fixed steps by n), and degrees outside the
+    # classification
+    *(["verdict", "delpezzo", "--dim", str(dim), "--degree", str(degree)]
+      for dim, degree in ((2, 1), (2, 3), (5, 6), (4, 7), (7, 5), (3, 8), (3, 0))),
     # a del Pezzo variant must label a degree-6 manifold of the given dimension
     ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "junk"],
     ["verdict", "delpezzo", "--dim", "3", "--degree", "6", "--variant", "P2xP2"],
     ["verdict", "delpezzo", "--dim", "4", "--degree", "5", "--variant", "P2xP2"],
+    ["verdict", "delpezzo", "--dim", "3", "--degree", "7", "--variant", "P1xP1xP1"],
     ["betti", "ci", "--dim", "0"],
     ["cone", "dual", "--dataset", "gw2c5", "--codim", "9"],
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],
