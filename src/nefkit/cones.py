@@ -189,6 +189,8 @@ def load_dataset(text: str) -> CycleDataset:
     try:
         for raw in doc["classes"]:
             partition = raw.get("partition", ())
+            if isinstance(partition, dict):
+                raise SchemaError("a partition is a list of parts, not an object")
             if len(partition) != 2:
                 raise SchemaError("partitions here have exactly two parts")
             classes.append(

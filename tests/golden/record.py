@@ -103,6 +103,8 @@ ERRORS = [
     ["--format", "json", "cone", "dual", "--dataset", BAD_DATASET, "--codim", "1"],
     # no complementary pair of classes, so no pairing can certify a nef diagonal
     ["cone", "check", "--dataset", "tests/golden/no_pairs.json"],
+    # a partition given as a two-key object instead of a list
+    ["cone", "check", "--dataset", "tests/golden/object_partition.json"],
     # documents the JSON parser cannot read: nesting at the default recursion
     # limit, and a dimension one digit past the int-to-str limit
     ["cone", "check", "--dataset", "tests/golden/deep_nesting.json"],

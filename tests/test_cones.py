@@ -229,6 +229,13 @@ def test_load_dataset_schema_errors() -> None:
         load_dataset(json.dumps(bad))
 
 
+def test_load_dataset_rejects_an_object_partition() -> None:
+    # two keys pass the length check, and indexing the object raised KeyError
+    bad = make_doc(classes=[{"label": "a", "partition": {"x": 1, "y": 1}, "codim": 2}])
+    with pytest.raises(SchemaError, match="^a partition is a list of parts, not an object$"):
+        load_dataset(json.dumps(bad))
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
     json.dumps(make_doc()).replace('"dimension": 2', '"dimension": ' + "7" * 5_000),
