@@ -2,9 +2,8 @@
 
 A verdict is three-valued: the diagonal class of a variety is certified
 not nef (with a numeric or named witness), certified nef (with a structural
-reason), or the question is open. Each verdict is a _Step, built by
-_verdict; only the degree-6 del Pezzo verdict, which echoes its variant
-label, is built in place. One chain applies the criteria in a fixed
+reason), or the question is open. Every verdict is a _Step, and _verdict
+alone builds Verdicts from steps. One chain applies the criteria in a fixed
 priority order (positive structural families, the exception steps for the
 cubic surface, the K3 surface of three quadrics and the even-dimensional
 intersections of two quadrics, the sign of the diagonal self-intersection,
@@ -12,9 +11,11 @@ the projection degree bound) and names the step that fired with its
 numbers. verdict_ci builds its Verdict once, from that step; scan_ci counts
 the step's status under the same witness checks and builds no Verdict.
 
-The module also hosts the del Pezzo classification table, the nef-and-big
-filter, the consistency scans, and the Poincare polynomial obstruction to
-fibering an odd-dimensional intersection of two quadrics in projective lines.
+The module also hosts the del Pezzo classification table, whose rows decide
+every del Pezzo verdict, dimension range and nef-and-big answer, the
+nef-and-big filter, the consistency scans, and the Poincare polynomial
+obstruction to fibering an odd-dimensional intersection of two quadrics in
+projective lines.
 """
 
 from __future__ import annotations
@@ -316,110 +317,106 @@ def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
 
 @dataclass(frozen=True)
 class DelPezzoRow:
+    """The del Pezzo manifolds of one degree and how their verdicts are
+    decided. A row with cover bounds the closed-form chi on a cover of P^n of
+    degree cover(n); a row with ci_degrees is that complete intersection; both
+    exist for every n >= 3. Any other row holds its verdicts as steps keyed by
+    the dimensions it exists in, and variant_dimensions gives the dimension of
+    each variant label, which a step's detail echoes through {variant}."""
+
     degree: int
-    dimensions: str
     description: str
-    variants: tuple[str, ...] = ()
+    cover: Callable[[int], int] | None = None
+    ci_degrees: tuple[int, ...] = ()
+    steps: Mapping[int, _Step] = field(default_factory=dict)
+    variant_dimensions: Mapping[str, int] = field(default_factory=dict)
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        return tuple(self.variant_dimensions)
+
+    @property
+    def dimensions(self) -> str:
+        ns = sorted(self.steps)
+        if len(ns) > 2:
+            return f"{ns[0]} <= n <= {ns[-1]}"
+        return " or ".join(f"n = {n}" for n in ns) or "n >= 3"
 
     def admits(self, n: int) -> bool:
-        if n < 3:
-            return False
-        if self.degree <= 4:
-            return True
-        if self.degree == 5:
-            return n <= 6
-        if self.degree == 6:
-            return n in (3, 4)
-        return n == 3
-
-
-# The degree-6 del Pezzo manifolds by label, with their dimensions.
-_DEGREE_SIX_VARIANTS = {"P1xP1xP1": 3, "P2xP2": 4, "P(T_P2)": 3}
-
-DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
-    DelPezzoRow(1, "n >= 3", "a weighted hypersurface of degree 6 in P(3,2,1,...,1)"),
-    DelPezzoRow(2, "n >= 3", "a weighted hypersurface of degree 4 in P(2,1,...,1)"),
-    DelPezzoRow(3, "n >= 3", "a cubic hypersurface in P^(n+1)"),
-    DelPezzoRow(4, "n >= 3", "a complete intersection of two quadrics in P^(n+2)"),
-    DelPezzoRow(
-        5,
-        "3 <= n <= 6",
-        "a linear section of the Grassmannian G(2,C^5) in its Pluecker embedding in P^9",
-    ),
-    DelPezzoRow(
-        6,
-        "n = 3 or n = 4",
-        "P^1 x P^1 x P^1, P^2 x P^2, or P(T_P2)",
-        tuple(_DEGREE_SIX_VARIANTS),
-    ),
-    DelPezzoRow(7, "n = 3", "the blow-up of P^3 at a point"),
-)
+        return n in self.steps if self.steps else n >= 3
 
 
 _COVER_BOUND = _Step("cover bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
                      "chi = {chi} exceeds (n+1) * {cover_degree} = {bound}, impossible for"
                      " a nef diagonal on a degree-{cover_degree} cover of P^n",
                      numbers=("chi", "bound", "cover_degree"))
-# The fixed del Pezzo verdicts by (degree, n).
-_DELPEZZO_STEPS = {
-    (5, 3): _Step("del Pezzo", Status.NEF, Reason.FAKE_PROJECTIVE_SPACE,
-                  "the degree-5 del Pezzo threefold has the sheaf-theoretic positivity of"
-                  " projective space (it is a fake projective space in the diagonal sense)"),
-    (5, 4): _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
-                  "two effective families of planes pair negatively:"
-                  " deg sigma(3,1).sigma(2,2) = -1",
-                  {"classes": ["sigma(3,1)", "sigma(2,2)"], "value": -1}),
-    (5, 5): _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
-                  "two effective orbit-closure classes pair negatively:"
-                  " deg tau(3,-1).tau(2,1) = -1",
-                  {"classes": ["tau(3,-1)", "tau(2,1)"], "value": -1}),
-    (5, 6): _Step("del Pezzo", Status.NEF, Reason.HOMOGENEOUS,
-                  "the Grassmannian G(2,C^5) is a homogeneous variety"),
-    (7, 3): _Step("del Pezzo", Status.NOT_NEF, Reason.BIRATIONAL_CONTRACTION,
-                  DELPEZZO_TABLE[6].description + " admits an extremal birational contraction",
-                  {"contraction": "blow-down of the exceptional divisor to a point of P^3"}),
-}
+
+DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
+    DelPezzoRow(1, "a weighted hypersurface of degree 6 in P(3,2,1,...,1)",
+                cover=lambda n: 2**n),
+    DelPezzoRow(2, "a weighted hypersurface of degree 4 in P(2,1,...,1)", cover=lambda n: 2),
+    DelPezzoRow(3, "a cubic hypersurface in P^(n+1)", ci_degrees=(3,)),
+    DelPezzoRow(4, "a complete intersection of two quadrics in P^(n+2)", ci_degrees=(2, 2)),
+    DelPezzoRow(5, "a linear section of the Grassmannian G(2,C^5) in its Pluecker embedding"
+                " in P^9", steps={
+        3: _Step("del Pezzo", Status.NEF, Reason.FAKE_PROJECTIVE_SPACE,
+                 "the degree-5 del Pezzo threefold has the sheaf-theoretic positivity of"
+                 " projective space (it is a fake projective space in the diagonal sense)"),
+        4: _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+                 "two effective families of planes pair negatively:"
+                 " deg sigma(3,1).sigma(2,2) = -1",
+                 {"classes": ["sigma(3,1)", "sigma(2,2)"], "value": -1}),
+        5: _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+                 "two effective orbit-closure classes pair negatively:"
+                 " deg tau(3,-1).tau(2,1) = -1",
+                 {"classes": ["tau(3,-1)", "tau(2,1)"], "value": -1}),
+        6: _Step("del Pezzo", Status.NEF, Reason.HOMOGENEOUS,
+                 "the Grassmannian G(2,C^5) is a homogeneous variety")}),
+    DelPezzoRow(6, "P^1 x P^1 x P^1, P^2 x P^2, or P(T_P2)",
+                steps=dict.fromkeys((3, 4), _Step(
+                    "del Pezzo", Status.NEF, Reason.HOMOGENEOUS,
+                    "every degree-6 del Pezzo manifold{variant} is a homogeneous variety")),
+                variant_dimensions={"P1xP1xP1": 3, "P2xP2": 4, "P(T_P2)": 3}),
+    DelPezzoRow(7, "the blow-up of P^3 at a point", steps={3: _Step(
+        "del Pezzo", Status.NOT_NEF, Reason.BIRATIONAL_CONTRACTION,
+        "the blow-up of P^3 at a point admits an extremal birational contraction",
+        {"contraction": "blow-down of the exceptional divisor to a point of P^3"})}),
+)
 
 
 def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
     _check_int(n, "dimension")
-    _check_int(degree, "degree")
-    for row in DELPEZZO_TABLE:
-        if row.degree == degree:
-            if not row.admits(n):
-                raise InvalidDelPezzo(
-                    f"degree {degree} del Pezzo manifolds only exist for {row.dimensions}"
-                )
-            return row
-    raise InvalidDelPezzo(f"no del Pezzo manifold of degree {degree}")
+    if not 1 <= _check_int(degree, "degree") <= len(DELPEZZO_TABLE):
+        raise InvalidDelPezzo(f"no del Pezzo manifold of degree {degree}")
+    row = DELPEZZO_TABLE[degree - 1]
+    if not row.admits(n):
+        raise InvalidDelPezzo(f"degree {degree} del Pezzo manifolds only exist for"
+                              f" {row.dimensions}")
+    return row
 
 
 def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict:
     """Nef-diagonal verdict for the del Pezzo manifold of the given data.
 
     The optional variant label (degree 6 comes in three varieties) must name
-    a degree-6 manifold of dimension n, or InvalidDelPezzo is raised. It is
+    a manifold of the row of dimension n, or InvalidDelPezzo is raised. It is
     echoed in the detail text only; it never changes the verdict.
     """
-    _delpezzo_row(n, degree)
-    if variant is not None and (degree != 6 or _DEGREE_SIX_VARIANTS.get(variant) != n):
+    row = _delpezzo_row(n, degree)
+    if variant is not None and row.variant_dimensions.get(variant) != n:
         raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
                               f" manifold of dimension {n}")
-    if degree in (1, 2):
+    if row.cover:
         chi = euler_delpezzo_closed(n, degree)
         if n % 2 == 1:
             return _verdict(_SIGN, chi)
-        cover = 2**n if degree == 1 else 2
+        cover = row.cover(n)
         return _verdict(_COVER_BOUND, chi, (n + 1) * cover, cover)
-    if degree == 3:
-        return verdict_ci(CIType((3,), n))
-    if degree == 4:
-        return verdict_ci(CIType((2, 2), n))
-    if degree == 6:
-        label = f" ({variant})" if variant else ""
-        return Verdict(Status.NEF, Reason.HOMOGENEOUS,
-                       f"every degree-6 del Pezzo manifold{label} is a homogeneous variety")
-    return _verdict(_DELPEZZO_STEPS[degree, n])
+    if row.ci_degrees:
+        return verdict_ci(CIType(row.ci_degrees, n))
+    step = row.steps[n]
+    label = f" ({variant})" if variant else ""
+    return _verdict(step._replace(detail=step.detail.format(variant=label)))
 
 
 def nef_big_filter(kind: str, params: object) -> bool:
@@ -427,7 +424,7 @@ def nef_big_filter(kind: str, params: object) -> bool:
 
     kind "ci": params is a CIType; true for projective space and
     odd-dimensional quadrics. kind "delpezzo": params is (dimension, degree);
-    true only for the degree-5 threefold.
+    true where the table's step is a fake projective space (the degree-5 threefold).
     """
     if kind == "ci":
         if not isinstance(params, CIType):
@@ -440,8 +437,8 @@ def nef_big_filter(kind: str, params: object) -> bool:
             n, degree = params  # type: ignore[misc]
         except (TypeError, ValueError) as exc:
             raise ValueError("kind 'delpezzo' needs (dimension, degree)") from exc
-        _delpezzo_row(n, degree)
-        return (n, degree) == (3, 5)
+        step = _delpezzo_row(n, degree).steps.get(n)
+        return step is not None and step.reason is Reason.FAKE_PROJECTIVE_SPACE
     raise ValueError(f"unknown kind {kind!r}")
 
 

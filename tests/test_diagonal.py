@@ -105,6 +105,7 @@ def test_every_fixed_step_builds_its_verdict():
     steps = [value for value in vars(diagonal).values() if isinstance(value, diagonal._Step)]
     steps += [step for value in vars(diagonal).values() if isinstance(value, dict)
               for step in value.values() if isinstance(step, diagonal._Step)]
+    steps += [step for row in DELPEZZO_TABLE for step in row.steps.values()]
     fixed = [step for step in steps if not step.numbers]
     assert diagonal._UNCLASSIFIED in fixed
     assert {step.name for step in fixed} >= {"curve", "del Pezzo", "open (2,2)",
@@ -318,6 +319,18 @@ def test_delpezzo_nef_golden_set():
     pairs += [(3, 6), (4, 6), (3, 7)]
     nef = {(n, d) for n, d in pairs if verdict_delpezzo(n, d).status is Status.NEF}
     assert nef == {(3, 5), (6, 5), (3, 6), (4, 6)}
+
+
+def test_delpezzo_rows_admit_exactly_the_dimensions_their_verdicts_accept():
+    for row in DELPEZZO_TABLE:
+        for n in range(13):
+            try:
+                verdict_delpezzo(n, row.degree)
+            except InvalidDelPezzo as exc:
+                assert not row.admits(n), (row.degree, n)
+                assert row.dimensions in str(exc), (row.degree, n)
+            else:
+                assert row.admits(n), (row.degree, n)
 
 
 def test_delpezzo_table_shape():
