@@ -1,6 +1,7 @@
 """Property tests: the scan against the verdict chain, the shared-row walk
 against the per-type row, the three Euler routes against each other, and the
-command line's exit-status and determinism contract on drawn argv.
+command line's exit-status and determinism contract on drawn argv and on
+shipped datasets with one node replaced by a drawn JSON value.
 
 Examples are derandomized and no example database is written, so every run
 draws the same inputs; the example counts keep the file to a few seconds.
@@ -15,7 +16,8 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nefkit import cli
@@ -135,3 +137,60 @@ def test_cli_exit_status_and_output_are_contracted(argv):
     assert run_main(argv) == (code, out)
     if code == 0 and "json" in argv[:2]:
         assert json.loads(out)["command"] == " ".join(argv[2:4])
+
+
+SHIPPED = {name: json.loads((Path(cli.__file__).with_name("data") / f"{name}.json")
+                            .read_text("utf-8"))
+           for name in ("gw2c5", "g2c5")}
+
+
+def nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from nodes(child, (*path, key))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    head, *rest = path
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[head] = replaced(doc[head], rest, value)
+    return out
+
+
+NODES = [(name, path) for name, doc in SHIPPED.items() for path in nodes(doc)]
+# small integers and existing labels keep many mutated documents loadable
+JSON_VALUE = st.integers(-2, 7) | st.sampled_from(
+    sorted({c["label"] for doc in SHIPPED.values() for c in doc["classes"]})
+) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "dataset.json"
+
+
+@bounded(80)
+@example(node=("gw2c5", ("classes", 0, "partition")), value={"x": 1, "y": 1}, codim=0,
+         fmt="text")
+@given(node=st.sampled_from(NODES), value=JSON_VALUE, codim=st.integers(-1, 7),
+       fmt=st.sampled_from(["text", "json"]))
+def test_cli_contract_holds_on_mutated_datasets(dataset_file, node, value, codim, fmt):
+    name, path = node
+    dataset_file.write_text(json.dumps(replaced(SHIPPED[name], path, value)), "utf-8")
+    for command in (["cone", "check"], ["cone", "dual", "--codim", str(codim)]):
+        argv = ["--format", fmt, *command, "--dataset", str(dataset_file)]
+        code, out = run_main(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert run_main(argv) == (code, out)
+        if code == 0 and fmt == "json":
+            assert json.loads(out)["command"] == " ".join(command[:2])
