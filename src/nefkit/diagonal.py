@@ -318,11 +318,10 @@ def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
 @dataclass(frozen=True)
 class DelPezzoRow:
     """The del Pezzo manifolds of one degree and how their verdicts are
-    decided. A row with cover bounds the closed-form chi on a cover of P^n of
-    degree cover(n); a row with ci_degrees is that complete intersection; both
-    exist for every n >= 3. Any other row holds its verdicts as steps keyed by
-    the dimensions it exists in, and variant_dimensions gives the dimension of
-    each variant label, which a step's detail echoes through {variant}."""
+    decided: by the closed-form chi on a cover of P^n of degree cover(n), or
+    as complete intersections of type ci_degrees, both for every n >= 3, or by
+    steps keyed by the consecutive dimensions the row exists in, whose detail
+    may echo a label of variant_dimensions (label to dimension) as {variant}."""
 
     degree: int
     description: str
