@@ -446,13 +446,13 @@ def test_scan_counts_match_verdict_ci(grid):
 
 def test_scan_builds_no_verdict(monkeypatch):
     built = []
-    post_init = Verdict.__post_init__
+    init = Verdict.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
         built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(Verdict, "__post_init__", counting)
+    monkeypatch.setattr(Verdict, "__init__", counting)
     scan_ci(6, 4, 3, 4)
     assert built == []
     for ci in scan_grid(6, 4, 3):

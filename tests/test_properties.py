@@ -1,7 +1,9 @@
 """Property tests: the scan against the verdict chain, the shared-row walk
-against the per-type row, the three Euler routes against each other, and the
-command line's exit-status and determinism contract on drawn argv and on
-shipped datasets with one node replaced by a drawn JSON value.
+against the per-type row, the three Euler routes against each other, the
+first Chern degree and the Betti table's Euler characteristic against the
+degree and chi, and the command line's exit-status and determinism contract
+on drawn argv and on shipped datasets with one node replaced by a drawn JSON
+value.
 
 Examples are derandomized and no example database is written, so every run
 draws the same inputs; the example counts keep the file to a few seconds.
@@ -23,6 +25,8 @@ from hypothesis import strategies as st
 from nefkit import cli
 from nefkit.chern import (
     CIType,
+    betti_ci,
+    chern_degrees_ci,
     euler_ci_formula,
     euler_ci_recursive,
     euler_ci_row,
@@ -74,6 +78,20 @@ def test_walk_rows_equal_the_row_of_their_type(max_degree, max_codimension, max_
 def test_three_euler_routes_agree(degrees, n):
     ci = CIType(degrees, n)
     assert euler_ci_formula(ci) == euler_ci_series(ci) == euler_ci_recursive(ci)
+
+
+@bounded(100)
+@given(degrees=st.lists(st.integers(1, 9), max_size=5), n=st.integers(0, 12))
+def test_first_chern_degree_is_the_degree(degrees, n):
+    ci = CIType(degrees, n)
+    assert chern_degrees_ci(ci)[0] == ci.degree_product
+
+
+@bounded(100)
+@given(degrees=st.lists(st.integers(1, 9), max_size=5), n=st.integers(1, 12))
+def test_betti_table_has_euler_characteristic_chi(degrees, n):
+    ci = CIType(degrees, n)
+    assert betti_ci(ci).euler_characteristic == euler_ci_formula(ci)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
