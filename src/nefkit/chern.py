@@ -20,10 +20,10 @@ and closed forms for low-degree del Pezzo Euler characteristics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .exactnum import (
+    _Frozen,
     complete_homogeneous_prefix,
     elementary_symmetric,
     series_rational_coefficients,
@@ -64,8 +64,7 @@ def _check_int(value: object, name: str, error: type[ValueError] = ValueError) -
     return value
 
 
-@dataclass(frozen=True)
-class CIType:
+class CIType(_Frozen):
     """A smooth complete intersection type.
 
     degrees: hypersurface degrees; stored canonically (sorted ascending,
@@ -73,14 +72,13 @@ class CIType:
     dimension: dimension n of the variety; the ambient space is P^(n+r).
     """
 
-    degrees: tuple[int, ...]
-    dimension: int
+    _fields = ("degrees", "dimension")
 
-    def __post_init__(self) -> None:
-        raw = tuple(_check_int(d, "degree") for d in self.degrees)
+    def __init__(self, degrees: tuple[int, ...], dimension: int) -> None:
+        raw = tuple(_check_int(d, "degree") for d in degrees)
         if any(d < 1 for d in raw):
             raise ValueError("degrees must be >= 1")
-        n = _check_int(self.dimension, "dimension")
+        n = _check_int(dimension, "dimension")
         if n < 0:
             raise ValueError("dimension must be >= 0")
         object.__setattr__(self, "degrees", tuple(sorted(d for d in raw if d > 1)))
@@ -234,23 +232,23 @@ def quadrics_b_column(n: int, r: int) -> list[int]:
     return col
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Frozen):
     """Betti numbers b_0..b_(2n) of a smooth complete intersection.
 
     Hard Lefschetz forces the palindromic hypersurface shape: b_i = 1 for
     even i != n, b_i = 0 for odd i != n, and all interest sits in b_n.
     """
 
-    betti: tuple[int, ...]
+    _fields = ("betti",)
 
-    def __post_init__(self) -> None:
-        if len(self.betti) % 2 == 0:
+    def __init__(self, betti: tuple[int, ...]) -> None:
+        if len(betti) % 2 == 0:
             raise ValueError("need an odd number of entries b_0..b_(2n)")
-        if any(b < 0 for b in self.betti):
+        if any(b < 0 for b in betti):
             raise NegativeBetti("Betti numbers must be non-negative")
-        if any(self.betti[i] != self.betti[-1 - i] for i in range(len(self.betti))):
+        if any(betti[i] != betti[-1 - i] for i in range(len(betti))):
             raise ValueError("Betti table must satisfy Poincare duality")
+        object.__setattr__(self, "betti", betti)
 
     @property
     def dimension(self) -> int:
@@ -294,27 +292,26 @@ def poincare_polynomial_ci(ci: CIType) -> list[int]:
     return [(-1) ** i * b for i, b in enumerate(table.betti)]
 
 
-@dataclass(frozen=True)
-class WeightedHypersurface:
+class WeightedHypersurface(_Frozen):
     """A degree-d hypersurface in weighted projective space P(a_0..a_m).
 
     Needs at least five weights (ambient dimension m >= 4), all weights >= 1.
     The hypersurface has dimension m - 1.
     """
 
-    weights: tuple[int, ...]
-    degree: int
+    _fields = ("weights", "degree")
 
-    def __post_init__(self) -> None:
-        ws = tuple(_check_int(w, "weight") for w in self.weights)
+    def __init__(self, weights: tuple[int, ...], degree: int) -> None:
+        ws = tuple(_check_int(w, "weight") for w in weights)
         if len(ws) < 5:
             raise ValueError("need at least five weights")
         if any(w < 1 for w in ws):
             raise ValueError("weights must be >= 1")
-        d = _check_int(self.degree, "degree")
+        d = _check_int(degree, "degree")
         if d < 1:
             raise ValueError("degree must be >= 1")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "degree", d)
 
     @property
     def ambient_dimension(self) -> int:

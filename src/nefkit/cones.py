@@ -19,7 +19,6 @@ revisited", 1996).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from math import gcd
@@ -28,6 +27,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .chern import _check_int
 from .diagonal import Reason, Status, Verdict
+from .exactnum import _Frozen
 
 __all__ = [
     "SchemaError",
@@ -67,8 +67,7 @@ class InvalidPartition(ValueError):
     """A partition does not describe a Schubert class of the expected shape."""
 
 
-@dataclass(frozen=True)
-class SchubertClass:
+class SchubertClass(_Frozen):
     """An effective cycle class labeled by a two-part partition.
 
     Partitions are weakly decreasing and non-negative, except that the second
@@ -76,58 +75,61 @@ class SchubertClass:
     Grassmannians). The codimension always equals the partition weight.
     """
 
-    label: str
-    partition: tuple[int, int]
-    codim: int
+    _fields = ("label", "partition", "codim")
 
-    def __post_init__(self) -> None:
-        if not self.label or not isinstance(self.label, str):
+    def __init__(self, label: str, partition: tuple[int, int], codim: int) -> None:
+        if not label or not isinstance(label, str):
             raise InvalidPartition("classes need a non-empty string label")
-        a, b = self.partition
+        a, b = partition
         if b == -1:
             if a < 1:
-                raise InvalidPartition(f"{self.label}: negative tail needs first part >= 1")
+                raise InvalidPartition(f"{label}: negative tail needs first part >= 1")
         elif not a >= b >= 0:
-            raise InvalidPartition(f"{self.label}: partition must be weakly decreasing, >= 0")
-        if self.codim != a + b:
-            raise InvalidPartition(f"{self.label}: codim {self.codim} != |partition| {a + b}")
+            raise InvalidPartition(f"{label}: partition must be weakly decreasing, >= 0")
+        if codim != a + b:
+            raise InvalidPartition(f"{label}: codim {codim} != |partition| {a + b}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "codim", codim)
 
 
-@dataclass(frozen=True)
-class CycleDataset:
+class CycleDataset(_Frozen):
     """Named classes plus intersection numbers in complementary codimension.
 
     Pairings are stored symmetrically under a sorted label key; class order
     follows the document and fixes the coordinate bases downstream.
     """
 
-    variety: str
-    dimension: int
-    classes: tuple[SchubertClass, ...]
-    pairings: Mapping[tuple[str, str], int] = field(default_factory=dict)
+    _fields = ("variety", "dimension", "classes", "pairings")
 
-    def __post_init__(self) -> None:
-        if self.dimension < 0:
+    def __init__(self, variety: str, dimension: int, classes: tuple[SchubertClass, ...],
+                 pairings: Mapping[tuple[str, str], int] | None = None) -> None:
+        pairings = {} if pairings is None else pairings
+        if dimension < 0:
             raise SchemaError("dimension must be >= 0")
-        if not self.classes:
+        if not classes:
             raise SchemaError("a dataset needs at least one class")
-        labels = [c.label for c in self.classes]
+        labels = [c.label for c in classes]
         if len(set(labels)) != len(labels):
             raise SchemaError("class labels must be unique")
-        for c in self.classes:
-            if c.codim > self.dimension:
+        for c in classes:
+            if c.codim > dimension:
                 raise SchemaError(f"{c.label}: codim {c.codim} exceeds dimension")
-        by_label = {c.label: c for c in self.classes}
-        for (la, lb), value in self.pairings.items():
+        by_label = {c.label: c for c in classes}
+        for (la, lb), value in pairings.items():
             if la not in by_label or lb not in by_label:
                 raise SchemaError(f"pairing refers to unknown class ({la}, {lb})")
             if (la, lb) != tuple(sorted((la, lb))):
                 raise SchemaError("pairing keys must be sorted label pairs")
-            if by_label[la].codim + by_label[lb].codim != self.dimension:
+            if by_label[la].codim + by_label[lb].codim != dimension:
                 raise SchemaError(
                     f"pairing ({la}, {lb}) is not of complementary codimension"
                 )
             _check_int(value, f"pairing ({la}, {lb})", SchemaError)
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "pairings", pairings)
 
     def class_by_label(self, label: str) -> SchubertClass:
         for c in self.classes:
@@ -322,8 +324,7 @@ def _kernel_line(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] |
 # Cones
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(_Frozen):
     """A polyhedral cone given by its primitive extremal generators.
 
     Generators are primitive integer vectors, sorted lexicographically; their
@@ -332,22 +333,24 @@ class RationalCone:
     of a non-pointed effective cone); is_full_dimensional reports that.
     """
 
-    ambient_dimension: int
-    generators: tuple[tuple[int, ...], ...]
-    basis_labels: tuple[str, ...] | None = None
+    _fields = ("ambient_dimension", "generators", "basis_labels")
 
-    def __post_init__(self) -> None:
-        if self.ambient_dimension < 1:
+    def __init__(self, ambient_dimension: int, generators: tuple[tuple[int, ...], ...],
+                 basis_labels: tuple[str, ...] | None = None) -> None:
+        if ambient_dimension < 1:
             raise ValueError("ambient dimension must be >= 1")
-        for g in self.generators:
-            if len(g) != self.ambient_dimension:
+        for g in generators:
+            if len(g) != ambient_dimension:
                 raise ValueError("generator length must match the ambient dimension")
             if not any(g):
                 raise ValueError("generators must be nonzero")
-        if self.generators != tuple(sorted(self.generators)):
+        if generators != tuple(sorted(generators)):
             raise ValueError("generators must be sorted")
-        if self.basis_labels is not None and len(self.basis_labels) != self.ambient_dimension:
+        if basis_labels is not None and len(basis_labels) != ambient_dimension:
             raise ValueError("need one basis label per coordinate")
+        object.__setattr__(self, "ambient_dimension", ambient_dimension)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "basis_labels", basis_labels)
 
     @cached_property
     def is_full_dimensional(self) -> bool:

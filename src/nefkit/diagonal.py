@@ -20,7 +20,6 @@ projective lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, NamedTuple
 
@@ -33,6 +32,7 @@ from .chern import (
     poincare_polynomial_ci,
     quadrics_b_column,
 )
+from .exactnum import _Frozen
 
 __all__ = [
     "Status",
@@ -109,8 +109,7 @@ class ScanViolation(Exception):
         self.subject = subject
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """Outcome of a nef-diagonal test.
 
     Every NotNef verdict carries a witness a referee can re-check: a negative
@@ -118,33 +117,35 @@ class Verdict:
     Nef and Open verdicts carry the structural reason or the open reference.
     """
 
-    status: Status
-    reason: Reason
-    detail: str
-    witness: Mapping[str, object] = field(default_factory=dict)
+    _fields = ("status", "reason", "detail", "witness")
 
-    def __post_init__(self) -> None:
-        if self.reason not in _REASONS_BY_STATUS[self.status]:
-            raise ValueError(f"reason {self.reason.value} invalid for {self.status.value}")
-        w = self.witness
-        error = _chi_witness_error(self.reason, w.get("chi"), w.get("bound"))
+    def __init__(self, status: Status, reason: Reason, detail: str,
+                 witness: Mapping[str, object] | None = None) -> None:
+        w = {} if witness is None else witness
+        if reason not in _REASONS_BY_STATUS[status]:
+            raise ValueError(f"reason {reason.value} invalid for {status.value}")
+        error = _chi_witness_error(reason, w.get("chi"), w.get("bound"))
         if error:
             raise ValueError(error)
-        if self.reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
+        if reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
             classes = w.get("classes")
             if not (isinstance(classes, (list, tuple)) and len(classes) == 2):
                 raise ValueError("NegativeEffectivePair needs a pair of class names")
             if not isinstance(w.get("value"), int) or w["value"] >= 0:
                 raise ValueError("NegativeEffectivePair needs witness value < 0")
-        elif self.reason is Reason.K3_SURFACE:
+        elif reason is Reason.K3_SURFACE:
             if not w.get("table_entry"):
                 raise ValueError("K3Surface verdicts must name their table entry")
-        elif self.reason is Reason.BIRATIONAL_CONTRACTION:
+        elif reason is Reason.BIRATIONAL_CONTRACTION:
             if not w.get("contraction"):
                 raise ValueError("BirationalContraction must name the contraction")
-        elif self.reason is Reason.OPEN_QUESTION:
+        elif reason is Reason.OPEN_QUESTION:
             if not w.get("reference"):
                 raise ValueError("Open verdicts must carry a reference id")
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "witness", w)
 
     def to_payload(self) -> dict:
         return {
@@ -315,20 +316,25 @@ def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
 # Del Pezzo manifolds (index n-1), classified by degree 1..7
 
 
-@dataclass(frozen=True)
-class DelPezzoRow:
+class DelPezzoRow(_Frozen):
     """The del Pezzo manifolds of one degree and how their verdicts are
     decided: by the closed-form chi on a cover of P^n of degree cover(n), or
     as complete intersections of type ci_degrees, both for every n >= 3, or by
     steps keyed by the consecutive dimensions the row exists in, whose detail
     may echo a label of variant_dimensions (label to dimension) as {variant}."""
 
-    degree: int
-    description: str
-    cover: Callable[[int], int] | None = None
-    ci_degrees: tuple[int, ...] = ()
-    steps: Mapping[int, _Step] = field(default_factory=dict)
-    variant_dimensions: Mapping[str, int] = field(default_factory=dict)
+    _fields = ("degree", "description", "cover", "ci_degrees", "steps", "variant_dimensions")
+
+    def __init__(self, degree: int, description: str, cover: Callable[[int], int] | None = None,
+                 ci_degrees: tuple[int, ...] = (), steps: Mapping[int, _Step] | None = None,
+                 variant_dimensions: Mapping[str, int] | None = None) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "ci_degrees", ci_degrees)
+        object.__setattr__(self, "steps", {} if steps is None else steps)
+        object.__setattr__(self, "variant_dimensions",
+                           {} if variant_dimensions is None else variant_dimensions)
 
     @property
     def variants(self) -> tuple[str, ...]:
@@ -470,8 +476,7 @@ def _poly_mod(p: list[int], divisor: list[int]) -> list[int]:
     return rem
 
 
-@dataclass(frozen=True)
-class FibrationObstruction:
+class FibrationObstruction(_Frozen):
     """Why a (2n+1)-dim intersection of two quadrics is no P^1-bundle over
     anything with the Betti numbers of a 2(n-1)-dim one as fiber factor.
 
@@ -480,11 +485,15 @@ class FibrationObstruction:
     fiber polynomial; the remainder below is nonzero, so it is not.
     """
 
-    n: int
-    total_dimension: int
-    p_total: tuple[int, ...]
-    p_fiber: tuple[int, ...]
-    remainder: tuple[int, ...]
+    _fields = ("n", "total_dimension", "p_total", "p_fiber", "remainder")
+
+    def __init__(self, n: int, total_dimension: int, p_total: tuple[int, ...],
+                 p_fiber: tuple[int, ...], remainder: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "total_dimension", total_dimension)
+        object.__setattr__(self, "p_total", p_total)
+        object.__setattr__(self, "p_fiber", p_fiber)
+        object.__setattr__(self, "remainder", remainder)
 
     @property
     def nonzero(self) -> bool:
@@ -520,15 +529,20 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
 # Scans
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    max_dimension: int
-    max_degree: int
-    max_codimension: int
-    quadrics_max_codimension: int
-    cases: int
-    law_checks: dict[str, int]
-    verdict_counts: dict[str, int]
+class ScanReport(_Frozen):
+    _fields = ("max_dimension", "max_degree", "max_codimension", "quadrics_max_codimension",
+               "cases", "law_checks", "verdict_counts")
+
+    def __init__(self, max_dimension: int, max_degree: int, max_codimension: int,
+                 quadrics_max_codimension: int, cases: int, law_checks: dict[str, int],
+                 verdict_counts: dict[str, int]) -> None:
+        object.__setattr__(self, "max_dimension", max_dimension)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "max_codimension", max_codimension)
+        object.__setattr__(self, "quadrics_max_codimension", quadrics_max_codimension)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "law_checks", law_checks)
+        object.__setattr__(self, "verdict_counts", verdict_counts)
 
     def to_payload(self) -> dict:
         return {

@@ -7,12 +7,15 @@ series type exists to expand quotients of the form
     prod_j (1 + s_j t)^(p_j)  /  prod_j (1 + s_j t)
 
 whose truncated coefficients drive the Chern degree computations downstream.
+
+This bottom layer also holds _Frozen, the immutable-value behaviour of the
+value classes of every layer, written by hand so that no subcommand's cold
+start pays for the standard library's class generator and its inspect import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -78,8 +81,38 @@ def elementary_symmetric(k: int, values: Sequence[int]) -> int:
     return coeffs[k]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class _Frozen:
+    """Value behaviour for a class that names its fields in _fields and whose
+    __init__ checks its arguments, then stores each field with
+    object.__setattr__: equality only with an instance of the same class with
+    equal fields, the hash of the field tuple, the repr Name(field=value, ...),
+    and no attribute assignment or deletion."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TruncatedSeries(_Frozen):
     """Power series truncated at a fixed order, coefficients exact rationals.
 
     coefficients[k] is the t^k coefficient; len(coefficients) == order + 1.
@@ -87,16 +120,17 @@ class TruncatedSeries:
     divisor to have a nonzero constant term.
     """
 
-    coefficients: tuple[Fraction, ...]
-    order: int
+    _fields = ("coefficients", "order")
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, coefficients: tuple[Fraction, ...], order: int) -> None:
+        if order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.coefficients) != self.order + 1:
+        if len(coefficients) != order + 1:
             raise ValueError("need exactly order + 1 coefficients")
-        if not all(isinstance(c, Fraction) for c in self.coefficients):
+        if not all(isinstance(c, Fraction) for c in coefficients):
             raise TypeError("coefficients must be Fractions")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def of(cls, values: Iterable[int | Fraction], order: int) -> "TruncatedSeries":

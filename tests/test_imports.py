@@ -20,7 +20,8 @@ from nefkit import chern, cones, diagonal
 SRC = Path(nefkit.__file__).resolve().parents[1]
 
 # Runs cli.main on argv with its output discarded, then prints the exit
-# status and the loaded nefkit submodules as one JSON line.
+# status, the loaded nefkit submodules and which of the costly standard
+# library modules dataclasses and inspect are loaded, as one JSON line.
 PROBE = """
 import contextlib, io, json, sys
 from nefkit import cli
@@ -29,7 +30,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nefkit."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nefkit.")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """
 
 
@@ -57,7 +59,7 @@ CHERN = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
     (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"]),
 ], ids=["euler", "verdict", "cone", "usage-error"])
 def test_subcommand_loads_only_its_layer(argv, exit_status, loaded) -> None:
-    assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded]
+    assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, []]
 
 
 # every name the package root exports, with the module that defines it
