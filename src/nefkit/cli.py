@@ -15,7 +15,8 @@ calls when it runs, so euler, chern and betti load exactnum and chern;
 verdict, scan and table also diagonal; cone also cones; and a usage error
 that argparse rejects loads none of them. main maps a library exception to
 its exit status only if that exception's module is loaded, which it must be
-if the exception was raised.
+if the exception was raised. No layer imports the standard library's data
+classes module, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ series type exists to expand quotients of the form
 whose truncated coefficients drive the Chern degree computations downstream.
 
 This bottom layer also holds _Frozen, the immutable-value behaviour of the
-value classes of every layer, written by hand so that no subcommand's cold
-start pays for the standard library's class generator and its inspect import.
+value classes of every layer, written by hand so that no subcommand imports
+the standard library's data classes module and inspect at cold start.
 """
 
 from __future__ import annotations

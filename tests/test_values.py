@@ -1,10 +1,12 @@
 """Behaviour of the library's value classes: keyword construction and
 defaults, equality and hash from the field tuple, the Name(field=value, ...)
-repr, frozen instances, and every validation message.
+repr, frozen instances that copy and pickle, and every validation message.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,13 @@ def test_instances_are_frozen(cls) -> None:
     with pytest.raises(AttributeError):
         value.extra = 1
     assert field_tuple(value) == before
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_copies_and_pickles_are_equal(cls) -> None:
+    value = VALUES[cls][1]()
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is cls and other == value
 
 
 def test_canonical_types_are_equal_keys() -> None:
