@@ -88,7 +88,7 @@ class _Frozen:
     equal fields, the hash of the field tuple, the repr Name(field=value, ...),
     and no attribute assignment or deletion."""
 
-    _fields: tuple[str, ...] = ()
+    _fields: tuple[str, ...]
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
