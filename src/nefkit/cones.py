@@ -7,13 +7,12 @@ dual of the effective cone of the complementary codimension under the pairing
 matrix, computed here exactly in integers.
 
 The dual-cone routine is Motzkin's incremental double description (Motzkin,
-Raiffa, Thompson and Thrall, 1953): it starts from the simplicial cone of m
-independent inequality normals, whose rays come from fraction-free integer
-elimination, and cuts it by the remaining normals one at a time. Two rays on
-opposite sides of a new hyperplane give a new ray exactly when they are
-adjacent, which is tested combinatorially from the sets of inequalities
-tight at each ray (Fukuda and Prodon, "Double description method
-revisited", 1996).
+Raiffa, Thompson and Thrall, 1953): one fraction-free elimination of the
+normals beside the identity, [N^T | I], picks m independent normals B and, as
+d (B^T)^-1, the rays of their simplicial cone, cut then by each other normal.
+Two rays on opposite sides of its hyperplane give a new ray exactly when they
+are adjacent, tested combinatorially from the sets of inequalities tight at
+each ray (Fukuda and Prodon, "Double description method revisited", 1996).
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import json
 from functools import cached_property
 from importlib import resources
 from math import gcd
+from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -273,7 +273,14 @@ def tau_top_pairing(n: int, a: int, b: int) -> int:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _check_entries(vectors: Sequence[Sequence[int]], name: str) -> None:
+    for vector in vectors:
+        for x in vector:
+            if type(x) is not int:  # the fast path; _check_int also takes int subclasses
+                _check_int(x, f"{name} entry")
 
 
 def _echelon(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
@@ -304,20 +311,6 @@ def _echelon(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]]
 
 def _rank(rows: Sequence[Sequence[int]], width: int) -> int:
     return len(_echelon(rows, width)[1])
-
-
-def _kernel_line(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...] | None:
-    """Primitive spanning vector of the kernel, of either sign, if it is exactly a line."""
-    mat, pivots = _echelon(rows, width)
-    if len(pivots) != width - 1:
-        return None
-    free = next(c for c in range(width) if c not in pivots)
-    vec = [0] * width
-    vec[free] = mat[0][pivots[0]] if pivots else 1
-    for row_index, col in enumerate(pivots):
-        vec[col] = -mat[row_index][free]
-    g = gcd(*vec)
-    return tuple(x // g for x in vec)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +354,10 @@ class RationalCone(_Frozen):
         return dual_cone(self.generators, _identity(self.ambient_dimension)).generators
 
     def contains(self, vector: Sequence[int]) -> bool:
-        """Exact membership test; implemented for full-dimensional cones."""
+        """Exact membership test of an integer vector, for full-dimensional cones."""
         if len(vector) != self.ambient_dimension:
             raise ValueError("vector length must match the ambient dimension")
+        _check_entries((vector,), "vector")
         if not self.is_full_dimensional:
             raise ValueError("membership test needs a full-dimensional cone")
         return all(_dot(normal, vector) >= 0 for normal in self._facet_normals)
@@ -398,10 +392,14 @@ def dual_cone(
     The pairing matrix has one row per coordinate of the dual side and one
     column per coordinate of the effective side; the result is the cone
     {x : <x, M g> >= 0 for every generator g}, described by its primitive
-    extremal rays. Raises ValueError when that dual contains a whole line
-    (non-pointed duals have no extremal-ray description).
+    extremal rays. Generator and matrix entries must be integers, not bool.
+    Raises ValueError when that dual contains a whole line (non-pointed
+    duals have no extremal-ray description). One elimination of [N^T | I],
+    N the normals M g, picks base normals B and leaves d (B^T)^-1, d the last
+    pivot; its row r times the sign of d is the start ray opposite B[r].
     """
     matrix = [tuple(row) for row in pairing_matrix]
+    _check_entries(matrix, "pairing matrix")
     if not matrix or not matrix[0]:
         raise ValueError("pairing matrix must be non-empty")
     m = len(matrix)
@@ -409,6 +407,7 @@ def dual_cone(
     if any(len(row) != width for row in matrix):
         raise ValueError("pairing matrix must be rectangular")
     gens = [tuple(g) for g in effective_generators]
+    _check_entries(gens, "generator")
     if not gens:
         raise ValueError("need at least one effective generator")
     for g in gens:
@@ -420,18 +419,17 @@ def dual_cone(
     normals = list(dict.fromkeys(normal for normal in normals if any(normal)))
     if not normals:
         raise ValueError("every generator pairs to zero; the dual is all of space")
-    # pivot columns of the transposed normals: the first independent normals
-    base = _echelon(list(zip(*normals)), len(normals))[1]
+    k = len(normals)
+    mat, base = _echelon([col + unit for col, unit in zip(zip(*normals), _identity(m))], k)
     if len(base) < m:
         raise ValueError("dual cone contains a linear subspace")
+    sign = 1 if mat[0][base[0]] > 0 else -1
     # Each ray is kept with the bitmask of the processed normals tight at it.
     rays: list[tuple[tuple[int, ...], int]] = []
     base_mask = sum(1 << j for j in base)
-    for j in base:
-        ray = _kernel_line([normals[i] for i in base if i != j], m)
-        if _dot(normals[j], ray) < 0:
-            ray = tuple(-x for x in ray)
-        rays.append((ray, base_mask & ~(1 << j)))
+    for j, row in zip(base, mat):
+        g = sign * gcd(*row[k:])
+        rays.append((tuple(x // g for x in row[k:]), base_mask & ~(1 << j)))
     for j, a in enumerate(normals):
         if j in base:
             continue

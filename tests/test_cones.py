@@ -31,7 +31,6 @@ from nefkit.cones import (
     SchemaError,
     SchubertClass,
     _echelon,
-    _kernel_line,
     _rank,
     builtin_dataset,
     delpezzo5_cones,
@@ -368,6 +367,20 @@ def fraction_echelon(rows: list[list[int]], width: int) -> tuple[list[list[Fract
     return mat, pivots
 
 
+def kernel_line(rows: list[list[int]], width: int) -> tuple[int, ...] | None:
+    """Primitive spanning vector of the kernel, of either sign, if it is exactly
+    a line: the brute-force oracle's integer kernel, built over _echelon."""
+    mat, pivots = _echelon(rows, width)
+    if len(pivots) != width - 1:
+        return None
+    free = next(c for c in range(width) if c not in pivots)
+    vec = [0] * width
+    vec[free] = mat[0][pivots[0]] if pivots else 1
+    for row_index, col in enumerate(pivots):
+        vec[col] = -mat[row_index][free]
+    return primitive_of(tuple(vec))
+
+
 def fraction_kernel_line(rows: list[list[int]], width: int) -> tuple[int, ...] | None:
     mat, pivots = fraction_echelon(rows, width)
     if len(pivots) != width - 1:
@@ -400,7 +413,7 @@ def brute_force_dual_cone(effective_generators, pairing_matrix) -> tuple[tuple[i
         raise ValueError("dual cone contains a linear subspace")
     rays: set[tuple[int, ...]] = set()
     for subset in combinations(range(len(normals)), m - 1):
-        candidate = _kernel_line([normals[i] for i in subset], m)
+        candidate = kernel_line([normals[i] for i in subset], m)
         if candidate is None:
             continue
         for ray in (candidate, tuple(-x for x in candidate)):
@@ -437,7 +450,7 @@ def test_integer_elimination_matches_fraction_reference(width: int) -> None:
         assert pivots == ref_pivots
         assert mat == [[d * x for x in row] for row in ref]
         assert _rank(rows, width) == len(ref_pivots)
-        line = _kernel_line(rows, width)
+        line = kernel_line(rows, width)
         if len(ref_pivots) != width - 1:
             assert line is None
             continue
@@ -505,6 +518,30 @@ def test_dual_cone_two_dimensional_example() -> None:
     assert cone.is_full_dimensional
 
 
+def test_dual_cone_start_ray_signs() -> None:
+    # one normal (-2): the start ray is the row of d (B^T)^-1 = (1,) times
+    # the sign of the pivot d = -2
+    assert dual_cone([(-2,)], [(1,)]).generators == ((-1,),)
+    # normals (1,0) and (0,-1): the last pivot of [N^T | I] is negative, and
+    # both start rays flip with it
+    mat, base = _echelon([(1, 0, 1, 0), (0, -1, 0, 1)], 2)
+    assert base == [0, 1] and mat[0][0] == mat[1][1] == -1
+    cone = dual_cone([(1, 0), (0, 1)], [(1, 0), (0, -1)])
+    assert cone.generators == ((0, -1), (1, 0))
+
+
+def test_dual_cone_eliminates_once(monkeypatch) -> None:
+    calls = []
+    real_echelon = cones._echelon
+    monkeypatch.setattr(cones, "_echelon",
+                        lambda *args: calls.append(args) or real_echelon(*args))
+    cone = dual_cone([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1), (2, 1, -1)], identity(3))
+    assert cone.generators and len(calls) == 1
+    with pytest.raises(ValueError, match="^dual cone contains a linear subspace$"):
+        dual_cone([(1, 0, 0), (0, 1, 0)], identity(3))
+    assert len(calls) == 2
+
+
 def test_dual_cone_orthant_self_dual() -> None:
     for m in (1, 2, 3, 4):
         cone = dual_cone(identity(m), identity(m))
@@ -546,6 +583,38 @@ def test_dual_cone_input_validation() -> None:
         dual_cone([(0, 0)], identity(2))
     with pytest.raises(ValueError):
         dual_cone([(1, 0)], [[1, 0], [1]])
+
+
+@pytest.mark.parametrize("gens, matrix, message", [
+    ([(1.0, 0), (0, 1)], identity(2), "generator entry"),
+    ([(2, 1), (0.5, 1)], identity(2), "generator entry"),
+    ([(True, 0), (0, 1)], identity(2), "generator entry"),
+    ([(1, 0), (0, "1")], identity(2), "generator entry"),
+    ([(1, 0), (0, 1)], [(1.0, 0), (0, 1)], "pairing matrix entry"),
+    ([(1, 0), (0, 1)], [(1, 0), (0, True)], "pairing matrix entry"),
+], ids=["float", "float-later", "bool", "str", "float-matrix", "bool-matrix"])
+def test_dual_cone_rejects_non_integer_entries(gens, matrix, message) -> None:
+    with pytest.raises(ValueError, match=f"^{message} must be an integer$"):
+        dual_cone(gens, matrix)
+
+
+@pytest.mark.parametrize("vector", [(0.5, -0.2), (1, 0.0), (True, 0), (1, "0")])
+def test_contains_rejects_non_integer_entries(vector) -> None:
+    cone = dual_cone([(2, 1), (0, 1)], identity(2))
+    with pytest.raises(ValueError, match="^vector entry must be an integer$"):
+        cone.contains(vector)
+    # the check comes before any work, so a flat cone answers the same way
+    with pytest.raises(ValueError, match="^vector entry must be an integer$"):
+        RationalCone(2, ((1, 0),)).contains(vector)
+
+
+def test_dual_cone_takes_int_subclasses() -> None:
+    class Int(int):
+        pass
+
+    cone = dual_cone([(Int(2), 1), (0, 1)], [(Int(1), 0), (0, 1)])
+    assert cone == dual_cone([(2, 1), (0, 1)], identity(2))
+    assert cone.contains((Int(1), 0)) and not cone.contains((Int(-1), 0))
 
 
 def random_pointed_generators(rng: random.Random, m: int, count: int) -> list[tuple[int, ...]]:
