@@ -4,7 +4,9 @@ A dataset lists the effective cycle classes of a variety (label, two-part
 partition, codimension) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
-matrix, computed here exactly in integers.
+matrix, computed here exactly in integers. The nef-diagonal check of a dataset
+builds its verdict from a named step of the diagonal module's step table, as
+every verdict is built.
 
 The dual-cone routine is Motzkin's incremental double description (Motzkin,
 Raiffa, Thompson and Thrall, 1953): one fraction-free elimination of the
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .chern import _check_int
-from .diagonal import Reason, Status, Verdict
+from .diagonal import _NEGATIVE_PAIRING, _NON_NEGATIVE_PAIRINGS, Verdict, _verdict
 from .exactnum import _Frozen
 
 __all__ = [
@@ -323,15 +325,17 @@ class RationalCone(_Frozen):
     Generators are primitive integer vectors, sorted lexicographically; their
     orientation comes from the pairing convention and is never flipped. A
     cone may legitimately fail to be full-dimensional (for instance the dual
-    of a non-pointed effective cone); is_full_dimensional reports that.
+    of a non-pointed effective cone); is_full_dimensional reports that. The
+    ambient dimension and every generator entry must be integers, not bool.
     """
 
     _fields = ("ambient_dimension", "generators", "basis_labels")
 
     def __init__(self, ambient_dimension: int, generators: tuple[tuple[int, ...], ...],
                  basis_labels: tuple[str, ...] | None = None) -> None:
-        if ambient_dimension < 1:
+        if _check_int(ambient_dimension, "ambient dimension") < 1:
             raise ValueError("ambient dimension must be >= 1")
+        _check_entries(generators, "generator")
         for g in generators:
             if len(g) != ambient_dimension:
                 raise ValueError("generator length must match the ambient dimension")
@@ -466,6 +470,7 @@ def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     complementary effective (orbit-closure) classes is non-negative. The
     first negative pair in dataset order is returned as the witness; a
     missing required pairing, or no complementary pair, raises MissingPairing.
+    Both verdicts come from the pairing steps of the diagonal step table.
     """
     pairs = tuple(ds.complementary_pairs())
     if not pairs:
@@ -474,18 +479,8 @@ def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     for a, b in pairs:
         value = ds.pairing_value(a.label, b.label)
         if value < 0:
-            return Verdict(
-                Status.NOT_NEF,
-                Reason.NEGATIVE_EFFECTIVE_PAIR,
-                f"effective classes {a.label} and {b.label} pair to {value}",
-                {"classes": [a.label, b.label], "value": value},
-            )
-    return Verdict(
-        Status.NEF,
-        Reason.NON_NEGATIVE_PAIRINGS,
-        "every complementary pairing of effective classes is non-negative,"
-        " which certifies a nef diagonal on a spherical variety",
-    )
+            return _verdict(_NEGATIVE_PAIRING, classes=[a.label, b.label], value=value)
+    return _verdict(_NON_NEGATIVE_PAIRINGS)
 
 
 def _identity(m: int) -> list[tuple[int, ...]]:

@@ -3,13 +3,16 @@
 A verdict is three-valued: the diagonal class of a variety is certified
 not nef (with a numeric or named witness), certified nef (with a structural
 reason), or the question is open. Every verdict is a _Step, and _verdict
-alone builds Verdicts from steps. One chain applies the criteria in a fixed
-priority order (positive structural families, the exception steps for the
-cubic surface, the K3 surface of three quadrics and the even-dimensional
-intersections of two quadrics, the sign of the diagonal self-intersection,
-the projection degree bound) and names the step that fired with its
-numbers. verdict_ci builds its Verdict once, from that step; scan_ci counts
-the step's status under the same witness checks and builds no Verdict.
+alone builds Verdicts from steps and the numbers their callers pass. One
+chain applies the criteria in a fixed priority order (positive structural
+families, the exception steps for the cubic surface, the K3 surface of three
+quadrics and the even-dimensional intersections of two quadrics, the sign of
+the diagonal self-intersection, the projection degree bound) and names the
+step that fired with its numbers. verdict_ci builds its Verdict once, from
+that step; scan_ci counts the step's status under the same witness checks
+and builds no Verdict. The del Pezzo rows hold their own steps, and the two
+pairing steps (a negative pair of effective classes, or every pairing
+non-negative) decide cones.spherical_nef_diagonal_check on a dataset.
 
 The module also hosts the del Pezzo classification table, whose rows decide
 every del Pezzo verdict, dimension range and nef-and-big answer, the
@@ -203,7 +206,7 @@ def verdict_curve(genus: int) -> Verdict:
     """Nef-diagonal verdict for a smooth projective curve of the given genus."""
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
         raise ValueError("genus must be a non-negative integer")
-    return _verdict(_CURVES.get(genus, _CURVE), 2 - 2 * genus)
+    return _verdict(_CURVES.get(genus, _CURVE), chi=2 - 2 * genus, genus=genus)
 
 
 def verdict_ci(ci: CIType) -> Verdict:
@@ -219,21 +222,19 @@ def verdict_ci(ci: CIType) -> Verdict:
         raise ValueError("verdict_ci needs dimension >= 1")
     product = ci.degree_product
     step, chi, bound = _chain(ci.degrees, ci.dimension, lambda _: euler_ci_formula(ci), product)
-    return _verdict(step, chi, bound, product)
+    genus = None if chi is None else 1 - chi // 2
+    return _verdict(step, chi=chi, bound=bound, cover_degree=product, genus=genus)
 
 
-def _verdict(step: _Step, chi: int | None = None, bound: int | None = None,
-             cover_degree: int | None = None) -> Verdict:
-    """The Verdict of a step and its numbers (a curve's genus is 1 - chi/2),
-    which fill its detail through _number. A fixed step's lists are copied,
-    so no caller can edit the table."""
-    if not step.numbers:
-        witness = {key: list(value) if isinstance(value, list) else value
-                   for key, value in step.witness.items()}
-        return Verdict(step.status, step.reason, step.detail, witness)
-    numbers = {"chi": chi, "bound": bound, "cover_degree": cover_degree, "genus": 1 - chi // 2}
-    witness = {key: numbers[key] for key in step.numbers}
-    detail = step.detail.format_map({key: _number(value) for key, value in witness.items()})
+def _verdict(step: _Step, **values: object) -> Verdict:
+    """The Verdict of a step: its fixed witness, with lists copied so no
+    caller can edit the table, plus the values it names in numbers; its
+    detail is its template over the values, every int through _number."""
+    witness = {key: list(value) if isinstance(value, list) else value
+               for key, value in step.witness.items()}
+    witness.update((key, values[key]) for key in step.numbers)
+    detail = step.detail.format_map({key: _number(value) if isinstance(value, int) else value
+                                     for key, value in values.items()})
     return Verdict(step.status, step.reason, detail, witness)
 
 
@@ -283,6 +284,14 @@ _BOUND = _Step("projection bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
 _UNCLASSIFIED = _Step("unclassified", Status.OPEN, Reason.OPEN_QUESTION,
                       "no implemented criterion decides this type",
                       {"reference": UNCLASSIFIED_REFERENCE})
+# The verdicts of cones.spherical_nef_diagonal_check on a pairing dataset.
+_NEGATIVE_PAIRING = _Step("pairing", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+                          "effective classes {classes[0]} and {classes[1]} pair to {value}",
+                          numbers=("classes", "value"))
+_NON_NEGATIVE_PAIRINGS = _Step(
+    "pairing", Status.NEF, Reason.NON_NEGATIVE_PAIRINGS,
+    "every complementary pairing of effective classes is non-negative,"
+    " which certifies a nef diagonal on a spherical variety")
 
 
 def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
@@ -412,16 +421,12 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
         raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
                               f" manifold of dimension {n}")
     if row.cover:
-        chi = euler_delpezzo_closed(n, degree)
-        if n % 2 == 1:
-            return _verdict(_SIGN, chi)
         cover = row.cover(n)
-        return _verdict(_COVER_BOUND, chi, (n + 1) * cover, cover)
+        return _verdict(_SIGN if n % 2 else _COVER_BOUND, chi=euler_delpezzo_closed(n, degree),
+                        bound=(n + 1) * cover, cover_degree=cover)
     if row.ci_degrees:
         return verdict_ci(CIType(row.ci_degrees, n))
-    step = row.steps[n]
-    label = f" ({variant})" if variant else ""
-    return _verdict(step._replace(detail=step.detail.format(variant=label)))
+    return _verdict(row.steps[n], variant=f" ({variant})" if variant else "")
 
 
 def nef_big_filter(kind: str, params: object) -> bool:
@@ -451,29 +456,9 @@ def nef_big_filter(kind: str, params: object) -> bool:
 # Poincare polynomial obstruction to P^1-fibrations
 
 
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_mod(p: list[int], divisor: list[int]) -> list[int]:
-    """Remainder of p modulo a divisor with leading coefficient 1."""
-    assert divisor[-1] == 1
-    rem = list(p)
-    dd = len(divisor) - 1
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k]
-        if c:
-            for j in range(dd + 1):
-                rem[k - dd + j] -= c * divisor[j]
-    rem = rem[:dd]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return rem
+def _at_i(p: list[int]) -> tuple[int, int]:
+    """p(i) as (real part, imaginary part), for integer coefficients p[k] of t^k."""
+    return sum(p[0::4]) - sum(p[2::4]), sum(p[1::4]) - sum(p[3::4])
 
 
 class FibrationObstruction(_Frozen):
@@ -507,19 +492,21 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
     quadrics; in the degenerate case n = 1 that is four points, so the fiber
     polynomial is the constant 4. The product of the two signed Poincare
     polynomials is reduced modulo 1 + t^2 and the remainder is certified
-    nonzero.
+    nonzero. The remainder of p is a + b*t where a + b*i = p(i), so it is the
+    product of the two values at t = i, with a zero t coefficient dropped.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     p_total = poincare_polynomial_ci(CIType((2, 2), 2 * n + 1))
     p_fiber = [4] if n == 1 else poincare_polynomial_ci(CIType((2, 2), 2 * (n - 1)))
-    remainder = _poly_mod(_poly_mul(p_total, p_fiber), [1, 0, 1])
+    (a, b), (c, d) = _at_i(p_total), _at_i(p_fiber)
+    real, imaginary = a * c - b * d, a * d + b * c
     report = FibrationObstruction(
         n=n,
         total_dimension=2 * n + 1,
         p_total=tuple(p_total),
         p_fiber=tuple(p_fiber),
-        remainder=tuple(remainder),
+        remainder=(real, imaginary) if imaginary else (real,),
     )
     assert report.nonzero, "the fibration obstruction must not vanish"
     return report

@@ -67,6 +67,9 @@ SUBCOMMANDS = [
       for name, dimension in (("gw2c5", 5), ("g2c5", 6)) for codim in range(dimension + 1)),
     ["cone", "check", "--dataset", "gw2c5"],
     ["cone", "check", "--dataset", "g2c5"],
+    # a negative pairing past 14,000 bits: the detail gives its sign and bit
+    # length, the witness all 4,250 digits
+    ["cone", "check", "--dataset", "tests/golden/huge_pairing.json"],
     ["scan", "ci"],
     ["scan", "ci", "--max-dim", "6", "--max-degree", "4", "--max-r", "2",
      "--quadrics-max-r", "3"],

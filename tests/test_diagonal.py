@@ -7,15 +7,20 @@ covering degrees from the anticanonical double/2^n covers).
 
 from __future__ import annotations
 
+import ast
 import math
+import re
+import string
 import sys
 import time
 import weakref
 from collections import Counter
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import nefkit
 from nefkit import chern, diagonal
 from nefkit.chern import (
     CIType,
@@ -101,19 +106,59 @@ def test_verdicts_do_not_share_witness_lists():
     assert verdict_delpezzo(4, 5).witness["classes"] == ["sigma(3,1)", "sigma(2,2)"]
 
 
-def test_every_fixed_step_builds_its_verdict():
+def module_steps():
+    """Every _Step of the diagonal module outside the del Pezzo table: at
+    module level or as a value of a module-level dict."""
     steps = [value for value in vars(diagonal).values() if isinstance(value, diagonal._Step)]
     steps += [step for value in vars(diagonal).values() if isinstance(value, dict)
               for step in value.values() if isinstance(step, diagonal._Step)]
-    steps += [step for row in DELPEZZO_TABLE for step in row.steps.values()]
-    fixed = [step for step in steps if not step.numbers]
+    return steps
+
+
+def row_steps():
+    return [step for row in DELPEZZO_TABLE for step in row.steps.values()]
+
+
+def test_every_fixed_step_builds_its_verdict():
+    fixed = [step for step in module_steps() + row_steps() if not step.numbers]
     assert diagonal._UNCLASSIFIED in fixed
     assert {step.name for step in fixed} >= {"curve", "del Pezzo", "open (2,2)",
                                               "exception table"}
     for step in fixed:
-        verdict = diagonal._verdict(step)
-        assert (verdict.status, verdict.reason, verdict.detail) == step[1:4], step.name
+        # a del Pezzo row step may echo its variant label, which is empty when none is given
+        verdict = diagonal._verdict(step, variant="")
+        assert (verdict.status, verdict.reason) == step[1:3], step.name
+        assert verdict.detail == step.detail.format(variant=""), step.name
         assert verdict.witness == step.witness, step.name
+
+
+def test_only_verdict_builds_verdicts():
+    calls = []
+    for path in sorted(Path(nefkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "Verdict" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                calls.append((path.stem, getattr(scope, "name", None)))
+    assert calls == [("diagonal", "_verdict")]
+
+
+def template_fields(detail: str) -> set[str]:
+    """The root names of the replacement fields of a detail template."""
+    return {re.split(r"[.\[]", field)[0]
+            for _, field, _, _ in string.Formatter().parse(detail) if field is not None}
+
+
+def test_step_templates_name_only_their_numbers():
+    for steps, extra in ((module_steps(), set()), (row_steps(), {"variant"})):
+        for step in steps:
+            assert template_fields(step.detail) <= set(step.numbers) | extra, step
+    assert template_fields(diagonal._NEGATIVE_PAIRING.detail) == {"classes", "value"}
+    assert template_fields(DELPEZZO_TABLE[5].steps[3].detail) == {"variant"}
 
 
 # ---------------------------------------------------------------------------

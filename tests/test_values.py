@@ -251,6 +251,10 @@ SURFACE = (SchubertClass("p", (0, 0), 0), SchubertClass("l", (1, 0), 1),
      "BirationalContraction must name the contraction"),
     (lambda: Verdict(Status.OPEN, Reason.OPEN_QUESTION, "d", {"reference": ""}), ValueError,
      "Open verdicts must carry a reference id"),
+    (lambda: RationalCone(True, ((1,),)), ValueError, "ambient dimension must be an integer"),
+    (lambda: RationalCone(2, ((0.5, 1.0), (1, 0))), ValueError,
+     "generator entry must be an integer"),
+    (lambda: RationalCone(2, ((0, True),)), ValueError, "generator entry must be an integer"),
 ])
 def test_validation_messages(make, error, message) -> None:
     with pytest.raises(error) as caught:
