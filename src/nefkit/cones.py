@@ -14,7 +14,10 @@ normals beside the identity, [N^T | I], picks m independent normals B and, as
 d (B^T)^-1, the rays of their simplicial cone, cut then by each other normal.
 Two rays on opposite sides of its hyperplane give a new ray exactly when they
 are adjacent, tested combinatorially from the sets of inequalities tight at
-each ray (Fukuda and Prodon, "Double description method revisited", 1996).
+each ray (Fukuda and Prodon, "Double description method revisited", 1996):
+no third ray is tight on all the inequalities the two share, a scan that
+stops at the first such ray. A dual cone keeps the normals that cut it out,
+so its membership test needs no second double description.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class SchubertClass(_Frozen):
 
     Partitions are weakly decreasing and non-negative, except that the second
     part may be exactly -1 (the extra orbit-closure class of odd symplectic
-    Grassmannians). The codimension always equals the partition weight.
+    Grassmannians). The codimension always equals the partition weight; it
+    and both parts of the partition tuple are integers, not bool.
     """
 
     _fields = ("label", "partition", "codim")
@@ -82,7 +86,11 @@ class SchubertClass(_Frozen):
     def __init__(self, label: str, partition: tuple[int, int], codim: int) -> None:
         if not label or not isinstance(label, str):
             raise InvalidPartition("classes need a non-empty string label")
-        a, b = partition
+        if not isinstance(partition, tuple) or len(partition) != 2:
+            raise InvalidPartition(f"{label}: partition must be a tuple of two parts")
+        a, b = (_check_int(part, f"{label}: partition part", InvalidPartition)
+                for part in partition)
+        _check_int(codim, f"{label}: codim", InvalidPartition)
         if b == -1:
             if a < 1:
                 raise InvalidPartition(f"{label}: negative tail needs first part >= 1")
@@ -99,7 +107,8 @@ class CycleDataset(_Frozen):
     """Named classes plus intersection numbers in complementary codimension.
 
     Pairings are stored symmetrically under a sorted label key; class order
-    follows the document and fixes the coordinate bases downstream.
+    follows the document and fixes the coordinate bases downstream. The
+    dimension is an integer, not bool; the classes are a tuple.
     """
 
     _fields = ("variety", "dimension", "classes", "pairings")
@@ -107,8 +116,12 @@ class CycleDataset(_Frozen):
     def __init__(self, variety: str, dimension: int, classes: tuple[SchubertClass, ...],
                  pairings: Mapping[tuple[str, str], int] | None = None) -> None:
         pairings = {} if pairings is None else pairings
-        if dimension < 0:
+        if _check_int(dimension, "dimension", SchemaError) < 0:
             raise SchemaError("dimension must be >= 0")
+        if not isinstance(classes, tuple) or not all(
+            isinstance(c, SchubertClass) for c in classes
+        ):
+            raise SchemaError("classes must be a tuple of SchubertClass")
         if not classes:
             raise SchemaError("a dataset needs at least one class")
         labels = [c.label for c in classes]
@@ -326,7 +339,8 @@ class RationalCone(_Frozen):
     orientation comes from the pairing convention and is never flipped. A
     cone may legitimately fail to be full-dimensional (for instance the dual
     of a non-pointed effective cone); is_full_dimensional reports that. The
-    ambient dimension and every generator entry must be integers, not bool.
+    ambient dimension and every generator entry must be integers, not bool,
+    and the generators a tuple of tuples.
     """
 
     _fields = ("ambient_dimension", "generators", "basis_labels")
@@ -335,6 +349,8 @@ class RationalCone(_Frozen):
                  basis_labels: tuple[str, ...] | None = None) -> None:
         if _check_int(ambient_dimension, "ambient dimension") < 1:
             raise ValueError("ambient dimension must be >= 1")
+        if not isinstance(generators, tuple) or not all(isinstance(g, tuple) for g in generators):
+            raise ValueError("generators must be a tuple of tuples")
         _check_entries(generators, "generator")
         for g in generators:
             if len(g) != ambient_dimension:
@@ -355,10 +371,14 @@ class RationalCone(_Frozen):
 
     @cached_property
     def _facet_normals(self) -> tuple[tuple[int, ...], ...]:
+        """Normals n that cut the cone out as {x : <n, x> >= 0 for every n}:
+        the irredundant facets of a cone built from generators, found by one
+        dual_cone; a dual cone's own normals, maybe redundant, set by dual_cone."""
         return dual_cone(self.generators, _identity(self.ambient_dimension)).generators
 
     def contains(self, vector: Sequence[int]) -> bool:
-        """Exact membership test of an integer vector, for full-dimensional cones."""
+        """Exact membership test of an integer vector, for full-dimensional
+        cones, against the normals that cut the cone out (_facet_normals)."""
         if len(vector) != self.ambient_dimension:
             raise ValueError("vector length must match the ambient dimension")
         _check_entries((vector,), "vector")
@@ -400,7 +420,11 @@ def dual_cone(
     Raises ValueError when that dual contains a whole line (non-pointed
     duals have no extremal-ray description). One elimination of [N^T | I],
     N the normals M g, picks base normals B and leaves d (B^T)^-1, d the last
-    pivot; its row r times the sign of d is the start ray opposite B[r].
+    pivot; its row r times the sign of d is the start ray opposite B[r]. Each
+    other normal then cuts the rays in one pass; a positive and a negative
+    ray are adjacent unless a third ray is tight on every normal tight at
+    both, and the scan for it stops at the first. The result keeps the
+    distinct nonzero normals as the inequalities that contains tests.
     """
     matrix = [tuple(row) for row in pairing_matrix]
     _check_entries(matrix, "pairing matrix")
@@ -419,7 +443,7 @@ def dual_cone(
             raise ValueError("generator length must match the pairing matrix columns")
         if not any(g):
             raise ValueError("effective generators must be nonzero")
-    normals = [tuple(_dot(row, g) for row in matrix) for g in gens]
+    normals = [tuple([_dot(row, g) for row in matrix]) for g in gens]
     normals = list(dict.fromkeys(normal for normal in normals if any(normal)))
     if not normals:
         raise ValueError("every generator pairs to zero; the dual is all of space")
@@ -433,30 +457,44 @@ def dual_cone(
     base_mask = sum(1 << j for j in base)
     for j, row in zip(base, mat):
         g = sign * gcd(*row[k:])
-        rays.append((tuple(x // g for x in row[k:]), base_mask & ~(1 << j)))
+        rays.append((tuple([x // g for x in row[k:]]), base_mask & ~(1 << j)))
     for j, a in enumerate(normals):
         if j in base:
             continue
         bit = 1 << j
-        side = [_dot(a, ray) for ray, _ in rays]
-        masks = [mask for _, mask in rays]
-        kept = [(ray, mask | bit if dot == 0 else mask)
-                for (ray, mask), dot in zip(rays, side) if dot >= 0]
-        positive = [(p, mask, dot) for (p, mask), dot in zip(rays, side) if dot > 0]
-        negative = [(n, mask, dot) for (n, mask), dot in zip(rays, side) if dot < 0]
+        kept, positive, negative, masks = [], [], [], []
+        for ray, mask in rays:
+            dot = _dot(a, ray)
+            masks.append(mask)
+            if dot > 0:
+                kept.append((ray, mask))
+                positive.append((ray, mask, dot))
+            elif dot < 0:
+                negative.append((ray, mask, dot))
+            else:
+                kept.append((ray, mask | bit))
         for p, p_mask, ap in positive:
             for n, n_mask, an in negative:
-                # adjacent: no ray besides p and n is tight on all of common
                 common = p_mask & n_mask
-                if common.bit_count() < m - 2 or sum(
-                    mask & common == common for mask in masks
-                ) > 2:
+                if common.bit_count() < m - 2:
                     continue
-                ray = [ap * y - an * x for x, y in zip(p, n)]
-                g = gcd(*ray)
-                kept.append((tuple(x // g for x in ray), common | bit))
+                # adjacent: p and n are tight on all of common, and no third ray is
+                tight = 0
+                for mask in masks:
+                    if mask & common == common:
+                        tight += 1
+                        if tight == 3:
+                            break
+                else:
+                    ray = [ap * y - an * x for x, y in zip(p, n)]
+                    g = gcd(*ray)
+                    kept.append((tuple(ray) if g == 1 else tuple([x // g for x in ray]),
+                                 common | bit))
         rays = kept
-    return RationalCone(m, tuple(sorted(ray for ray, _ in rays)), basis_labels)
+    cone = RationalCone(m, tuple(sorted(ray for ray, _ in rays)), basis_labels)
+    # the cached-property slot that contains reads, filled as cached_property would
+    vars(cone)["_facet_normals"] = tuple(normals)
+    return cone
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,57 @@ def test_contains_builds_facets_once(monkeypatch) -> None:
     assert cone == fresh and hash(cone) == hash(fresh) and repr(cone) == repr(fresh)
 
 
+def test_dual_cone_membership_runs_no_second_dual(monkeypatch) -> None:
+    builds = []
+    real_dual_cone, real_rank = cones.dual_cone, cones._rank
+    monkeypatch.setattr(
+        cones, "dual_cone", lambda *args: builds.append("dual_cone") or real_dual_cone(*args)
+    )
+    monkeypatch.setattr(cones, "_rank", lambda *args: builds.append("_rank") or real_rank(*args))
+    cone = cones.dual_cone([(2, 1), (0, 1), (4, 2)], identity(2))
+    assert cone.contains((1, 0)) and not cone.contains((-1, 0))
+    assert cone.is_full_dimensional
+    assert builds == ["dual_cone", "_rank"]
+    # the kept normals are not part of the value either
+    fresh = RationalCone(2, cone.generators)
+    assert cone == fresh and hash(cone) == hash(fresh) and repr(cone) == repr(fresh)
+
+
+def test_dual_cone_normals_answer_as_its_facets() -> None:
+    # contains on a dual cone tests the normals it was cut by; a cone with the
+    # same generators takes its facets from a second dual_cone instead
+    rng = random.Random(1953)
+    duals = []
+    for m in range(1, 7):
+        for _ in range(40):
+            gens = random_pointed_generators(rng, m, rng.randint(m, m + 3))
+            gens += [rng.choice(gens) for _ in range(2)]  # repeated
+            gens.append(tuple(3 * x for x in rng.choice(gens)))  # scaled
+            gens.append(tuple(map(sum, zip(*rng.sample(gens, 2)))))  # redundant
+            matrix = identity(m)
+            if rng.random() < 0.5:
+                matrix = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+            try:
+                duals.append(dual_cone(gens, matrix))
+            except ValueError:
+                pass
+    for name in ("gw2c5", "g2c5"):
+        ds = builtin_dataset(name)
+        duals += [cones.nef_cone_of_codim(ds, codim) for codim in range(ds.dimension + 1)]
+    duals = [cone for cone in duals if cone.is_full_dimensional]
+    assert len(duals) > 200
+    for cone in duals:
+        m, rays = cone.ambient_dimension, cone.generators
+        # 0, each ray, sums of two rays, their negatives and random vectors
+        probes = [(0,) * m, *rays]
+        probes += [tuple(map(sum, zip(r, s))) for r, s in combinations(rays, 2)]
+        probes += [tuple(-x for x in v) for v in probes]
+        probes += [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(8)]
+        facets = RationalCone(m, rays)
+        for v in probes:
+            assert cone.contains(v) == facets.contains(v), (cone, v)
+
+
 def test_rational_cone_validation_and_membership() -> None:
     with pytest.raises(ValueError):
         RationalCone(2, ((1, 0), (0, 1)))  # unsorted

@@ -255,6 +255,20 @@ SURFACE = (SchubertClass("p", (0, 0), 0), SchubertClass("l", (1, 0), 1),
     (lambda: RationalCone(2, ((0.5, 1.0), (1, 0))), ValueError,
      "generator entry must be an integer"),
     (lambda: RationalCone(2, ((0, True),)), ValueError, "generator entry must be an integer"),
+    (lambda: SchubertClass("a", (1.0, 0), 1), InvalidPartition,
+     "a: partition part must be an integer"),
+    (lambda: SchubertClass("a", (1, 0), True), InvalidPartition, "a: codim must be an integer"),
+    (lambda: SchubertClass("a", (1, 0, 0), 1), InvalidPartition,
+     "a: partition must be a tuple of two parts"),
+    (lambda: SchubertClass("a", [1, 0], 1), InvalidPartition,
+     "a: partition must be a tuple of two parts"),
+    (lambda: CycleDataset("X", "3", SURFACE), SchemaError, "dimension must be an integer"),
+    (lambda: CycleDataset("X", 2, list(SURFACE)), SchemaError,
+     "classes must be a tuple of SchubertClass"),
+    (lambda: RationalCone(2, [(0, 1), (1, 0)]), ValueError,
+     "generators must be a tuple of tuples"),
+    (lambda: RationalCone(2, ((0, 1), [1, 0])), ValueError,
+     "generators must be a tuple of tuples"),
 ])
 def test_validation_messages(make, error, message) -> None:
     with pytest.raises(error) as caught:
