@@ -296,6 +296,25 @@ def test_missing_pairing_lookups() -> None:
         ds.class_by_label("ghost")
 
 
+@pytest.mark.parametrize(("codim", "message"), [
+    (2, "no pairing recorded for (tau(3,-1), tau(2,1))"),
+    (3, "no pairing recorded for (tau(2,1), tau(3,-1))"),
+    (1, "no pairing recorded for (h, h)"),
+])
+def test_nef_cone_names_the_missing_pairing(codim: int, message: str) -> None:
+    # the message names the first missing entry of the pairing matrix, row
+    # class first, in the order nef_cone_of_codim fills the matrix
+    if codim == 1:
+        doc = make_doc(pairings=[{"a": "one", "b": "pt", "value": 1}])
+    else:
+        doc = json.loads(resources.files("nefkit").joinpath("data/gw2c5.json").read_text())
+        doc["pairings"] = [p for p in doc["pairings"]
+                           if {p["a"], p["b"]} != {"tau(3,-1)", "tau(2,1)"}]
+    with pytest.raises(MissingPairing) as caught:
+        cones.nef_cone_of_codim(load_dataset(json.dumps(doc)), codim)
+    assert str(caught.value) == message
+
+
 def test_complementary_pair_order() -> None:
     ds = builtin_dataset("g2c5")
     labels = [(a.label, b.label) for a, b in ds.complementary_pairs()]
