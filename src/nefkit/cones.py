@@ -16,14 +16,17 @@ Two rays on opposite sides of its hyperplane give a new ray exactly when they
 are adjacent, tested combinatorially from the sets of inequalities tight at
 each ray (Fukuda and Prodon, "Double description method revisited", 1996):
 no third ray is tight on all the inequalities the two share, a scan that
-stops at the first such ray. A dual cone keeps the normals that cut it out,
-so its membership test needs no second double description.
+stops at the first such ray. When either ray is tight on exactly m - 1
+inequalities, which are then independent, the at least m - 2 that the two
+share cut out a 2-dimensional face whose only rays are the two, so that
+count decides the pair without the scan. A dual cone keeps the normals that
+cut it out, so its membership test needs no second double description.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from math import gcd
 from operator import mul
@@ -108,14 +111,19 @@ class CycleDataset(_Frozen):
 
     Pairings are stored symmetrically under a sorted label key; class order
     follows the document and fixes the coordinate bases downstream. The
-    dimension is an integer, not bool; the classes are a tuple.
+    variety is a non-empty string, the dimension an integer, not bool, the
+    classes a tuple and the pairings a mapping.
     """
 
     _fields = ("variety", "dimension", "classes", "pairings")
 
     def __init__(self, variety: str, dimension: int, classes: tuple[SchubertClass, ...],
                  pairings: Mapping[tuple[str, str], int] | None = None) -> None:
+        if not isinstance(variety, str) or not variety:
+            raise SchemaError("variety must be a non-empty string")
         pairings = {} if pairings is None else pairings
+        if not isinstance(pairings, Mapping):
+            raise SchemaError("pairings must be a mapping")
         if _check_int(dimension, "dimension", SchemaError) < 0:
             raise SchemaError("dimension must be >= 0")
         if not isinstance(classes, tuple) or not all(
@@ -287,10 +295,6 @@ def tau_top_pairing(n: int, a: int, b: int) -> int:
 # Exact linear algebra over small integer matrices
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
 def _check_entries(vectors: Sequence[Sequence[int]], name: str) -> None:
     for vector in vectors:
         for x in vector:
@@ -303,22 +307,36 @@ def _echelon(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]]
 
     Each update (p*x - f*y) // prev, with prev the previous pivot, is exact
     because every entry is a minor of the input. Every pivot entry ends equal
-    to the last pivot d, so matrix / d is the reduced row echelon form.
+    to the last pivot d, so matrix / d is the reduced row echelon form. A row
+    with f = 0 is only rescaled by p / prev, and left as it is when p = prev;
+    while prev is 1 nothing is divided. The scan stops once every row holds a
+    pivot.
     """
     mat = [list(row) for row in rows]
     pivots: list[int] = []
     prev = 1
     for col in range(width):
         rank = len(pivots)
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
+        if rank == len(mat):
+            break
+        for pivot_row in range(rank, len(mat)):
+            if mat[pivot_row][col]:
+                break
+        else:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        p = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank:
-                f = mat[i][col]
-                mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i == rank or (f == 0 and p == prev):
+                continue
+            if prev == 1:
+                mat[i] = [p * x - f * y for x, y in zip(row, top)] if f else [p * x for x in row]
+            elif f:
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            else:
+                mat[i] = [p * x // prev for x in row]
         prev = p
         pivots.append(col)
     return mat, pivots
@@ -340,7 +358,8 @@ class RationalCone(_Frozen):
     cone may legitimately fail to be full-dimensional (for instance the dual
     of a non-pointed effective cone); is_full_dimensional reports that. The
     ambient dimension and every generator entry must be integers, not bool,
-    and the generators a tuple of tuples.
+    the generators a tuple of tuples, and the basis labels, if given, a
+    tuple of strings.
     """
 
     _fields = ("ambient_dimension", "generators", "basis_labels")
@@ -359,8 +378,13 @@ class RationalCone(_Frozen):
                 raise ValueError("generators must be nonzero")
         if generators != tuple(sorted(generators)):
             raise ValueError("generators must be sorted")
-        if basis_labels is not None and len(basis_labels) != ambient_dimension:
-            raise ValueError("need one basis label per coordinate")
+        if basis_labels is not None:
+            if not isinstance(basis_labels, tuple) or not all(
+                isinstance(label, str) for label in basis_labels
+            ):
+                raise ValueError("basis labels must be a tuple of strings")
+            if len(basis_labels) != ambient_dimension:
+                raise ValueError("need one basis label per coordinate")
         object.__setattr__(self, "ambient_dimension", ambient_dimension)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "basis_labels", basis_labels)
@@ -384,7 +408,7 @@ class RationalCone(_Frozen):
         _check_entries((vector,), "vector")
         if not self.is_full_dimensional:
             raise ValueError("membership test needs a full-dimensional cone")
-        return all(_dot(normal, vector) >= 0 for normal in self._facet_normals)
+        return all(sum(map(mul, normal, vector)) >= 0 for normal in self._facet_normals)
 
     def generator_expressions(self) -> list[str]:
         """Generators written in the labeled class basis, e.g. "a + 2*b"."""
@@ -422,9 +446,11 @@ def dual_cone(
     N the normals M g, picks base normals B and leaves d (B^T)^-1, d the last
     pivot; its row r times the sign of d is the start ray opposite B[r]. Each
     other normal then cuts the rays in one pass; a positive and a negative
-    ray are adjacent unless a third ray is tight on every normal tight at
-    both, and the scan for it stops at the first. The result keeps the
-    distinct nonzero normals as the inequalities that contains tests.
+    ray sharing at least m - 2 tight normals are adjacent when either is
+    tight on exactly m - 1, and otherwise unless a third ray is tight on
+    every normal tight at both, a scan that stops at the first. The result
+    keeps the distinct nonzero normals as the inequalities that contains
+    tests.
     """
     matrix = [tuple(row) for row in pairing_matrix]
     _check_entries(matrix, "pairing matrix")
@@ -443,7 +469,7 @@ def dual_cone(
             raise ValueError("generator length must match the pairing matrix columns")
         if not any(g):
             raise ValueError("effective generators must be nonzero")
-    normals = [tuple([_dot(row, g) for row in matrix]) for g in gens]
+    normals = [tuple([sum(map(mul, row, g)) for row in matrix]) for g in gens]
     normals = list(dict.fromkeys(normal for normal in normals if any(normal)))
     if not normals:
         raise ValueError("every generator pairs to zero; the dual is all of space")
@@ -464,32 +490,35 @@ def dual_cone(
         bit = 1 << j
         kept, positive, negative, masks = [], [], [], []
         for ray, mask in rays:
-            dot = _dot(a, ray)
+            dot = sum(map(mul, a, ray))
             masks.append(mask)
             if dot > 0:
                 kept.append((ray, mask))
-                positive.append((ray, mask, dot))
+                positive.append((ray, mask, dot, mask.bit_count() == m - 1))
             elif dot < 0:
-                negative.append((ray, mask, dot))
+                negative.append((ray, mask, dot, mask.bit_count() == m - 1))
             else:
                 kept.append((ray, mask | bit))
-        for p, p_mask, ap in positive:
-            for n, n_mask, an in negative:
+        for p, p_mask, ap, p_simple in positive:
+            for n, n_mask, an, n_simple in negative:
                 common = p_mask & n_mask
                 if common.bit_count() < m - 2:
                     continue
-                # adjacent: p and n are tight on all of common, and no third ray is
-                tight = 0
-                for mask in masks:
-                    if mask & common == common:
-                        tight += 1
-                        if tight == 3:
-                            break
-                else:
-                    ray = [ap * y - an * x for x, y in zip(p, n)]
-                    g = gcd(*ray)
-                    kept.append((tuple(ray) if g == 1 else tuple([x // g for x in ray]),
-                                 common | bit))
+                # a ray tight on exactly m - 1 normals makes the pair adjacent;
+                # otherwise it is adjacent unless a third ray is tight on all of common
+                if not (p_simple or n_simple):
+                    tight = 0
+                    for mask in masks:
+                        if mask & common == common:
+                            tight += 1
+                            if tight == 3:
+                                break
+                    if tight == 3:
+                        continue
+                ray = [ap * y - an * x for x, y in zip(p, n)]
+                g = gcd(*ray)
+                kept.append((tuple(ray) if g == 1 else tuple([x // g for x in ray]),
+                             common | bit))
         rays = kept
     cone = RationalCone(m, tuple(sorted(ray for ray, _ in rays)), basis_labels)
     # the cached-property slot that contains reads, filled as cached_property would
@@ -521,8 +550,9 @@ def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     return _verdict(_NON_NEGATIVE_PAIRINGS)
 
 
-def _identity(m: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(m)) for i in range(m)]
+@cache
+def _identity(m: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
 
 
 def effective_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
@@ -537,15 +567,25 @@ def effective_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
 
 def nef_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     """Nef cone in the given codimension: dual of the effective cone of the
-    complementary codimension under the dataset's pairing matrix."""
+    complementary codimension under the dataset's pairing matrix, read from
+    the dataset's pairings by key. A missing pairing raises MissingPairing
+    naming the first missing entry, row class first."""
     if not 0 <= _check_int(codim, "codim") <= ds.dimension:
         raise ValueError(f"codimension must lie in 0..{ds.dimension}")
     rows = ds.classes_of_codim(codim)
     cols = ds.classes_of_codim(ds.dimension - codim)
     if not rows or not cols:
         raise ValueError(f"dataset has no classes of codimension {codim} or its complement")
-    matrix = [[pair(a, b, ds) for b in cols] for a in rows]
-    return dual_cone(_identity(len(cols)), matrix, tuple(c.label for c in rows))
+    row_labels = tuple(c.label for c in rows)
+    col_labels = [c.label for c in cols]
+    pairings = ds.pairings
+    try:
+        matrix = [[pairings[(a, b) if a < b else (b, a)] for b in col_labels]
+                  for a in row_labels]
+    except KeyError:
+        # pairing_value raises MissingPairing for the first missing entry
+        matrix = [[ds.pairing_value(a, b) for b in col_labels] for a in row_labels]
+    return dual_cone(_identity(len(cols)), matrix, row_labels)
 
 
 class DelPezzo5Cones(NamedTuple):

@@ -479,6 +479,26 @@ def test_integer_elimination_matches_fraction_reference(width: int) -> None:
         assert line in (expected, tuple(-x for x in expected))
 
 
+@pytest.mark.parametrize(("rows", "expected"), [
+    # column 0 rescales both lower rows by p = 2 (f = 0, prev = 1); column 1
+    # then has p = prev = 2, so rows 0 and 2 (f = 0) stay as they are
+    ([[2, 0, 1], [0, 1, 1], [0, 0, 1]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    # column 1 has p = 6 and prev = 2: row 2 (f = 0) is rescaled by p / prev
+    # while row 0 (f = 1) takes the full update
+    ([[2, 1, 0], [0, 3, 1], [0, 0, 1]], [[6, 0, 0], [0, 6, 0], [0, 0, 6]]),
+    # a zero column, then p = 9 and prev = 3 with f = 0 on the row above the
+    # pivot, which is rescaled too
+    ([[3, 0, 0, 1], [0, 0, 3, 1], [0, 0, 0, 2]],
+     [[18, 0, 0, 0], [0, 0, 18, 0], [0, 0, 0, 18]]),
+])
+def test_elimination_with_zero_multipliers(rows: list[list[int]],
+                                           expected: list[list[int]]) -> None:
+    mat, pivots = _echelon(rows, len(rows[0]))
+    ref, ref_pivots = fraction_echelon(rows, len(rows[0]))
+    assert pivots == ref_pivots
+    assert mat == expected == [[mat[0][pivots[0]] * x for x in row] for row in ref]
+
+
 def random_dual_cone_input(rng: random.Random, m: int) -> tuple[list, list]:
     # small entries make degenerate vertices (more than m - 1 tight normals)
     # common; repeated, scaled and opposite generators, and a generator that
@@ -527,6 +547,24 @@ def test_dual_cone_matches_brute_force(m: int) -> None:
         assert cone.generators == expected, (gens, matrix)
         kinds.add("zero" if not expected else "full" if cone.is_full_dimensional else "flat")
     assert kinds == ({"raises", "zero", "full"} | ({"flat"} if m > 1 else set()))
+
+
+def test_dual_cone_scans_degenerate_pairs() -> None:
+    # The cone over a square pyramid (apex (0,0,1), base corners (+-1,+-1,0)
+    # at w = 1), its base normal given twice, then cut by x + y >= 0. The cut
+    # separates the corners p = (1,1,0,1) and n = (-1,-1,0,1). Each is tight on
+    # four processed normals (the base twice and two sides), more than
+    # m - 1 = 3, and they share m - 2 = 2 (the base twice), yet they are not
+    # adjacent: the other two corners are tight on the base too. Only the
+    # third-ray scan keeps their combination (0,0,0,1), the centre of the
+    # base, out of the rays.
+    sides = [(-1, 0, -1, 1), (1, 0, -1, 1), (0, -1, -1, 1), (0, 1, -1, 1)]
+    gens = [(0, 0, 1, 0), *sides, (0, 0, 2, 0), (1, 1, 0, 0)]
+    for corner in ((1, 1, 0, 1), (-1, -1, 0, 1)):
+        assert sum(sum(x * y for x, y in zip(g, corner)) == 0 for g in gens[:-1]) == 4
+    cone = dual_cone(gens, identity(4))
+    assert cone.generators == brute_force_dual_cone(gens, identity(4))
+    assert cone.generators == ((-1, 1, 0, 1), (0, 0, 1, 1), (1, -1, 0, 1), (1, 1, 0, 1))
 
 
 def test_dual_cone_two_dimensional_example() -> None:

@@ -269,6 +269,14 @@ SURFACE = (SchubertClass("p", (0, 0), 0), SchubertClass("l", (1, 0), 1),
      "generators must be a tuple of tuples"),
     (lambda: RationalCone(2, ((0, 1), [1, 0])), ValueError,
      "generators must be a tuple of tuples"),
+    (lambda: CycleDataset(None, 0, ONE), SchemaError, "variety must be a non-empty string"),
+    (lambda: CycleDataset("", 0, ONE), SchemaError, "variety must be a non-empty string"),
+    (lambda: CycleDataset("X", 0, ONE, [("p", "p")]), SchemaError,
+     "pairings must be a mapping"),
+    (lambda: RationalCone(1, ((1,),), ["x"]), ValueError,
+     "basis labels must be a tuple of strings"),
+    (lambda: RationalCone(1, ((1,),), (3,)), ValueError,
+     "basis labels must be a tuple of strings"),
 ])
 def test_validation_messages(make, error, message) -> None:
     with pytest.raises(error) as caught:
