@@ -23,15 +23,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "CIType",
-    "euler_ci_formula",
-    "betti_ci",
-    "verdict_ci",
-    "delpezzo5_cones",
-]
-
 # re-exported name -> the module that defines it
 _HOMES = {
     "CIType": "chern",
@@ -40,6 +31,8 @@ _HOMES = {
     "verdict_ci": "diagonal",
     "delpezzo5_cones": "cones",
 }
+
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str) -> object:

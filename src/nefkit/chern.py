@@ -81,8 +81,7 @@ class CIType(_Frozen):
         n = _check_int(dimension, "dimension")
         if n < 0:
             raise ValueError("dimension must be >= 0")
-        object.__setattr__(self, "degrees", tuple(sorted(d for d in raw if d > 1)))
-        object.__setattr__(self, "dimension", n)
+        self._store(tuple(sorted(d for d in raw if d > 1)), n)
 
     @property
     def codimension(self) -> int:
@@ -248,7 +247,7 @@ class BettiTable(_Frozen):
             raise NegativeBetti("Betti numbers must be non-negative")
         if any(betti[i] != betti[-1 - i] for i in range(len(betti))):
             raise ValueError("Betti table must satisfy Poincare duality")
-        object.__setattr__(self, "betti", betti)
+        self._store(betti)
 
     @property
     def dimension(self) -> int:
@@ -310,8 +309,7 @@ class WeightedHypersurface(_Frozen):
         d = _check_int(degree, "degree")
         if d < 1:
             raise ValueError("degree must be >= 1")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "degree", d)
+        self._store(ws, d)
 
     @property
     def ambient_dimension(self) -> int:

@@ -75,6 +75,11 @@ class InvalidPartition(ValueError):
     """A partition does not describe a Schubert class of the expected shape."""
 
 
+def _key(a: str, b: str) -> tuple[str, str]:
+    """The sorted label pair that stores the pairing of classes a and b."""
+    return (a, b) if a <= b else (b, a)
+
+
 class SchubertClass(_Frozen):
     """An effective cycle class labeled by a two-part partition.
 
@@ -101,9 +106,7 @@ class SchubertClass(_Frozen):
             raise InvalidPartition(f"{label}: partition must be weakly decreasing, >= 0")
         if codim != a + b:
             raise InvalidPartition(f"{label}: codim {codim} != |partition| {a + b}")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "codim", codim)
+        self._store(label, partition, codim)
 
 
 class CycleDataset(_Frozen):
@@ -142,17 +145,14 @@ class CycleDataset(_Frozen):
         for (la, lb), value in pairings.items():
             if la not in by_label or lb not in by_label:
                 raise SchemaError(f"pairing refers to unknown class ({la}, {lb})")
-            if (la, lb) != tuple(sorted((la, lb))):
+            if (la, lb) != _key(la, lb):
                 raise SchemaError("pairing keys must be sorted label pairs")
             if by_label[la].codim + by_label[lb].codim != dimension:
                 raise SchemaError(
                     f"pairing ({la}, {lb}) is not of complementary codimension"
                 )
             _check_int(value, f"pairing ({la}, {lb})", SchemaError)
-        object.__setattr__(self, "variety", variety)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "pairings", pairings)
+        self._store(variety, dimension, classes, pairings)
 
     def class_by_label(self, label: str) -> SchubertClass:
         for c in self.classes:
@@ -177,7 +177,7 @@ class CycleDataset(_Frozen):
                     yield a, b
 
     def pairing_value(self, label_a: str, label_b: str) -> int:
-        key = tuple(sorted((label_a, label_b)))
+        key = _key(label_a, label_b)
         if key not in self.pairings:
             raise MissingPairing(f"no pairing recorded for ({label_a}, {label_b})")
         return self.pairings[key]
@@ -186,13 +186,17 @@ class CycleDataset(_Frozen):
 def load_dataset(text: str) -> CycleDataset:
     """Parse and validate a JSON dataset document.
 
-    Malformed structure raises SchemaError: among others a missing field, a
-    variety that is not a non-empty string, and classes or pairings that are
-    not lists. So does a document the JSON parser cannot read: nesting past
-    the recursion limit, or an integer past the int-to-str digit limit.
-    Duplicate pair entries with conflicting values (including asymmetric
-    duplicates) raise InconsistentPairing. Duplicates that agree are
-    tolerated.
+    Its own checks, each raising SchemaError, cover what the constructors
+    cannot see: a document the JSON parser can read (not nested past the
+    recursion limit, no integer past the int-to-str digit limit), a
+    top-level object with the four fields, classes and pairings given as
+    lists, class entries given as objects whose partition is a list and not
+    an object, and pairing entries with string endpoints a and b and an
+    integer value, checked per entry because agreeing duplicates merge.
+    Duplicates with conflicting values (including asymmetric duplicates)
+    raise InconsistentPairing. SchubertClass and CycleDataset check the
+    variety, the dimension, each class and each pairing's classes; their
+    message comes as a SchemaError.
     """
     try:
         doc = json.loads(text)
@@ -205,8 +209,6 @@ def load_dataset(text: str) -> CycleDataset:
     for key in ("variety", "dimension", "classes", "pairings"):
         if key not in doc:
             raise SchemaError(f"missing dataset field {key!r}")
-    if not isinstance(doc["variety"], str) or not doc["variety"]:
-        raise SchemaError("dataset field 'variety' must be a non-empty string")
     for key in ("classes", "pairings"):
         if not isinstance(doc[key], list):
             raise SchemaError(f"dataset field {key!r} must be a list")
@@ -216,16 +218,8 @@ def load_dataset(text: str) -> CycleDataset:
             partition = raw.get("partition", ())
             if isinstance(partition, dict):
                 raise SchemaError("a partition is a list of parts, not an object")
-            if len(partition) != 2:
-                raise SchemaError("partitions here have exactly two parts")
-            classes.append(
-                SchubertClass(
-                    label=raw.get("label", ""),
-                    partition=(_check_int(partition[0], "partition part", SchemaError),
-                               _check_int(partition[1], "partition part", SchemaError)),
-                    codim=_check_int(raw.get("codim"), "codim", SchemaError),
-                )
-            )
+            classes.append(SchubertClass(raw.get("label", ""), tuple(partition),
+                                         raw.get("codim")))
     except InvalidPartition as exc:
         raise SchemaError(str(exc)) from exc
     except (TypeError, AttributeError) as exc:
@@ -236,19 +230,14 @@ def load_dataset(text: str) -> CycleDataset:
             raise SchemaError("each pairing needs fields a, b, value")
         if not isinstance(raw["a"], str) or not isinstance(raw["b"], str):
             raise SchemaError("pairing endpoints must be class labels")
-        key = tuple(sorted((raw["a"], raw["b"])))
+        key = _key(raw["a"], raw["b"])
         value = _check_int(raw["value"], f"pairing {key}", SchemaError)
         if key in pairings and pairings[key] != value:
             raise InconsistentPairing(
                 f"pairing {key} listed with values {pairings[key]} and {value}"
             )
         pairings[key] = value
-    return CycleDataset(
-        variety=doc["variety"],
-        dimension=_check_int(doc["dimension"], "dimension", SchemaError),
-        classes=tuple(classes),
-        pairings=pairings,
-    )
+    return CycleDataset(doc["variety"], doc["dimension"], tuple(classes), pairings)
 
 
 def load_dataset_file(path: str | Path) -> CycleDataset:
@@ -305,12 +294,11 @@ def _check_entries(vectors: Sequence[Sequence[int]], name: str) -> None:
 def _echelon(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan (Bareiss): returns (matrix, pivot column list).
 
-    Each update (p*x - f*y) // prev, with prev the previous pivot, is exact
-    because every entry is a minor of the input. Every pivot entry ends equal
-    to the last pivot d, so matrix / d is the reduced row echelon form. A row
-    with f = 0 is only rescaled by p / prev, and left as it is when p = prev;
-    while prev is 1 nothing is divided. The scan stops once every row holds a
-    pivot.
+    Each row but the pivot row takes the update (p*x - f*y) // prev, with p
+    the pivot, f the row's entry in the pivot column and prev the previous
+    pivot; it is exact because every entry is a minor of the input. Every
+    pivot entry ends equal to the last pivot d, so matrix / d is the reduced
+    row echelon form. The scan stops once every row holds a pivot.
     """
     mat = [list(row) for row in rows]
     pivots: list[int] = []
@@ -328,15 +316,9 @@ def _echelon(rows: Sequence[Sequence[int]], width: int) -> tuple[list[list[int]]
         top = mat[rank]
         p = top[col]
         for i, row in enumerate(mat):
-            f = row[col]
-            if i == rank or (f == 0 and p == prev):
-                continue
-            if prev == 1:
-                mat[i] = [p * x - f * y for x, y in zip(row, top)] if f else [p * x for x in row]
-            elif f:
+            if i != rank:
+                f = row[col]
                 mat[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            else:
-                mat[i] = [p * x // prev for x in row]
         prev = p
         pivots.append(col)
     return mat, pivots
@@ -385,9 +367,7 @@ class RationalCone(_Frozen):
                 raise ValueError("basis labels must be a tuple of strings")
             if len(basis_labels) != ambient_dimension:
                 raise ValueError("need one basis label per coordinate")
-        object.__setattr__(self, "ambient_dimension", ambient_dimension)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "basis_labels", basis_labels)
+        self._store(ambient_dimension, generators, basis_labels)
 
     @cached_property
     def is_full_dimensional(self) -> bool:
@@ -517,8 +497,7 @@ def dual_cone(
                         continue
                 ray = [ap * y - an * x for x, y in zip(p, n)]
                 g = gcd(*ray)
-                kept.append((tuple(ray) if g == 1 else tuple([x // g for x in ray]),
-                             common | bit))
+                kept.append((tuple([x // g for x in ray]), common | bit))
         rays = kept
     cone = RationalCone(m, tuple(sorted(ray for ray, _ in rays)), basis_labels)
     # the cached-property slot that contains reads, filled as cached_property would
@@ -568,8 +547,8 @@ def effective_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
 def nef_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     """Nef cone in the given codimension: dual of the effective cone of the
     complementary codimension under the dataset's pairing matrix, read from
-    the dataset's pairings by key. A missing pairing raises MissingPairing
-    naming the first missing entry, row class first."""
+    the dataset's pairings through pairing_value. A missing pairing raises
+    MissingPairing naming the first missing entry, row class first."""
     if not 0 <= _check_int(codim, "codim") <= ds.dimension:
         raise ValueError(f"codimension must lie in 0..{ds.dimension}")
     rows = ds.classes_of_codim(codim)
@@ -577,14 +556,7 @@ def nef_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     if not rows or not cols:
         raise ValueError(f"dataset has no classes of codimension {codim} or its complement")
     row_labels = tuple(c.label for c in rows)
-    col_labels = [c.label for c in cols]
-    pairings = ds.pairings
-    try:
-        matrix = [[pairings[(a, b) if a < b else (b, a)] for b in col_labels]
-                  for a in row_labels]
-    except KeyError:
-        # pairing_value raises MissingPairing for the first missing entry
-        matrix = [[ds.pairing_value(a, b) for b in col_labels] for a in row_labels]
+    matrix = [[ds.pairing_value(a, c.label) for c in cols] for a in row_labels]
     return dual_cone(_identity(len(cols)), matrix, row_labels)
 
 

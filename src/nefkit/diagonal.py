@@ -145,10 +145,7 @@ class Verdict(_Frozen):
         elif reason is Reason.OPEN_QUESTION:
             if not w.get("reference"):
                 raise ValueError("Open verdicts must carry a reference id")
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "witness", w)
+        self._store(status, reason, detail, w)
 
     def to_payload(self) -> dict:
         return {
@@ -337,13 +334,8 @@ class DelPezzoRow(_Frozen):
     def __init__(self, degree: int, description: str, cover: Callable[[int], int] | None = None,
                  ci_degrees: tuple[int, ...] = (), steps: Mapping[int, _Step] | None = None,
                  variant_dimensions: Mapping[str, int] | None = None) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "ci_degrees", ci_degrees)
-        object.__setattr__(self, "steps", {} if steps is None else steps)
-        object.__setattr__(self, "variant_dimensions",
-                           {} if variant_dimensions is None else variant_dimensions)
+        self._store(degree, description, cover, ci_degrees, {} if steps is None else steps,
+                    {} if variant_dimensions is None else variant_dimensions)
 
     @property
     def variants(self) -> tuple[str, ...]:
@@ -474,11 +466,7 @@ class FibrationObstruction(_Frozen):
 
     def __init__(self, n: int, total_dimension: int, p_total: tuple[int, ...],
                  p_fiber: tuple[int, ...], remainder: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "total_dimension", total_dimension)
-        object.__setattr__(self, "p_total", p_total)
-        object.__setattr__(self, "p_fiber", p_fiber)
-        object.__setattr__(self, "remainder", remainder)
+        self._store(n, total_dimension, p_total, p_fiber, remainder)
 
     @property
     def nonzero(self) -> bool:
@@ -523,13 +511,8 @@ class ScanReport(_Frozen):
     def __init__(self, max_dimension: int, max_degree: int, max_codimension: int,
                  quadrics_max_codimension: int, cases: int, law_checks: dict[str, int],
                  verdict_counts: dict[str, int]) -> None:
-        object.__setattr__(self, "max_dimension", max_dimension)
-        object.__setattr__(self, "max_degree", max_degree)
-        object.__setattr__(self, "max_codimension", max_codimension)
-        object.__setattr__(self, "quadrics_max_codimension", quadrics_max_codimension)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "law_checks", law_checks)
-        object.__setattr__(self, "verdict_counts", verdict_counts)
+        self._store(max_dimension, max_degree, max_codimension, quadrics_max_codimension, cases,
+                    law_checks, verdict_counts)
 
     def to_payload(self) -> dict:
         return {

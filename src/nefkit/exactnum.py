@@ -83,12 +83,18 @@ def elementary_symmetric(k: int, values: Sequence[int]) -> int:
 
 class _Frozen:
     """Value behaviour for a class that names its fields in _fields and whose
-    __init__ checks its arguments, then stores each field with
-    object.__setattr__: equality only with an instance of the same class with
-    equal fields, the hash of the field tuple, the repr Name(field=value, ...),
-    and no attribute assignment or deletion."""
+    __init__ checks its arguments, then stores the fields with _store:
+    equality only with an instance of the same class with equal fields, the
+    hash of the field tuple, the repr Name(field=value, ...), and no
+    attribute assignment or deletion."""
 
     _fields: tuple[str, ...]
+
+    def _store(self, *values: object) -> None:
+        """Set the fields, one value each in _fields order; a count that does
+        not match _fields raises ValueError."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -129,8 +135,7 @@ class TruncatedSeries(_Frozen):
             raise ValueError("need exactly order + 1 coefficients")
         if not all(isinstance(c, Fraction) for c in coefficients):
             raise TypeError("coefficients must be Fractions")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "order", order)
+        self._store(coefficients, order)
 
     @classmethod
     def of(cls, values: Iterable[int | Fraction], order: int) -> "TruncatedSeries":

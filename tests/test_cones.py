@@ -229,7 +229,8 @@ def test_load_dataset_schema_errors() -> None:
 
 
 def test_load_dataset_rejects_an_object_partition() -> None:
-    # two keys pass the length check, and indexing the object raised KeyError
+    # tuple() of an object would take its two keys as the parts, so this
+    # rule is load_dataset's own, not SchubertClass's
     bad = make_doc(classes=[{"label": "a", "partition": {"x": 1, "y": 1}, "codim": 2}])
     with pytest.raises(SchemaError, match="^a partition is a list of parts, not an object$"):
         load_dataset(json.dumps(bad))
@@ -265,6 +266,37 @@ def test_load_dataset_duplicate_pairings() -> None:
     doc["pairings"].append({"a": "one", "b": "pt", "value": 2})  # conflicts
     with pytest.raises(InconsistentPairing):
         load_dataset(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_load_dataset_checks_each_pairing_value(value) -> None:
+    # true == 1 == 1.0, so the agreeing entry after it would overwrite the
+    # value before CycleDataset sees it: only a check per entry catches it
+    doc = make_doc(pairings=[{"a": "one", "b": "pt", "value": value},
+                             {"a": "pt", "b": "one", "value": 1},
+                             {"a": "h", "b": "h", "value": 1}])
+    with pytest.raises(SchemaError, match=r"^pairing \('one', 'pt'\) must be an integer$"):
+        load_dataset(json.dumps(doc))
+
+
+@pytest.mark.parametrize(("field", "value", "message"), [
+    ("variety", 7, "variety must be a non-empty string"),
+    ("dimension", "2", "dimension must be an integer"),
+    ("partition", [1, "x"], "h: partition part must be an integer"),
+    ("partition", [1, 0, 0], "h: partition must be a tuple of two parts"),
+    ("codim", True, "h: codim must be an integer"),
+], ids=["variety", "dimension", "partition-part", "partition-length", "codim"])
+def test_load_dataset_reports_the_constructor_message(field: str, value, message: str) -> None:
+    # load_dataset leaves these checks to CycleDataset and SchubertClass and
+    # raises SchemaError with their message
+    doc = make_doc()
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["classes"][1][field] = value  # the class labeled h
+    with pytest.raises(SchemaError) as raised:
+        load_dataset(json.dumps(doc))
+    assert str(raised.value) == message
 
 
 def test_dataset_construction_errors() -> None:
@@ -480,14 +512,14 @@ def test_integer_elimination_matches_fraction_reference(width: int) -> None:
 
 
 @pytest.mark.parametrize(("rows", "expected"), [
-    # column 0 rescales both lower rows by p = 2 (f = 0, prev = 1); column 1
-    # then has p = prev = 2, so rows 0 and 2 (f = 0) stay as they are
+    # column 0 has p = 2 and f = 0 on both lower rows; column 1 then has p
+    # equal to the previous pivot 2 and f = 0 on rows 0 and 2
     ([[2, 0, 1], [0, 1, 1], [0, 0, 1]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
-    # column 1 has p = 6 and prev = 2: row 2 (f = 0) is rescaled by p / prev
-    # while row 0 (f = 1) takes the full update
+    # column 1 has p = 6 after the pivot 2, with f = 0 on row 2 and f = 1
+    # on row 0
     ([[2, 1, 0], [0, 3, 1], [0, 0, 1]], [[6, 0, 0], [0, 6, 0], [0, 0, 6]]),
-    # a zero column, then p = 9 and prev = 3 with f = 0 on the row above the
-    # pivot, which is rescaled too
+    # a zero column, then p = 9 after the pivot 3, with f = 0 on the row
+    # above the pivot
     ([[3, 0, 0, 1], [0, 0, 3, 1], [0, 0, 0, 2]],
      [[18, 0, 0, 0], [0, 0, 18, 0], [0, 0, 0, 18]]),
 ])

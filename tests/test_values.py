@@ -147,6 +147,13 @@ def test_instances_are_frozen(cls) -> None:
     assert field_tuple(value) == before
 
 
+def test_store_needs_one_value_per_field() -> None:
+    value = object.__new__(CIType)
+    for values in (((2,),), ((2,), 1, 0)):
+        with pytest.raises(ValueError, match="^zip"):
+            value._store(*values)
+
+
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
 def test_copies_and_pickles_are_equal(cls) -> None:
     value = VALUES[cls][1]()
