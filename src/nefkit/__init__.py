@@ -6,8 +6,8 @@ Three layers:
   weighted hypersurfaces, all in exact integer arithmetic (chern, exactnum).
 * Classification verdicts for nef-ness of the diagonal class, with
   machine-checkable witnesses (diagonal).
-* Nef / pseudoeffective cycle cones from Schubert pairing datasets via exact
-  dual-cone computation (cones).
+* Nef / pseudoeffective cycle cones from pairing datasets of effective
+  classes via exact dual-cone computation (cones).
 
 The package root re-exports the names the README shows; everything else is
 imported from its module, each of which lists its public names in __all__.

@@ -379,13 +379,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inputs, result, notes = args.handler(args)
-        if args.format == "json":
-            report = {"command": f"{args.group} {args.kind}", "inputs": inputs,
-                      "result": result, "notes": list(notes)}
-            output = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        else:
-            lines = [*args.render(result), *(f"# {note}" for note in notes)]
-            output = "\n".join(lines) + "\n"
+        try:  # printing fails only on an integer past the int-to-str digit limit
+            if args.format == "json":
+                report = {"command": f"{args.group} {args.kind}", "inputs": inputs,
+                          "result": result, "notes": list(notes)}
+                output = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            else:
+                lines = [*args.render(result), *(f"# {note}" for note in notes)]
+                output = "\n".join(lines) + "\n"
+        except ValueError:
+            raise ValueError("the result has an integer of more than "
+                             f"{sys.get_int_max_str_digits()} digits, too many to print") from None
     except _loaded("diagonal", "ScanViolation") as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4

@@ -1,7 +1,7 @@
-"""Cycle-cone computations from Schubert-class pairing datasets.
+"""Cycle-cone computations from pairing datasets of effective cycle classes.
 
-A dataset lists the effective cycle classes of a variety (label, two-part
-partition, codimension) together with the intersection numbers of classes in
+A dataset lists the effective cycle classes of a variety (label, codimension,
+optional partition) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
 matrix, computed here exactly in integers. The nef-diagonal check of a dataset
@@ -26,6 +26,7 @@ cut it out, so its membership test needs no second double description.
 from __future__ import annotations
 
 import json
+import sys
 from functools import cache, cached_property
 from importlib import resources
 from math import gcd
@@ -42,14 +43,13 @@ __all__ = [
     "InconsistentPairing",
     "MissingPairing",
     "InvalidPartition",
-    "SchubertClass",
+    "CycleClass",
     "CycleDataset",
     "RationalCone",
     "DelPezzo5Cones",
     "load_dataset",
     "load_dataset_file",
     "builtin_dataset",
-    "pair",
     "tau_top_pairing",
     "dual_cone",
     "effective_cone_of_codim",
@@ -60,7 +60,7 @@ __all__ = [
 
 
 class SchemaError(ValueError):
-    """The dataset document is structurally malformed."""
+    """The dataset document or one of its classes is malformed."""
 
 
 class InconsistentPairing(ValueError):
@@ -71,8 +71,8 @@ class MissingPairing(LookupError):
     """A required complementary pairing is absent from the dataset."""
 
 
-class InvalidPartition(ValueError):
-    """A partition does not describe a Schubert class of the expected shape."""
+class InvalidPartition(SchemaError):
+    """A class's label, codimension or partition breaks the class rules."""
 
 
 def _key(a: str, b: str) -> tuple[str, str]:
@@ -80,32 +80,39 @@ def _key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-class SchubertClass(_Frozen):
-    """An effective cycle class labeled by a two-part partition.
+class CycleClass(_Frozen):
+    """An effective cycle class: a non-empty string label, an integer (not
+    bool) codimension and an optional partition, which no computation reads.
 
-    Partitions are weakly decreasing and non-negative, except that the second
-    part may be exactly -1 (the extra orbit-closure class of odd symplectic
-    Grassmannians). The codimension always equals the partition weight; it
-    and both parts of the partition tuple are integers, not bool.
+    Without a partition the codimension is >= 0. A partition is a list or
+    tuple of two integers, stored as a tuple; it is weakly decreasing and
+    non-negative, except that the second part may be exactly -1 (the extra
+    orbit-closure class of odd symplectic Grassmannians), and its weight is
+    the codimension.
     """
 
     _fields = ("label", "partition", "codim")
 
-    def __init__(self, label: str, partition: tuple[int, int], codim: int) -> None:
+    def __init__(self, label: str, partition: Sequence[int] | None, codim: int) -> None:
+        if isinstance(partition, Mapping):
+            raise InvalidPartition("a partition is a list of parts, not an object")
         if not label or not isinstance(label, str):
             raise InvalidPartition("classes need a non-empty string label")
-        if not isinstance(partition, tuple) or len(partition) != 2:
-            raise InvalidPartition(f"{label}: partition must be a tuple of two parts")
-        a, b = (_check_int(part, f"{label}: partition part", InvalidPartition)
-                for part in partition)
-        _check_int(codim, f"{label}: codim", InvalidPartition)
-        if b == -1:
-            if a < 1:
-                raise InvalidPartition(f"{label}: negative tail needs first part >= 1")
-        elif not a >= b >= 0:
-            raise InvalidPartition(f"{label}: partition must be weakly decreasing, >= 0")
-        if codim != a + b:
-            raise InvalidPartition(f"{label}: codim {codim} != |partition| {a + b}")
+        if partition is not None:
+            if not isinstance(partition, (list, tuple)) or len(partition) != 2:
+                raise InvalidPartition(f"{label}: partition must be a list of two integers")
+            a, b = partition = tuple(_check_int(part, f"{label}: partition part",
+                                                InvalidPartition) for part in partition)
+        if _check_int(codim, f"{label}: codim", InvalidPartition) < 0 and partition is None:
+            raise InvalidPartition(f"{label}: codim must be >= 0")
+        if partition is not None:
+            if b == -1:
+                if a < 1:
+                    raise InvalidPartition(f"{label}: negative tail needs first part >= 1")
+            elif not a >= b >= 0:
+                raise InvalidPartition(f"{label}: partition must be weakly decreasing, >= 0")
+            if codim != a + b:
+                raise InvalidPartition(f"{label}: codim {codim} != |partition| {a + b}")
         self._store(label, partition, codim)
 
 
@@ -120,7 +127,7 @@ class CycleDataset(_Frozen):
 
     _fields = ("variety", "dimension", "classes", "pairings")
 
-    def __init__(self, variety: str, dimension: int, classes: tuple[SchubertClass, ...],
+    def __init__(self, variety: str, dimension: int, classes: tuple[CycleClass, ...],
                  pairings: Mapping[tuple[str, str], int] | None = None) -> None:
         if not isinstance(variety, str) or not variety:
             raise SchemaError("variety must be a non-empty string")
@@ -129,10 +136,8 @@ class CycleDataset(_Frozen):
             raise SchemaError("pairings must be a mapping")
         if _check_int(dimension, "dimension", SchemaError) < 0:
             raise SchemaError("dimension must be >= 0")
-        if not isinstance(classes, tuple) or not all(
-            isinstance(c, SchubertClass) for c in classes
-        ):
-            raise SchemaError("classes must be a tuple of SchubertClass")
+        if not isinstance(classes, tuple) or not all(isinstance(c, CycleClass) for c in classes):
+            raise SchemaError("classes must be a tuple of CycleClass")
         if not classes:
             raise SchemaError("a dataset needs at least one class")
         labels = [c.label for c in classes]
@@ -154,16 +159,16 @@ class CycleDataset(_Frozen):
             _check_int(value, f"pairing ({la}, {lb})", SchemaError)
         self._store(variety, dimension, classes, pairings)
 
-    def class_by_label(self, label: str) -> SchubertClass:
+    def class_by_label(self, label: str) -> CycleClass:
         for c in self.classes:
             if c.label == label:
                 return c
         raise SchemaError(f"no class labeled {label!r}")
 
-    def classes_of_codim(self, codim: int) -> tuple[SchubertClass, ...]:
+    def classes_of_codim(self, codim: int) -> tuple[CycleClass, ...]:
         return tuple(c for c in self.classes if c.codim == codim)
 
-    def complementary_pairs(self) -> Iterator[tuple[SchubertClass, SchubertClass]]:
+    def complementary_pairs(self) -> Iterator[tuple[CycleClass, CycleClass]]:
         """All unordered complementary-codimension pairs, in dataset order."""
         for k in sorted({c.codim for c in self.classes}):
             if 2 * k > self.dimension:
@@ -190,20 +195,22 @@ def load_dataset(text: str) -> CycleDataset:
     cannot see: a document the JSON parser can read (not nested past the
     recursion limit, no integer past the int-to-str digit limit), a
     top-level object with the four fields, classes and pairings given as
-    lists, class entries given as objects whose partition is a list and not
-    an object, and pairing entries with string endpoints a and b and an
-    integer value, checked per entry because agreeing duplicates merge.
-    Duplicates with conflicting values (including asymmetric duplicates)
-    raise InconsistentPairing. SchubertClass and CycleDataset check the
-    variety, the dimension, each class and each pairing's classes; their
-    message comes as a SchemaError.
+    lists, class entries given as objects, and pairing entries with string
+    endpoints a and b and an integer value, checked per entry because
+    agreeing duplicates merge. Duplicates with conflicting values (including
+    asymmetric duplicates) raise InconsistentPairing. CycleClass and
+    CycleDataset check the variety, the dimension, each class and each
+    pairing's classes, raising SchemaError or its subclass InvalidPartition.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    except (RecursionError, ValueError) as exc:
+    except RecursionError as exc:
         raise SchemaError(f"dataset cannot be read: {exc}") from exc
+    except ValueError as exc:  # json's only other error: an integer past the digit limit
+        raise SchemaError("dataset cannot be read: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits, too many to read") from exc
     if not isinstance(doc, dict):
         raise SchemaError("dataset document must be a JSON object")
     for key in ("variety", "dimension", "classes", "pairings"):
@@ -213,17 +220,10 @@ def load_dataset(text: str) -> CycleDataset:
         if not isinstance(doc[key], list):
             raise SchemaError(f"dataset field {key!r} must be a list")
     classes = []
-    try:
-        for raw in doc["classes"]:
-            partition = raw.get("partition", ())
-            if isinstance(partition, dict):
-                raise SchemaError("a partition is a list of parts, not an object")
-            classes.append(SchubertClass(raw.get("label", ""), tuple(partition),
-                                         raw.get("codim")))
-    except InvalidPartition as exc:
-        raise SchemaError(str(exc)) from exc
-    except (TypeError, AttributeError) as exc:
-        raise SchemaError(f"malformed class entry: {exc}") from exc
+    for raw in doc["classes"]:
+        if not isinstance(raw, dict):
+            raise SchemaError("each class entry must be an object")
+        classes.append(CycleClass(raw.get("label", ""), raw.get("partition"), raw.get("codim")))
     pairings: dict[tuple[str, str], int] = {}
     for raw in doc["pairings"]:
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw or "value" not in raw:
@@ -251,15 +251,6 @@ def builtin_dataset(name: str) -> CycleDataset:
     if not record.is_file():
         raise FileNotFoundError(f"no shipped dataset named {name!r}")
     return load_dataset(record.read_text("utf-8"))
-
-
-def pair(a: SchubertClass, b: SchubertClass, ds: CycleDataset) -> int:
-    """Intersection number of two complementary classes of the dataset."""
-    if a.codim + b.codim != ds.dimension:
-        raise MissingPairing(
-            f"({a.label}, {b.label}) is not a complementary pair in dimension {ds.dimension}"
-        )
-    return ds.pairing_value(a.label, b.label)
 
 
 def tau_top_pairing(n: int, a: int, b: int) -> int:

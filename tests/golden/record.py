@@ -70,6 +70,9 @@ SUBCOMMANDS = [
     # a negative pairing past 14,000 bits: the detail gives its sign and bit
     # length, the witness all 4,250 digits
     ["cone", "check", "--dataset", "tests/golden/huge_pairing.json"],
+    # a dataset whose classes give no partition
+    ["cone", "check", "--dataset", "tests/golden/no_partition.json"],
+    ["cone", "dual", "--dataset", "tests/golden/no_partition.json", "--codim", "1"],
     ["scan", "ci"],
     ["scan", "ci", "--max-dim", "6", "--max-degree", "4", "--max-r", "2",
      "--quadrics-max-r", "3"],
@@ -108,6 +111,8 @@ ERRORS = [
     ["cone", "check", "--dataset", "tests/golden/no_pairs.json"],
     # a partition given as a two-key object instead of a list
     ["cone", "check", "--dataset", "tests/golden/object_partition.json"],
+    # a class without a partition and with a negative codim
+    ["cone", "check", "--dataset", "tests/golden/negative_codim.json"],
     # documents the JSON parser cannot read: nesting at the default recursion
     # limit, and a dimension one digit past the int-to-str limit
     ["cone", "check", "--dataset", "tests/golden/deep_nesting.json"],

@@ -22,6 +22,7 @@ import pytest
 
 from nefkit import cones
 from nefkit.cones import (
+    CycleClass,
     CycleDataset,
     DelPezzo5Cones,
     InconsistentPairing,
@@ -29,7 +30,6 @@ from nefkit.cones import (
     MissingPairing,
     RationalCone,
     SchemaError,
-    SchubertClass,
     _echelon,
     _rank,
     builtin_dataset,
@@ -38,7 +38,6 @@ from nefkit.cones import (
     effective_cone_of_codim,
     load_dataset,
     load_dataset_file,
-    pair,
     spherical_nef_diagonal_check,
     tau_top_pairing,
 )
@@ -126,7 +125,7 @@ def test_gw2c5_negative_tail_pairings_match_sign_rule() -> None:
     tail = ds.class_by_label("tau(3,-1)")
     for other in ds.classes_of_codim(ds.dimension - tail.codim):
         a, b = other.partition
-        assert pair(tail, other, ds) == tau_top_pairing(2, a, b)
+        assert ds.pairing_value(tail.label, other.label) == tau_top_pairing(2, a, b)
 
 
 def test_tau_top_pairing_values_and_errors() -> None:
@@ -151,7 +150,7 @@ def test_delpezzo_fivefold_witness_agrees_with_dataset() -> None:
     verdict = verdict_delpezzo(5, 5)
     assert verdict.status is Status.NOT_NEF
     first, second = verdict.witness["classes"]
-    stored = pair(ds.class_by_label(first), ds.class_by_label(second), ds)
+    stored = ds.pairing_value(first, second)
     assert stored == verdict.witness["value"] == -1
 
 
@@ -160,18 +159,18 @@ def test_delpezzo_fivefold_witness_agrees_with_dataset() -> None:
 
 
 def test_schubert_class_validation() -> None:
-    SchubertClass("x", (3, 1), 4)
-    SchubertClass("tail", (3, -1), 2)
+    CycleClass("x", (3, 1), 4)
+    CycleClass("tail", (3, -1), 2)
     with pytest.raises(InvalidPartition):
-        SchubertClass("x", (1, 2), 3)
+        CycleClass("x", (1, 2), 3)
     with pytest.raises(InvalidPartition):
-        SchubertClass("x", (2, -2), 0)
+        CycleClass("x", (2, -2), 0)
     with pytest.raises(InvalidPartition):
-        SchubertClass("x", (0, -1), -1)
+        CycleClass("x", (0, -1), -1)
     with pytest.raises(InvalidPartition):
-        SchubertClass("x", (2, 1), 4)  # codim != weight
+        CycleClass("x", (2, 1), 4)  # codim != weight
     with pytest.raises(InvalidPartition):
-        SchubertClass("", (1, 0), 1)
+        CycleClass("", (1, 0), 1)
 
 
 def make_doc(**overrides) -> dict:
@@ -229,8 +228,7 @@ def test_load_dataset_schema_errors() -> None:
 
 
 def test_load_dataset_rejects_an_object_partition() -> None:
-    # tuple() of an object would take its two keys as the parts, so this
-    # rule is load_dataset's own, not SchubertClass's
+    # CycleClass names an object partition before any other fault of its entry
     bad = make_doc(classes=[{"label": "a", "partition": {"x": 1, "y": 1}, "codim": 2}])
     with pytest.raises(SchemaError, match="^a partition is a list of parts, not an object$"):
         load_dataset(json.dumps(bad))
@@ -283,15 +281,22 @@ def test_load_dataset_checks_each_pairing_value(value) -> None:
     ("variety", 7, "variety must be a non-empty string"),
     ("dimension", "2", "dimension must be an integer"),
     ("partition", [1, "x"], "h: partition part must be an integer"),
-    ("partition", [1, 0, 0], "h: partition must be a tuple of two parts"),
+    ("partition", [1, 0, 0], "h: partition must be a list of two integers"),
     ("codim", True, "h: codim must be an integer"),
-], ids=["variety", "dimension", "partition-part", "partition-length", "codim"])
+    ("partition", [1], "h: partition must be a list of two integers"),
+    ("partition", 5, "h: partition must be a list of two integers"),
+    ("entry", 5, "each class entry must be an object"),
+    ("entry", {"label": "h", "codim": -1}, "h: codim must be >= 0"),
+], ids=["variety", "dimension", "partition-part", "partition-length", "codim",
+        "partition-one-part", "partition-number", "class-entry", "negative-codim"])
 def test_load_dataset_reports_the_constructor_message(field: str, value, message: str) -> None:
-    # load_dataset leaves these checks to CycleDataset and SchubertClass and
-    # raises SchemaError with their message
+    # load_dataset checks that a class entry is an object and leaves the rest
+    # to CycleDataset and CycleClass, whose message comes as a SchemaError
     doc = make_doc()
     if field in doc:
         doc[field] = value
+    elif field == "entry":
+        doc["classes"][1] = value  # in place of the class labeled h
     else:
         doc["classes"][1][field] = value  # the class labeled h
     with pytest.raises(SchemaError) as raised:
@@ -300,8 +305,8 @@ def test_load_dataset_reports_the_constructor_message(field: str, value, message
 
 
 def test_dataset_construction_errors() -> None:
-    one = SchubertClass("one", (0, 0), 0)
-    pt = SchubertClass("pt", (2, 0), 2)
+    one = CycleClass("one", (0, 0), 0)
+    pt = CycleClass("pt", (2, 0), 2)
     with pytest.raises(SchemaError):
         CycleDataset("x", 2, ())
     with pytest.raises(SchemaError):
@@ -318,10 +323,8 @@ def test_missing_pairing_lookups() -> None:
     ds = load_dataset(json.dumps(make_doc(pairings=[{"a": "one", "b": "pt", "value": 1}])))
     with pytest.raises(MissingPairing):
         ds.pairing_value("h", "h")
-    h = ds.class_by_label("h")
-    pt = ds.class_by_label("pt")
     with pytest.raises(MissingPairing):
-        pair(h, pt, ds)  # codims 1 + 2 != 2
+        ds.pairing_value("h", "pt")  # codims 1 + 2 != 2, so never stored
     with pytest.raises(MissingPairing):
         spherical_nef_diagonal_check(ds)
     with pytest.raises(SchemaError):

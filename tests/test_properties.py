@@ -3,7 +3,8 @@ against the per-type row, the three Euler routes against each other, the
 first Chern degree and the Betti table's Euler characteristic against the
 degree and chi, and the command line's exit-status and determinism contract
 on drawn argv and on shipped datasets with one node replaced by a drawn JSON
-value.
+value, and the shipped datasets' verdicts and nef cones with any of their
+partitions made null.
 
 Examples are derandomized and no example database is written, so every run
 draws the same inputs; the example counts keep the file to a few seconds.
@@ -33,6 +34,7 @@ from nefkit.chern import (
     euler_ci_rows,
     euler_ci_series,
 )
+from nefkit.cones import load_dataset, nef_cone_of_codim, spherical_nef_diagonal_check
 from nefkit.diagonal import scan_ci, verdict_ci
 
 
@@ -212,3 +214,26 @@ def test_cli_contract_holds_on_mutated_datasets(dataset_file, node, value, codim
         assert run_main(argv) == (code, out)
         if code == 0 and fmt == "json":
             assert json.loads(out)["command"] == " ".join(command[:2])
+
+
+def cone_outcomes(doc) -> list:
+    """The spherical verdict and the nef cone in every codimension."""
+    ds = load_dataset(json.dumps(doc))
+    return [spherical_nef_diagonal_check(ds),
+            *(nef_cone_of_codim(ds, codim) for codim in range(ds.dimension + 1))]
+
+
+SHIPPED_OUTCOMES = {name: cone_outcomes(doc) for name, doc in SHIPPED.items()}
+
+
+@bounded(20)
+@example(name="gw2c5", nulled=set(range(8)))
+@example(name="g2c5", nulled=set(range(10)))
+@given(name=st.sampled_from(sorted(SHIPPED)), nulled=st.sets(st.integers(0, 9)))
+def test_partitions_are_metadata_only(name, nulled):
+    # nothing reads a partition, so a null one in place of any of them changes no
+    # verdict or cone; tests/golden/no_partition.json leaves the field out
+    doc = SHIPPED[name]
+    classes = [{**c, "partition": None} if i in nulled else c
+               for i, c in enumerate(doc["classes"])]
+    assert cone_outcomes({**doc, "classes": classes}) == SHIPPED_OUTCOMES[name]

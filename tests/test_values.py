@@ -13,11 +13,11 @@ import pytest
 
 from nefkit.chern import BettiTable, CIType, NegativeBetti, WeightedHypersurface
 from nefkit.cones import (
+    CycleClass,
     CycleDataset,
     InvalidPartition,
     RationalCone,
     SchemaError,
-    SchubertClass,
     builtin_dataset,
 )
 from nefkit.diagonal import (
@@ -31,8 +31,8 @@ from nefkit.diagonal import (
 )
 from nefkit.exactnum import TruncatedSeries
 
-CLASSES = (SchubertClass("a", (1, 0), 1), SchubertClass("b", (1, 1), 2),
-           SchubertClass("p", (0, 0), 0))
+CLASSES = (CycleClass("a", (1, 0), 1), CycleClass("b", (1, 1), 2),
+           CycleClass("p", (0, 0), 0))
 
 # class -> (its field names in order, a factory of one instance built by keyword)
 VALUES = {
@@ -42,8 +42,8 @@ VALUES = {
     BettiTable: (("betti",), lambda: BettiTable(betti=(1, 0, 7, 0, 1))),
     WeightedHypersurface: (("weights", "degree"),
                            lambda: WeightedHypersurface(weights=[2, 1, 1, 1, 1], degree=4)),
-    SchubertClass: (("label", "partition", "codim"),
-                    lambda: SchubertClass(label="s", partition=(2, -1), codim=1)),
+    CycleClass: (("label", "partition", "codim"),
+                 lambda: CycleClass(label="s", partition=[2, -1], codim=1)),
     CycleDataset: (("variety", "dimension", "classes", "pairings"),
                    lambda: CycleDataset(variety="X", dimension=2, classes=CLASSES,
                                         pairings={("a", "a"): 1, ("b", "p"): 1})),
@@ -94,6 +94,7 @@ def test_default_mappings_are_not_shared() -> None:
 def test_keyword_construction_canonicalizes() -> None:
     assert VALUES[CIType][1]().degrees == (2, 3)
     assert VALUES[WeightedHypersurface][1]().weights == (2, 1, 1, 1, 1)
+    assert VALUES[CycleClass][1]().partition == (2, -1)
     assert VALUES[FibrationObstruction][1]() == cp_fibration_obstruction(1)
 
 
@@ -128,6 +129,7 @@ def test_repr_names_every_field(cls) -> None:
 def test_repr_examples() -> None:
     assert repr(CIType((1, 3, 2), 2)) == "CIType(degrees=(2, 3), dimension=2)"
     assert repr(BettiTable((1, 0, 1))) == "BettiTable(betti=(1, 0, 1))"
+    assert repr(CycleClass("h", None, 1)) == "CycleClass(label='h', partition=None, codim=1)"
     assert repr(RationalCone(1, ((1,),))) == \
         "RationalCone(ambient_dimension=1, generators=((1,),), basis_labels=None)"
 
@@ -187,9 +189,9 @@ def series(*coefficients, order):
     return lambda: TruncatedSeries(coefficients, order)
 
 
-ONE = (SchubertClass("p", (0, 0), 0),)
-SURFACE = (SchubertClass("p", (0, 0), 0), SchubertClass("l", (1, 0), 1),
-           SchubertClass("q", (2, 0), 2))
+ONE = (CycleClass("p", (0, 0), 0),)
+SURFACE = (CycleClass("p", (0, 0), 0), CycleClass("l", (1, 0), 1),
+           CycleClass("q", (2, 0), 2))
 
 
 @pytest.mark.parametrize(("make", "error", "message"), [
@@ -210,15 +212,15 @@ SURFACE = (SchubertClass("p", (0, 0), 0), SchubertClass("l", (1, 0), 1),
     (lambda: WeightedHypersurface((0, 1, 1, 1, 1), 0), ValueError, "weights must be >= 1"),
     (lambda: WeightedHypersurface((1,) * 5, 2.0), ValueError, "degree must be an integer"),
     (lambda: WeightedHypersurface((1,) * 5, 0), ValueError, "degree must be >= 1"),
-    (lambda: SchubertClass("", (1, 0), 1), InvalidPartition,
+    (lambda: CycleClass("", (1, 0), 1), InvalidPartition,
      "classes need a non-empty string label"),
-    (lambda: SchubertClass(5, (1, 0), 1), InvalidPartition,
+    (lambda: CycleClass(5, (1, 0), 1), InvalidPartition,
      "classes need a non-empty string label"),
-    (lambda: SchubertClass("x", (0, -1), -1), InvalidPartition,
+    (lambda: CycleClass("x", (0, -1), -1), InvalidPartition,
      "x: negative tail needs first part >= 1"),
-    (lambda: SchubertClass("x", (1, 2), 3), InvalidPartition,
+    (lambda: CycleClass("x", (1, 2), 3), InvalidPartition,
      "x: partition must be weakly decreasing, >= 0"),
-    (lambda: SchubertClass("x", (1, 0), 2), InvalidPartition, "x: codim 2 != |partition| 1"),
+    (lambda: CycleClass("x", (1, 0), 2), InvalidPartition, "x: codim 2 != |partition| 1"),
     (lambda: CycleDataset("X", -1, ()), SchemaError, "dimension must be >= 0"),
     (lambda: CycleDataset("X", 2, ()), SchemaError, "a dataset needs at least one class"),
     (lambda: CycleDataset("X", 2, ONE + ONE), SchemaError, "class labels must be unique"),
@@ -262,16 +264,17 @@ SURFACE = (SchubertClass("p", (0, 0), 0), SchubertClass("l", (1, 0), 1),
     (lambda: RationalCone(2, ((0.5, 1.0), (1, 0))), ValueError,
      "generator entry must be an integer"),
     (lambda: RationalCone(2, ((0, True),)), ValueError, "generator entry must be an integer"),
-    (lambda: SchubertClass("a", (1.0, 0), 1), InvalidPartition,
+    (lambda: CycleClass("a", (1.0, 0), 1), InvalidPartition,
      "a: partition part must be an integer"),
-    (lambda: SchubertClass("a", (1, 0), True), InvalidPartition, "a: codim must be an integer"),
-    (lambda: SchubertClass("a", (1, 0, 0), 1), InvalidPartition,
-     "a: partition must be a tuple of two parts"),
-    (lambda: SchubertClass("a", [1, 0], 1), InvalidPartition,
-     "a: partition must be a tuple of two parts"),
+    (lambda: CycleClass("a", (1, 0), True), InvalidPartition, "a: codim must be an integer"),
+    (lambda: CycleClass("a", (1, 0, 0), 1), InvalidPartition,
+     "a: partition must be a list of two integers"),
+    (lambda: CycleClass("a", 5, 1), InvalidPartition,
+     "a: partition must be a list of two integers"),
+    (lambda: CycleClass("a", None, -1), InvalidPartition, "a: codim must be >= 0"),
     (lambda: CycleDataset("X", "3", SURFACE), SchemaError, "dimension must be an integer"),
     (lambda: CycleDataset("X", 2, list(SURFACE)), SchemaError,
-     "classes must be a tuple of SchubertClass"),
+     "classes must be a tuple of CycleClass"),
     (lambda: RationalCone(2, [(0, 1), (1, 0)]), ValueError,
      "generators must be a tuple of tuples"),
     (lambda: RationalCone(2, ((0, 1), [1, 0])), ValueError,
