@@ -14,6 +14,7 @@ characteristic is exposed through three independent routes that must agree:
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
+which is (-1)^n chi(2,...,2; n) / 2^r read from the recursive route's row,
 and closed forms for low-degree del Pezzo Euler characteristics.
 """
 
@@ -42,7 +43,6 @@ __all__ = [
     "euler_ci_rows",
     "chern_degrees_ci",
     "quadrics_b",
-    "quadrics_b_column",
     "betti_ci",
     "poincare_polynomial_ci",
     "euler_weighted",
@@ -207,28 +207,14 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
 
 def quadrics_b(n: int, r: int) -> int:
     """Normalized Euler invariant of an n-dim intersection of r quadrics:
-    the last entry of quadrics_b_column(n, r)."""
-    return quadrics_b_column(n, r)[-1]
+    b(n, r) = (-1)^n chi(2,...,2; n) / 2^r, with chi from the recursive route.
 
-
-def quadrics_b_column(n: int, r: int) -> list[int]:
-    """[b(1, r), ..., b(n, r)], where b(m, r) = (-1)^m chi(2,...,2; m) / 2^r.
-
-    Each b is an integer because chi carries the factor 2^r. Computed by the
-    recursion b(n, r) = b(n, r-1) + b(n-1, r) with bases
-    b(n, 1) = ((-1)^n (2n+3) + 1) / 4 and b(1, r) = r - 2, as an iterative
-    column: col[m - 1] holds b(m, s) for m = 1..n, and each step s -> s + 1
-    replaces it by its running sums from the new base b(1, s + 1), so a call
-    costs O(n r) steps and no recursion depth.
+    b is an integer because chi carries the factor 2^r, so the shift is exact.
     """
     if _check_int(n, "n") < 1 or _check_int(r, "r") < 1:
         raise ValueError("quadrics_b needs n >= 1 and r >= 1")
-    col = [((-1) ** m * (2 * m + 3) + 1) // 4 for m in range(1, n + 1)]
-    for s in range(2, r + 1):
-        col[0] = s - 2
-        for m in range(1, n):
-            col[m] += col[m - 1]
-    return col
+    chi = euler_ci_recursive(CIType((2,) * r, n))
+    return (-chi if n % 2 else chi) >> r
 
 
 class BettiTable(_Frozen):

@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import sys
 from functools import cache, cached_property
-from importlib import resources
 from math import gcd
 from operator import mul
 from pathlib import Path
@@ -247,7 +246,7 @@ def load_dataset_file(path: str | Path) -> CycleDataset:
 def builtin_dataset(name: str) -> CycleDataset:
     """Load one of the datasets shipped with the package (e.g. "gw2c5")."""
     filename = name if name.endswith(".json") else f"{name}.json"
-    record = resources.files("nefkit").joinpath(f"data/{filename}")
+    record = Path(__file__).with_name("data") / filename
     if not record.is_file():
         raise FileNotFoundError(f"no shipped dataset named {name!r}")
     return load_dataset(record.read_text("utf-8"))
@@ -260,7 +259,7 @@ def tau_top_pairing(n: int, a: int, b: int) -> int:
     Defined for ordinary partitions a >= b >= 0 of weight a + b = 2n - 1;
     the value is (-1)^(a-1).
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if _check_int(n, "n") < 1:
         raise ValueError("n must be a positive integer")
     if not _check_int(a, "a") >= _check_int(b, "b") >= 0:
         raise InvalidPartition(f"({a},{b}) is not weakly decreasing and non-negative")

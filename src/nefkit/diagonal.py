@@ -33,7 +33,6 @@ from .chern import (
     euler_ci_rows,
     euler_delpezzo_closed,
     poincare_polynomial_ci,
-    quadrics_b_column,
 )
 from .exactnum import _Frozen
 
@@ -172,9 +171,13 @@ def _chi_witness_error(reason: Reason, chi: object, bound: object) -> str | None
 
 def _number(x: int) -> str:
     """x for detail text: in decimal up to 14,000 bits (4,215 digits, under
-    Python's default int-to-str limit of 4,300), else by sign and bit length."""
+    Python's default int-to-str limit of 4,300) unless a lowered limit refuses
+    it, else by sign and bit length."""
     if x.bit_length() <= 14_000:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
     return f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)"
 
 
@@ -201,7 +204,7 @@ class _Step(NamedTuple):
 
 def verdict_curve(genus: int) -> Verdict:
     """Nef-diagonal verdict for a smooth projective curve of the given genus."""
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
+    if _check_int(genus, "genus") < 0:
         raise ValueError("genus must be a non-negative integer")
     return _verdict(_CURVES.get(genus, _CURVE), chi=2 - 2 * genus, genus=genus)
 
@@ -483,7 +486,7 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
     nonzero. The remainder of p is a + b*t where a + b*i = p(i), so it is the
     product of the two values at t = i, with a zero t coefficient dropped.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if _check_int(n, "n") < 1:
         raise ValueError("n must be a positive integer")
     p_total = poincare_polynomial_ci(CIType((2, 2), 2 * n + 1))
     p_fiber = [4] if n == 1 else poincare_polynomial_ci(CIType((2, 2), 2 * (n - 1)))
@@ -559,9 +562,11 @@ def scan_ci(
     and the bound at even n, with the plane cubic and the cubic surface as
     the only exclusions by (n, degrees), then runs the chain and its witness
     laws and counts the status of the step that fired; it builds no Verdict.
-    The quadrics sweep then runs by r, then n, over one quadrics_b_column
-    per r. Any failure raises ScanViolation naming the law and the offending
-    type; a clean run returns counts per law and per verdict status.
+    The quadrics sweep then walks the degree-2 branch of the same walk,
+    euler_ci_rows(2, quadrics_max_codimension, max_dimension), by r, then n,
+    and reads b(n, r) = (-1)^n chi / 2^r from the row of (2,)*r. Any failure
+    raises ScanViolation naming the law and the offending type; a clean run
+    returns counts per law and per verdict status.
     """
     bounds = {
         "max_dimension": max_dimension,
@@ -607,8 +612,12 @@ def scan_ci(
     law_checks = {"hypersurface_sign": hypersurface, "multidegree_sign": multidegree,
                   "even_dimension_bound": even_bound, "quadrics_positive": 0,
                   "quadrics_even_bound": 0, "verdict_classified": sum(status_counts.values())}
-    for r in range(3, quadrics_max_codimension + 1):
-        for n, b in enumerate(quadrics_b_column(max_dimension, r), start=1):
+    for degrees, row, _ in euler_ci_rows(2, quadrics_max_codimension, max_dimension):
+        r = len(degrees)
+        if r < 3:
+            continue
+        for n in range(1, max_dimension + 1):
+            b = (-row[n] if n % 2 else row[n]) >> r
             if b <= 0:
                 raise ScanViolation("quadrics_positive", (n, r), f"b = {b}")
             law_checks["quadrics_positive"] += 1

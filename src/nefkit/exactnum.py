@@ -1,5 +1,5 @@
-"""Exact combinatorial arithmetic: binomials, symmetric functions, and
-truncated power series over the rationals.
+"""Exact combinatorial arithmetic: symmetric functions and truncated power
+series over the rationals.
 
 Everything here is integer or Fraction arithmetic; no floats anywhere. The
 series type exists to expand quotients of the form
@@ -20,22 +20,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
-    "binomial",
     "complete_homogeneous",
     "complete_homogeneous_prefix",
     "elementary_symmetric",
     "TruncatedSeries",
     "series_rational_coefficients",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), with C(n, k) = 0 outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial is only defined here for n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def complete_homogeneous(k: int, values: Sequence[int]) -> int:
@@ -204,7 +194,7 @@ def series_rational_coefficients(
         if p < 0:
             raise ValueError("numerator exponents must be non-negative")
         factor = TruncatedSeries.of(
-            [Fraction(binomial(p, k)) * Fraction(s) ** k for k in range(order + 1)],
+            [Fraction(math.comb(p, k)) * Fraction(s) ** k for k in range(order + 1)],
             order,
         )
         series = series * factor

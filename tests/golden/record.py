@@ -113,8 +113,9 @@ ERRORS = [
     ["cone", "check", "--dataset", "tests/golden/object_partition.json"],
     # a class without a partition and with a negative codim
     ["cone", "check", "--dataset", "tests/golden/negative_codim.json"],
-    # documents the JSON parser cannot read: nesting at the default recursion
-    # limit, and a dimension one digit past the int-to-str limit
+    # documents the JSON parser cannot read: arrays nested 100,000 deep, past
+    # the decoder's depth limit on every supported interpreter, and a
+    # dimension one digit past the int-to-str limit
     ["cone", "check", "--dataset", "tests/golden/deep_nesting.json"],
     ["--format", "json", "cone", "dual", "--dataset", "tests/golden/long_dimension.json",
      "--codim", "1"],

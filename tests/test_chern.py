@@ -32,7 +32,6 @@ from nefkit.chern import (
     euler_weighted,
     poincare_polynomial_ci,
     quadrics_b,
-    quadrics_b_column,
 )
 
 
@@ -227,8 +226,9 @@ def test_quadrics_b_even_odd_closed_form_r2():
 
 
 def test_quadrics_b_matches_euler_normalization():
-    for n in range(1, 11):
-        for r in range(1, 8):
+    # b reads the recursive route; the formula route cross-checks it
+    for n in range(1, 41):
+        for r in range(1, 11):
             ci = CIType((2,) * r, n)
             expected = Fraction((-1) ** n * euler_ci_formula(ci), 2**r)
             assert quadrics_b(n, r) == expected, (n, r)
@@ -239,11 +239,6 @@ def test_quadrics_b_large_dimension_is_an_exact_integer():
     value = quadrics_b(1500, 3)
     assert type(value) is int
     assert value == euler_ci_formula(CIType((2, 2, 2), 1500)) // 8 == 282376
-
-
-def test_quadrics_b_column_matches_quadrics_b_pointwise():
-    for r in range(1, 9):
-        assert quadrics_b_column(12, r) == [quadrics_b(n, r) for n in range(1, 13)]
 
 
 def test_quadrics_b_rejects_bad_input():

@@ -211,6 +211,23 @@ def test_unprintable_result_exits_2(capsys, fmt) -> None:
     assert len(err.splitlines()) == 1 and err.startswith("invalid input:")
 
 
+def test_unprintable_result_under_a_lowered_str_limit_exits_2() -> None:
+    # the verdict's detail shortens chi(99; 1000), 1,994 digits; the witness
+    # printed in full is past PYTHONINTMAXSTRDIGITS=1000
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nefkit", "verdict", "ci", "--dim", "1000", "--degrees", "99"],
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+             "PYTHONINTMAXSTRDIGITS": "1000"},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("invalid input: the result has an integer of more than 1000"
+                           " digits, too many to print\n")
+
+
 def test_dataset_errors_exit_3(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "cone", "check", "--dataset", "no-such-dataset")
     assert code == 3 and "dataset error" in err

@@ -28,7 +28,6 @@ from nefkit.chern import (
     euler_ci_recursive,
     euler_ci_rows,
     euler_delpezzo_closed,
-    quadrics_b_column,
 )
 from nefkit.cones import (
     builtin_dataset,
@@ -291,6 +290,20 @@ def test_detail_prints_decimal_up_to_14000_bits_whatever_the_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_detail_shortens_a_number_past_a_lowered_str_limit():
+    # chi(99; 1000) has 1,994 digits, under 14,000 bits but over a limit of 1,000
+    ci = CIType((99,), 1000)
+    chi = euler_ci_formula(ci)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        verdict = verdict_ci(ci)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert verdict.witness["chi"] == chi
+    assert verdict.detail.startswith(f"chi = (positive integer of {chi.bit_length()} bits)")
+
+
 # ---------------------------------------------------------------------------
 # Del Pezzo manifolds
 
@@ -414,10 +427,14 @@ def test_nef_big_filter():
         (tau_top_pairing, (2, 2.0, 1), "a"),
         (nef_cone_of_codim, (builtin_dataset("gw2c5"), 2.0), "codim"),
         (effective_cone_of_codim, (builtin_dataset("gw2c5"), 2.0), "codim"),
+        (verdict_curve, (True,), "genus"),
+        (cp_fibration_obstruction, (2.0,), "n"),
+        (tau_top_pairing, (True, 1, 0), "n"),
     ],
     ids=["delpezzo-bool-degree", "delpezzo-float-degree", "nef-big-float-dimension",
          "closed-form-bool-degree", "tau-float-part", "nef-cone-float-codim",
-         "effective-cone-float-codim"],
+         "effective-cone-float-codim", "curve-bool-genus", "fibration-float-n",
+         "tau-bool-n"],
 )
 def test_entry_points_reject_non_integer_arguments(call, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
@@ -546,6 +563,24 @@ def test_scan_rejects_a_curve_of_negative_genus(monkeypatch):
     assert info.value.subject == CIType((2, 2), 1)
 
 
+@pytest.mark.parametrize(
+    ("n", "value", "law", "message"),
+    [
+        (1, lambda chi: -chi, "quadrics_positive", "b = -1"),  # b(1, 3) = 1
+        (4, lambda chi: 8 * 5, "quadrics_even_bound", "b = 5"),  # b(4, 3) = 6
+    ],
+    ids=["positive", "even-bound"],
+)
+def test_scan_checks_the_quadrics_laws(monkeypatch, n, value, law, message):
+    # the grid stops at r = 2, so only the quadrics sweep reads the (2,2,2) row
+    monkeypatch.setattr(diagonal, "euler_ci_rows", rows_with((2, 2, 2), n, value))
+    with pytest.raises(ScanViolation) as info:
+        scan_ci(6, 4, 2, 4)
+    assert info.value.law == law
+    assert info.value.subject == (n, 3)
+    assert str(info.value) == f"{law} violated at ({n}, 3): {message}"
+
+
 def test_scan_verdict_counts_small():
     report = scan_ci(6, 4, 3, quadrics_max_codimension=4)
     # Nef: P^n (6) + quadric (6) + elliptic curves (3;1) and (2,2;1).
@@ -650,12 +685,15 @@ def walks(monkeypatch) -> list:
 def test_scan_reads_chi_from_one_row_per_degree_tuple(formula_calls, walks):
     report = scan_ci(6, 4, 3, quadrics_max_codimension=4)
     assert formula_calls == []
-    [(bounds, rows)] = walks
+    # the grid's walk, then its degree-2 branch for the quadrics sweep
+    [(bounds, rows), (quadric_bounds, quadric_rows)] = walks
     assert bounds == (4, 3, 6)
     tuples = [ci.degrees for ci in scan_grid(1, 4, 3)]
     assert len(rows) == len(set(rows)) == len(tuples)
     assert sorted(rows) == sorted((degrees, 7) for degrees in tuples)
     assert report.cases == 6 * len(tuples)
+    assert quadric_bounds == (2, 4, 6)
+    assert quadric_rows == [((2,) * r, 7) for r in range(5)]
 
 
 class TrackedList(list):
@@ -677,16 +715,16 @@ def test_scan_holds_the_rows_of_one_path(monkeypatch):
 
     # Every row but the root's (degrees ()) is one _peel of its parent's.
     monkeypatch.setattr(chern, "_peel", tracked(chern._peel))
-    monkeypatch.setattr(diagonal, "quadrics_b_column", tracked(quadrics_b_column))
-    r = 3
-    scan_ci(6, 7, r, quadrics_max_codimension=4)
-    # 83 degree tuples below the root, then one column for each of r = 3, 4.
-    assert len(alive_at_call) == 85
+    r, q = 3, 4
+    scan_ci(6, 7, r, quadrics_max_codimension=q)
+    # 83 degree tuples below the root, then the q quadric tuples of the branch.
+    assert len(alive_at_call) == 83 + q
     # As each row is built, the rows alive are the root's (not tracked), at
     # most r - 1 more on the path and the last row read: r + 1 in all.
     assert 1 + max(alive_at_call[:83]) <= r + 1, alive_at_call
-    # Only the last row read outlives the walk, and no column another.
-    assert alive_at_call[83:] == [1, 1], alive_at_call
+    # As the branch builds the row of (2,)*k, the tracked rows alive are the
+    # grid's last row read, which outlives its walk, and the k - 1 on the path.
+    assert alive_at_call[83:] == [1, 2, 3, 4], alive_at_call
 
 
 def test_scan_meets_time_budget():

@@ -15,7 +15,6 @@ import pytest
 
 from nefkit.exactnum import (
     TruncatedSeries,
-    binomial,
     complete_homogeneous,
     complete_homogeneous_prefix,
     elementary_symmetric,
@@ -50,20 +49,6 @@ def poly_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]
             if i + j <= order:
                 out[i + j] += a * b
     return out
-
-
-def test_binomial_small_table():
-    assert binomial(0, 0) == 1
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(7, 7) == 1
-    assert binomial(4, 6) == 0
-    assert binomial(4, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-2, 1)
 
 
 def test_symmetric_functions_trivial_cases():
@@ -121,7 +106,7 @@ def test_series_binomial_at_index():
     for p in range(0, 8):
         s = series_rational_coefficients([(1, p)], [], 6)
         for k in range(0, 7):
-            assert s.coefficient(k) == binomial(p, k)
+            assert s.coefficient(k) == math.comb(p, k)
 
 
 def test_series_quotient_matches_symmetric_function_expansion():
@@ -132,7 +117,7 @@ def test_series_quotient_matches_symmetric_function_expansion():
         r = len(degrees)
         series = series_rational_coefficients([(1, n + r + 1)], list(degrees), n)
         expected = sum(
-            (-1) ** (n - i) * binomial(n + r + 1, i) * complete_homogeneous(n - i, list(degrees))
+            (-1) ** (n - i) * math.comb(n + r + 1, i) * complete_homogeneous(n - i, list(degrees))
             for i in range(n + 1)
         )
         assert series.coefficient(n) == expected
@@ -141,7 +126,7 @@ def test_series_quotient_matches_symmetric_function_expansion():
 
 def test_series_quotient_against_naive_convolution():
     order = 7
-    num = [Fraction(binomial(9, k)) for k in range(order + 1)]
+    num = [Fraction(math.comb(9, k)) for k in range(order + 1)]
     s = series_rational_coefficients([(1, 9)], [2, 3], order)
     back = poly_mul(
         list(s.coefficients),
