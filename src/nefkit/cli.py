@@ -113,7 +113,8 @@ def _comma_ints(text: str) -> tuple[int, ...]:
 
 
 def _resolve_dataset(name: str) -> CycleDataset:
-    """Dataset lookup order: literal path, NEFKIT_DATA directory, shipped data."""
+    """Dataset lookup order: literal path, NEFKIT_DATA directory, shipped data.
+    A name with a directory part names a file, never a shipped dataset."""
     from .cones import builtin_dataset, load_dataset_file
 
     path = Path(name)
@@ -125,6 +126,8 @@ def _resolve_dataset(name: str) -> CycleDataset:
         candidate = Path(data_dir) / stem
         if candidate.is_file():
             return load_dataset_file(candidate)
+    if path.name != name:
+        raise FileNotFoundError(f"no dataset file named {name!r}")
     return builtin_dataset(name)
 
 
@@ -276,7 +279,7 @@ def _handle_table_delpezzo(args: argparse.Namespace) -> Outcome:
             "degree": row.degree,
             "dimensions": row.dimensions,
             "description": row.description,
-            "variants": list(row.variants),
+            "variants": list(row.variant_dimensions),
         }
         for row in DELPEZZO_TABLE
     ]
@@ -402,7 +405,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     sys.stdout.write(output)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -158,12 +158,6 @@ class CycleDataset(_Frozen):
             _check_int(value, f"pairing ({la}, {lb})", SchemaError)
         self._store(variety, dimension, classes, pairings)
 
-    def class_by_label(self, label: str) -> CycleClass:
-        for c in self.classes:
-            if c.label == label:
-                return c
-        raise SchemaError(f"no class labeled {label!r}")
-
     def classes_of_codim(self, codim: int) -> tuple[CycleClass, ...]:
         return tuple(c for c in self.classes if c.codim == codim)
 
@@ -325,7 +319,8 @@ def _rank(rows: Sequence[Sequence[int]], width: int) -> int:
 class RationalCone(_Frozen):
     """A polyhedral cone given by its primitive extremal generators.
 
-    Generators are primitive integer vectors, sorted lexicographically; their
+    Generators are primitive integer vectors, stored sorted lexicographically
+    whatever their given order (as CIType sorts its degrees); their
     orientation comes from the pairing convention and is never flipped. A
     cone may legitimately fail to be full-dimensional (for instance the dual
     of a non-pointed effective cone); is_full_dimensional reports that. The
@@ -348,8 +343,6 @@ class RationalCone(_Frozen):
                 raise ValueError("generator length must match the ambient dimension")
             if not any(g):
                 raise ValueError("generators must be nonzero")
-        if generators != tuple(sorted(generators)):
-            raise ValueError("generators must be sorted")
         if basis_labels is not None:
             if not isinstance(basis_labels, tuple) or not all(
                 isinstance(label, str) for label in basis_labels
@@ -357,7 +350,7 @@ class RationalCone(_Frozen):
                 raise ValueError("basis labels must be a tuple of strings")
             if len(basis_labels) != ambient_dimension:
                 raise ValueError("need one basis label per coordinate")
-        self._store(ambient_dimension, generators, basis_labels)
+        self._store(ambient_dimension, tuple(sorted(generators)), basis_labels)
 
     @cached_property
     def is_full_dimensional(self) -> bool:
@@ -489,7 +482,7 @@ def dual_cone(
                 g = gcd(*ray)
                 kept.append((tuple([x // g for x in ray]), common | bit))
         rays = kept
-    cone = RationalCone(m, tuple(sorted(ray for ray, _ in rays)), basis_labels)
+    cone = RationalCone(m, tuple([ray for ray, _ in rays]), basis_labels)
     # the cached-property slot that contains reads, filled as cached_property would
     vars(cone)["_facet_normals"] = tuple(normals)
     return cone
@@ -531,7 +524,7 @@ def effective_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     if not classes:
         raise ValueError(f"dataset has no classes of codimension {codim}")
     labels = tuple(c.label for c in classes)
-    return RationalCone(len(classes), tuple(sorted(_identity(len(classes)))), labels)
+    return RationalCone(len(classes), _identity(len(classes)), labels)
 
 
 def nef_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:

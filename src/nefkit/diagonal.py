@@ -2,14 +2,16 @@
 
 A verdict is three-valued: the diagonal class of a variety is certified
 not nef (with a numeric or named witness), certified nef (with a structural
-reason), or the question is open. Every verdict is a _Step, and _verdict
+reason), or the question is open. Each reason certifies exactly one status,
+named once in _STATUS_OF, so a Verdict takes its status from its reason and
+a _Step names only its reason. Every verdict is a _Step, and _verdict
 alone builds Verdicts from steps and the numbers their callers pass. One
 chain applies the criteria in a fixed priority order (positive structural
 families, the exception steps for the cubic surface, the K3 surface of three
 quadrics and the even-dimensional intersections of two quadrics, the sign of
 the diagonal self-intersection, the projection degree bound) and names the
 step that fired with its numbers. verdict_ci builds its Verdict once, from
-that step; scan_ci counts the step's status under the same witness checks
+that step; scan_ci counts the step's reason under the same witness checks
 and builds no Verdict. The del Pezzo rows hold their own steps, and the two
 pairing steps (a negative pair of effective classes, or every pairing
 non-negative) decide cones.spherical_nef_diagonal_check on a dataset.
@@ -76,21 +78,18 @@ class Reason(str, Enum):
     NON_NEGATIVE_PAIRINGS = "NonNegativePairings"
 
 
-_REASONS_BY_STATUS = {
-    Status.NOT_NEF: {
-        Reason.NEGATIVE_SELF_INTERSECTION,
-        Reason.PROJECTION_BOUND,
-        Reason.NEGATIVE_EFFECTIVE_PAIR,
-        Reason.BIRATIONAL_CONTRACTION,
-        Reason.K3_SURFACE,
-    },
-    Status.NEF: {
-        Reason.HOMOGENEOUS,
-        Reason.FAKE_PROJECTIVE_SPACE,
-        Reason.GROUP_VARIETY,
-        Reason.NON_NEGATIVE_PAIRINGS,
-    },
-    Status.OPEN: {Reason.OPEN_QUESTION},
+# The one status each reason certifies, which every Verdict of the reason takes.
+_STATUS_OF = {
+    Reason.NEGATIVE_SELF_INTERSECTION: Status.NOT_NEF,
+    Reason.PROJECTION_BOUND: Status.NOT_NEF,
+    Reason.NEGATIVE_EFFECTIVE_PAIR: Status.NOT_NEF,
+    Reason.BIRATIONAL_CONTRACTION: Status.NOT_NEF,
+    Reason.K3_SURFACE: Status.NOT_NEF,
+    Reason.HOMOGENEOUS: Status.NEF,
+    Reason.FAKE_PROJECTIVE_SPACE: Status.NEF,
+    Reason.GROUP_VARIETY: Status.NEF,
+    Reason.NON_NEGATIVE_PAIRINGS: Status.NEF,
+    Reason.OPEN_QUESTION: Status.OPEN,
 }
 
 # Stable reference ids carried by Open verdicts.
@@ -117,15 +116,16 @@ class Verdict(_Frozen):
     Every NotNef verdict carries a witness a referee can re-check: a negative
     intersection number, a violated numeric bound, or a named table entry.
     Nef and Open verdicts carry the structural reason or the open reference.
+    The status is the one that the reason certifies (_STATUS_OF).
     """
 
     _fields = ("status", "reason", "detail", "witness")
 
-    def __init__(self, status: Status, reason: Reason, detail: str,
+    def __init__(self, reason: Reason, detail: str,
                  witness: Mapping[str, object] | None = None) -> None:
         w = {} if witness is None else witness
-        if reason not in _REASONS_BY_STATUS[status]:
-            raise ValueError(f"reason {reason.value} invalid for {status.value}")
+        if not isinstance(reason, Reason):
+            raise ValueError(f"unknown reason {reason!r}")
         error = _chi_witness_error(reason, w.get("chi"), w.get("bound"))
         if error:
             raise ValueError(error)
@@ -144,7 +144,7 @@ class Verdict(_Frozen):
         elif reason is Reason.OPEN_QUESTION:
             if not w.get("reference"):
                 raise ValueError("Open verdicts must carry a reference id")
-        self._store(status, reason, detail, w)
+        self._store(_STATUS_OF[reason], reason, detail, w)
 
     def to_payload(self) -> dict:
         return {
@@ -191,7 +191,6 @@ class _Step(NamedTuple):
     them, as its witness keys, and its detail is a template over them."""
 
     name: str
-    status: Status
     reason: Reason
     detail: str = ""
     witness: Mapping[str, object] = {}
@@ -235,63 +234,57 @@ def _verdict(step: _Step, **values: object) -> Verdict:
     witness.update((key, values[key]) for key in step.numbers)
     detail = step.detail.format_map({key: _number(value) if isinstance(value, int) else value
                                      for key, value in values.items()})
-    return Verdict(step.status, step.reason, detail, witness)
+    return Verdict(step.reason, detail, witness)
 
 
-_PROJECTIVE_SPACE = _Step("projective space", Status.NEF, Reason.HOMOGENEOUS,
+_PROJECTIVE_SPACE = _Step("projective space", Reason.HOMOGENEOUS,
                           "projective space is a homogeneous variety")
-_QUADRIC = _Step("quadric", Status.NEF, Reason.HOMOGENEOUS,
-                 "a smooth quadric is a homogeneous variety")
+_QUADRIC = _Step("quadric", Reason.HOMOGENEOUS, "a smooth quadric is a homogeneous variety")
 # The curve steps by genus. Every other genus takes _CURVE, whose chi witness
 # law rejects a genus below 0.
-_CURVES = {0: _Step("curve", Status.NEF, Reason.HOMOGENEOUS,
+_CURVES = {0: _Step("curve", Reason.HOMOGENEOUS,
                     "a genus-0 curve is the projective line, a homogeneous variety"),
-           1: _Step("curve", Status.NEF, Reason.GROUP_VARIETY,
+           1: _Step("curve", Reason.GROUP_VARIETY,
                     "a genus-1 curve is an elliptic curve, hence a group variety")}
-_CURVE = _Step("curve", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION,
+_CURVE = _Step("curve", Reason.NEGATIVE_SELF_INTERSECTION,
                "deg Delta^2 = chi = {chi} < 0 on a curve of genus {genus}",
                numbers=("chi", "genus"))
-_OPEN_TWO_QUADRICS = _Step(
-    "open (2,2)", Status.OPEN, Reason.OPEN_QUESTION,
-    "whether an odd-dimensional smooth intersection of two quadrics has"
-    " nef diagonal is an open problem for every dimension >= 3",
-    {"reference": OPEN_TWO_QUADRICS_REFERENCE},
-)
+_OPEN_TWO_QUADRICS = _Step("open (2,2)", Reason.OPEN_QUESTION,
+                           "whether an odd-dimensional smooth intersection of two quadrics has"
+                           " nef diagonal is an open problem for every dimension >= 3",
+                           {"reference": OPEN_TWO_QUADRICS_REFERENCE})
 # The exceptions that the sign and bound tests cannot catch: even-dimensional
 # (2,2), and the surfaces by their degrees.
-_EVEN_TWO_QUADRICS = _Step(
-    "exception table", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
-    "an even-dimensional intersection of two quadrics carries middle-dimensional"
-    " linear subspaces with deg Lambda_1.Lambda_2 = -1",
-    {"classes": ["Lambda_1", "Lambda_2"], "value": -1},
-)
+_EVEN_TWO_QUADRICS = _Step("exception table", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                           "an even-dimensional intersection of two quadrics carries"
+                           " middle-dimensional linear subspaces with deg Lambda_1.Lambda_2 = -1",
+                           {"classes": ["Lambda_1", "Lambda_2"], "value": -1})
 _K3_DETAIL = ("a 2-dimensional intersection of three quadrics is a K3 surface, and K3 surfaces"
               " never have nef diagonal")
 _SURFACES = {
-    (3,): _Step("exception table", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+    (3,): _Step("exception table", Reason.NEGATIVE_EFFECTIVE_PAIR,
                 "a smooth cubic surface contains a (-1)-curve, an effective class of"
                 " negative self-intersection",
                 {"classes": ["(-1)-curve", "(-1)-curve"], "value": -1}),
-    (2, 2, 2): _Step("exception table", Status.NOT_NEF, Reason.K3_SURFACE, _K3_DETAIL,
+    (2, 2, 2): _Step("exception table", Reason.K3_SURFACE, _K3_DETAIL,
                      {"table_entry": _K3_DETAIL}),
 }
-_SIGN = _Step("sign", Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION,
+_SIGN = _Step("sign", Reason.NEGATIVE_SELF_INTERSECTION,
               "deg Delta^2 = chi = {chi} < 0", numbers=("chi",))
-_BOUND = _Step("projection bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
+_BOUND = _Step("projection bound", Reason.PROJECTION_BOUND,
                "chi = {chi} exceeds (n+1) deg X = {bound}, impossible for a nef"
                " diagonal under linear projection to P^n",
                numbers=("chi", "bound", "cover_degree"))
-_UNCLASSIFIED = _Step("unclassified", Status.OPEN, Reason.OPEN_QUESTION,
+_UNCLASSIFIED = _Step("unclassified", Reason.OPEN_QUESTION,
                       "no implemented criterion decides this type",
                       {"reference": UNCLASSIFIED_REFERENCE})
 # The verdicts of cones.spherical_nef_diagonal_check on a pairing dataset.
-_NEGATIVE_PAIRING = _Step("pairing", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+_NEGATIVE_PAIRING = _Step("pairing", Reason.NEGATIVE_EFFECTIVE_PAIR,
                           "effective classes {classes[0]} and {classes[1]} pair to {value}",
                           numbers=("classes", "value"))
-_NON_NEGATIVE_PAIRINGS = _Step(
-    "pairing", Status.NEF, Reason.NON_NEGATIVE_PAIRINGS,
-    "every complementary pairing of effective classes is non-negative,"
-    " which certifies a nef diagonal on a spherical variety")
+_NON_NEGATIVE_PAIRINGS = _Step("pairing", Reason.NON_NEGATIVE_PAIRINGS,
+                               "every complementary pairing of effective classes is non-negative,"
+                               " which certifies a nef diagonal on a spherical variety")
 
 
 def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
@@ -341,10 +334,6 @@ class DelPezzoRow(_Frozen):
                     {} if variant_dimensions is None else variant_dimensions)
 
     @property
-    def variants(self) -> tuple[str, ...]:
-        return tuple(self.variant_dimensions)
-
-    @property
     def dimensions(self) -> str:
         ns = sorted(self.steps)
         if len(ns) > 2:
@@ -355,7 +344,7 @@ class DelPezzoRow(_Frozen):
         return n in self.steps if self.steps else n >= 3
 
 
-_COVER_BOUND = _Step("cover bound", Status.NOT_NEF, Reason.PROJECTION_BOUND,
+_COVER_BOUND = _Step("cover bound", Reason.PROJECTION_BOUND,
                      "chi = {chi} exceeds (n+1) * {cover_degree} = {bound}, impossible for"
                      " a nef diagonal on a degree-{cover_degree} cover of P^n",
                      numbers=("chi", "bound", "cover_degree"))
@@ -368,26 +357,26 @@ DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
     DelPezzoRow(4, "a complete intersection of two quadrics in P^(n+2)", ci_degrees=(2, 2)),
     DelPezzoRow(5, "a linear section of the Grassmannian G(2,C^5) in its Pluecker embedding"
                 " in P^9", steps={
-        3: _Step("del Pezzo", Status.NEF, Reason.FAKE_PROJECTIVE_SPACE,
+        3: _Step("del Pezzo", Reason.FAKE_PROJECTIVE_SPACE,
                  "the degree-5 del Pezzo threefold has the sheaf-theoretic positivity of"
                  " projective space (it is a fake projective space in the diagonal sense)"),
-        4: _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+        4: _Step("del Pezzo", Reason.NEGATIVE_EFFECTIVE_PAIR,
                  "two effective families of planes pair negatively:"
                  " deg sigma(3,1).sigma(2,2) = -1",
                  {"classes": ["sigma(3,1)", "sigma(2,2)"], "value": -1}),
-        5: _Step("del Pezzo", Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR,
+        5: _Step("del Pezzo", Reason.NEGATIVE_EFFECTIVE_PAIR,
                  "two effective orbit-closure classes pair negatively:"
                  " deg tau(3,-1).tau(2,1) = -1",
                  {"classes": ["tau(3,-1)", "tau(2,1)"], "value": -1}),
-        6: _Step("del Pezzo", Status.NEF, Reason.HOMOGENEOUS,
+        6: _Step("del Pezzo", Reason.HOMOGENEOUS,
                  "the Grassmannian G(2,C^5) is a homogeneous variety")}),
     DelPezzoRow(6, "P^1 x P^1 x P^1, P^2 x P^2, or P(T_P2)",
                 steps=dict.fromkeys((3, 4), _Step(
-                    "del Pezzo", Status.NEF, Reason.HOMOGENEOUS,
+                    "del Pezzo", Reason.HOMOGENEOUS,
                     "every degree-6 del Pezzo manifold{variant} is a homogeneous variety")),
                 variant_dimensions={"P1xP1xP1": 3, "P2xP2": 4, "P(T_P2)": 3}),
     DelPezzoRow(7, "the blow-up of P^3 at a point", steps={3: _Step(
-        "del Pezzo", Status.NOT_NEF, Reason.BIRATIONAL_CONTRACTION,
+        "del Pezzo", Reason.BIRATIONAL_CONTRACTION,
         "the blow-up of P^3 at a point admits an extremal birational contraction",
         {"contraction": "blow-down of the exceptional divisor to a point of P^3"})}),
 )
@@ -561,7 +550,8 @@ def scan_ci(
     chain as chi_of. Per case it tests the sign of chi by the parity of n
     and the bound at even n, with the plane cubic and the cubic surface as
     the only exclusions by (n, degrees), then runs the chain and its witness
-    laws and counts the status of the step that fired; it builds no Verdict.
+    laws and counts the reason of the step that fired; it builds no Verdict,
+    and folds the counts by reason into counts by status after the walk.
     The quadrics sweep then walks the degree-2 branch of the same walk,
     euler_ci_rows(2, quadrics_max_codimension, max_dimension), by r, then n,
     and reads b(n, r) = (-1)^n chi / 2^r from the row of (2,)*r. Any failure
@@ -577,7 +567,7 @@ def scan_ci(
     if min(_check_int(value, name) for name, value in bounds.items()) < 1:
         raise ValueError("scan bounds must be positive")
     hypersurface = multidegree = even_bound = tuples = 0
-    status_counts = dict.fromkeys(Status, 0)
+    reason_counts = dict.fromkeys(Reason, 0)
     for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
                                                       max_dimension):
         tuples += 1
@@ -604,14 +594,14 @@ def scan_ci(
             error = _chi_witness_error(step.reason, step_chi, bound)
             if error:
                 raise ScanViolation("verdict_witness", CIType(degrees, n), error)
-            status_counts[step.status] += 1
+            reason_counts[step.reason] += 1
         if len(degrees) == 1:
             hypersurface += signs
         else:
             multidegree += signs
     law_checks = {"hypersurface_sign": hypersurface, "multidegree_sign": multidegree,
                   "even_dimension_bound": even_bound, "quadrics_positive": 0,
-                  "quadrics_even_bound": 0, "verdict_classified": sum(status_counts.values())}
+                  "quadrics_even_bound": 0, "verdict_classified": sum(reason_counts.values())}
     for degrees, row, _ in euler_ci_rows(2, quadrics_max_codimension, max_dimension):
         r = len(degrees)
         if r < 3:
@@ -629,5 +619,6 @@ def scan_ci(
         **bounds,
         cases=max_dimension * tuples,
         law_checks=law_checks,
-        verdict_counts={status.value: count for status, count in status_counts.items()},
+        verdict_counts={status.value: sum(count for reason, count in reason_counts.items()
+                                          if _STATUS_OF[reason] is status) for status in Status},
     )

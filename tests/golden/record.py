@@ -105,6 +105,8 @@ ERRORS = [
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],
     # dataset errors: exit 3
     ["cone", "check", "--dataset", "no-such-dataset"],
+    # a path that names no file is never looked up among the shipped datasets
+    ["cone", "check", "--dataset", "./missing.json"],
     ["cone", "check", "--dataset", BAD_DATASET],
     ["--format", "json", "cone", "dual", "--dataset", BAD_DATASET, "--codim", "1"],
     # no complementary pair of classes, so no pairing can certify a nef diagonal

@@ -308,6 +308,16 @@ def test_nefkit_data_directory_override(capsys, tmp_path, monkeypatch) -> None:
     assert out.splitlines()[0] == "Nef: NonNegativePairings"
 
 
+@pytest.mark.parametrize("where", ["missing file", "directory", "relative missing file"])
+def test_dataset_path_is_never_a_shipped_name(capsys, tmp_path, where) -> None:
+    # a name with a directory part names a file; only a bare name may be shipped data
+    name = {"missing file": str(tmp_path / "gw2c5.json"), "directory": str(tmp_path),
+            "relative missing file": "./missing.json"}[where]
+    code, out, err = run_cli(capsys, "cone", "check", "--dataset", name)
+    assert (code, out) == (3, "")
+    assert err == f"dataset error: no dataset file named {name!r}\n"
+
+
 def test_module_entry_point_runs() -> None:
     # The child imports nefkit from the source tree this process imported,
     # installed or not.

@@ -69,22 +69,17 @@ def scan_grid(max_dimension: int, max_degree: int, max_codimension: int) -> list
 
 def test_verdict_validation():
     with pytest.raises(ValueError):
-        Verdict(Status.NEF, Reason.NEGATIVE_SELF_INTERSECTION, "mismatched reason")
+        Verdict(Reason.NEGATIVE_SELF_INTERSECTION, "no witness")
     with pytest.raises(ValueError):
-        Verdict(Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION, "bad", {"chi": 5})
+        Verdict(Reason.NEGATIVE_SELF_INTERSECTION, "bad", {"chi": 5})
     with pytest.raises(ValueError):
-        Verdict(
-            Status.NOT_NEF, Reason.PROJECTION_BOUND, "bad", {"chi": 5, "bound": 10}
-        )
+        Verdict(Reason.PROJECTION_BOUND, "bad", {"chi": 5, "bound": 10})
     with pytest.raises(ValueError):
-        Verdict(
-            Status.NOT_NEF,
-            Reason.NEGATIVE_EFFECTIVE_PAIR,
-            "bad",
-            {"classes": ["a", "b"], "value": 1},
-        )
+        Verdict(Reason.NEGATIVE_EFFECTIVE_PAIR, "bad", {"classes": ["a", "b"], "value": 1})
     with pytest.raises(ValueError):
-        Verdict(Status.OPEN, Reason.OPEN_QUESTION, "bad", {})
+        Verdict(Reason.OPEN_QUESTION, "bad", {})
+    with pytest.raises(ValueError, match="^unknown reason 'Homogeneous'$"):
+        Verdict("Homogeneous", "a plain string is no Reason")
 
 
 def test_verdict_payload_round_trips_to_plain_data():
@@ -126,9 +121,22 @@ def test_every_fixed_step_builds_its_verdict():
     for step in fixed:
         # a del Pezzo row step may echo its variant label, which is empty when none is given
         verdict = diagonal._verdict(step, variant="")
-        assert (verdict.status, verdict.reason) == step[1:3], step.name
+        assert verdict.reason is step.reason, step.name
         assert verdict.detail == step.detail.format(variant=""), step.name
         assert verdict.witness == step.witness, step.name
+
+
+def test_each_reason_certifies_one_status():
+    assert set(diagonal._STATUS_OF) == set(Reason)
+    assert all(isinstance(status, Status) for status in diagonal._STATUS_OF.values())
+    assert set(diagonal._STATUS_OF.values()) == set(Status)
+    # numbers that pass every witness law: chi < 0, chi > bound, a negative pair
+    values = {"chi": -2, "bound": -3, "cover_degree": 1, "genus": 2,
+              "classes": ["a", "b"], "value": -1, "variant": ""}
+    for step in module_steps() + row_steps():
+        verdict = diagonal._verdict(step, **values)
+        assert verdict.status is diagonal._STATUS_OF[step.reason], step.name
+        assert verdict.reason is step.reason, step.name
 
 
 def test_only_verdict_builds_verdicts():
@@ -277,7 +285,7 @@ def test_huge_numbers_are_described_by_bit_length():
     assert "degree-(positive integer of 20001 bits) cover" in even.detail
 
 
-def test_detail_prints_decimal_up_to_14000_bits_whatever_the_str_limit():
+def test_detail_prints_decimal_up_to_14000_bits_with_no_or_the_default_str_limit():
     limit = sys.get_int_max_str_digits()
     try:
         for setting in (0, limit):
@@ -394,7 +402,7 @@ def test_delpezzo_rows_admit_exactly_the_dimensions_their_verdicts_accept():
 def test_delpezzo_table_shape():
     assert [row.degree for row in DELPEZZO_TABLE] == [1, 2, 3, 4, 5, 6, 7]
     assert DELPEZZO_TABLE[6].description == "the blow-up of P^3 at a point"
-    assert DELPEZZO_TABLE[5].variants == ("P1xP1xP1", "P2xP2", "P(T_P2)")
+    assert tuple(DELPEZZO_TABLE[5].variant_dimensions) == ("P1xP1xP1", "P2xP2", "P(T_P2)")
 
 
 # ---------------------------------------------------------------------------

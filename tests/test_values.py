@@ -25,7 +25,6 @@ from nefkit.diagonal import (
     FibrationObstruction,
     Reason,
     ScanReport,
-    Status,
     Verdict,
     cp_fibration_obstruction,
 )
@@ -51,8 +50,8 @@ VALUES = {
                    lambda: RationalCone(ambient_dimension=2, generators=((0, 1), (1, 0)),
                                         basis_labels=("x", "y"))),
     Verdict: (("status", "reason", "detail", "witness"),
-              lambda: Verdict(status=Status.NOT_NEF, reason=Reason.NEGATIVE_SELF_INTERSECTION,
-                              detail="chi < 0", witness={"chi": -1})),
+              lambda: Verdict(reason=Reason.NEGATIVE_SELF_INTERSECTION, detail="chi < 0",
+                              witness={"chi": -1})),
     DelPezzoRow: (("degree", "description", "cover", "ci_degrees", "steps",
                    "variant_dimensions"),
                   lambda: DelPezzoRow(degree=3, description="a cubic", ci_degrees=(3,))),
@@ -76,7 +75,7 @@ def field_tuple(value: object) -> tuple:
 
 
 def test_defaults() -> None:
-    assert Verdict(Status.NEF, Reason.HOMOGENEOUS, "homogeneous").witness == {}
+    assert Verdict(Reason.HOMOGENEOUS, "homogeneous").witness == {}
     assert RationalCone(1, ((1,),)).basis_labels is None
     assert CycleDataset("X", 0, (CLASSES[2],)).pairings == {}
     row = DelPezzoRow(degree=7, description="d")
@@ -84,8 +83,8 @@ def test_defaults() -> None:
 
 
 def test_default_mappings_are_not_shared() -> None:
-    first = Verdict(Status.NEF, Reason.HOMOGENEOUS, "homogeneous")
-    second = Verdict(Status.NEF, Reason.HOMOGENEOUS, "homogeneous")
+    first = Verdict(Reason.HOMOGENEOUS, "homogeneous")
+    second = Verdict(Reason.HOMOGENEOUS, "homogeneous")
     assert first.witness is not second.witness
     assert CycleDataset("X", 0, (CLASSES[2],)).pairings is not \
         CycleDataset("X", 0, (CLASSES[2],)).pairings
@@ -237,28 +236,26 @@ SURFACE = (CycleClass("p", (0, 0), 0), CycleClass("l", (1, 0), 1),
     (lambda: RationalCone(2, ((1,),)), ValueError,
      "generator length must match the ambient dimension"),
     (lambda: RationalCone(2, ((0, 0),)), ValueError, "generators must be nonzero"),
-    (lambda: RationalCone(2, ((1, 0), (0, 1))), ValueError, "generators must be sorted"),
     (lambda: RationalCone(2, ((1, 0),), ("x",)), ValueError,
      "need one basis label per coordinate"),
-    (lambda: Verdict(Status.NEF, Reason.PROJECTION_BOUND, "d"), ValueError,
-     "reason ProjectionBound invalid for Nef"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.NEGATIVE_SELF_INTERSECTION, "d", {"chi": 0}),
+    (lambda: Verdict("Homogeneous", "d"), ValueError, "unknown reason 'Homogeneous'"),
+    (lambda: Verdict(Reason.NEGATIVE_SELF_INTERSECTION, "d", {"chi": 0}),
      ValueError, "NegativeSelfIntersection needs witness chi < 0"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.PROJECTION_BOUND, "d", {"chi": 5}), ValueError,
+    (lambda: Verdict(Reason.PROJECTION_BOUND, "d", {"chi": 5}), ValueError,
      "ProjectionBound needs integer chi and bound"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.PROJECTION_BOUND, "d", {"chi": 5, "bound": 5}),
+    (lambda: Verdict(Reason.PROJECTION_BOUND, "d", {"chi": 5, "bound": 5}),
      ValueError, "ProjectionBound witness must have chi > bound"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR, "d",
+    (lambda: Verdict(Reason.NEGATIVE_EFFECTIVE_PAIR, "d",
                      {"classes": ["a"], "value": -1}),
      ValueError, "NegativeEffectivePair needs a pair of class names"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.NEGATIVE_EFFECTIVE_PAIR, "d",
+    (lambda: Verdict(Reason.NEGATIVE_EFFECTIVE_PAIR, "d",
                      {"classes": ["a", "b"], "value": 0}),
      ValueError, "NegativeEffectivePair needs witness value < 0"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.K3_SURFACE, "d"), ValueError,
+    (lambda: Verdict(Reason.K3_SURFACE, "d"), ValueError,
      "K3Surface verdicts must name their table entry"),
-    (lambda: Verdict(Status.NOT_NEF, Reason.BIRATIONAL_CONTRACTION, "d"), ValueError,
+    (lambda: Verdict(Reason.BIRATIONAL_CONTRACTION, "d"), ValueError,
      "BirationalContraction must name the contraction"),
-    (lambda: Verdict(Status.OPEN, Reason.OPEN_QUESTION, "d", {"reference": ""}), ValueError,
+    (lambda: Verdict(Reason.OPEN_QUESTION, "d", {"reference": ""}), ValueError,
      "Open verdicts must carry a reference id"),
     (lambda: RationalCone(True, ((1,),)), ValueError, "ambient dimension must be an integer"),
     (lambda: RationalCone(2, ((0.5, 1.0), (1, 0))), ValueError,
