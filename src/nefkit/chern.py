@@ -88,10 +88,6 @@ class CIType(_Frozen):
         return len(self.degrees)
 
     @property
-    def ambient_dimension(self) -> int:
-        return self.dimension + len(self.degrees)
-
-    @property
     def degree_product(self) -> int:
         return math.prod(self.degrees)
 
@@ -195,14 +191,11 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
     ambient projective space and entry n is the Euler characteristic.
     """
     n = ci.dimension
-    r = ci.codimension
-    series = series_rational_coefficients([(1, n + r + 1)], list(ci.degrees), n)
-    out = []
-    for k in range(n + 1):
-        value = series.coefficient(k) * ci.degree_product
-        assert value.denominator == 1
-        out.append(int(value))
-    return out
+    series = series_rational_coefficients(n + ci.codimension + 1, ci.degrees, n)
+    product = ci.degree_product
+    values = [c * product for c in series.coefficients]
+    assert all(value.denominator == 1 for value in values)
+    return [int(value) for value in values]
 
 
 def quadrics_b(n: int, r: int) -> int:
@@ -300,10 +293,6 @@ class WeightedHypersurface(_Frozen):
     @property
     def ambient_dimension(self) -> int:
         return len(self.weights) - 1
-
-    @property
-    def dimension(self) -> int:
-        return len(self.weights) - 2
 
     @property
     def weight_product(self) -> int:

@@ -112,22 +112,25 @@ def _comma_ints(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _resolve_dataset(name: str) -> CycleDataset:
-    """Dataset lookup order: literal path, NEFKIT_DATA directory, shipped data.
-    A name with a directory part names a file, never a shipped dataset."""
-    from .cones import builtin_dataset, load_dataset_file
+def _format(text: str) -> str:
+    """A --format value; a bad one gets one message under every CPython
+    release, where argparse's own message quotes the choices only to 3.13.0."""
+    if text not in ("text", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'text', 'json')")
+    return text
 
-    path = Path(name)
-    if path.is_file():
-        return load_dataset_file(path)
+
+def _resolve_dataset(name: str) -> CycleDataset:
+    """Dataset lookup order: literal path, NEFKIT_DATA directory, shipped data."""
+    from .cones import _json_name, builtin_dataset, load_dataset_file
+
+    if Path(name).is_file():
+        return load_dataset_file(name)
     data_dir = os.environ.get("NEFKIT_DATA")
     if data_dir:
-        stem = name if name.endswith(".json") else f"{name}.json"
-        candidate = Path(data_dir) / stem
+        candidate = Path(data_dir) / _json_name(name)
         if candidate.is_file():
             return load_dataset_file(candidate)
-    if path.name != name:
-        raise FileNotFoundError(f"no dataset file named {name!r}")
     return builtin_dataset(name)
 
 
@@ -355,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nefkit",
         description="exact invariants, nef-diagonal verdicts and cycle cones",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text",
+    parser.add_argument("--format", type=_format, choices=("text", "json"), default="text",
                         help="report format (default: text)")
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, kinds) in COMMANDS.items():

@@ -186,17 +186,20 @@ def load_dataset(text: str) -> CycleDataset:
 
     Its own checks, each raising SchemaError, cover what the constructors
     cannot see: a document the JSON parser can read (not nested past the
-    recursion limit, no integer past the int-to-str digit limit), a
-    top-level object with the four fields, classes and pairings given as
-    lists, class entries given as objects, and pairing entries with string
-    endpoints a and b and an integer value, checked per entry because
-    agreeing duplicates merge. Duplicates with conflicting values (including
-    asymmetric duplicates) raise InconsistentPairing. CycleClass and
-    CycleDataset check the variety, the dimension, each class and each
-    pairing's classes, raising SchemaError or its subclass InvalidPartition.
+    recursion limit, no integer past the int-to-str digit limit, no object
+    that repeats a key), a top-level object with the four fields, classes
+    and pairings given as lists, class entries given as objects, and pairing
+    entries with string endpoints a and b and an integer value, checked per
+    entry because agreeing duplicates merge. Duplicates with conflicting
+    values (including asymmetric duplicates) raise InconsistentPairing.
+    CycleClass and CycleDataset check the variety, the dimension, each class
+    and each pairing's classes, raising SchemaError or its subclass
+    InvalidPartition.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except SchemaError:
+        raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -233,17 +236,40 @@ def load_dataset(text: str) -> CycleDataset:
     return CycleDataset(doc["variety"], doc["dimension"], tuple(classes), pairings)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, or SchemaError naming a key it repeats."""
+    doc: dict[str, object] = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SchemaError(f"dataset object repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_dataset_file(path: str | Path) -> CycleDataset:
-    return load_dataset(Path(path).read_text("utf-8"))
+    """Read and load a dataset file; text that is not UTF-8 raises SchemaError."""
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"dataset cannot be read: {exc}") from exc
+    return load_dataset(text)
+
+
+def _json_name(name: str) -> str:
+    """The file name of a dataset name, which may leave out the .json suffix."""
+    return name if name.endswith(".json") else f"{name}.json"
 
 
 def builtin_dataset(name: str) -> CycleDataset:
-    """Load one of the datasets shipped with the package (e.g. "gw2c5")."""
-    filename = name if name.endswith(".json") else f"{name}.json"
-    record = Path(__file__).with_name("data") / filename
+    """Load one of the datasets shipped with the package (e.g. "gw2c5"). A name
+    with a directory part, such as "../data/gw2c5", names a file, never a
+    shipped dataset, and raises FileNotFoundError "no dataset file named ..."."""
+    if Path(name).name != name:
+        raise FileNotFoundError(f"no dataset file named {name!r}")
+    record = Path(__file__).with_name("data") / _json_name(name)
     if not record.is_file():
         raise FileNotFoundError(f"no shipped dataset named {name!r}")
-    return load_dataset(record.read_text("utf-8"))
+    return load_dataset_file(record)
 
 
 def tau_top_pairing(n: int, a: int, b: int) -> int:

@@ -131,9 +131,10 @@ class Verdict(_Frozen):
             raise ValueError(error)
         if reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
             classes = w.get("classes")
-            if not (isinstance(classes, (list, tuple)) and len(classes) == 2):
+            if not (isinstance(classes, (list, tuple)) and len(classes) == 2
+                    and all(isinstance(label, str) for label in classes)):
                 raise ValueError("NegativeEffectivePair needs a pair of class names")
-            if not isinstance(w.get("value"), int) or w["value"] >= 0:
+            if type(w.get("value")) is not int or w["value"] >= 0:
                 raise ValueError("NegativeEffectivePair needs witness value < 0")
         elif reason is Reason.K3_SURFACE:
             if not w.get("table_entry"):
@@ -159,10 +160,10 @@ def _chi_witness_error(reason: Reason, chi: object, bound: object) -> str | None
     """Why chi and bound cannot witness a verdict with this reason, or None:
     the chi witness laws that Verdict enforces and scan_ci checks per case."""
     if reason is Reason.NEGATIVE_SELF_INTERSECTION:
-        if not isinstance(chi, int) or chi >= 0:
+        if type(chi) is not int or chi >= 0:
             return "NegativeSelfIntersection needs witness chi < 0"
     elif reason is Reason.PROJECTION_BOUND:
-        if not (isinstance(chi, int) and isinstance(bound, int)):
+        if not (type(chi) is int and type(bound) is int):
             return "ProjectionBound needs integer chi and bound"
         if chi <= bound:
             return "ProjectionBound witness must have chi > bound"

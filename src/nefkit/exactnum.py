@@ -2,9 +2,9 @@
 series over the rationals.
 
 Everything here is integer or Fraction arithmetic; no floats anywhere. The
-series type exists to expand quotients of the form
+series type exists to expand the one quotient
 
-    prod_j (1 + s_j t)^(p_j)  /  prod_j (1 + s_j t)
+    (1 + t)^p  /  prod_j (1 + s_j t)
 
 whose truncated coefficients drive the Chern degree computations downstream.
 
@@ -112,8 +112,7 @@ class TruncatedSeries(_Frozen):
     """Power series truncated at a fixed order, coefficients exact rationals.
 
     coefficients[k] is the t^k coefficient; len(coefficients) == order + 1.
-    Multiplication truncates at the common order. Division requires the
-    divisor to have a nonzero constant term.
+    Division requires the divisor to have a nonzero constant term.
     """
 
     _fields = ("coefficients", "order")
@@ -134,29 +133,6 @@ class TruncatedSeries(_Frozen):
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs), order)
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.of([1], order)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient index {k} outside truncation order {self.order}")
-        return self.coefficients[k]
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("series orders must match")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(0, n + 1 - i):
-                out[i + j] += a * other.coefficients[j]
-        return TruncatedSeries(tuple(out), n)
-
     def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -176,31 +152,20 @@ class TruncatedSeries(_Frozen):
 
 
 def series_rational_coefficients(
-    numerator_factors: Iterable[tuple[int, int]],
-    denominator_factors: Iterable[int],
-    order: int,
+    exponent: int, denominator_factors: Iterable[int], order: int
 ) -> TruncatedSeries:
-    """Expand prod (1 + s t)^p / prod (1 + s t) through the given order.
+    """Expand (1 + t)^exponent / prod (1 + s t) through the given order.
 
-    Numerator factors are (scalar s, exponent p) pairs with p >= 0;
-    denominator factors are the scalars s of linear terms (1 + s t). With
-    integer scalars every coefficient of the quotient is an integer, since
-    dividing by (1 + s t) is the integer recurrence c'_k = c_k - s c'_(k-1).
+    The exponent is >= 0; denominator factors are the scalars s of linear
+    terms (1 + s t). With integer scalars every coefficient of the quotient
+    is an integer, since dividing by (1 + s t) is the integer recurrence
+    c'_k = c_k - s c'_(k-1).
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    series = TruncatedSeries.one(order)
-    for s, p in numerator_factors:
-        if p < 0:
-            raise ValueError("numerator exponents must be non-negative")
-        factor = TruncatedSeries.of(
-            [Fraction(math.comb(p, k)) * Fraction(s) ** k for k in range(order + 1)],
-            order,
-        )
-        series = series * factor
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    series = TruncatedSeries.of([math.comb(exponent, k) for k in range(order + 1)], order)
     for s in denominator_factors:
-        denom = TruncatedSeries.of([1, s], order)
-        # The constant term of (1 + s t) is 1 by construction; the division
-        # operator guards against a zero constant term anyway.
-        series = series / denom
+        series = series / TruncatedSeries.of([1, s], order)
     return series

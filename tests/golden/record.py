@@ -121,6 +121,11 @@ ERRORS = [
     ["cone", "check", "--dataset", "tests/golden/deep_nesting.json"],
     ["--format", "json", "cone", "dual", "--dataset", "tests/golden/long_dimension.json",
      "--codim", "1"],
+    # a dataset file that is not UTF-8 (UTF-16 with its byte order mark)
+    ["cone", "check", "--dataset", "tests/golden/utf16.json"],
+    # a pairing entry that gives its value twice, which json.loads alone would
+    # read as the last value, -1
+    ["cone", "check", "--dataset", "tests/golden/repeated_key.json"],
 ]
 
 

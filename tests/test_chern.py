@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from nefkit import chern
 from nefkit.chern import (
     BettiTable,
     CIType,
@@ -51,7 +52,6 @@ def test_citype_canonical_form():
     assert ci.degrees == (2, 3)
     assert ci.dimension == 4
     assert ci.codimension == 2
-    assert ci.ambient_dimension == 6
     assert ci.degree_product == 6
 
 
@@ -289,13 +289,17 @@ def test_betti_rejects_dimension_zero():
         betti_ci(CIType((2,), 0))
 
 
-def test_betti_table_validation():
+def test_betti_table_validation(monkeypatch):
     with pytest.raises(ValueError):
         BettiTable((1, 0))  # even length
     with pytest.raises(ValueError):
         BettiTable((1, 0, 2))  # duality violated
     with pytest.raises(NegativeBetti):
         BettiTable((1, -2, 1))
+    # no complete intersection has one, so a stand-in chi: b_2 = chi - 2 < 0
+    monkeypatch.setattr(chern, "euler_ci_formula", lambda ci: 1)
+    with pytest.raises(NegativeBetti, match=r"^middle Betti number -1 < 0 for \(2;2\)$"):
+        betti_ci(CIType((2,), 2))
 
 
 def test_poincare_polynomials():

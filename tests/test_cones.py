@@ -201,6 +201,24 @@ def test_load_dataset_roundtrip_and_file(tmp_path) -> None:
     assert load_dataset_file(path) == ds
 
 
+def test_load_dataset_file_rejects_text_that_is_not_utf8(tmp_path) -> None:
+    path = tmp_path / "utf16.json"
+    path.write_text(json.dumps(make_doc()), "utf-16")
+    with pytest.raises(SchemaError, match="^dataset cannot be read: 'utf-8' codec can't decode"):
+        load_dataset_file(path)
+
+
+@pytest.mark.parametrize(("text", "key"), [
+    # json.loads alone keeps the last value, -1, and the surface would be NotNef
+    (json.dumps(make_doc()).replace('"value": 1}]', '"value": 1, "value": -1}]'), "value"),
+    (json.dumps(make_doc()).replace("{", '{"dimension": 3, ', 1), "dimension"),
+], ids=["pairing-value", "document-field"])
+def test_load_dataset_rejects_a_repeated_key(text, key) -> None:
+    json.loads(text)  # the plain parser reads it without a word
+    with pytest.raises(SchemaError, match=f"^dataset object repeats the key '{key}'$"):
+        load_dataset(text)
+
+
 def test_load_dataset_schema_errors() -> None:
     with pytest.raises(SchemaError):
         load_dataset("not json {")
@@ -379,8 +397,12 @@ def test_complementary_pairs_visit_only_present_codims(dimension: int) -> None:
 
 
 def test_builtin_dataset_unknown_name() -> None:
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^no shipped dataset named 'no-such-dataset'$"):
         builtin_dataset("no-such-dataset")
+    # a name with a directory part names a file, even one the data directory holds
+    for name in ("../data/gw2c5", "./gw2c5.json", "data/gw2c5"):
+        with pytest.raises(FileNotFoundError, match=f"^no dataset file named '{name}'$"):
+            builtin_dataset(name)
 
 
 def test_shipped_data_holds_only_pairing_datasets() -> None:
@@ -673,6 +695,9 @@ def test_dual_cone_input_validation() -> None:
         dual_cone([(0, 0)], identity(2))
     with pytest.raises(ValueError):
         dual_cone([(1, 0)], [[1, 0], [1]])
+    for matrix in ([], [[]]):
+        with pytest.raises(ValueError, match="^pairing matrix must be non-empty$"):
+            dual_cone([(1, 0)], matrix)
 
 
 @pytest.mark.parametrize("gens, matrix, message", [
@@ -885,6 +910,14 @@ def test_effective_cone_of_codim_is_the_coordinate_orthant() -> None:
     assert eff.generator_expressions() == ["tau(3,-1)", "tau(2,0)"]
     with pytest.raises(ValueError, match="no classes of codimension 6"):
         effective_cone_of_codim(ds, 6)
+
+
+def test_nef_cone_needs_classes_in_both_codimensions() -> None:
+    ds = load_dataset(json.dumps(make_doc(classes=make_doc()["classes"][:2], pairings=[])))
+    for codim in (0, 2):  # no class of codimension 2
+        with pytest.raises(ValueError, match=f"^dataset has no classes of codimension {codim}"
+                                             " or its complement$"):
+            cones.nef_cone_of_codim(ds, codim)
 
 
 def test_delpezzo5_nef_inside_effective() -> None:

@@ -421,6 +421,8 @@ def test_nef_big_filter():
         nef_big_filter("ci", (2, 3))
     with pytest.raises(InvalidDelPezzo):
         nef_big_filter("delpezzo", (9, 5))
+    with pytest.raises(ValueError, match=r"^kind 'delpezzo' needs \(dimension, degree\)$"):
+        nef_big_filter("delpezzo", 5)
     with pytest.raises(ValueError):
         nef_big_filter("surface", CIType((), 2))
 
@@ -560,6 +562,27 @@ def rows_with(degrees, n, value):
             yield walked, row, degree_product
 
     return walk
+
+
+@pytest.mark.parametrize(
+    ("target", "stand_in", "subject", "law", "message"),
+    [
+        # chi(4;2) = 24 becomes 12: positive, but not above 3 * 4
+        ("euler_ci_rows", rows_with((4,), 2, lambda chi: 12), CIType((4,), 2),
+         "even_dimension_bound", "chi = 12 <= 12"),
+        ("_chain", lambda degrees, n, chi_of, degree_product: (diagonal._UNCLASSIFIED, None, None),
+         CIType((), 1), "verdict_classified", "fell through every criterion"),
+    ],
+    ids=["even-dimension-bound", "verdict-classified"],
+)
+def test_scan_checks_the_bound_and_coverage_laws(monkeypatch, target, stand_in, subject, law,
+                                                 message):
+    monkeypatch.setattr(diagonal, target, stand_in)
+    with pytest.raises(ScanViolation) as info:
+        scan_ci(6, 4, 3, 4)
+    assert info.value.law == law
+    assert info.value.subject == subject
+    assert str(info.value) == f"{law} violated at {subject}: {message}"
 
 
 def test_scan_rejects_a_curve_of_negative_genus(monkeypatch):

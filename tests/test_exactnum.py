@@ -93,20 +93,19 @@ def test_newton_style_identity():
 
 
 def test_series_cube_of_linear_factor():
-    s = series_rational_coefficients([(1, 3)], [], 2)
+    s = series_rational_coefficients(3, [], 2)
     assert list(s.coefficients) == [1, 3, 3]
 
 
 def test_series_geometric_inverse():
-    s = series_rational_coefficients([], [2], 3)
+    s = series_rational_coefficients(0, [2], 3)
     assert list(s.coefficients) == [1, -2, 4, -8]
 
 
 def test_series_binomial_at_index():
     for p in range(0, 8):
-        s = series_rational_coefficients([(1, p)], [], 6)
-        for k in range(0, 7):
-            assert s.coefficient(k) == math.comb(p, k)
+        s = series_rational_coefficients(p, [], 6)
+        assert list(s.coefficients) == [math.comb(p, k) for k in range(7)]
 
 
 def test_series_quotient_matches_symmetric_function_expansion():
@@ -115,19 +114,19 @@ def test_series_quotient_matches_symmetric_function_expansion():
     cases = [((2, 2), 3, 6), ((3,), 4, 6), ((2, 2, 2), 2, 6), ((4, 5), 5, 8)]
     for degrees, n, top in cases:
         r = len(degrees)
-        series = series_rational_coefficients([(1, n + r + 1)], list(degrees), n)
+        series = series_rational_coefficients(n + r + 1, degrees, n)
         expected = sum(
             (-1) ** (n - i) * math.comb(n + r + 1, i) * complete_homogeneous(n - i, list(degrees))
             for i in range(n + 1)
         )
-        assert series.coefficient(n) == expected
+        assert series.coefficients[n] == expected
         assert top  # grid marker, keeps the case tuple self-documenting
 
 
 def test_series_quotient_against_naive_convolution():
     order = 7
     num = [Fraction(math.comb(9, k)) for k in range(order + 1)]
-    s = series_rational_coefficients([(1, 9)], [2, 3], order)
+    s = series_rational_coefficients(9, [2, 3], order)
     back = poly_mul(
         list(s.coefficients),
         poly_mul(
@@ -142,29 +141,19 @@ def test_series_quotient_against_naive_convolution():
 
 def test_series_integrality_for_integer_factors():
     for degrees in ([2], [2, 3], [4, 4, 6], [2, 2, 2, 2]):
-        s = series_rational_coefficients([(1, len(degrees) + 8)], degrees, 7)
+        s = series_rational_coefficients(len(degrees) + 8, degrees, 7)
         assert all(c.denominator == 1 for c in s.coefficients)
 
 
 def test_truncated_series_shape_and_errors():
     s = TruncatedSeries.of([1, 2], 3)
     assert s.order == 3
-    assert len(s.coefficients) == 4
+    assert s.coefficients == (1, 2, 0, 0)
+    assert TruncatedSeries.of([1, 2, 3], 1).coefficients == (1, 2)
     with pytest.raises(ValueError):
         TruncatedSeries((Fraction(1),), 3)
     with pytest.raises(ValueError):
         TruncatedSeries.of([1], -1)
-    with pytest.raises(IndexError):
-        s.coefficient(4)
-
-
-def test_series_multiplication_truncates():
-    a = TruncatedSeries.of([1, 1], 2)
-    b = TruncatedSeries.of([1, 1, 1], 2)
-    prod = a * b
-    assert list(prod.coefficients) == [1, 2, 2]
-    with pytest.raises(ValueError):
-        a * TruncatedSeries.of([1], 5)
 
 
 def test_series_division_requires_unit_constant_term():
@@ -172,13 +161,15 @@ def test_series_division_requires_unit_constant_term():
     zero_const = TruncatedSeries.of([0, 1], 3)
     with pytest.raises(ValueError):
         a / zero_const
+    with pytest.raises(ValueError):
+        a / TruncatedSeries.of([1], 5)
     # Round trip through a nontrivial quotient.
     b = TruncatedSeries.of([2, 5, 7, 1], 3)
-    assert list(((a / b) * b).coefficients) == [1, 1, 0, 0]
+    assert poly_mul(list((a / b).coefficients), list(b.coefficients), 3) == [1, 1, 0, 0]
 
 
 def test_series_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        series_rational_coefficients([(1, -2)], [], 3)
+        series_rational_coefficients(-2, [], 3)
     with pytest.raises(ValueError):
-        series_rational_coefficients([], [], -1)
+        series_rational_coefficients(0, [], -1)

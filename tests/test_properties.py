@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -36,6 +37,7 @@ from nefkit.chern import (
 )
 from nefkit.cones import load_dataset, nef_cone_of_codim, spherical_nef_diagonal_check
 from nefkit.diagonal import scan_ci, verdict_ci
+from nefkit.exactnum import complete_homogeneous_prefix
 
 
 def bounded(examples: int) -> settings:
@@ -85,8 +87,15 @@ def test_three_euler_routes_agree(degrees, n):
 @bounded(100)
 @given(degrees=st.lists(st.integers(1, 9), max_size=5), n=st.integers(0, 12))
 def test_first_chern_degree_is_the_degree(degrees, n):
+    # entry k is prod d_j * sum_{i<=k} (-1)^(k-i) C(n+r+1, i) h_(k-i)(d), which
+    # at k = 0 is the degree and at k = n the formula route's chi
     ci = CIType(degrees, n)
-    assert chern_degrees_ci(ci)[0] == ci.degree_product
+    top = n + ci.codimension + 1
+    h = complete_homogeneous_prefix(n, ci.degrees)
+    expected = [ci.degree_product * sum((-1) ** (k - i) * math.comb(top, i) * h[k - i]
+                                        for i in range(k + 1)) for k in range(n + 1)]
+    assert chern_degrees_ci(ci) == expected
+    assert expected[0] == ci.degree_product
 
 
 @bounded(100)

@@ -251,6 +251,13 @@ SURFACE = (CycleClass("p", (0, 0), 0), CycleClass("l", (1, 0), 1),
     (lambda: Verdict(Reason.NEGATIVE_EFFECTIVE_PAIR, "d",
                      {"classes": ["a", "b"], "value": 0}),
      ValueError, "NegativeEffectivePair needs witness value < 0"),
+    # explicit ids: a repeated message would renumber the ids of the cases sharing it
+    pytest.param(lambda: Verdict(Reason.PROJECTION_BOUND, "d", {"chi": True, "bound": False}),
+                 ValueError, "ProjectionBound needs integer chi and bound", id="bool-chi-bound"),
+    pytest.param(lambda: Verdict(Reason.NEGATIVE_EFFECTIVE_PAIR, "d",
+                                 {"classes": [1, 2], "value": -1}),
+                 ValueError, "NegativeEffectivePair needs a pair of class names",
+                 id="non-string-classes"),
     (lambda: Verdict(Reason.K3_SURFACE, "d"), ValueError,
      "K3Surface verdicts must name their table entry"),
     (lambda: Verdict(Reason.BIRATIONAL_CONTRACTION, "d"), ValueError,
