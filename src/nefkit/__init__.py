@@ -13,7 +13,7 @@ The package root re-exports the names the README shows; everything else is
 imported from its module, each of which lists its public names in __all__.
 `import nefkit` loads none of the layers: a re-exported name imports its
 module on first use (PEP 562), so `nefkit.CIType` loads exactnum and chern,
-`nefkit.verdict_ci` also diagonal, and `nefkit.delpezzo5_cones` also cones.
+`nefkit.verdict_ci` also diagonal, `nefkit.delpezzo5_cones` exactnum and cones.
 The command line front end lives in nefkit.cli.
 """
 

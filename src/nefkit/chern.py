@@ -25,6 +25,7 @@ from typing import Iterable, Iterator
 
 from .exactnum import (
     _Frozen,
+    _check_int,
     complete_homogeneous_prefix,
     elementary_symmetric,
     series_rational_coefficients,
@@ -56,12 +57,6 @@ class NegativeBetti(ValueError):
 
 class NonIntegralResult(ValueError):
     """A weighted Euler characteristic came out non-integral."""
-
-
-def _check_int(value: object, name: str, error: type[ValueError] = ValueError) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"{name} must be an integer")
-    return value
 
 
 class CIType(_Frozen):

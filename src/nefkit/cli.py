@@ -12,11 +12,11 @@ two-space indent, no timestamps. Exit status: 0 success, 2 invalid input,
 
 Importing this module loads no library layer. Each handler imports what it
 calls when it runs, so euler, chern and betti load exactnum and chern;
-verdict, scan and table also diagonal; cone also cones; and a usage error
-that argparse rejects loads none of them. main maps a library exception to
-its exit status only if that exception's module is loaded, which it must be
-if the exception was raised. No layer imports the standard library's data
-classes module, so no subcommand loads it or inspect.
+verdict, scan and table also diagonal; cone exactnum and cones (and diagonal
+to check a loaded dataset); a usage error none. Only chern ci loads fractions.
+main maps a library exception to its exit status only if that exception's
+module is loaded, which it must be if the exception was raised. No layer
+imports dataclasses, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations
@@ -353,7 +353,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """Every group parser, and the kind parsers of the groups argv (sys.argv[1:] if None) names."""
+    named = set(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog="nefkit",
         description="exact invariants, nef-diagonal verdicts and cycle cones",
@@ -363,12 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, kinds) in COMMANDS.items():
         group_parser = groups.add_parser(group, help=group_help)
-        kind_parsers = group_parser.add_subparsers(dest="kind", required=True)
-        for kind, (kind_help, arguments, handler, render) in kinds.items():
-            kind_parser = kind_parsers.add_parser(kind, help=kind_help)
-            for flag, options in arguments:
-                kind_parser.add_argument(flag, **options)
-            kind_parser.set_defaults(handler=handler, render=render)
+        if group in named:  # argparse enters a group only on its exact name
+            kind_parsers = group_parser.add_subparsers(dest="kind", required=True)
+            for kind, (kind_help, arguments, handler, render) in kinds.items():
+                kind_parser = kind_parsers.add_parser(kind, help=kind_help)
+                for flag, options in arguments:
+                    kind_parser.add_argument(flag, **options)
+                kind_parser.set_defaults(handler=handler, render=render)
     return parser
 
 
@@ -382,7 +385,7 @@ def _loaded(module: str, *names: str) -> tuple[type[BaseException], ...]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         inputs, result, notes = args.handler(args)
         try:  # printing fails only on an integer past the int-to-str digit limit

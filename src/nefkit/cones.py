@@ -4,9 +4,9 @@ A dataset lists the effective cycle classes of a variety (label, codimension,
 optional partition) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
-matrix, computed here exactly in integers. The nef-diagonal check of a dataset
-builds its verdict from a named step of the diagonal module's step table, as
-every verdict is built.
+matrix, computed here exactly in integers on exactnum alone. The nef-diagonal
+check of a dataset imports diagonal when it runs and builds its verdict from a
+named step of that module's step table, as every verdict is built.
 
 The dual-cone routine is Motzkin's incremental double description (Motzkin,
 Raiffa, Thompson and Thrall, 1953): one fraction-free elimination of the
@@ -31,11 +31,12 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .chern import _check_int
-from .diagonal import _NEGATIVE_PAIRING, _NON_NEGATIVE_PAIRINGS, Verdict, _verdict
-from .exactnum import _Frozen
+from .exactnum import _Frozen, _check_int
+
+if TYPE_CHECKING:
+    from .diagonal import Verdict
 
 __all__ = [
     "SchemaError",
@@ -247,9 +248,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 
 def load_dataset_file(path: str | Path) -> CycleDataset:
-    """Read and load a dataset file; text that is not UTF-8 raises SchemaError."""
+    """Read and load a UTF-8 dataset file, BOM or not; other text raises SchemaError."""
     try:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"dataset cannot be read: {exc}") from exc
     return load_dataset(text)
@@ -527,6 +528,8 @@ def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     missing required pairing, or no complementary pair, raises MissingPairing.
     Both verdicts come from the pairing steps of the diagonal step table.
     """
+    from .diagonal import _NEGATIVE_PAIRING, _NON_NEGATIVE_PAIRINGS, _verdict
+
     pairs = tuple(ds.complementary_pairs())
     if not pairs:
         raise MissingPairing("no complementary pair of classes: no class, the fundamental"

@@ -30,13 +30,12 @@ from typing import Callable, Mapping, NamedTuple
 
 from .chern import (
     CIType,
-    _check_int,
     euler_ci_formula,
     euler_ci_rows,
     euler_delpezzo_closed,
     poincare_polynomial_ci,
 )
-from .exactnum import _Frozen
+from .exactnum import _Frozen, _check_int
 
 __all__ = [
     "Status",

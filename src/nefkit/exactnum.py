@@ -1,8 +1,8 @@
 """Exact combinatorial arithmetic: symmetric functions and truncated power
 series over the rationals.
 
-Everything here is integer or Fraction arithmetic; no floats anywhere. The
-series type exists to expand the one quotient
+Everything here is integer or Fraction arithmetic, no floats. Only the series
+type imports fractions, and only chern ci runs it. It expands the one quotient
 
     (1 + t)^p  /  prod_j (1 + s_j t)
 
@@ -16,8 +16,10 @@ the standard library's data classes module and inspect at cold start.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "complete_homogeneous",
@@ -71,6 +73,12 @@ def elementary_symmetric(k: int, values: Sequence[int]) -> int:
     return coeffs[k]
 
 
+def _check_int(value: object, name: str, error: type[ValueError] = ValueError) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer")
+    return value
+
+
 class _Frozen:
     """Value behaviour for a class that names its fields in _fields and whose
     __init__ checks its arguments, then stores the fields with _store:
@@ -118,6 +126,7 @@ class TruncatedSeries(_Frozen):
     _fields = ("coefficients", "order")
 
     def __init__(self, coefficients: tuple[Fraction, ...], order: int) -> None:
+        from fractions import Fraction
         if order < 0:
             raise ValueError("order must be non-negative")
         if len(coefficients) != order + 1:
@@ -129,6 +138,7 @@ class TruncatedSeries(_Frozen):
     @classmethod
     def of(cls, values: Iterable[int | Fraction], order: int) -> "TruncatedSeries":
         """Build a series from any coefficient prefix, padding with zeros."""
+        from fractions import Fraction
         coeffs = [Fraction(v) for v in values][: order + 1]
         coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs), order)

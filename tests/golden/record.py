@@ -73,6 +73,8 @@ SUBCOMMANDS = [
     # a dataset whose classes give no partition
     ["cone", "check", "--dataset", "tests/golden/no_partition.json"],
     ["cone", "dual", "--dataset", "tests/golden/no_partition.json", "--codim", "1"],
+    # the same dataset saved as UTF-8 with a byte order mark
+    ["cone", "check", "--dataset", "tests/golden/utf8_bom.json"],
     ["scan", "ci"],
     ["scan", "ci", "--max-dim", "6", "--max-degree", "4", "--max-r", "2",
      "--quadrics-max-r", "3"],
@@ -86,6 +88,9 @@ ERRORS = [
     ["euler", "ci", "--dim", "3", "--degrees", "2,x"],
     ["--format", "xml", "euler", "ci", "--dim", "3"],
     ["verdict"],
+    # a group name only as an option value: the group's kinds are parsed
+    # like any other, and the value is read as the option's
+    ["verdict", "ci", "--dim", "3", "--degrees", "euler"],
     # invalid input: exit 2 with one "invalid input:" line
     ["euler", "ci", "--dim", "-1"],
     ["euler", "weighted", "--weights", "2,1,1,1,1", "--degree", "3"],
@@ -105,6 +110,8 @@ ERRORS = [
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],
     # dataset errors: exit 3
     ["cone", "check", "--dataset", "no-such-dataset"],
+    # a group name as a dataset name
+    ["cone", "check", "--dataset", "scan"],
     # a path that names no file is never looked up among the shipped datasets
     ["cone", "check", "--dataset", "./missing.json"],
     ["cone", "check", "--dataset", BAD_DATASET],

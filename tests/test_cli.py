@@ -318,6 +318,26 @@ def test_dataset_path_is_never_a_shipped_name(capsys, tmp_path, where) -> None:
     assert err == f"dataset error: no dataset file named {name!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "cone", "dual", "--dataset", "gw2c5", "--codim", "2"],
+    ["verdict", "ci", "--help"],
+], ids=["command", "help"])
+def test_argv_none_parses_sys_argv(argv, capsys, monkeypatch) -> None:
+    # main builds the kind parsers only of the groups named in its argv, or in
+    # sys.argv when argv is None; the test runner's own sys.argv names none
+    def run(args):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    expected = run(argv)
+    assert expected[0] == 0 and expected[1]
+    monkeypatch.setattr(sys, "argv", ["nefkit", *argv])
+    assert run(None) == expected
+
+
 def test_module_entry_point_runs() -> None:
     # The child imports nefkit from the source tree this process imported,
     # installed or not.

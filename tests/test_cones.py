@@ -208,6 +208,13 @@ def test_load_dataset_file_rejects_text_that_is_not_utf8(tmp_path) -> None:
         load_dataset_file(path)
 
 
+def test_load_dataset_file_reads_utf8_with_a_byte_order_mark(tmp_path) -> None:
+    text = json.dumps(make_doc())
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_dataset_file(path) == load_dataset(text)
+
+
 @pytest.mark.parametrize(("text", "key"), [
     # json.loads alone keeps the last value, -1, and the surface would be NotNef
     (json.dumps(make_doc()).replace('"value": 1}]', '"value": 1, "value": -1}]'), "value"),

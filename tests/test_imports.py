@@ -20,8 +20,9 @@ from nefkit import chern, cones, diagonal
 SRC = Path(nefkit.__file__).resolve().parents[1]
 
 # Runs cli.main on argv with its output discarded, then prints the exit
-# status, the loaded nefkit submodules and which of the costly standard
-# library modules dataclasses and inspect are loaded, as one JSON line.
+# status, the loaded nefkit submodules, and which of the costly standard
+# library modules dataclasses and inspect, and fractions and decimal, are
+# loaded, as one JSON line.
 PROBE = """
 import contextlib, io, json, sys
 from nefkit import cli
@@ -31,7 +32,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nefkit.")),
-                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules],
+                  [m for m in ("fractions", "decimal") if m in sys.modules]]))
 """
 
 
@@ -49,6 +51,8 @@ def test_import_nefkit_loads_no_layer() -> None:
 
 
 CHERN = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
+CONES = ["nefkit.cli", "nefkit.cones", "nefkit.exactnum"]
+BAD_DATASET = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "bad_dataset.json")
 
 
 @pytest.mark.parametrize("argv, exit_status, loaded", [
@@ -56,10 +60,19 @@ CHERN = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
     (["verdict", "ci", "--dim", "4", "--degrees", "3"], 0, sorted([*CHERN, "nefkit.diagonal"])),
     (["cone", "check", "--dataset", "gw2c5"], 0,
      sorted([*CHERN, "nefkit.cones", "nefkit.diagonal"])),
+    (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONES),
+    # the dataset fails to load before the check would import diagonal
+    (["cone", "check", "--dataset", BAD_DATASET], 3, CONES),
     (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"]),
-], ids=["euler", "verdict", "cone", "usage-error"])
+], ids=["euler", "verdict", "cone", "cone-dual", "bad-dataset", "usage-error"])
 def test_subcommand_loads_only_its_layer(argv, exit_status, loaded) -> None:
-    assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, []]
+    assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, [], []]
+
+
+def test_only_the_series_route_loads_fractions() -> None:
+    # chern ci expands a series of Fractions, the one subcommand that does
+    out = fresh(PROBE, "chern", "ci", "--dim", "2", "--degrees", "3")
+    assert json.loads(out) == [0, CHERN, [], ["fractions", "decimal"]]
 
 
 # every name the package root exports, with the module that defines it
