@@ -1,11 +1,13 @@
-"""What each entry point loads: the lazy package root and per-subcommand imports.
+"""What each entry point loads and how it exits: the lazy package root,
+per-subcommand imports, and the collector freeze of the process entry point.
 
-Every import-set case runs in a fresh interpreter, since this process has
-long since loaded every module.
+Every import-set and exit case runs in a fresh interpreter, since this process
+has long since loaded every module.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import nefkit
-from nefkit import chern, cones, diagonal
+from nefkit import chern, cli, cones, diagonal
 
 SRC = Path(nefkit.__file__).resolve().parents[1]
 
@@ -52,21 +54,72 @@ def test_import_nefkit_loads_no_layer() -> None:
 
 CHERN = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
 CONES = ["nefkit.cli", "nefkit.cones", "nefkit.exactnum"]
+VERDICT = sorted([*CHERN, "nefkit.diagonal"])
 BAD_DATASET = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "bad_dataset.json")
 
 
 @pytest.mark.parametrize("argv, exit_status, loaded", [
     (["euler", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN),
-    (["verdict", "ci", "--dim", "4", "--degrees", "3"], 0, sorted([*CHERN, "nefkit.diagonal"])),
+    (["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"], 0, CHERN),
+    (["betti", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN),
+    (["verdict", "ci", "--dim", "4", "--degrees", "3"], 0, VERDICT),
+    (["verdict", "delpezzo", "--dim", "4", "--degree", "5"], 0, VERDICT),
+    (["verdict", "curve", "--genus", "2"], 0, VERDICT),
+    (["scan", "ci", "--max-dim", "4", "--max-degree", "3", "--max-r", "2", "--quadrics-max-r", "3"],
+     0, VERDICT),
+    (["table", "delpezzo"], 0, VERDICT),
     (["cone", "check", "--dataset", "gw2c5"], 0,
      sorted([*CHERN, "nefkit.cones", "nefkit.diagonal"])),
     (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONES),
     # the dataset fails to load before the check would import diagonal
     (["cone", "check", "--dataset", BAD_DATASET], 3, CONES),
     (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"]),
-], ids=["euler", "verdict", "cone", "cone-dual", "bad-dataset", "usage-error"])
+], ids=["euler", "euler-weighted", "betti", "verdict", "verdict-delpezzo", "verdict-curve", "scan",
+        "table", "cone", "cone-dual", "bad-dataset", "usage-error"])
 def test_subcommand_loads_only_its_layer(argv, exit_status, loaded) -> None:
     assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, [], []]
+
+
+# Runs the package as __main__, as `python -m nefkit` does, with its output
+# discarded, then prints its exit status and whether the collector's freeze
+# count grew, as one JSON line. It need not start at 0: Python 3.12 freezes
+# some objects of its own at start-up.
+MAIN_PROBE = """
+import contextlib, gc, io, json, runpy
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("nefkit", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, gc.get_freeze_count() > before]))
+"""
+
+EXITS = pytest.mark.parametrize("argv, exit_status", [
+    (["euler", "ci", "--dim", "7"], 0),
+    (["euler", "ci", "--dim", "x"], 2),
+    (["cone", "check", "--dataset", "no-such-dataset"], 3),
+], ids=["success", "usage-error", "dataset-error"])
+
+
+@EXITS
+def test_package_main_freezes_the_collector_on_exit(argv, exit_status) -> None:
+    assert json.loads(fresh(MAIN_PROBE, *argv)) == [exit_status, True]
+
+
+@EXITS
+def test_in_process_main_leaves_the_collector_alone(argv, exit_status, capsys) -> None:
+    before = gc.get_freeze_count()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, gc.get_freeze_count()) == (exit_status, before)
+
+
+def test_console_script_runs_the_package_entry() -> None:
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'nefkit = "nefkit.__main__:run"' in pyproject.read_text("utf-8").splitlines()
 
 
 def test_only_the_series_route_loads_fractions() -> None:
