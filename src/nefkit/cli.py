@@ -2,35 +2,46 @@
 
 Every subcommand is declared once, in the COMMANDS table at the end of this
 module: its help text, its arguments, the handler that computes it and the
-renderer of its text report. build_parser turns the table into the argparse
-tree. Every invocation runs one handler and prints its canonicalized inputs,
-result payload and provenance notes; the JSON report is the object
-{"command", "inputs", "result", "notes"} of JSON-native values only, so it
-re-parses to an equal payload. JSON output is byte-reproducible: keys sorted,
-two-space indent, no timestamps. Exit status: 0 success, 2 invalid input,
-3 dataset error, 4 scan violation.
+renderer of its text report. parse_well_formed reads a command given in its
+canonical form, [--format text|json] GROUP KIND (--flag value)*, straight from
+the table. build_parser turns the table into the argparse tree, which main
+builds only for any other argv: help, usage errors and the spellings that
+argparse also reads (abbreviated flags, --flag=value, a repeated flag, a value
+starting with "-"). So argparse loads only to print help or an error.
 
-Importing this module loads no library layer. Each handler imports what it
-calls when it runs, so euler, chern and betti load exactnum and chern;
-verdict, scan and table also diagonal; cone exactnum and cones (and diagonal
-to check a loaded dataset); a usage error none. Only chern ci loads fractions.
-main maps a library exception to its exit status only if that exception's
-module is loaded, which it must be if the exception was raised. No layer
-imports dataclasses, so no subcommand loads it or inspect.
+Every invocation runs one handler and prints its canonicalized inputs, result
+payload and provenance notes; the JSON report is the object {"command",
+"inputs", "result", "notes"} of JSON-native values only, so it re-parses to an
+equal payload. JSON output is byte-reproducible: keys sorted, two-space indent,
+no timestamps. Exit status: 0 success, 1 the report could not be written (a
+closed pipe or a full disk), 2 invalid input, 3 dataset error, 4 scan
+violation.
+
+Importing this module loads no library layer and not argparse. Each handler
+imports what it calls when it runs, so euler, chern and betti load exactnum
+and chern; verdict, scan and table also diagonal; cone exactnum and cones (and
+diagonal to check a loaded dataset); a usage error none. Only chern ci loads
+fractions. main maps a library exception to its exit status only if that
+exception's module is loaded, which it must be if the exception was raised.
+No layer imports dataclasses, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
+
     from .chern import CIType
     from .cones import CycleDataset
+
+    Args = Namespace | SimpleNamespace
 
 __all__ = ["main"]
 
@@ -107,6 +118,8 @@ def _comma_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
@@ -116,6 +129,8 @@ def _format(text: str) -> str:
     """A --format value; a bad one gets one message under every CPython
     release, where argparse's own message quotes the choices only to 3.13.0."""
     if text not in ("text", "json"):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'text', 'json')")
     return text
 
@@ -134,7 +149,7 @@ def _resolve_dataset(name: str) -> CycleDataset:
     return builtin_dataset(name)
 
 
-def _ci_from_args(args: argparse.Namespace) -> CIType:
+def _ci_from_args(args: Args) -> CIType:
     from .chern import CIType
 
     return CIType(args.degrees, args.dim)
@@ -153,7 +168,7 @@ def _ci_inputs(ci: CIType) -> dict:
 Outcome = tuple[dict, object, tuple[str, ...]]
 
 
-def _handle_euler_ci(args: argparse.Namespace) -> Outcome:
+def _handle_euler_ci(args: Args) -> Outcome:
     from .chern import euler_ci_formula
 
     ci = _ci_from_args(args)
@@ -161,7 +176,7 @@ def _handle_euler_ci(args: argparse.Namespace) -> Outcome:
             (f"Euler characteristic of the complete intersection {ci}",))
 
 
-def _handle_euler_weighted(args: argparse.Namespace) -> Outcome:
+def _handle_euler_weighted(args: Args) -> Outcome:
     from .chern import WeightedHypersurface, euler_weighted
 
     surface = WeightedHypersurface(args.weights, args.degree)
@@ -173,7 +188,7 @@ def _handle_euler_weighted(args: argparse.Namespace) -> Outcome:
     )
 
 
-def _handle_chern_ci(args: argparse.Namespace) -> Outcome:
+def _handle_chern_ci(args: Args) -> Outcome:
     from .chern import chern_degrees_ci
 
     ci = _ci_from_args(args)
@@ -181,7 +196,7 @@ def _handle_chern_ci(args: argparse.Namespace) -> Outcome:
             (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",))
 
 
-def _handle_betti_ci(args: argparse.Namespace) -> Outcome:
+def _handle_betti_ci(args: Args) -> Outcome:
     from .chern import betti_ci, poincare_polynomial_ci
 
     ci = _ci_from_args(args)
@@ -195,7 +210,7 @@ def _handle_betti_ci(args: argparse.Namespace) -> Outcome:
     return _ci_inputs(ci), result, (f"Betti numbers and signed Poincare polynomial of {ci}",)
 
 
-def _handle_verdict_ci(args: argparse.Namespace) -> Outcome:
+def _handle_verdict_ci(args: Args) -> Outcome:
     from .diagonal import verdict_ci
 
     ci = _ci_from_args(args)
@@ -204,7 +219,7 @@ def _handle_verdict_ci(args: argparse.Namespace) -> Outcome:
             (f"nef-diagonal classification of {ci}", f"criterion: {verdict.reason.value}"))
 
 
-def _handle_verdict_delpezzo(args: argparse.Namespace) -> Outcome:
+def _handle_verdict_delpezzo(args: Args) -> Outcome:
     from .diagonal import verdict_delpezzo
 
     verdict = verdict_delpezzo(args.dim, args.degree, args.variant)
@@ -217,7 +232,7 @@ def _handle_verdict_delpezzo(args: argparse.Namespace) -> Outcome:
     )
 
 
-def _handle_verdict_curve(args: argparse.Namespace) -> Outcome:
+def _handle_verdict_curve(args: Args) -> Outcome:
     from .diagonal import verdict_curve
 
     verdict = verdict_curve(args.genus)
@@ -226,7 +241,7 @@ def _handle_verdict_curve(args: argparse.Namespace) -> Outcome:
              f"criterion: {verdict.reason.value}"))
 
 
-def _handle_cone_dual(args: argparse.Namespace) -> Outcome:
+def _handle_cone_dual(args: Args) -> Outcome:
     from .cones import nef_cone_of_codim
 
     ds = _resolve_dataset(args.dataset)
@@ -245,7 +260,7 @@ def _handle_cone_dual(args: argparse.Namespace) -> Outcome:
     )
 
 
-def _handle_cone_check(args: argparse.Namespace) -> Outcome:
+def _handle_cone_check(args: Args) -> Outcome:
     from .cones import spherical_nef_diagonal_check
 
     ds = _resolve_dataset(args.dataset)
@@ -255,7 +270,7 @@ def _handle_cone_check(args: argparse.Namespace) -> Outcome:
              f"criterion: {verdict.reason.value}"))
 
 
-def _handle_scan_ci(args: argparse.Namespace) -> Outcome:
+def _handle_scan_ci(args: Args) -> Outcome:
     from .diagonal import scan_ci
 
     scan = scan_ci(
@@ -274,7 +289,7 @@ def _handle_scan_ci(args: argparse.Namespace) -> Outcome:
     return inputs, scan.to_payload(), notes
 
 
-def _handle_table_delpezzo(args: argparse.Namespace) -> Outcome:
+def _handle_table_delpezzo(args: Args) -> Outcome:
     from .diagonal import DELPEZZO_TABLE
 
     rows = [
@@ -353,9 +368,48 @@ COMMANDS = {
 }
 
 
-def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
-    """Every group parser, and the kind parsers of the groups argv (sys.argv[1:] if None) names."""
-    named = set(sys.argv[1:] if argv is None else argv)
+def parse_well_formed(argv: Sequence[str] | None = None) -> SimpleNamespace | None:
+    """The attributes argparse sets for argv (sys.argv[1:] if None), read from
+    COMMANDS when argv is [--format text|json] GROUP KIND (--flag value)* with
+    each flag an exact name of the kind, given at most once, no value starting
+    with "-", every required flag given and every value accepted by its type;
+    None for any other argv, which build_parser's tree parses or rejects."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = {"format": "text"}
+    if argv[:2] in (["--format", "text"], ["--format", "json"]):
+        args["format"], argv = argv[1], argv[2:]
+    if len(argv) < 2 or argv[0] not in COMMANDS or argv[1] not in COMMANDS[argv[0]][1]:
+        return None
+    group, kind, *pairs = argv
+    _, arguments, handler, render = COMMANDS[group][1][kind]
+    given = dict(zip(pairs[::2], pairs[1::2]))
+    if len(pairs) != 2 * len(given):  # a flag without a value, or one given twice
+        return None
+    args.update(group=group, kind=kind)
+    for flag, options in arguments:
+        text = given.pop(flag, None)
+        dest = flag[2:].replace("-", "_")
+        if text is None:
+            if options.get("required"):
+                return None
+            args[dest] = options.get("default")
+        elif text.startswith("-"):
+            return None
+        else:
+            try:  # what argparse catches from a type
+                args[dest] = options.get("type", str)(text)
+            except (TypeError, ValueError, *_loaded("argparse", "ArgumentTypeError")):
+                return None
+    if given:  # a token that is no flag of the kind
+        return None
+    return SimpleNamespace(**args, handler=handler, render=render)
+
+
+def build_parser() -> ArgumentParser:
+    """The argparse tree of COMMANDS: help, usage errors and every argv that
+    parse_well_formed declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="nefkit",
         description="exact invariants, nef-diagonal verdicts and cycle cones",
@@ -365,27 +419,28 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, kinds) in COMMANDS.items():
         group_parser = groups.add_parser(group, help=group_help)
-        if group in named:  # argparse enters a group only on its exact name
-            kind_parsers = group_parser.add_subparsers(dest="kind", required=True)
-            for kind, (kind_help, arguments, handler, render) in kinds.items():
-                kind_parser = kind_parsers.add_parser(kind, help=kind_help)
-                for flag, options in arguments:
-                    kind_parser.add_argument(flag, **options)
-                kind_parser.set_defaults(handler=handler, render=render)
+        kind_parsers = group_parser.add_subparsers(dest="kind", required=True)
+        for kind, (kind_help, arguments, handler, render) in kinds.items():
+            kind_parser = kind_parsers.add_parser(kind, help=kind_help)
+            for flag, options in arguments:
+                kind_parser.add_argument(flag, **options)
+            kind_parser.set_defaults(handler=handler, render=render)
     return parser
 
 
 def _loaded(module: str, *names: str) -> tuple[type[BaseException], ...]:
-    """The named exception classes of a library module, or () if it is not loaded.
+    """The named exception classes of a module, or () if it is not loaded.
 
     A class can only have been raised once its module is loaded, so matching
     against the loaded ones is exact and imports nothing."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
+    loaded = sys.modules.get(module)
     return tuple(getattr(loaded, name) for name in names) if loaded else ()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser(argv).parse_args(argv)
+    args = parse_well_formed(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         inputs, result, notes = args.handler(args)
         try:  # printing fails only on an integer past the int-to-str digit limit
@@ -399,15 +454,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError:
             raise ValueError("the result has an integer of more than "
                              f"{sys.get_int_max_str_digits()} digits, too many to print") from None
-    except _loaded("diagonal", "ScanViolation") as exc:
+    except _loaded(f"{__package__}.diagonal", "ScanViolation") as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4
-    except (*_loaded("cones", "SchemaError", "InconsistentPairing", "MissingPairing"),
-            OSError) as exc:
+    except (*_loaded(f"{__package__}.cones", "SchemaError", "InconsistentPairing",
+                     "MissingPairing"), OSError) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        # what is still buffered would fail again, with a traceback, at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return 0

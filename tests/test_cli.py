@@ -1,8 +1,9 @@
 """End-to-end tests of the command-line interface.
 
 Each subcommand is exercised through main(argv); exit codes follow the
-contract 0 = success, 2 = invalid input, 3 = dataset error, 4 = scan
-violation, and JSON reports must be byte-reproducible and re-parseable.
+contract 0 = success, 1 = the report could not be written, 2 = invalid
+input, 3 = dataset error, 4 = scan violation, and JSON reports must be
+byte-reproducible and re-parseable.
 """
 
 from __future__ import annotations
@@ -277,6 +278,43 @@ def test_scan_violation_exits_4(capsys, monkeypatch) -> None:
     assert code == 4 and out == "" and "scan violation" in err
 
 
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [True, False],
+                                     ids=["unbuffered", "buffered"])
+
+
+def run_to(stdout: int, unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
+    """python -m nefkit on argv from the source tree, its stdout the given descriptor."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "nefkit", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, check=False, env=env)
+
+
+@UNBUFFERED
+def test_closed_pipe_exits_1_without_traceback(unbuffered) -> None:
+    # the reader is gone before the report is written, as in `nefkit ... | true`
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_to(write, unbuffered, "table", "delpezzo")
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "output error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@UNBUFFERED
+def test_full_disk_exits_1_without_traceback(unbuffered) -> None:
+    with open("/dev/full", "wb") as full:
+        proc = run_to(full.fileno(), unbuffered, "euler", "ci", "--dim", "7")
+    assert proc.returncode == 1
+    assert proc.stderr == "output error: [Errno 28] No space left on device\n"
+
+
 # ---------------------------------------------------------------------------
 # Dataset resolution
 
@@ -323,8 +361,8 @@ def test_dataset_path_is_never_a_shipped_name(capsys, tmp_path, where) -> None:
     ["verdict", "ci", "--help"],
 ], ids=["command", "help"])
 def test_argv_none_parses_sys_argv(argv, capsys, monkeypatch) -> None:
-    # main builds the kind parsers only of the groups named in its argv, or in
-    # sys.argv when argv is None; the test runner's own sys.argv names none
+    # with argv None, both the table parser and the argparse tree that prints
+    # help read sys.argv[1:]
     def run(args):
         try:
             code = main(args)

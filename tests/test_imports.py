@@ -23,8 +23,8 @@ SRC = Path(nefkit.__file__).resolve().parents[1]
 
 # Runs cli.main on argv with its output discarded, then prints the exit
 # status, the loaded nefkit submodules, and which of the costly standard
-# library modules dataclasses and inspect, and fractions and decimal, are
-# loaded, as one JSON line.
+# library modules dataclasses and inspect, fractions and decimal, and
+# argparse, gettext and locale are loaded, as one JSON line.
 PROBE = """
 import contextlib, io, json, sys
 from nefkit import cli
@@ -35,7 +35,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nefkit.")),
                   [m for m in ("dataclasses", "inspect") if m in sys.modules],
-                  [m for m in ("fractions", "decimal") if m in sys.modules]]))
+                  [m for m in ("fractions", "decimal") if m in sys.modules],
+                  [m for m in ("argparse", "gettext", "locale") if m in sys.modules]]))
 """
 
 
@@ -58,26 +59,33 @@ VERDICT = sorted([*CHERN, "nefkit.diagonal"])
 BAD_DATASET = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "bad_dataset.json")
 
 
-@pytest.mark.parametrize("argv, exit_status, loaded", [
-    (["euler", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN),
-    (["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"], 0, CHERN),
-    (["betti", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN),
-    (["verdict", "ci", "--dim", "4", "--degrees", "3"], 0, VERDICT),
-    (["verdict", "delpezzo", "--dim", "4", "--degree", "5"], 0, VERDICT),
-    (["verdict", "curve", "--genus", "2"], 0, VERDICT),
-    (["scan", "ci", "--max-dim", "4", "--max-degree", "3", "--max-r", "2", "--quadrics-max-r", "3"],
-     0, VERDICT),
-    (["table", "delpezzo"], 0, VERDICT),
+# what argparse loads: gettext for its messages, and locale on its first lookup
+ARGPARSE = ["argparse", "gettext", "locale"]
+
+
+@pytest.mark.parametrize("argv, exit_status, loaded, parser", [
+    (["euler", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN, []),
+    (["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"], 0, CHERN, []),
+    (["betti", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN, []),
+    (["verdict", "ci", "--dim", "4", "--degrees", "3"], 0, VERDICT, []),
+    (["verdict", "delpezzo", "--dim", "4", "--degree", "5"], 0, VERDICT, []),
+    (["verdict", "curve", "--genus", "2"], 0, VERDICT, []),
+    (["--format", "json", "scan", "ci", "--max-dim", "4", "--max-degree", "3", "--max-r", "2",
+      "--quadrics-max-r", "3"], 0, VERDICT, []),
+    (["table", "delpezzo"], 0, VERDICT, []),
     (["cone", "check", "--dataset", "gw2c5"], 0,
-     sorted([*CHERN, "nefkit.cones", "nefkit.diagonal"])),
-    (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONES),
+     sorted([*CHERN, "nefkit.cones", "nefkit.diagonal"]), []),
+    (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONES, []),
     # the dataset fails to load before the check would import diagonal
-    (["cone", "check", "--dataset", BAD_DATASET], 3, CONES),
-    (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"]),
+    (["cone", "check", "--dataset", BAD_DATASET], 3, CONES, []),
+    (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"], ARGPARSE),
+    (["--help"], 0, ["nefkit.cli"], ARGPARSE),
 ], ids=["euler", "euler-weighted", "betti", "verdict", "verdict-delpezzo", "verdict-curve", "scan",
-        "table", "cone", "cone-dual", "bad-dataset", "usage-error"])
-def test_subcommand_loads_only_its_layer(argv, exit_status, loaded) -> None:
-    assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, [], []]
+        "table", "cone", "cone-dual", "bad-dataset", "usage-error", "help"])
+def test_subcommand_loads_only_its_layer(argv, exit_status, loaded, parser) -> None:
+    # a well-formed command is read from cli.COMMANDS; argparse loads only for
+    # help and usage errors
+    assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, [], [], parser]
 
 
 # Runs the package as __main__, as `python -m nefkit` does, with its output
@@ -125,7 +133,7 @@ def test_console_script_runs_the_package_entry() -> None:
 def test_only_the_series_route_loads_fractions() -> None:
     # chern ci expands a series of Fractions, the one subcommand that does
     out = fresh(PROBE, "chern", "ci", "--dim", "2", "--degrees", "3")
-    assert json.loads(out) == [0, CHERN, [], ["fractions", "decimal"]]
+    assert json.loads(out) == [0, CHERN, [], ["fractions", "decimal"], []]
 
 
 # every name the package root exports, with the module that defines it

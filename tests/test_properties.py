@@ -1,9 +1,10 @@
 """Property tests: the scan against the verdict chain, the shared-row walk
 against the per-type row, the three Euler routes against each other, the
 first Chern degree and the Betti table's Euler characteristic against the
-degree and chi, and the command line's exit-status and determinism contract
+degree and chi, the command line's exit-status and determinism contract
 on drawn argv and on shipped datasets with one node replaced by a drawn JSON
-value, and the shipped datasets' verdicts and nef cones with any of their
+value, the table parser against argparse on drawn commands and near misses,
+and the shipped datasets' verdicts and nef cones with any of their
 partitions made null.
 
 Examples are derandomized and no example database is written, so every run
@@ -16,9 +17,11 @@ import contextlib
 import io
 import json
 import math
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +169,83 @@ def test_cli_exit_status_and_output_are_contracted(argv):
     assert run_main(argv) == (code, out)
     if code == 0 and "json" in argv[:2]:
         assert json.loads(out)["command"] == " ".join(argv[2:4])
+
+
+def argparse_vars(argv: list[str] | None) -> dict | None:
+    """What build_parser's argparse tree sets for argv, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def table_vars(argv: list[str] | None) -> dict | None:
+    parsed = cli.parse_well_formed(argv)
+    return None if parsed is None else vars(parsed)
+
+
+@bounded(200)
+@given(argv=cli_argv())
+def test_table_parser_reads_every_canonical_command_as_argparse_does(argv):
+    # argparse also reads a value starting with "-", which the table declines
+    tokens = argv[2:] if argv[0] == "--format" else argv
+    dashed = any(value.startswith("-") for value in tokens[3::2])
+    assert table_vars(argv) == (None if dashed else argparse_vars(argv))
+
+
+# token runs that argparse reads or rejects in ways the canonical form has no room for
+INSERTED = st.sampled_from([["-h"], ["--help"], ["--"], [""], ["--format", "json"],
+                            ["--format", "text"], ["--format", "xml"], ["--format"], ["euler"],
+                            ["ci"], ["3"]])
+
+
+@st.composite
+def near_miss_argv(draw) -> list[str]:
+    """A drawn command with one to three tokens abbreviated, joined to their
+    value with "=", repeated, replaced by one starting with "-" or inserted."""
+    argv = draw(cli_argv())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        token, value = (argv + ["", ""])[i:i + 2]
+        edit = draw(st.sampled_from(["abbreviate", "join", "repeat", "dash", "insert"]))
+        if edit == "abbreviate" and token.startswith("--"):
+            argv[i] = token[:draw(st.integers(2, len(token)))]
+        elif edit == "join" and token.startswith("--"):
+            argv[i:i + 2] = [f"{token}={value}"]
+        elif edit == "repeat" and token.startswith("--"):
+            argv += [token, value]
+        elif edit == "dash" and i < len(argv):
+            argv[i] = draw(st.sampled_from(["-1", "-x", "-", "--dim", "--degrees"]))
+        else:
+            argv[i:i] = draw(INSERTED)
+    return argv
+
+
+@bounded(300)
+@example(argv=[], via_sys_argv=False)
+@example(argv=[], via_sys_argv=True)
+@example(argv=["euler", "ci", "--dim=7"], via_sys_argv=False)
+@example(argv=["euler", "ci", "--di", "7"], via_sys_argv=False)
+@example(argv=["--form", "json", "euler", "ci", "--dim", "7"], via_sys_argv=False)
+@example(argv=["--format=json", "euler", "ci", "--dim", "7"], via_sys_argv=False)
+@example(argv=["--format", "xml", "euler", "ci", "--dim", "7"], via_sys_argv=False)
+@example(argv=["euler", "ci", "--dim", "7", "--dim", "8"], via_sys_argv=False)
+@example(argv=["--format", "json", "--format", "text", "euler", "ci", "--dim", "7"],
+         via_sys_argv=False)
+@example(argv=["euler", "ci", "--dim", "-1"], via_sys_argv=True)
+@example(argv=["euler", "ci", "--dim", "7", "-h"], via_sys_argv=False)
+@example(argv=["--", "euler", "ci", "--dim", "7"], via_sys_argv=False)
+@example(argv=["euler", "ci", "--dim", ""], via_sys_argv=False)
+@example(argv=["euler", "ci", "--degrees", "", "--dim", "3"], via_sys_argv=True)
+@example(argv=["euler", "ci", "--dim", "7", "--format", "json"], via_sys_argv=False)
+@example(argv=["euler", "--format", "json", "ci", "--dim", "7"], via_sys_argv=False)
+@given(argv=near_miss_argv(), via_sys_argv=st.booleans())
+def test_table_parser_declines_or_agrees_with_argparse(argv, via_sys_argv):
+    # argv None reads sys.argv[1:] on both sides
+    with mock.patch.object(sys, "argv", ["nefkit", *argv]):
+        table = table_vars(None if via_sys_argv else argv)
+        assert table is None or table == argparse_vars(None if via_sys_argv else argv)
 
 
 SHIPPED = {name: json.loads((Path(cli.__file__).with_name("data") / f"{name}.json")
