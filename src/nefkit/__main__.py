@@ -1,19 +1,16 @@
 """Entry point for `python -m nefkit` and the `nefkit` console script.
 
-Both run `run`, which ends the process with `cli.main`'s exit status and
-freezes the garbage collector on the way out, whatever way out that is: a
-normal return, argparse's `SystemExit(2)`, a dataset or scan error status, or
-an unexpected exception. The process is ending, so a collection frees nothing
-that the operating system would not reclaim anyway; yet the interpreter's
-finalization would walk every tracked object, most of them from `site` and the
-standard library. Frozen objects are never walked. Stream flushing, `atexit`
-handlers, output and exit status stay as they are. `cli.main` itself leaves
-the collector alone, so callers that run it in-process keep normal collection.
+Both run `run`, the one place where the process ends. It flushes what
+`cli.main` wrote and exits with its status, or with 1 and a best-effort
+`output error:` line on stderr if output cannot be written (a closed pipe or
+a full disk). On every way out it freezes the garbage collector, so
+finalization walks none of the objects already tracked.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 
 from . import cli
@@ -21,9 +18,21 @@ from . import cli
 
 def run() -> None:
     try:
-        sys.exit(cli.main())
+        status = cli.main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        status = 1
+        for stream, text in (sys.stdout, ""), (sys.stderr, f"output error: {exc}\n"):
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:  # what it still holds would fail again, loudly, at exit
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), stream.fileno())
     finally:
         gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

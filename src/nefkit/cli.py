@@ -13,25 +13,24 @@ Every invocation runs one handler and prints its canonicalized inputs, result
 payload and provenance notes; the JSON report is the object {"command",
 "inputs", "result", "notes"} of JSON-native values only, so it re-parses to an
 equal payload. JSON output is byte-reproducible: keys sorted, two-space indent,
-no timestamps. Exit status: 0 success, 1 the report could not be written (a
-closed pipe or a full disk), 2 invalid input, 3 dataset error, 4 scan
-violation.
+no timestamps. main returns the exit status for every argv, help and usage
+errors included: 0 success, 2 invalid input, 3 dataset error, 4 scan
+violation. It flushes nothing and lets a failed write's OSError through:
+nefkit.__main__.run ends the process, with status 1 on such an error.
 
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
-and chern; verdict, scan and table also diagonal; cone exactnum and cones (and
-diagonal to check a loaded dataset); a usage error none. Only chern ci loads
-fractions. main maps a library exception to its exit status only if that
-exception's module is loaded, which it must be if the exception was raised.
+and chern; verdict, scan and table also diagonal; cone exactnum and cones
+(and diagonal and chern to check a loaded dataset); a usage error none. Only
+chern ci loads fractions. main maps a library exception to its exit status
+only if that exception's module is loaded, which it must be if it was raised.
 No layer imports dataclasses, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -39,7 +38,6 @@ if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
 
     from .chern import CIType
-    from .cones import CycleDataset
 
     Args = Namespace | SimpleNamespace
 
@@ -135,20 +133,6 @@ def _format(text: str) -> str:
     return text
 
 
-def _resolve_dataset(name: str) -> CycleDataset:
-    """Dataset lookup order: literal path, NEFKIT_DATA directory, shipped data."""
-    from .cones import _json_name, builtin_dataset, load_dataset_file
-
-    if Path(name).is_file():
-        return load_dataset_file(name)
-    data_dir = os.environ.get("NEFKIT_DATA")
-    if data_dir:
-        candidate = Path(data_dir) / _json_name(name)
-        if candidate.is_file():
-            return load_dataset_file(candidate)
-    return builtin_dataset(name)
-
-
 def _ci_from_args(args: Args) -> CIType:
     from .chern import CIType
 
@@ -242,9 +226,9 @@ def _handle_verdict_curve(args: Args) -> Outcome:
 
 
 def _handle_cone_dual(args: Args) -> Outcome:
-    from .cones import nef_cone_of_codim
+    from .cones import nef_cone_of_codim, resolve_dataset
 
-    ds = _resolve_dataset(args.dataset)
+    ds = resolve_dataset(args.dataset)
     cone = nef_cone_of_codim(ds, args.codim)
     result = {
         "variety": ds.variety,
@@ -261,9 +245,9 @@ def _handle_cone_dual(args: Args) -> Outcome:
 
 
 def _handle_cone_check(args: Args) -> Outcome:
-    from .cones import spherical_nef_diagonal_check
+    from .cones import resolve_dataset, spherical_nef_diagonal_check
 
-    ds = _resolve_dataset(args.dataset)
+    ds = resolve_dataset(args.dataset)
     verdict = spherical_nef_diagonal_check(ds)
     return ({"dataset": args.dataset}, {"variety": ds.variety, **verdict.to_payload()},
             (f"nef-diagonal pairing check for {ds.variety}",
@@ -428,19 +412,22 @@ def build_parser() -> ArgumentParser:
     return parser
 
 
-def _loaded(module: str, *names: str) -> tuple[type[BaseException], ...]:
-    """The named exception classes of a module, or () if it is not loaded.
+def _loaded(module: str, name: str) -> tuple[type[BaseException], ...]:
+    """The module's exception class of that name in a tuple, or () if it is not loaded.
 
     A class can only have been raised once its module is loaded, so matching
     against the loaded ones is exact and imports nothing."""
     loaded = sys.modules.get(module)
-    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+    return (getattr(loaded, name),) if loaded else ()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = parse_well_formed(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # after help or a usage error
+            return exc.code
     try:
         inputs, result, notes = args.handler(args)
         try:  # printing fails only on an integer past the int-to-str digit limit
@@ -457,21 +444,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _loaded(f"{__package__}.diagonal", "ScanViolation") as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4
-    except (*_loaded(f"{__package__}.cones", "SchemaError", "InconsistentPairing",
-                     "MissingPairing"), OSError) as exc:
+    except (*_loaded(f"{__package__}.cones", "SchemaError"), OSError) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    try:
-        sys.stdout.write(output)
-        sys.stdout.flush()
-    except OSError as exc:  # a closed pipe or a full disk
-        # what is still buffered would fail again, with a traceback, at exit
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"output error: {exc}", file=sys.stderr)
-        return 1
+    sys.stdout.write(output)
     return 0

@@ -26,6 +26,7 @@ cut it out, so its membership test needs no second double description.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from functools import cache, cached_property
 from math import gcd
@@ -50,6 +51,7 @@ __all__ = [
     "load_dataset",
     "load_dataset_file",
     "builtin_dataset",
+    "resolve_dataset",
     "tau_top_pairing",
     "dual_cone",
     "effective_cone_of_codim",
@@ -60,14 +62,14 @@ __all__ = [
 
 
 class SchemaError(ValueError):
-    """The dataset document or one of its classes is malformed."""
+    """A dataset fault: a malformed document or class, or a pairing in conflict or missing."""
 
 
-class InconsistentPairing(ValueError):
+class InconsistentPairing(SchemaError):
     """The same unordered pair of classes is listed with conflicting values."""
 
 
-class MissingPairing(LookupError):
+class MissingPairing(SchemaError, LookupError):
     """A required complementary pairing is absent from the dataset."""
 
 
@@ -271,6 +273,18 @@ def builtin_dataset(name: str) -> CycleDataset:
     if not record.is_file():
         raise FileNotFoundError(f"no shipped dataset named {name!r}")
     return load_dataset_file(record)
+
+
+def resolve_dataset(name: str) -> CycleDataset:
+    """The dataset a name means: the file at that path, else in NEFKIT_DATA, else shipped."""
+    if Path(name).is_file():
+        return load_dataset_file(name)
+    data_dir = os.environ.get("NEFKIT_DATA")
+    if data_dir:
+        candidate = Path(data_dir) / _json_name(name)
+        if candidate.is_file():
+            return load_dataset_file(candidate)
+    return builtin_dataset(name)
 
 
 def tau_top_pairing(n: int, a: int, b: int) -> int:

@@ -1,18 +1,20 @@
 """End-to-end tests of the command-line interface.
 
 Each subcommand is exercised through main(argv); exit codes follow the
-contract 0 = success, 1 = the report could not be written, 2 = invalid
+contract 0 = success, 1 = output could not be written, 2 = invalid
 input, 3 = dataset error, 4 = scan violation, and JSON reports must be
 byte-reproducible and re-parseable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -167,9 +169,7 @@ def test_json_report_round_trips(capsys) -> None:
 
 
 def test_unknown_format_exits_2(capsys) -> None:
-    with pytest.raises(SystemExit) as info:
-        main(["--format", "xml", "euler", "ci", "--dim", "3"])
-    assert info.value.code == 2
+    assert main(["--format", "xml", "euler", "ci", "--dim", "3"]) == 2
     assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
@@ -178,15 +178,9 @@ def test_unknown_format_exits_2(capsys) -> None:
 
 
 def test_usage_errors_exit_2(capsys) -> None:
-    with pytest.raises(SystemExit) as info:
-        main(["euler", "ci", "--degrees", "2"])  # missing --dim
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["euler", "ci", "--dim", "3", "--degrees", "2,x"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+    assert main(["euler", "ci", "--degrees", "2"]) == 2  # missing --dim
+    assert main(["euler", "ci", "--dim", "3", "--degrees", "2,x"]) == 2
+    assert main([]) == 2
 
 
 def test_invalid_input_exits_2(capsys) -> None:
@@ -280,39 +274,77 @@ def test_scan_violation_exits_4(capsys, monkeypatch) -> None:
 
 UNBUFFERED = pytest.mark.parametrize("unbuffered", [True, False],
                                      ids=["unbuffered", "buffered"])
+FULL_DISK = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                               reason="no /dev/full on this platform")
 
 
-def run_to(stdout: int, unbuffered: bool, *argv: str) -> subprocess.CompletedProcess:
-    """python -m nefkit on argv from the source tree, its stdout the given descriptor."""
+@contextlib.contextmanager
+def unwritable(sink: str) -> Iterator[int]:
+    """A descriptor that fails every write: the write end of a pipe whose
+    reader is gone, as in `nefkit ... | true`, or /dev/full, a full disk."""
+    if sink == "full disk":
+        with open("/dev/full", "wb") as full:
+            yield full.fileno()
+        return
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+def run_to(unbuffered: bool, *argv: str, stdout: int = subprocess.PIPE,
+           stderr: int = subprocess.PIPE) -> subprocess.CompletedProcess:
+    """python -m nefkit on argv from the source tree, its streams the given descriptors."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "nefkit", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, check=False, env=env)
+                          stderr=stderr, text=True, check=False, env=env)
 
 
 @UNBUFFERED
 def test_closed_pipe_exits_1_without_traceback(unbuffered) -> None:
-    # the reader is gone before the report is written, as in `nefkit ... | true`
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = run_to(write, unbuffered, "table", "delpezzo")
-    finally:
-        os.close(write)
+    # the reader is gone before the report is written
+    with unwritable("closed pipe") as fd:
+        proc = run_to(unbuffered, "table", "delpezzo", stdout=fd)
     assert proc.returncode == 1
     assert proc.stderr == "output error: [Errno 32] Broken pipe\n"
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@FULL_DISK
 @UNBUFFERED
 def test_full_disk_exits_1_without_traceback(unbuffered) -> None:
-    with open("/dev/full", "wb") as full:
-        proc = run_to(full.fileno(), unbuffered, "euler", "ci", "--dim", "7")
+    with unwritable("full disk") as fd:
+        proc = run_to(unbuffered, "euler", "ci", "--dim", "7", stdout=fd)
     assert proc.returncode == 1
     assert proc.stderr == "output error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("argv, stream, sink, dropped_status, other_on_1", [
+    (["--help"], "stdout", "closed pipe", 0, "output error: [Errno 32] Broken pipe\n"),
+    pytest.param(["euler", "ci"], "stderr", "full disk", 2, "", marks=FULL_DISK),
+    pytest.param(["euler", "ci", "--dim", "-1"], "stderr", "full disk", None, "",
+                 marks=FULL_DISK),
+], ids=["help-to-closed-pipe", "usage-error-to-full-disk", "invalid-input-to-full-disk"])
+@UNBUFFERED
+def test_unwritable_help_or_message_ends_in_a_status(argv, stream, sink, dropped_status,
+                                                      other_on_1, unbuffered) -> None:
+    # Buffered, the text lands in the buffer and run's flush fails: status 1.
+    # Unbuffered, the write fails at once. main's own message raises, and so
+    # does argparse's help or usage error before Python 3.11: status 1. From
+    # 3.11 on, argparse drops its failed write and leaves nothing to flush, so
+    # the command's own status stands.
+    with unwritable(sink) as fd:
+        proc = run_to(unbuffered, *argv, **{stream: fd})
+    dropped = unbuffered and dropped_status is not None and sys.version_info >= (3, 11)
+    assert proc.returncode == (dropped_status if dropped else 1)
+    # the other stream gets at most the output error line, never a traceback
+    other = proc.stderr if stream == "stdout" else proc.stdout
+    assert other == ("" if dropped else other_on_1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +396,7 @@ def test_argv_none_parses_sys_argv(argv, capsys, monkeypatch) -> None:
     # with argv None, both the table parser and the argparse tree that prints
     # help read sys.argv[1:]
     def run(args):
-        try:
-            code = main(args)
-        except SystemExit as exc:
-            code = exc.code
-        return code, *capsys.readouterr()
+        return main(args), *capsys.readouterr()
 
     expected = run(argv)
     assert expected[0] == 0 and expected[1]

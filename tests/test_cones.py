@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from importlib import resources
@@ -38,6 +39,7 @@ from nefkit.cones import (
     effective_cone_of_codim,
     load_dataset,
     load_dataset_file,
+    resolve_dataset,
     spherical_nef_diagonal_check,
     tau_top_pairing,
 )
@@ -410,6 +412,43 @@ def test_builtin_dataset_unknown_name() -> None:
     for name in ("../data/gw2c5", "./gw2c5.json", "data/gw2c5"):
         with pytest.raises(FileNotFoundError, match=f"^no dataset file named '{name}'$"):
             builtin_dataset(name)
+
+
+def test_resolve_dataset_tries_the_path_then_nefkit_data_then_shipped_data(
+        tmp_path, monkeypatch) -> None:
+    data_dir = tmp_path / "override"
+    data_dir.mkdir()
+    (data_dir / "g2c5.json").write_text(json.dumps(make_doc(variety="under NEFKIT_DATA")), "utf-8")
+    (tmp_path / "g2c5").write_text(json.dumps(make_doc(variety="at the path")), "utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NEFKIT_DATA", str(data_dir))
+    assert resolve_dataset("g2c5").variety == "at the path"
+    (tmp_path / "g2c5").unlink()
+    assert resolve_dataset("g2c5").variety == "under NEFKIT_DATA"
+    assert resolve_dataset("g2c5.json").variety == "under NEFKIT_DATA"
+    monkeypatch.delenv("NEFKIT_DATA")
+    assert resolve_dataset("g2c5") == builtin_dataset("g2c5")
+    monkeypatch.setenv("NEFKIT_DATA", str(tmp_path / "missing"))
+    assert resolve_dataset("g2c5") == builtin_dataset("g2c5")
+
+
+@pytest.mark.parametrize("where", ["absolute", "relative", "directory"])
+def test_resolve_dataset_never_reads_a_path_as_a_shipped_name(tmp_path, monkeypatch,
+                                                               where) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NEFKIT_DATA", raising=False)
+    name = {"absolute": str(tmp_path / "gw2c5.json"), "relative": "./gw2c5",
+            "directory": str(tmp_path)}[where]
+    message = f"no dataset file named {name!r}"
+    with pytest.raises(FileNotFoundError, match=f"^{re.escape(message)}$"):
+        resolve_dataset(name)
+
+
+def test_every_dataset_fault_is_a_schema_error() -> None:
+    # so a caller, such as the command line, catches dataset faults as one class
+    for fault in (InvalidPartition, InconsistentPairing, MissingPairing):
+        assert issubclass(fault, SchemaError)
+    assert issubclass(MissingPairing, LookupError)
 
 
 def test_shipped_data_holds_only_pairing_datasets() -> None:

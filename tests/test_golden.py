@@ -37,10 +37,7 @@ def test_golden_invocation(case, capsys, monkeypatch) -> None:
     monkeypatch.setenv("COLUMNS", "80")
     for key, value in case["env"].items():
         monkeypatch.setenv(key, value)
-    try:
-        code = cli.main(case["argv"])
-    except SystemExit as exc:  # argparse: --help and usage errors
-        code = exc.code
+    code = cli.main(case["argv"])
     captured = capsys.readouterr()
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]

@@ -29,10 +29,7 @@ PROBE = """
 import contextlib, io, json, sys
 from nefkit import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    try:
-        code = cli.main(sys.argv[1:])
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("nefkit.")),
                   [m for m in ("dataclasses", "inspect") if m in sys.modules],
                   [m for m in ("fractions", "decimal") if m in sys.modules],
@@ -118,10 +115,7 @@ def test_package_main_freezes_the_collector_on_exit(argv, exit_status) -> None:
 @EXITS
 def test_in_process_main_leaves_the_collector_alone(argv, exit_status, capsys) -> None:
     before = gc.get_freeze_count()
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    code = cli.main(argv)
     assert (code, gc.get_freeze_count()) == (exit_status, before)
 
 

@@ -151,13 +151,10 @@ def cli_argv(draw) -> list[str]:
     return argv
 
 
-def run_main(argv: list[str]) -> tuple[object, str]:
+def run_main(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = cli.main(argv)
     return code, out.getvalue()
 
 
