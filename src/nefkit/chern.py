@@ -21,15 +21,9 @@ and closed forms for low-degree del Pezzo Euler characteristics.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .exactnum import (
-    _Frozen,
-    _check_int,
-    complete_homogeneous_prefix,
-    elementary_symmetric,
-    series_rational_coefficients,
-)
+from .exactnum import _Frozen, _check_int, complete_homogeneous_prefix, elementary_symmetric
 
 __all__ = [
     "NegativeBetti",
@@ -183,8 +177,11 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
     Entry k is (prod d_j) times the coefficient of t^k in the truncated series
     (1+t)^(n+r+1) / prod (1 + d_j t), whose coefficients are integral for
     integer degrees, which is asserted. Entry 0 is the degree of X in its
-    ambient projective space and entry n is the Euler characteristic.
+    ambient projective space and entry n is the Euler characteristic. The
+    series module, and with it fractions, loads on the first call.
     """
+    from .series import series_rational_coefficients
+
     n = ci.dimension
     series = series_rational_coefficients(n + ci.codimension + 1, ci.degrees, n)
     product = ci.degree_product

@@ -5,8 +5,9 @@ optional partition) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
 matrix, computed here exactly in integers on exactnum alone. The nef-diagonal
-check of a dataset imports diagonal when it runs and builds its verdict from a
-named step of that module's step table, as every verdict is built.
+check of a dataset builds its verdict from one of the two pairing steps of
+this module through verdicts, as every verdict is built, and needs neither
+diagonal nor chern.
 
 The dual-cone routine is Motzkin's incremental double description (Motzkin,
 Raiffa, Thompson and Thrall, 1953): one fraction-free elimination of the
@@ -32,12 +33,10 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import _Frozen, _check_int
-
-if TYPE_CHECKING:
-    from .diagonal import Verdict
+from .verdicts import Reason, Verdict, _Step, _verdict
 
 __all__ = [
     "SchemaError",
@@ -532,6 +531,14 @@ def dual_cone(
 # ---------------------------------------------------------------------------
 # Applications to the shipped datasets
 
+# The verdicts of spherical_nef_diagonal_check on a pairing dataset.
+_NEGATIVE_PAIRING = _Step("pairing", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                          "effective classes {classes[0]} and {classes[1]} pair to {value}",
+                          numbers=("classes", "value"))
+_NON_NEGATIVE_PAIRINGS = _Step("pairing", Reason.NON_NEGATIVE_PAIRINGS,
+                               "every complementary pairing of effective classes is non-negative,"
+                               " which certifies a nef diagonal on a spherical variety")
+
 
 def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     """Nef-diagonal test for a spherical variety from its pairing table.
@@ -540,10 +547,8 @@ def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
     complementary effective (orbit-closure) classes is non-negative. The
     first negative pair in dataset order is returned as the witness; a
     missing required pairing, or no complementary pair, raises MissingPairing.
-    Both verdicts come from the pairing steps of the diagonal step table.
+    Both verdicts come from the two pairing steps above.
     """
-    from .diagonal import _NEGATIVE_PAIRING, _NON_NEGATIVE_PAIRINGS, _verdict
-
     pairs = tuple(ds.complementary_pairs())
     if not pairs:
         raise MissingPairing("no complementary pair of classes: no class, the fundamental"

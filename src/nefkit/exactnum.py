@@ -1,12 +1,9 @@
-"""Exact combinatorial arithmetic: symmetric functions and truncated power
-series over the rationals.
+"""Exact combinatorial arithmetic: complete homogeneous and elementary
+symmetric functions of integers.
 
-Everything here is integer or Fraction arithmetic, no floats. Only the series
-type imports fractions, and only chern ci runs it. It expands the one quotient
-
-    (1 + t)^p  /  prod_j (1 + s_j t)
-
-whose truncated coefficients drive the Chern degree computations downstream.
+Everything here is integer arithmetic, no floats and no fractions; the
+truncated power series over the rationals that the Chern degrees expand live
+in series, which only chern ci loads.
 
 This bottom layer also holds _Frozen, the immutable-value behaviour of the
 value classes of every layer, written by hand so that no subcommand imports
@@ -15,19 +12,9 @@ the standard library's data classes module and inspect at cold start.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-__all__ = [
-    "complete_homogeneous",
-    "complete_homogeneous_prefix",
-    "elementary_symmetric",
-    "TruncatedSeries",
-    "series_rational_coefficients",
-]
+__all__ = ["complete_homogeneous", "complete_homogeneous_prefix", "elementary_symmetric"]
 
 
 def complete_homogeneous(k: int, values: Sequence[int]) -> int:
@@ -114,68 +101,3 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class TruncatedSeries(_Frozen):
-    """Power series truncated at a fixed order, coefficients exact rationals.
-
-    coefficients[k] is the t^k coefficient; len(coefficients) == order + 1.
-    Division requires the divisor to have a nonzero constant term.
-    """
-
-    _fields = ("coefficients", "order")
-
-    def __init__(self, coefficients: tuple[Fraction, ...], order: int) -> None:
-        from fractions import Fraction
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        if len(coefficients) != order + 1:
-            raise ValueError("need exactly order + 1 coefficients")
-        if not all(isinstance(c, Fraction) for c in coefficients):
-            raise TypeError("coefficients must be Fractions")
-        self._store(coefficients, order)
-
-    @classmethod
-    def of(cls, values: Iterable[int | Fraction], order: int) -> "TruncatedSeries":
-        """Build a series from any coefficient prefix, padding with zeros."""
-        from fractions import Fraction
-        coeffs = [Fraction(v) for v in values][: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs), order)
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("series orders must match")
-        if other.coefficients[0] == 0:
-            raise ValueError("series division needs a nonzero constant term")
-        n = self.order
-        b0 = other.coefficients[0]
-        out: list[Fraction] = []
-        for k in range(n + 1):
-            acc = self.coefficients[k]
-            for j in range(1, k + 1):
-                acc -= other.coefficients[j] * out[k - j]
-            out.append(acc / b0)
-        return TruncatedSeries(tuple(out), n)
-
-
-def series_rational_coefficients(
-    exponent: int, denominator_factors: Iterable[int], order: int
-) -> TruncatedSeries:
-    """Expand (1 + t)^exponent / prod (1 + s t) through the given order.
-
-    The exponent is >= 0; denominator factors are the scalars s of linear
-    terms (1 + s t). With integer scalars every coefficient of the quotient
-    is an integer, since dividing by (1 + s t) is the integer recurrence
-    c'_k = c_k - s c'_(k-1).
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    series = TruncatedSeries.of([math.comb(exponent, k) for k in range(order + 1)], order)
-    for s in denominator_factors:
-        series = series / TruncatedSeries.of([1, s], order)
-    return series

@@ -295,15 +295,18 @@ def unwritable(sink: str) -> Iterator[int]:
 
 
 def run_to(unbuffered: bool, *argv: str, stdout: int = subprocess.PIPE,
-           stderr: int = subprocess.PIPE) -> subprocess.CompletedProcess:
-    """python -m nefkit on argv from the source tree, its streams the given descriptors."""
+           stderr: int = subprocess.PIPE, closed: int | None = None
+           ) -> subprocess.CompletedProcess:
+    """python -m nefkit on argv from the source tree, its streams the given
+    descriptors, with the descriptor closed, if given, before it starts."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "nefkit", *argv], stdout=stdout,
-                          stderr=stderr, text=True, check=False, env=env)
+                          stderr=stderr, text=True, check=False, env=env,
+                          preexec_fn=None if closed is None else lambda: os.close(closed))
 
 
 @UNBUFFERED
@@ -345,6 +348,27 @@ def test_unwritable_help_or_message_ends_in_a_status(argv, stream, sink, dropped
     # the other stream gets at most the output error line, never a traceback
     other = proc.stderr if stream == "stdout" else proc.stdout
     assert other == ("" if dropped else other_on_1)
+
+
+BAD_FD = "output error: [Errno 9] Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("argv, closed, exit_status, on_the_open_stream", [
+    (["euler", "ci", "--dim", "7"], 1, 1, BAD_FD),
+    (["--help"], 1, 1, BAD_FD),
+    (["euler", "ci", "--dim", "-1"], 2, 1, ""),
+    (["euler", "ci", "--dim", "7"], 2, 0,
+     "8\n# Euler characteristic of the complete intersection (;7)\n"),
+], ids=["report-to-closed-stdout", "help-to-closed-stdout", "message-to-closed-stderr",
+        "nothing-to-closed-stderr"])
+@UNBUFFERED
+def test_closed_stream_ends_in_a_status(argv, closed, exit_status, on_the_open_stream,
+                                        unbuffered) -> None:
+    # a descriptor closed before start-up leaves its stream None: text for it
+    # is output that cannot be written, and never lands on the other stream
+    proc = run_to(unbuffered, *argv, closed=closed)
+    assert proc.returncode == exit_status
+    assert (proc.stderr if closed == 1 else proc.stdout) == on_the_open_stream
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from nefkit.exactnum import (
-    TruncatedSeries,
-    complete_homogeneous,
-    complete_homogeneous_prefix,
-    elementary_symmetric,
-    series_rational_coefficients,
-)
+from nefkit.exactnum import complete_homogeneous, complete_homogeneous_prefix, elementary_symmetric
+from nefkit.series import TruncatedSeries, series_rational_coefficients
 
 
 def brute_h(k: int, values: list[int]) -> int:

@@ -50,9 +50,14 @@ def test_import_nefkit_loads_no_layer() -> None:
     assert out == "[]\n"
 
 
-CHERN = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
-CONES = ["nefkit.cli", "nefkit.cones", "nefkit.exactnum"]
-VERDICT = sorted([*CHERN, "nefkit.diagonal"])
+INVARIANTS = ["nefkit._cli_invariants", "nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
+VERDICT = sorted(["nefkit._cli_verdicts", "nefkit.chern", "nefkit.cli", "nefkit.diagonal",
+                  "nefkit.exactnum", "nefkit.verdicts"])
+# the del Pezzo table, and the rows that hold their own steps
+DELPEZZO = sorted(["nefkit._cli_verdicts", "nefkit.cli", "nefkit.delpezzo", "nefkit.exactnum",
+                   "nefkit.verdicts"])
+CONES = sorted(["nefkit._cli_cones", "nefkit.cli", "nefkit.cones", "nefkit.exactnum",
+                "nefkit.verdicts"])
 BAD_DATASET = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "bad_dataset.json")
 
 
@@ -61,27 +66,33 @@ ARGPARSE = ["argparse", "gettext", "locale"]
 
 
 @pytest.mark.parametrize("argv, exit_status, loaded, parser", [
-    (["euler", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN, []),
-    (["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"], 0, CHERN, []),
-    (["betti", "ci", "--dim", "3", "--degrees", "2,2"], 0, CHERN, []),
+    (["euler", "ci", "--dim", "3", "--degrees", "2,2"], 0, INVARIANTS, []),
+    (["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"], 0, INVARIANTS, []),
+    (["betti", "ci", "--dim", "3", "--degrees", "2,2"], 0, INVARIANTS, []),
     (["verdict", "ci", "--dim", "4", "--degrees", "3"], 0, VERDICT, []),
-    (["verdict", "delpezzo", "--dim", "4", "--degree", "5"], 0, VERDICT, []),
+    (["verdict", "delpezzo", "--dim", "4", "--degree", "5"], 0, DELPEZZO, []),
+    # a row of degree 1 to 4 is decided by chi, from chern, and a step of diagonal
+    (["verdict", "delpezzo", "--dim", "3", "--degree", "1"], 0,
+     sorted([*DELPEZZO, "nefkit.chern", "nefkit.diagonal"]), []),
+    (["verdict", "delpezzo", "--dim", "3", "--degree", "3"], 0,
+     sorted([*DELPEZZO, "nefkit.chern", "nefkit.diagonal"]), []),
     (["verdict", "curve", "--genus", "2"], 0, VERDICT, []),
     (["--format", "json", "scan", "ci", "--max-dim", "4", "--max-degree", "3", "--max-r", "2",
       "--quadrics-max-r", "3"], 0, VERDICT, []),
-    (["table", "delpezzo"], 0, VERDICT, []),
-    (["cone", "check", "--dataset", "gw2c5"], 0,
-     sorted([*CHERN, "nefkit.cones", "nefkit.diagonal"]), []),
+    (["table", "delpezzo"], 0, DELPEZZO, []),
+    # the text report of the check's verdict is drawn by the verdict renderer
+    (["cone", "check", "--dataset", "gw2c5"], 0, sorted([*CONES, "nefkit._cli_verdicts"]), []),
+    (["--format", "json", "cone", "check", "--dataset", "gw2c5"], 0, CONES, []),
     (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONES, []),
-    # the dataset fails to load before the check would import diagonal
     (["cone", "check", "--dataset", BAD_DATASET], 3, CONES, []),
     (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"], ARGPARSE),
     (["--help"], 0, ["nefkit.cli"], ARGPARSE),
-], ids=["euler", "euler-weighted", "betti", "verdict", "verdict-delpezzo", "verdict-curve", "scan",
-        "table", "cone", "cone-dual", "bad-dataset", "usage-error", "help"])
+], ids=["euler", "euler-weighted", "betti", "verdict", "verdict-delpezzo",
+        "verdict-delpezzo-cover", "verdict-delpezzo-ci", "verdict-curve", "scan", "table", "cone",
+        "cone-json", "cone-dual", "bad-dataset", "usage-error", "help"])
 def test_subcommand_loads_only_its_layer(argv, exit_status, loaded, parser) -> None:
     # a well-formed command is read from cli.COMMANDS; argparse loads only for
-    # help and usage errors
+    # help and usage errors, and a handler's module only for its kind
     assert json.loads(fresh(PROBE, *argv)) == [exit_status, loaded, [], [], parser]
 
 
@@ -125,9 +136,11 @@ def test_console_script_runs_the_package_entry() -> None:
 
 
 def test_only_the_series_route_loads_fractions() -> None:
-    # chern ci expands a series of Fractions, the one subcommand that does
+    # chern ci expands a series of Fractions, the one subcommand that loads
+    # the series module; no case of test_subcommand_loads_only_its_layer does
     out = fresh(PROBE, "chern", "ci", "--dim", "2", "--degrees", "3")
-    assert json.loads(out) == [0, CHERN, [], ["fractions", "decimal"], []]
+    assert json.loads(out) == [0, sorted([*INVARIANTS, "nefkit.series"]), [],
+                               ["fractions", "decimal"], []]
 
 
 # every name the package root exports, with the module that defines it
