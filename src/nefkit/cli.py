@@ -1,11 +1,8 @@
 """Command-line front end: deterministic text or JSON reports.
 
-Every subcommand is declared once, in the COMMANDS table at the end of this
-module: its help text, its arguments, and the handler that computes it and
-the renderer of its text report, each named as "layer.function" of one
-private module per layer (_cli_invariants, _cli_verdicts, _cli_cones), which
-main imports only for the kind it runs, and for the renderer only when it
-prints text. parse_well_formed reads a command given in its canonical form,
+Every subcommand is declared once, in the COMMANDS table: its help text, its
+arguments, the handler that computes it and the renderer of its text
+report. parse_well_formed reads a command given in its canonical form,
 [--format text|json] GROUP KIND (--flag value)*, straight from the table.
 build_parser turns the table into the argparse tree, which main builds only
 for any other argv: help, usage errors and the spellings that argparse also
@@ -35,11 +32,10 @@ subcommand loads it or inspect.
 
 from __future__ import annotations
 
-import importlib
 import json
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
@@ -91,6 +87,208 @@ def _ci_inputs(ci: CIType) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Handlers and text renderers
+#
+# Each handler maps parsed args to (inputs, result payload, notes) and imports
+# the library calls it makes when it runs, so a test substitutes a call on the
+# module that defines it, such as nefkit.diagonal.scan_ci.
+
+
+def value_lines(result: object) -> list[str]:
+    return [str(result)]
+
+
+def sequence_lines(result: Sequence[int]) -> list[str]:
+    return [" ".join(str(c) for c in result)]
+
+
+def betti_lines(result: Mapping) -> list[str]:
+    return [
+        "betti: " + " ".join(str(b) for b in result["betti"]),
+        f"middle: {result['middle']}",
+        f"euler: {result['euler']}",
+        "poincare: " + " ".join(str(c) for c in result["poincare"]),
+    ]
+
+
+def handle_euler_ci(args: Args) -> Outcome:
+    from .chern import euler_ci_formula
+
+    ci = _ci_from_args(args)
+    return (_ci_inputs(ci), euler_ci_formula(ci),
+            (f"Euler characteristic of the complete intersection {ci}",))
+
+
+def handle_euler_weighted(args: Args) -> Outcome:
+    from .chern import WeightedHypersurface, euler_weighted
+
+    surface = WeightedHypersurface(args.weights, args.degree)
+    ambient = "P(" + ",".join(str(w) for w in surface.weights) + ")"
+    return (
+        {"weights": list(surface.weights), "degree": surface.degree},
+        euler_weighted(surface),
+        (f"Euler characteristic of a degree-{surface.degree} hypersurface in {ambient}",),
+    )
+
+
+def handle_chern_ci(args: Args) -> Outcome:
+    from .chern import chern_degrees_ci
+
+    ci = _ci_from_args(args)
+    return (_ci_inputs(ci), chern_degrees_ci(ci),
+            (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",))
+
+
+def handle_betti_ci(args: Args) -> Outcome:
+    from .chern import betti_ci, poincare_polynomial_ci
+
+    ci = _ci_from_args(args)
+    table = betti_ci(ci)
+    result = {
+        "betti": list(table.betti),
+        "middle": table.middle,
+        "euler": table.euler_characteristic,
+        "poincare": poincare_polynomial_ci(ci),
+    }
+    return _ci_inputs(ci), result, (f"Betti numbers and signed Poincare polynomial of {ci}",)
+
+
+def _compact(value: object) -> str:
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, separators=(",", ":"))
+
+
+def verdict_lines(result: Mapping) -> list[str]:
+    lines = [f"{result['status']}: {result['reason']}", f"detail: {result['detail']}"]
+    witness = result.get("witness") or {}
+    if witness:
+        parts = " ".join(f"{k}={_compact(witness[k])}" for k in sorted(witness))
+        lines.append(f"witness: {parts}")
+    return lines
+
+
+def scan_lines(result: Mapping) -> list[str]:
+    lines = [f"cases: {result['cases']}"]
+    for law, count in result["law_checks"].items():
+        lines.append(f"law {law}: {count} checks, no violations")
+    for verdict, count in result["verdict_counts"].items():
+        lines.append(f"verdict {verdict}: {count}")
+    return lines
+
+
+def table_lines(result: Sequence[Mapping]) -> list[str]:
+    lines = []
+    for row in result:
+        lines.append(f"degree {row['degree']} ({row['dimensions']}): {row['description']}")
+        if row["variants"]:
+            lines.append(f"  variants: {', '.join(row['variants'])}")
+    return lines
+
+
+def handle_verdict_ci(args: Args) -> Outcome:
+    from .diagonal import verdict_ci
+
+    ci = _ci_from_args(args)
+    verdict = verdict_ci(ci)
+    return (_ci_inputs(ci), verdict.to_payload(),
+            (f"nef-diagonal classification of {ci}", f"criterion: {verdict.reason.value}"))
+
+
+def handle_verdict_delpezzo(args: Args) -> Outcome:
+    from .delpezzo import verdict_delpezzo
+
+    verdict = verdict_delpezzo(args.dim, args.degree, args.variant)
+    inputs = {"dim": args.dim, "degree": args.degree}
+    if args.variant is not None:
+        inputs["variant"] = args.variant
+    return inputs, verdict.to_payload(), (
+        f"nef-diagonal classification of the degree-{args.degree} del Pezzo {args.dim}-fold",
+        f"criterion: {verdict.reason.value}",
+    )
+
+
+def handle_verdict_curve(args: Args) -> Outcome:
+    from .diagonal import verdict_curve
+
+    verdict = verdict_curve(args.genus)
+    return ({"genus": args.genus}, verdict.to_payload(),
+            (f"nef-diagonal classification of a genus-{args.genus} curve",
+             f"criterion: {verdict.reason.value}"))
+
+
+def handle_scan_ci(args: Args) -> Outcome:
+    from .diagonal import scan_ci
+
+    scan = scan_ci(
+        max_dimension=args.max_dim,
+        max_degree=args.max_degree,
+        max_codimension=args.max_r,
+        quadrics_max_codimension=args.quadrics_max_r,
+    )
+    inputs = {
+        "max_dim": args.max_dim,
+        "max_degree": args.max_degree,
+        "max_r": args.max_r,
+        "quadrics_max_r": args.quadrics_max_r,
+    }
+    notes = ("all sign, bound and classification laws hold on the grid",)
+    return inputs, scan.to_payload(), notes
+
+
+def handle_table_delpezzo(args: Args) -> Outcome:
+    from .delpezzo import DELPEZZO_TABLE
+
+    rows = [
+        {
+            "degree": row.degree,
+            "dimensions": row.dimensions,
+            "description": row.description,
+            "variants": list(row.variant_dimensions),
+        }
+        for row in DELPEZZO_TABLE
+    ]
+    return {}, rows, ("classification of del Pezzo manifolds by degree",)
+
+
+def cone_lines(result: Mapping) -> list[str]:
+    lines = [f"variety: {result['variety']}", f"basis: {', '.join(result['basis'])}"]
+    for coords, expr in zip(result["generators"], result["expressions"]):
+        lines.append(f"ray ({', '.join(str(x) for x in coords)}): {expr}")
+    lines.append(f"full-dimensional: {'yes' if result['full_dimensional'] else 'no'}")
+    return lines
+
+
+def handle_cone_dual(args: Args) -> Outcome:
+    from .cones import nef_cone_of_codim, resolve_dataset
+
+    ds = resolve_dataset(args.dataset)
+    cone = nef_cone_of_codim(ds, args.codim)
+    result = {
+        "variety": ds.variety,
+        "codim": args.codim,
+        "basis": list(cone.basis_labels),
+        "generators": [list(g) for g in cone.generators],
+        "expressions": cone.generator_expressions(),
+        "full_dimensional": cone.is_full_dimensional,
+    }
+    return {"dataset": args.dataset, "codim": args.codim}, result, (
+        f"nef cone in codimension {args.codim}: dual of the effective cone "
+        f"in codimension {ds.dimension - args.codim}",
+    )
+
+
+def handle_cone_check(args: Args) -> Outcome:
+    from .cones import resolve_dataset, spherical_nef_diagonal_check
+
+    ds = resolve_dataset(args.dataset)
+    verdict = spherical_nef_diagonal_check(ds)
+    return ({"dataset": args.dataset}, {"variety": ds.variety, **verdict.to_payload()},
+            (f"nef-diagonal pairing check for {ds.variety}",
+             f"criterion: {verdict.reason.value}"))
+
+
+# ---------------------------------------------------------------------------
 # Registration table and parser
 
 _CI_ARGS = (
@@ -103,42 +301,41 @@ _DATASET_ARG = ("--dataset", dict(required=True,
 _CI_HELP = "smooth complete intersection"
 
 # group -> (group help, kind -> (help, arguments, handler, text renderer));
-# each argument is (flag, add_argument keywords), and the handler and the
-# renderer are "layer.function" in the private module _cli_<layer>.
+# each argument is (flag, add_argument keywords)
 COMMANDS = {
     "euler": ("Euler characteristics", {
-        "ci": (_CI_HELP, _CI_ARGS, "invariants.handle_euler_ci", "invariants.value_lines"),
+        "ci": (_CI_HELP, _CI_ARGS, handle_euler_ci, value_lines),
         "weighted": ("weighted hypersurface", (
             ("--weights", dict(type=_comma_ints, required=True,
                                help="comma-separated ambient weights a0,..,am (m >= 4)")),
             ("--degree", dict(type=int, required=True)),
-        ), "invariants.handle_euler_weighted", "invariants.value_lines"),
+        ), handle_euler_weighted, value_lines),
     }),
     "chern": ("Chern class degrees", {
-        "ci": (_CI_HELP, _CI_ARGS, "invariants.handle_chern_ci", "invariants.sequence_lines"),
+        "ci": (_CI_HELP, _CI_ARGS, handle_chern_ci, sequence_lines),
     }),
     "betti": ("Betti numbers", {
-        "ci": (_CI_HELP, _CI_ARGS, "invariants.handle_betti_ci", "invariants.betti_lines"),
+        "ci": (_CI_HELP, _CI_ARGS, handle_betti_ci, betti_lines),
     }),
     "verdict": ("nef-diagonal classification", {
-        "ci": (_CI_HELP, _CI_ARGS, "verdicts.handle_verdict_ci", "verdicts.verdict_lines"),
+        "ci": (_CI_HELP, _CI_ARGS, handle_verdict_ci, verdict_lines),
         "delpezzo": ("del Pezzo manifold", (
             ("--dim", dict(type=int, required=True)),
             ("--degree", dict(type=int, required=True)),
             ("--variant", dict(default=None,
                                help="optional member label for reporting (degree 6)")),
-        ), "verdicts.handle_verdict_delpezzo", "verdicts.verdict_lines"),
+        ), handle_verdict_delpezzo, verdict_lines),
         "curve": ("smooth projective curve", (
             ("--genus", dict(type=int, required=True)),
-        ), "verdicts.handle_verdict_curve", "verdicts.verdict_lines"),
+        ), handle_verdict_curve, verdict_lines),
     }),
     "cone": ("cycle cones from pairing datasets", {
         "dual": ("nef cone of a codimension", (
             _DATASET_ARG,
             ("--codim", dict(type=int, required=True)),
-        ), "cones.handle_cone_dual", "cones.cone_lines"),
-        "check": ("nef-diagonal pairing check", (_DATASET_ARG,),
-                  "cones.handle_cone_check", "verdicts.verdict_lines"),
+        ), handle_cone_dual, cone_lines),
+        "check": ("nef-diagonal pairing check", (_DATASET_ARG,), handle_cone_check,
+                  verdict_lines),
     }),
     "scan": ("verification sweeps", {
         "ci": ("sign/bound/classification laws", (
@@ -146,11 +343,10 @@ COMMANDS = {
             ("--max-degree", dict(type=int, default=6)),
             ("--max-r", dict(type=int, default=5)),
             ("--quadrics-max-r", dict(type=int, default=8)),
-        ), "verdicts.handle_scan_ci", "verdicts.scan_lines"),
+        ), handle_scan_ci, scan_lines),
     }),
     "table": ("classification tables", {
-        "delpezzo": ("del Pezzo manifolds by degree", (), "verdicts.handle_table_delpezzo",
-                     "verdicts.table_lines"),
+        "delpezzo": ("del Pezzo manifolds by degree", (), handle_table_delpezzo, table_lines),
     }),
 }
 
@@ -224,12 +420,6 @@ def _loaded(module: str, name: str) -> tuple[type[BaseException], ...]:
     return (getattr(loaded, name),) if loaded else ()
 
 
-def _function(ref: str) -> Callable:
-    """The function that a COMMANDS reference "layer.function" names in _cli_<layer>."""
-    layer, name = ref.split(".")
-    return getattr(importlib.import_module(f"{__package__}._cli_{layer}"), name)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = parse_well_formed(argv)
     if args is None:
@@ -238,14 +428,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # after help or a usage error
             return exc.code
     try:
-        inputs, result, notes = _function(args.handler)(args)
+        inputs, result, notes = args.handler(args)
         try:  # printing fails only on an integer past the int-to-str digit limit
             if args.format == "json":
                 report = {"command": f"{args.group} {args.kind}", "inputs": inputs,
                           "result": result, "notes": list(notes)}
                 output = json.dumps(report, sort_keys=True, indent=2) + "\n"
             else:
-                lines = [*_function(args.render)(result), *(f"# {note}" for note in notes)]
+                lines = [*args.render(result), *(f"# {note}" for note in notes)]
                 output = "\n".join(lines) + "\n"
         except ValueError:
             raise ValueError("the result has an integer of more than "
@@ -258,6 +448,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:  # a list or range past sys.maxsize items, as for a huge --dim
+        print(f"invalid input: too large to compute, more than {sys.maxsize} terms",
+              file=sys.stderr)
         return 2
     sys.stdout.write(output)
     return 0

@@ -108,6 +108,10 @@ ERRORS = [
     ["betti", "ci", "--dim", "0"],
     ["cone", "dual", "--dataset", "gw2c5", "--codim", "9"],
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],
+    # a dimension past the largest list length, sys.maxsize, for h_0..h_n
+    ["euler", "ci", "--dim", "99999999999999999999", "--degrees", "2"],
+    ["betti", "ci", "--dim", "99999999999999999999", "--degrees", "2"],
+    ["--format", "json", "verdict", "ci", "--dim", "99999999999999999999", "--degrees", "3"],
     # dataset errors: exit 3
     ["cone", "check", "--dataset", "no-such-dataset"],
     # a group name as a dataset name

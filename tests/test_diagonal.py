@@ -223,6 +223,31 @@ def test_verdict_exception_table_hits():
         assert planes.witness == {"classes": ["Lambda_1", "Lambda_2"], "value": -1}
 
 
+def plane_self_intersection(degrees: tuple[int, ...], m: int) -> int:
+    """Lambda^2 for an m-plane Lambda in a 2m-dimensional complete intersection
+    X of the degrees in P^N, N = 2m + r: the top Chern class of N_{Lambda/X},
+    which the normal bundle sequence 0 -> N_{Lambda/X} -> N_{Lambda/P} ->
+    N_{X/P}|Lambda -> 0 makes [h^m] (1 + h)^(N - m) / prod(1 + d h) (Fulton,
+    Intersection Theory, ch. 6). Integers only: the binomial row of N - m =
+    m + r, divided by one 1 + d h at a time."""
+    series = [math.comb(m + len(degrees), j) for j in range(m + 1)]
+    for d in degrees:
+        for j in range(1, m + 1):
+            series[j] -= d * series[j - 1]
+    return series[m]
+
+
+def test_plane_witnesses_are_self_intersections_only_for_lines():
+    # a line on the cubic surface (N = 3) and on the quartic del Pezzo surface
+    # (two quadrics in P^4): the quoted witness value is the line's L^2 = -1
+    for degrees in (3,), (2, 2):
+        verdict = verdict_ci(CIType(degrees, 2))
+        assert verdict.witness["value"] == plane_self_intersection(degrees, 1) == -1
+    # for m >= 2 the (2,2) step's -1 pairs two distinct m-planes, which no
+    # self-intersection gives, so that step stays a quoted fact
+    assert [plane_self_intersection((2, 2), m) for m in (2, 3, 4)] == [2, -2, 3]
+
+
 def test_verdict_sign_and_bound_cases():
     quartic = verdict_ci(CIType((4,), 3))
     assert quartic.reason is Reason.NEGATIVE_SELF_INTERSECTION
