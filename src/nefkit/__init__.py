@@ -6,7 +6,7 @@ Three layers:
   weighted hypersurfaces, in exact arithmetic (chern, exactnum, and series,
   the one route through Fractions).
 * Classification verdicts for nef-ness of the diagonal class, with
-  machine-checkable witnesses (verdicts, diagonal, delpezzo).
+  machine-checkable witnesses (diagonal).
 * Nef / pseudoeffective cycle cones from pairing datasets of effective
   classes via exact dual-cone computation (cones).
 
@@ -14,8 +14,7 @@ The package root re-exports the names the README shows; everything else is
 imported from its module, each of which lists its public names in __all__.
 `import nefkit` loads none of the layers: a re-exported name imports its
 module on first use (PEP 562), so `nefkit.CIType` loads exactnum and chern,
-`nefkit.verdict_ci` also verdicts and diagonal, `nefkit.delpezzo5_cones`
-exactnum, verdicts and cones.
+`nefkit.verdict_ci` also diagonal, and `nefkit.delpezzo5_cones` also cones.
 The command line front end lives in nefkit.cli.
 """
 

@@ -232,6 +232,15 @@ class BettiTable(_Frozen):
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * b for i, b in enumerate(self.betti))
 
+    @property
+    def poincare(self) -> list[int]:
+        """Coefficients of p(t) = sum_i b_i (-t)^i, index k = coefficient of t^k.
+
+        This signed convention makes p multiplicative in the fibrations the
+        diagonal module analyzes, with p(t) = 1 + t^2 for the projective line.
+        """
+        return [(-1) ** i * b for i, b in enumerate(self.betti)]
+
 
 def betti_ci(ci: CIType) -> BettiTable:
     """Betti table of a smooth complete intersection of dimension >= 1.
@@ -253,13 +262,8 @@ def betti_ci(ci: CIType) -> BettiTable:
 
 
 def poincare_polynomial_ci(ci: CIType) -> list[int]:
-    """Coefficients of p(t) = sum_i b_i (-t)^i, index k = coefficient of t^k.
-
-    This signed convention makes p multiplicative in the fibrations the
-    diagonal module analyzes, with p(t) = 1 + t^2 for the projective line.
-    """
-    table = betti_ci(ci)
-    return [(-1) ** i * b for i, b in enumerate(table.betti)]
+    """The signed Poincare polynomial of ci: betti_ci(ci).poincare."""
+    return betti_ci(ci).poincare
 
 
 class WeightedHypersurface(_Frozen):

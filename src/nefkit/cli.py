@@ -20,14 +20,11 @@ nefkit.__main__.run ends the process, with status 1 on such an error.
 
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
-and chern; verdict ci, verdict curve and scan also verdicts and diagonal;
-verdict delpezzo and table delpezzo exactnum, verdicts and delpezzo, and
-chern and diagonal only for the rows of degree 1 to 4; cone dual exactnum,
-verdicts and cones, and cone check no more; a usage error and help none.
-Only chern ci loads series, and with it fractions. main maps a library
-exception to its exit status only if that exception's module is loaded,
-which it must be if it was raised. No layer imports dataclasses, so no
-subcommand loads it or inspect.
+and chern; verdict, scan and table also diagonal; cone also diagonal and
+cones; a usage error and help none. Only chern ci loads series, and with it
+fractions. main maps a library exception to its exit status only if that
+exception's module is loaded, which it must be if it was raised. No layer
+imports dataclasses, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations
@@ -140,7 +137,7 @@ def handle_chern_ci(args: Args) -> Outcome:
 
 
 def handle_betti_ci(args: Args) -> Outcome:
-    from .chern import betti_ci, poincare_polynomial_ci
+    from .chern import betti_ci
 
     ci = _ci_from_args(args)
     table = betti_ci(ci)
@@ -148,7 +145,7 @@ def handle_betti_ci(args: Args) -> Outcome:
         "betti": list(table.betti),
         "middle": table.middle,
         "euler": table.euler_characteristic,
-        "poincare": poincare_polynomial_ci(ci),
+        "poincare": table.poincare,
     }
     return _ci_inputs(ci), result, (f"Betti numbers and signed Poincare polynomial of {ci}",)
 
@@ -196,7 +193,7 @@ def handle_verdict_ci(args: Args) -> Outcome:
 
 
 def handle_verdict_delpezzo(args: Args) -> Outcome:
-    from .delpezzo import verdict_delpezzo
+    from .diagonal import verdict_delpezzo
 
     verdict = verdict_delpezzo(args.dim, args.degree, args.variant)
     inputs = {"dim": args.dim, "degree": args.degree}
@@ -237,7 +234,7 @@ def handle_scan_ci(args: Args) -> Outcome:
 
 
 def handle_table_delpezzo(args: Args) -> Outcome:
-    from .delpezzo import DELPEZZO_TABLE
+    from .diagonal import DELPEZZO_TABLE
 
     rows = [
         {

@@ -6,8 +6,7 @@ complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
 matrix, computed here exactly in integers on exactnum alone. The nef-diagonal
 check of a dataset builds its verdict from one of the two pairing steps of
-this module through verdicts, as every verdict is built, and needs neither
-diagonal nor chern.
+this module through diagonal, as every verdict is built.
 
 The dual-cone routine is Motzkin's incremental double description (Motzkin,
 Raiffa, Thompson and Thrall, 1953): one fraction-free elimination of the
@@ -35,8 +34,8 @@ from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from .diagonal import Reason, Verdict, _Step, _verdict
 from .exactnum import _Frozen, _check_int
-from .verdicts import Reason, Verdict, _Step, _verdict
 
 __all__ = [
     "SchemaError",

@@ -1,45 +1,165 @@
-"""Nef-diagonal classification of complete intersections and curves, with
-machine-checkable verdicts.
+"""Nef-diagonal verdicts with machine-checkable witnesses.
 
-Verdicts, their reasons and the steps that build them live in verdicts;
-this module imports and still exports Status, Reason and Verdict. One chain
-applies the criteria in a fixed priority order (positive structural
-families, the exception steps for the cubic surface, the K3 surface of three
-quadrics and the even-dimensional intersections of two quadrics, the sign of
-the diagonal self-intersection, the projection degree bound) and names the
-step that fired with its numbers. verdict_ci builds its Verdict once, from
-that step; scan_ci counts the step's reason under the same witness checks
-and builds no Verdict. The del Pezzo rows, in delpezzo, hold their own
-steps and borrow the sign step and verdict_ci; the two pairing steps live in
-cones.
-
-The module also hosts the consistency scans and the Poincare polynomial
-obstruction to fibering an odd-dimensional intersection of two quadrics in
-projective lines.
+Each reason certifies one status (_STATUS_OF), and _verdict alone builds a
+Verdict, from a named _Step: the steps of this module's complete
+intersection chain, curves and del Pezzo rows, and the two pairing steps of
+cones. verdict_ci applies the chain's criteria in priority order (structural
+families, exception steps, the sign of the diagonal self-intersection, the
+projection bound); scan_ci runs the same chain and its witness laws over a
+grid and builds no Verdict. The module also hosts the Poincare polynomial
+obstruction to fibering an intersection of two quadrics in projective lines.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from enum import Enum
+from typing import Callable, Mapping, NamedTuple
 
-from .chern import CIType, euler_ci_formula, euler_ci_rows, poincare_polynomial_ci
+from .chern import (
+    CIType,
+    euler_ci_formula,
+    euler_ci_rows,
+    euler_delpezzo_closed,
+    poincare_polynomial_ci,
+)
 from .exactnum import _Frozen, _check_int
-from .verdicts import _STATUS_OF, Reason, Status, Verdict, _chi_witness_error, _Step, _verdict
 
 __all__ = [
-    "Status",
-    "Reason",
-    "Verdict",
-    "ScanViolation",
-    "FibrationObstruction",
-    "ScanReport",
-    "UNCLASSIFIED_REFERENCE",
-    "OPEN_TWO_QUADRICS_REFERENCE",
-    "verdict_curve",
-    "verdict_ci",
-    "cp_fibration_obstruction",
-    "scan_ci",
+    "Status", "Reason", "Verdict", "InvalidDelPezzo", "ScanViolation", "DelPezzoRow",
+    "DELPEZZO_TABLE", "FibrationObstruction", "ScanReport", "UNCLASSIFIED_REFERENCE",
+    "OPEN_TWO_QUADRICS_REFERENCE", "verdict_curve", "verdict_ci", "verdict_delpezzo",
+    "nef_big_filter", "cp_fibration_obstruction", "scan_ci",
 ]
+
+
+class Status(str, Enum):
+    NOT_NEF = "NotNef"
+    NEF = "Nef"
+    OPEN = "Open"
+
+
+class Reason(str, Enum):
+    NEGATIVE_SELF_INTERSECTION = "NegativeSelfIntersection"
+    PROJECTION_BOUND = "ProjectionBound"
+    NEGATIVE_EFFECTIVE_PAIR = "NegativeEffectivePair"
+    BIRATIONAL_CONTRACTION = "BirationalContraction"
+    HOMOGENEOUS = "Homogeneous"
+    FAKE_PROJECTIVE_SPACE = "FakeProjectiveSpace"
+    GROUP_VARIETY = "GroupVariety"
+    OPEN_QUESTION = "OpenQuestion"
+    K3_SURFACE = "K3Surface"
+    NON_NEGATIVE_PAIRINGS = "NonNegativePairings"
+
+
+# The one status each reason certifies, which every Verdict of the reason takes.
+_STATUS_OF = {
+    Reason.NEGATIVE_SELF_INTERSECTION: Status.NOT_NEF,
+    Reason.PROJECTION_BOUND: Status.NOT_NEF,
+    Reason.NEGATIVE_EFFECTIVE_PAIR: Status.NOT_NEF,
+    Reason.BIRATIONAL_CONTRACTION: Status.NOT_NEF,
+    Reason.K3_SURFACE: Status.NOT_NEF,
+    Reason.HOMOGENEOUS: Status.NEF,
+    Reason.FAKE_PROJECTIVE_SPACE: Status.NEF,
+    Reason.GROUP_VARIETY: Status.NEF,
+    Reason.NON_NEGATIVE_PAIRINGS: Status.NEF,
+    Reason.OPEN_QUESTION: Status.OPEN,
+}
+
+
+class Verdict(_Frozen):
+    """Outcome of a nef-diagonal test.
+
+    Every NotNef verdict carries a witness a referee can re-check: a negative
+    intersection number, a violated numeric bound, or a named table entry.
+    Nef and Open verdicts carry the structural reason or the open reference.
+    The status is the one that the reason certifies (_STATUS_OF).
+    """
+
+    _fields = ("status", "reason", "detail", "witness")
+
+    def __init__(self, reason: Reason, detail: str,
+                 witness: Mapping[str, object] | None = None) -> None:
+        w = {} if witness is None else witness
+        if not isinstance(reason, Reason):
+            raise ValueError(f"unknown reason {reason!r}")
+        error = _chi_witness_error(reason, w.get("chi"), w.get("bound"))
+        if error:
+            raise ValueError(error)
+        if reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
+            classes = w.get("classes")
+            if not (isinstance(classes, (list, tuple)) and len(classes) == 2
+                    and all(isinstance(label, str) for label in classes)):
+                raise ValueError("NegativeEffectivePair needs a pair of class names")
+            if type(w.get("value")) is not int or w["value"] >= 0:
+                raise ValueError("NegativeEffectivePair needs witness value < 0")
+        elif reason is Reason.K3_SURFACE:
+            if not w.get("table_entry"):
+                raise ValueError("K3Surface verdicts must name their table entry")
+        elif reason is Reason.BIRATIONAL_CONTRACTION:
+            if not w.get("contraction"):
+                raise ValueError("BirationalContraction must name the contraction")
+        elif reason is Reason.OPEN_QUESTION:
+            if not w.get("reference"):
+                raise ValueError("Open verdicts must carry a reference id")
+        self._store(_STATUS_OF[reason], reason, detail, w)
+
+    def to_payload(self) -> dict:
+        return {
+            "status": self.status.value,
+            "reason": self.reason.value,
+            "detail": self.detail,
+            "witness": dict(self.witness),
+        }
+
+
+def _chi_witness_error(reason: Reason, chi: object, bound: object) -> str | None:
+    """Why chi and bound cannot witness a verdict with this reason, or None:
+    the chi witness laws that Verdict enforces and scan_ci checks per case."""
+    if reason is Reason.NEGATIVE_SELF_INTERSECTION:
+        if type(chi) is not int or chi >= 0:
+            return "NegativeSelfIntersection needs witness chi < 0"
+    elif reason is Reason.PROJECTION_BOUND:
+        if not (type(chi) is int and type(bound) is int):
+            return "ProjectionBound needs integer chi and bound"
+        if chi <= bound:
+            return "ProjectionBound witness must have chi > bound"
+    return None
+
+
+def _number(x: int) -> str:
+    """x for detail text: in decimal up to 14,000 bits (4,215 digits, under
+    Python's default int-to-str limit of 4,300) unless a lowered limit refuses
+    it, else by sign and bit length."""
+    if x.bit_length() <= 14_000:
+        try:
+            return str(x)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            pass
+    return f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)"
+
+
+class _Step(NamedTuple):
+    """A verdict a module issues, named after its criterion. A fixed step
+    holds the verdict's detail and witness; a step that reads numbers names
+    them, as its witness keys, and its detail is a template over them."""
+
+    name: str
+    reason: Reason
+    detail: str = ""
+    witness: Mapping[str, object] = {}
+    numbers: tuple[str, ...] = ()
+
+
+def _verdict(step: _Step, **values: object) -> Verdict:
+    """The Verdict of a step: its fixed witness, with lists copied so no
+    caller can edit the table, plus the values it names in numbers; its
+    detail is its template over the values, every int through _number."""
+    witness = {key: list(value) if isinstance(value, list) else value
+               for key, value in step.witness.items()}
+    witness.update((key, values[key]) for key in step.numbers)
+    detail = step.detail.format_map({key: _number(value) if isinstance(value, int) else value
+                                     for key, value in values.items()})
+    return Verdict(step.reason, detail, witness)
 
 
 # Stable reference ids carried by Open verdicts.
@@ -57,7 +177,7 @@ class ScanViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Verdicts
+# Complete intersections and curves
 
 
 def verdict_curve(genus: int) -> Verdict:
@@ -152,6 +272,132 @@ def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
         return _SIGN, chi, None
     bound = (n + 1) * degree_product
     return (_BOUND if chi > bound else _UNCLASSIFIED), chi, bound
+
+
+# ---------------------------------------------------------------------------
+# Del Pezzo manifolds (index n-1), classified by degree 1..7
+
+
+class InvalidDelPezzo(ValueError):
+    """(dimension, degree) is not a del Pezzo manifold of the classification."""
+
+
+class DelPezzoRow(_Frozen):
+    """The del Pezzo manifolds of one degree and how their verdicts are
+    decided: by the closed-form chi on a cover of P^n of degree cover(n), or
+    as complete intersections of type ci_degrees, both for every n >= 3, or by
+    steps keyed by the consecutive dimensions the row exists in, whose detail
+    may echo a label of variant_dimensions (label to dimension) as {variant}."""
+
+    _fields = ("degree", "description", "cover", "ci_degrees", "steps", "variant_dimensions")
+
+    def __init__(self, degree: int, description: str, cover: Callable[[int], int] | None = None,
+                 ci_degrees: tuple[int, ...] = (), steps: Mapping[int, _Step] | None = None,
+                 variant_dimensions: Mapping[str, int] | None = None) -> None:
+        self._store(degree, description, cover, ci_degrees, {} if steps is None else steps,
+                    {} if variant_dimensions is None else variant_dimensions)
+
+    @property
+    def dimensions(self) -> str:
+        ns = sorted(self.steps)
+        if len(ns) > 2:
+            return f"{ns[0]} <= n <= {ns[-1]}"
+        return " or ".join(f"n = {n}" for n in ns) or "n >= 3"
+
+    def admits(self, n: int) -> bool:
+        return n in self.steps if self.steps else n >= 3
+
+
+_COVER_BOUND = _Step("cover bound", Reason.PROJECTION_BOUND,
+                     "chi = {chi} exceeds (n+1) * {cover_degree} = {bound}, impossible for"
+                     " a nef diagonal on a degree-{cover_degree} cover of P^n",
+                     numbers=("chi", "bound", "cover_degree"))
+
+DELPEZZO_TABLE: tuple[DelPezzoRow, ...] = (
+    DelPezzoRow(1, "a weighted hypersurface of degree 6 in P(3,2,1,...,1)",
+                cover=lambda n: 2**n),
+    DelPezzoRow(2, "a weighted hypersurface of degree 4 in P(2,1,...,1)", cover=lambda n: 2),
+    DelPezzoRow(3, "a cubic hypersurface in P^(n+1)", ci_degrees=(3,)),
+    DelPezzoRow(4, "a complete intersection of two quadrics in P^(n+2)", ci_degrees=(2, 2)),
+    DelPezzoRow(5, "a linear section of the Grassmannian G(2,C^5) in its Pluecker embedding"
+                " in P^9", steps={
+        3: _Step("del Pezzo", Reason.FAKE_PROJECTIVE_SPACE,
+                 "the degree-5 del Pezzo threefold has the sheaf-theoretic positivity of"
+                 " projective space (it is a fake projective space in the diagonal sense)"),
+        4: _Step("del Pezzo", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                 "two effective families of planes pair negatively:"
+                 " deg sigma(3,1).sigma(2,2) = -1",
+                 {"classes": ["sigma(3,1)", "sigma(2,2)"], "value": -1}),
+        5: _Step("del Pezzo", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                 "two effective orbit-closure classes pair negatively:"
+                 " deg tau(3,-1).tau(2,1) = -1",
+                 {"classes": ["tau(3,-1)", "tau(2,1)"], "value": -1}),
+        6: _Step("del Pezzo", Reason.HOMOGENEOUS,
+                 "the Grassmannian G(2,C^5) is a homogeneous variety")}),
+    DelPezzoRow(6, "P^1 x P^1 x P^1, P^2 x P^2, or P(T_P2)",
+                steps=dict.fromkeys((3, 4), _Step(
+                    "del Pezzo", Reason.HOMOGENEOUS,
+                    "every degree-6 del Pezzo manifold{variant} is a homogeneous variety")),
+                variant_dimensions={"P1xP1xP1": 3, "P2xP2": 4, "P(T_P2)": 3}),
+    DelPezzoRow(7, "the blow-up of P^3 at a point", steps={3: _Step(
+        "del Pezzo", Reason.BIRATIONAL_CONTRACTION,
+        "the blow-up of P^3 at a point admits an extremal birational contraction",
+        {"contraction": "blow-down of the exceptional divisor to a point of P^3"})}),
+)
+
+
+def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
+    _check_int(n, "dimension")
+    if not 1 <= _check_int(degree, "degree") <= len(DELPEZZO_TABLE):
+        raise InvalidDelPezzo(f"no del Pezzo manifold of degree {degree}")
+    row = DELPEZZO_TABLE[degree - 1]
+    if not row.admits(n):
+        raise InvalidDelPezzo(f"degree {degree} del Pezzo manifolds only exist for"
+                              f" {row.dimensions}")
+    return row
+
+
+def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict:
+    """Nef-diagonal verdict for the del Pezzo manifold of the given data.
+
+    The optional variant label (degree 6 comes in three varieties) must name
+    a manifold of the row of dimension n, or InvalidDelPezzo is raised. It is
+    echoed in the detail text only; it never changes the verdict.
+    """
+    row = _delpezzo_row(n, degree)
+    if variant is not None and row.variant_dimensions.get(variant) != n:
+        raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
+                              f" manifold of dimension {n}")
+    if row.cover:
+        cover = row.cover(n)
+        return _verdict(_SIGN if n % 2 else _COVER_BOUND, chi=euler_delpezzo_closed(n, degree),
+                        bound=(n + 1) * cover, cover_degree=cover)
+    if row.ci_degrees:
+        return verdict_ci(CIType(row.ci_degrees, n))
+    return _verdict(row.steps[n], variant=f" ({variant})" if variant else "")
+
+
+def nef_big_filter(kind: str, params: object) -> bool:
+    """True exactly on the varieties whose diagonal is both nef and big.
+
+    kind "ci": params is a CIType; true for projective space and
+    odd-dimensional quadrics. kind "delpezzo": params is (dimension, degree);
+    true where the table's step is a fake projective space (the degree-5 threefold).
+    """
+    if kind == "ci":
+        if not isinstance(params, CIType):
+            raise ValueError("kind 'ci' needs a CIType parameter")
+        if params.codimension == 0:
+            return True
+        return params.degrees == (2,) and params.dimension % 2 == 1
+    if kind == "delpezzo":
+        try:
+            n, degree = params  # type: ignore[misc]
+        except (TypeError, ValueError) as exc:
+            raise ValueError("kind 'delpezzo' needs (dimension, degree)") from exc
+        step = _delpezzo_row(n, degree).steps.get(n)
+        return step is not None and step.reason is Reason.FAKE_PROJECTIVE_SPACE
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

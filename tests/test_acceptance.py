@@ -29,9 +29,15 @@ from nefkit.cones import (
     dual_cone,
     spherical_nef_diagonal_check,
 )
-from nefkit.delpezzo import DELPEZZO_TABLE, nef_big_filter, verdict_delpezzo
-from nefkit.diagonal import cp_fibration_obstruction, scan_ci, verdict_ci
-from nefkit.verdicts import Status
+from nefkit.diagonal import (
+    DELPEZZO_TABLE,
+    Status,
+    cp_fibration_obstruction,
+    nef_big_filter,
+    scan_ci,
+    verdict_ci,
+    verdict_delpezzo,
+)
 
 
 def gate(name: str, ok: bool, detail: str) -> None:

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import pytest
 
-from nefkit import cli, diagonal
+from nefkit import chern, cli, diagonal
 from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
 
@@ -67,6 +67,20 @@ def test_betti_ci_text(capsys) -> None:
     assert "middle: 4" in lines
     assert "euler: 0" in lines
     assert "poincare: 1 0 1 -4 1 0 1" in lines
+
+
+def test_betti_ci_computes_chi_once(capsys, monkeypatch) -> None:
+    # the Betti table and its signed Poincare polynomial share one chi
+    original, calls = chern.euler_ci_formula, []
+
+    def counted(ci):
+        calls.append(ci)
+        return original(ci)
+
+    monkeypatch.setattr(chern, "euler_ci_formula", counted)
+    code, out, _ = run_cli(capsys, "betti", "ci", "--dim", "5", "--degrees", "5,7")
+    assert code == 0 and "poincare: 1 0 1 0 1 " in out
+    assert len(calls) == 1
 
 
 def test_verdict_ci_text_carries_witness(capsys) -> None:

@@ -43,8 +43,7 @@ from nefkit.cones import (
     spherical_nef_diagonal_check,
     tau_top_pairing,
 )
-from nefkit.delpezzo import verdict_delpezzo
-from nefkit.verdicts import Reason, Status
+from nefkit.diagonal import Reason, Status, verdict_delpezzo
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Schubert calculus on G(2,5) via Pieri and Giambelli.

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import nefkit
-from nefkit import chern, cones, delpezzo, diagonal, verdicts
+from nefkit import chern, cones, diagonal
 from nefkit.chern import (
     CIType,
     euler_ci_formula,
@@ -35,16 +35,21 @@ from nefkit.cones import (
     nef_cone_of_codim,
     tau_top_pairing,
 )
-from nefkit.delpezzo import DELPEZZO_TABLE, InvalidDelPezzo, nef_big_filter, verdict_delpezzo
 from nefkit.diagonal import (
+    DELPEZZO_TABLE,
     OPEN_TWO_QUADRICS_REFERENCE,
+    InvalidDelPezzo,
+    Reason,
     ScanViolation,
+    Status,
+    Verdict,
     cp_fibration_obstruction,
+    nef_big_filter,
     scan_ci,
     verdict_ci,
     verdict_curve,
+    verdict_delpezzo,
 )
-from nefkit.verdicts import Reason, Status, Verdict
 
 
 def scan_grid(max_dimension: int, max_degree: int, max_codimension: int) -> list[CIType]:
@@ -98,10 +103,10 @@ def test_verdicts_do_not_share_witness_lists():
 def module_steps():
     """Every _Step of the modules that issue verdicts, outside the del Pezzo
     table: at module level or as a value of a module-level dict."""
-    values = [value for module in (diagonal, delpezzo, cones) for value in vars(module).values()]
-    steps = [value for value in values if isinstance(value, verdicts._Step)]
+    values = [value for module in (diagonal, cones) for value in vars(module).values()]
+    steps = [value for value in values if isinstance(value, diagonal._Step)]
     steps += [step for value in values if isinstance(value, dict)
-              for step in value.values() if isinstance(step, verdicts._Step)]
+              for step in value.values() if isinstance(step, diagonal._Step)]
     return steps
 
 
@@ -116,22 +121,22 @@ def test_every_fixed_step_builds_its_verdict():
                                               "exception table"}
     for step in fixed:
         # a del Pezzo row step may echo its variant label, which is empty when none is given
-        verdict = verdicts._verdict(step, variant="")
+        verdict = diagonal._verdict(step, variant="")
         assert verdict.reason is step.reason, step.name
         assert verdict.detail == step.detail.format(variant=""), step.name
         assert verdict.witness == step.witness, step.name
 
 
 def test_each_reason_certifies_one_status():
-    assert set(verdicts._STATUS_OF) == set(Reason)
-    assert all(isinstance(status, Status) for status in verdicts._STATUS_OF.values())
-    assert set(verdicts._STATUS_OF.values()) == set(Status)
+    assert set(diagonal._STATUS_OF) == set(Reason)
+    assert all(isinstance(status, Status) for status in diagonal._STATUS_OF.values())
+    assert set(diagonal._STATUS_OF.values()) == set(Status)
     # numbers that pass every witness law: chi < 0, chi > bound, a negative pair
     values = {"chi": -2, "bound": -3, "cover_degree": 1, "genus": 2,
               "classes": ["a", "b"], "value": -1, "variant": ""}
     for step in module_steps() + row_steps():
-        verdict = verdicts._verdict(step, **values)
-        assert verdict.status is verdicts._STATUS_OF[step.reason], step.name
+        verdict = diagonal._verdict(step, **values)
+        assert verdict.status is diagonal._STATUS_OF[step.reason], step.name
         assert verdict.reason is step.reason, step.name
 
 
@@ -147,7 +152,7 @@ def test_only_verdict_builds_verdicts():
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 calls.append((path.stem, getattr(scope, "name", None)))
-    assert calls == [("verdicts", "_verdict")]
+    assert calls == [("diagonal", "_verdict")]
 
 
 def template_fields(detail: str) -> set[str]:

@@ -20,10 +20,15 @@ from nefkit.cones import (
     SchemaError,
     builtin_dataset,
 )
-from nefkit.delpezzo import DelPezzoRow
-from nefkit.diagonal import FibrationObstruction, ScanReport, cp_fibration_obstruction
+from nefkit.diagonal import (
+    DelPezzoRow,
+    FibrationObstruction,
+    Reason,
+    ScanReport,
+    Verdict,
+    cp_fibration_obstruction,
+)
 from nefkit.series import TruncatedSeries
-from nefkit.verdicts import Reason, Verdict
 
 CLASSES = (CycleClass("a", (1, 0), 1), CycleClass("b", (1, 1), 2),
            CycleClass("p", (0, 0), 0))
