@@ -6,7 +6,8 @@ Three layers:
   weighted hypersurfaces, in exact arithmetic (chern, exactnum, and series,
   the one route through Fractions).
 * Classification verdicts for nef-ness of the diagonal class, with
-  machine-checkable witnesses (diagonal).
+  machine-checkable witnesses (diagonal), the spherical pairing check of a
+  dataset included.
 * Nef / pseudoeffective cycle cones from pairing datasets of effective
   classes via exact dual-cone computation (cones).
 
@@ -14,7 +15,8 @@ The package root re-exports the names the README shows; everything else is
 imported from its module, each of which lists its public names in __all__.
 `import nefkit` loads none of the layers: a re-exported name imports its
 module on first use (PEP 562), so `nefkit.CIType` loads exactnum and chern,
-`nefkit.verdict_ci` also diagonal, and `nefkit.delpezzo5_cones` also cones.
+`nefkit.verdict_ci` also diagonal, and `nefkit.delpezzo5_cones` exactnum and
+cones alone.
 The command line front end lives in nefkit.cli.
 """
 

@@ -39,7 +39,6 @@ __all__ = [
     "chern_degrees_ci",
     "quadrics_b",
     "betti_ci",
-    "poincare_polynomial_ci",
     "euler_weighted",
     "euler_delpezzo_closed",
 ]
@@ -259,11 +258,6 @@ def betti_ci(ci: CIType) -> BettiTable:
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = middle
     return BettiTable(tuple(betti))
-
-
-def poincare_polynomial_ci(ci: CIType) -> list[int]:
-    """The signed Poincare polynomial of ci: betti_ci(ci).poincare."""
-    return betti_ci(ci).poincare
 
 
 class WeightedHypersurface(_Frozen):

@@ -20,11 +20,12 @@ nefkit.__main__.run ends the process, with status 1 on such an error.
 
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
-and chern; verdict, scan and table also diagonal; cone also diagonal and
-cones; a usage error and help none. Only chern ci loads series, and with it
-fractions. main maps a library exception to its exit status only if that
-exception's module is loaded, which it must be if it was raised. No layer
-imports dataclasses, so no subcommand loads it or inspect.
+and chern; verdict, scan and table also diagonal; cone dual exactnum and
+cones; cone check also chern and diagonal; a usage error and help none. Only
+chern ci loads series, and with it fractions. main maps a library exception
+to its exit status only if that exception's module is loaded, which it must
+be if it was raised; a MemoryError is invalid input, too large to compute. No
+layer imports dataclasses, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ def handle_cone_dual(args: Args) -> Outcome:
 
 
 def handle_cone_check(args: Args) -> Outcome:
-    from .cones import resolve_dataset, spherical_nef_diagonal_check
+    from .cones import resolve_dataset
+    from .diagonal import spherical_nef_diagonal_check
 
     ds = resolve_dataset(args.dataset)
     verdict = spherical_nef_diagonal_check(ds)
@@ -449,6 +451,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError:  # a list or range past sys.maxsize items, as for a huge --dim
         print(f"invalid input: too large to compute, more than {sys.maxsize} terms",
               file=sys.stderr)
+        return 2
+    except MemoryError:  # a list or integer that fits no memory left, as for a huge --dim
+        print("invalid input: too large to compute in the memory available", file=sys.stderr)
         return 2
     sys.stdout.write(output)
     return 0

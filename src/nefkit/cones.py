@@ -5,8 +5,7 @@ optional partition) together with the intersection numbers of classes in
 complementary codimension. From that, the nef cone in each codimension is the
 dual of the effective cone of the complementary codimension under the pairing
 matrix, computed here exactly in integers on exactnum alone. The nef-diagonal
-check of a dataset builds its verdict from one of the two pairing steps of
-this module through diagonal, as every verdict is built.
+check of a dataset, a verdict like every other, lives in diagonal.
 
 The dual-cone routine is Motzkin's incremental double description (Motzkin,
 Raiffa, Thompson and Thrall, 1953): one fraction-free elimination of the
@@ -32,9 +31,8 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .diagonal import Reason, Verdict, _Step, _verdict
 from .exactnum import _Frozen, _check_int
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "dual_cone",
     "effective_cone_of_codim",
     "nef_cone_of_codim",
-    "spherical_nef_diagonal_check",
     "delpezzo5_cones",
 ]
 
@@ -162,8 +159,12 @@ class CycleDataset(_Frozen):
     def classes_of_codim(self, codim: int) -> tuple[CycleClass, ...]:
         return tuple(c for c in self.classes if c.codim == codim)
 
-    def complementary_pairs(self) -> Iterator[tuple[CycleClass, CycleClass]]:
-        """All unordered complementary-codimension pairs, in dataset order."""
+    def complementary_pairs(self) -> tuple[tuple[CycleClass, CycleClass], ...]:
+        """All unordered complementary-codimension pairs, in dataset order.
+
+        A complete variety pairs at least its fundamental class with a point,
+        so a dataset with no such pair raises MissingPairing."""
+        pairs = []
         for k in sorted({c.codim for c in self.classes}):
             if 2 * k > self.dimension:
                 break
@@ -171,9 +172,12 @@ class CycleDataset(_Frozen):
             back = self.classes_of_codim(self.dimension - k)
             for i, a in enumerate(front):
                 for j, b in enumerate(back):
-                    if 2 * k == self.dimension and j < i:
-                        continue
-                    yield a, b
+                    if 2 * k != self.dimension or j >= i:
+                        pairs.append((a, b))
+        if not pairs:
+            raise MissingPairing("no complementary pair of classes: no class, the fundamental"
+                                 " class included, has a partner of complementary codimension")
+        return tuple(pairs)
 
     def pairing_value(self, label_a: str, label_b: str) -> int:
         key = _key(label_a, label_b)
@@ -529,35 +533,6 @@ def dual_cone(
 
 # ---------------------------------------------------------------------------
 # Applications to the shipped datasets
-
-# The verdicts of spherical_nef_diagonal_check on a pairing dataset.
-_NEGATIVE_PAIRING = _Step("pairing", Reason.NEGATIVE_EFFECTIVE_PAIR,
-                          "effective classes {classes[0]} and {classes[1]} pair to {value}",
-                          numbers=("classes", "value"))
-_NON_NEGATIVE_PAIRINGS = _Step("pairing", Reason.NON_NEGATIVE_PAIRINGS,
-                               "every complementary pairing of effective classes is non-negative,"
-                               " which certifies a nef diagonal on a spherical variety")
-
-
-def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
-    """Nef-diagonal test for a spherical variety from its pairing table.
-
-    On a spherical variety the diagonal is nef exactly when every pairing of
-    complementary effective (orbit-closure) classes is non-negative. The
-    first negative pair in dataset order is returned as the witness; a
-    missing required pairing, or no complementary pair, raises MissingPairing.
-    Both verdicts come from the two pairing steps above.
-    """
-    pairs = tuple(ds.complementary_pairs())
-    if not pairs:
-        raise MissingPairing("no complementary pair of classes: no class, the fundamental"
-                             " class included, has a partner of complementary codimension")
-    for a, b in pairs:
-        value = ds.pairing_value(a.label, b.label)
-        if value < 0:
-            return _verdict(_NEGATIVE_PAIRING, classes=[a.label, b.label], value=value)
-    return _verdict(_NON_NEGATIVE_PAIRINGS)
-
 
 @cache
 def _identity(m: int) -> tuple[tuple[int, ...], ...]:

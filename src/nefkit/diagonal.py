@@ -1,34 +1,34 @@
 """Nef-diagonal verdicts with machine-checkable witnesses.
 
-Each reason certifies one status (_STATUS_OF), and _verdict alone builds a
-Verdict, from a named _Step: the steps of this module's complete
-intersection chain, curves and del Pezzo rows, and the two pairing steps of
-cones. verdict_ci applies the chain's criteria in priority order (structural
+The paper's three criteria live here: complete intersections (with curves),
+del Pezzo manifolds, and spherical varieties from a pairing dataset. Each
+reason certifies one status (_STATUS_OF), and _verdict alone builds a
+Verdict, from a named _Step of this module: the complete intersection chain,
+the curves, the del Pezzo rows and the two pairing steps of the spherical
+check. verdict_ci applies the chain's criteria in priority order (structural
 families, exception steps, the sign of the diagonal self-intersection, the
 projection bound); scan_ci runs the same chain and its witness laws over a
 grid and builds no Verdict. The module also hosts the Poincare polynomial
 obstruction to fibering an intersection of two quadrics in projective lines.
+It names cones.CycleDataset only for type checking, so it never loads cones.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-from .chern import (
-    CIType,
-    euler_ci_formula,
-    euler_ci_rows,
-    euler_delpezzo_closed,
-    poincare_polynomial_ci,
-)
+from .chern import CIType, betti_ci, euler_ci_formula, euler_ci_rows, euler_delpezzo_closed
 from .exactnum import _Frozen, _check_int
+
+if TYPE_CHECKING:
+    from .cones import CycleDataset
 
 __all__ = [
     "Status", "Reason", "Verdict", "InvalidDelPezzo", "ScanViolation", "DelPezzoRow",
     "DELPEZZO_TABLE", "FibrationObstruction", "ScanReport", "UNCLASSIFIED_REFERENCE",
     "OPEN_TWO_QUADRICS_REFERENCE", "verdict_curve", "verdict_ci", "verdict_delpezzo",
-    "nef_big_filter", "cp_fibration_obstruction", "scan_ci",
+    "nef_big_filter", "spherical_nef_diagonal_check", "cp_fibration_obstruction", "scan_ci",
 ]
 
 
@@ -401,6 +401,34 @@ def nef_big_filter(kind: str, params: object) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Spherical varieties, from a pairing dataset of orbit-closure classes
+
+# The verdicts of spherical_nef_diagonal_check on a pairing dataset.
+_NEGATIVE_PAIRING = _Step("pairing", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                          "effective classes {classes[0]} and {classes[1]} pair to {value}",
+                          numbers=("classes", "value"))
+_NON_NEGATIVE_PAIRINGS = _Step("pairing", Reason.NON_NEGATIVE_PAIRINGS,
+                               "every complementary pairing of effective classes is non-negative,"
+                               " which certifies a nef diagonal on a spherical variety")
+
+
+def spherical_nef_diagonal_check(ds: CycleDataset) -> Verdict:
+    """Nef-diagonal test for a spherical variety from its pairing table.
+
+    On a spherical variety the diagonal is nef exactly when every pairing of
+    complementary effective (orbit-closure) classes is non-negative. The
+    first negative pair in dataset order is returned as the witness; a
+    missing required pairing, or no complementary pair, raises MissingPairing.
+    Both verdicts come from the two pairing steps above.
+    """
+    for a, b in ds.complementary_pairs():
+        value = ds.pairing_value(a.label, b.label)
+        if value < 0:
+            return _verdict(_NEGATIVE_PAIRING, classes=[a.label, b.label], value=value)
+    return _verdict(_NON_NEGATIVE_PAIRINGS)
+
+
+# ---------------------------------------------------------------------------
 # Poincare polynomial obstruction to P^1-fibrations
 
 
@@ -441,8 +469,8 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
     """
     if _check_int(n, "n") < 1:
         raise ValueError("n must be a positive integer")
-    p_total = poincare_polynomial_ci(CIType((2, 2), 2 * n + 1))
-    p_fiber = [4] if n == 1 else poincare_polynomial_ci(CIType((2, 2), 2 * (n - 1)))
+    p_total = betti_ci(CIType((2, 2), 2 * n + 1)).poincare
+    p_fiber = [4] if n == 1 else betti_ci(CIType((2, 2), 2 * (n - 1))).poincare
     (a, b), (c, d) = _at_i(p_total), _at_i(p_fiber)
     real, imaginary = a * c - b * d, a * d + b * c
     report = FibrationObstruction(

@@ -23,18 +23,14 @@ from nefkit.chern import (
     euler_weighted,
     quadrics_b,
 )
-from nefkit.cones import (
-    builtin_dataset,
-    delpezzo5_cones,
-    dual_cone,
-    spherical_nef_diagonal_check,
-)
+from nefkit.cones import builtin_dataset, delpezzo5_cones, dual_cone
 from nefkit.diagonal import (
     DELPEZZO_TABLE,
     Status,
     cp_fibration_obstruction,
     nef_big_filter,
     scan_ci,
+    spherical_nef_diagonal_check,
     verdict_ci,
     verdict_delpezzo,
 )

@@ -31,7 +31,6 @@ from nefkit.chern import (
     euler_ci_series,
     euler_delpezzo_closed,
     euler_weighted,
-    poincare_polynomial_ci,
     quadrics_b,
 )
 
@@ -303,9 +302,9 @@ def test_betti_table_validation(monkeypatch):
 
 
 def test_poincare_polynomials():
-    assert poincare_polynomial_ci(CIType((), 1)) == [1, 0, 1]
-    assert poincare_polynomial_ci(CIType((2, 2), 2)) == [1, 0, 6, 0, 1]
-    assert poincare_polynomial_ci(CIType((2, 2), 3)) == [1, 0, 1, -4, 1, 0, 1]
+    assert betti_ci(CIType((), 1)).poincare == [1, 0, 1]
+    assert betti_ci(CIType((2, 2), 2)).poincare == [1, 0, 6, 0, 1]
+    assert betti_ci(CIType((2, 2), 3)).poincare == [1, 0, 1, -4, 1, 0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,24 @@ def test_unprintable_result_under_a_lowered_str_limit_exits_2() -> None:
                            " digits, too many to print\n")
 
 
+def test_result_past_the_memory_limit_exits_2() -> None:
+    # chi of a cubic of dimension 10**10 needs a list of 10**10 terms, which
+    # no 1 GiB address space holds
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nefkit", "euler", "ci", "--dim", "10000000000", "--degrees", "3"],
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "invalid input: too large to compute in the memory available\n"
+
+
 def test_dataset_errors_exit_3(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "cone", "check", "--dataset", "no-such-dataset")
     assert code == 3 and "dataset error" in err

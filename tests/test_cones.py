@@ -40,10 +40,9 @@ from nefkit.cones import (
     load_dataset,
     load_dataset_file,
     resolve_dataset,
-    spherical_nef_diagonal_check,
     tau_top_pairing,
 )
-from nefkit.diagonal import Reason, Status, verdict_delpezzo
+from nefkit.diagonal import Reason, Status, spherical_nef_diagonal_check, verdict_delpezzo
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Schubert calculus on G(2,5) via Pieri and Giambelli.
@@ -391,7 +390,8 @@ def test_complementary_pairs_visit_only_present_codims(dimension: int) -> None:
     one = {"label": "one", "partition": [0, 0], "codim": 0}
     pt = {"label": "pt", "partition": [dimension, 0], "codim": dimension}
     lonely = load_dataset(json.dumps(make_doc(dimension=dimension, classes=[one], pairings=[])))
-    assert list(lonely.complementary_pairs()) == []
+    with pytest.raises(MissingPairing, match="^no complementary pair of classes"):
+        lonely.complementary_pairs()
     # no pairing was checked, so nothing certifies a nef diagonal
     with pytest.raises(MissingPairing, match="^no complementary pair of classes"):
         spherical_nef_diagonal_check(lonely)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import nefkit
-from nefkit import chern, cones, diagonal
+from nefkit import chern, diagonal
 from nefkit.chern import (
     CIType,
     euler_ci_formula,
@@ -101,9 +101,9 @@ def test_verdicts_do_not_share_witness_lists():
 
 
 def module_steps():
-    """Every _Step of the modules that issue verdicts, outside the del Pezzo
-    table: at module level or as a value of a module-level dict."""
-    values = [value for module in (diagonal, cones) for value in vars(module).values()]
+    """Every _Step of diagonal, the module that issues verdicts, outside the
+    del Pezzo table: at module level or as a value of a module-level dict."""
+    values = list(vars(diagonal).values())
     steps = [value for value in values if isinstance(value, diagonal._Step)]
     steps += [step for value in values if isinstance(value, dict)
               for step in value.values() if isinstance(step, diagonal._Step)]
@@ -165,7 +165,7 @@ def test_step_templates_name_only_their_numbers():
     for steps, extra in ((module_steps(), set()), (row_steps(), {"variant"})):
         for step in steps:
             assert template_fields(step.detail) <= set(step.numbers) | extra, step
-    assert template_fields(cones._NEGATIVE_PAIRING.detail) == {"classes", "value"}
+    assert template_fields(diagonal._NEGATIVE_PAIRING.detail) == {"classes", "value"}
     assert template_fields(DELPEZZO_TABLE[5].steps[3].detail) == {"variant"}
 
 

@@ -54,6 +54,7 @@ def test_import_nefkit_loads_no_layer() -> None:
 INVARIANTS = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
 VERDICT = ["nefkit.chern", "nefkit.cli", "nefkit.diagonal", "nefkit.exactnum"]
 CONES = ["nefkit.chern", "nefkit.cli", "nefkit.cones", "nefkit.diagonal", "nefkit.exactnum"]
+CONE_DUAL = ["nefkit.cli", "nefkit.cones", "nefkit.exactnum"]
 BAD_DATASET = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "bad_dataset.json")
 
 
@@ -75,13 +76,14 @@ ARGPARSE = ["argparse", "gettext", "locale"]
     (["table", "delpezzo"], 0, VERDICT, []),
     (["cone", "check", "--dataset", "gw2c5"], 0, CONES, []),
     (["--format", "json", "cone", "check", "--dataset", "gw2c5"], 0, CONES, []),
-    (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONES, []),
+    (["cone", "dual", "--dataset", "gw2c5", "--codim", "2"], 0, CONE_DUAL, []),
+    (["cone", "dual", "--dataset", "no-such-dataset", "--codim", "2"], 3, CONE_DUAL, []),
     (["cone", "check", "--dataset", BAD_DATASET], 3, CONES, []),
     (["euler", "ci", "--dim", "x"], 2, ["nefkit.cli"], ARGPARSE),
     (["--help"], 0, ["nefkit.cli"], ARGPARSE),
 ], ids=["euler", "euler-weighted", "betti", "verdict", "verdict-delpezzo",
         "verdict-delpezzo-cover", "verdict-delpezzo-ci", "verdict-curve", "scan", "table", "cone",
-        "cone-json", "cone-dual", "bad-dataset", "usage-error", "help"])
+        "cone-json", "cone-dual", "cone-dual-no-dataset", "bad-dataset", "usage-error", "help"])
 def test_subcommand_loads_only_its_layer(argv, exit_status, loaded, parser) -> None:
     # a well-formed command is read from cli.COMMANDS; argparse loads only for
     # help and usage errors, and a handler imports only its kind's layers
@@ -158,6 +160,53 @@ def test_only_cli_imports_layers_inside_functions() -> None:
              if path.stem != "cli" for lazy in lazy_imports(ast.parse(path.read_text("utf-8")))]
     assert found == [("__init__", "__getattr__", "importlib"),
                      ("chern", "chern_degrees_ci", "series")]
+
+
+def module_imports(tree: ast.Module) -> list[str]:
+    """The nefkit modules, named as under nefkit (chern for nefkit.chern), that
+    a module imports when it loads: by an import statement, relative or
+    absolute, outside every function and every `if TYPE_CHECKING:` block."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nefkit")):
+            package = (node.module or "").removeprefix("nefkit").lstrip(".")
+            modules = [package] if package else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name.removeprefix("nefkit.") for alias in node.names
+                       if alias.name.startswith("nefkit.")]
+        else:
+            continue
+        scope = node
+        while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(scope, ast.If) and getattr(scope.test, "id", None) == "TYPE_CHECKING":
+                break
+            scope = parents[scope]
+        if scope is tree:
+            found += modules
+    return found
+
+
+def test_module_level_imports_form_the_layer_graph() -> None:
+    # exactnum <- chern <- diagonal, exactnum <- cones and exactnum <- series;
+    # cli loads its layers only inside its handlers, and __main__ stands on cli
+    graph = {path.stem: sorted(set(module_imports(ast.parse(path.read_text("utf-8")))))
+             for path in sorted(SRC.joinpath("nefkit").glob("*.py"))}
+    assert graph == {"exactnum": [], "series": ["exactnum"], "chern": ["exactnum"],
+                     "diagonal": ["chern", "exactnum"], "cones": ["exactnum"], "cli": [],
+                     "__main__": ["cli"], "__init__": []}
+
+
+def test_module_import_walk_sees_every_form() -> None:
+    tree = ast.parse("from .chern import CIType\nfrom . import cones\nimport nefkit.cli, json\n"
+                     "from nefkit.series import x\nfrom nefkit import exactnum\n"
+                     "from json import dumps\n"
+                     "if TYPE_CHECKING:\n    from .diagonal import Verdict\n"
+                     "def f():\n    from . import diagonal\n"
+                     "class C:\n    def g(self):\n        from . import diagonal\n"
+                     "try:\n    from . import __main__\nexcept ImportError:\n    pass\n")
+    assert sorted(module_imports(tree)) == ["__main__", "chern", "cli", "cones", "exactnum",
+                                            "series"]
 
 
 def test_lazy_import_walk_sees_every_form() -> None:

@@ -38,8 +38,8 @@ from nefkit.chern import (
     euler_ci_rows,
     euler_ci_series,
 )
-from nefkit.cones import load_dataset, nef_cone_of_codim, spherical_nef_diagonal_check
-from nefkit.diagonal import scan_ci, verdict_ci
+from nefkit.cones import load_dataset, nef_cone_of_codim
+from nefkit.diagonal import scan_ci, spherical_nef_diagonal_check, verdict_ci
 from nefkit.exactnum import complete_homogeneous_prefix
 
 
