@@ -3,9 +3,10 @@
 Both run `run`, the one place where the process ends. It flushes what
 `cli.main` wrote and exits with its status, or with 1 and a best-effort
 `output error:` line on stderr if output cannot be written (a closed pipe, a
-full disk, or a stream whose file descriptor was closed at start-up, which
-Python leaves as None). On every way out it freezes the garbage collector,
-so finalization walks none of the objects already tracked.
+full disk, a stream whose file descriptor was closed at start-up, which
+Python leaves as None, or text that the stream's encoding cannot hold). On
+every way out it freezes the garbage collector, so finalization walks none
+of the objects already tracked.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def run() -> None:
         status = cli.main()
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError as exc:  # a closed pipe, a full disk or a closed descriptor
+    except (OSError, UnicodeEncodeError) as exc:  # output that cannot be written
         status = 1
         for stream, text in (sys.stdout, ""), (sys.stderr, f"output error: {exc}\n"):
             if isinstance(stream, _Closed):  # no text can reach it

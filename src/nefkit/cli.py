@@ -9,14 +9,18 @@ for any other argv: help, usage errors and the spellings that argparse also
 reads (abbreviated flags, --flag=value, a repeated flag, a value starting
 with "-"). So argparse loads only to print help or an error.
 
-Every invocation runs one handler and prints its canonicalized inputs, result
-payload and provenance notes; the JSON report is the object {"command",
-"inputs", "result", "notes"} of JSON-native values only, so it re-parses to an
-equal payload. JSON output is byte-reproducible: keys sorted, two-space indent,
-no timestamps. main returns the exit status for every argv, help and usage
-errors included: 0 success, 2 invalid input, 3 dataset error, 4 scan
-violation. It flushes nothing and lets a failed write's OSError through:
-nefkit.__main__.run ends the process, with status 1 on such an error.
+Every invocation runs one handler, which returns the result payload and the
+provenance notes. main prints them with the inputs, which it echoes itself:
+every flag the kind declares in COMMANDS whose parsed value is not None, keyed
+by its dest name. A handler that canonicalizes a value writes it back to args,
+as the complete intersections' handlers do with --degrees. The JSON report is
+the object {"command", "inputs", "result", "notes"} of JSON-native values only,
+so it re-parses to an equal payload. JSON output is byte-reproducible: keys
+sorted, two-space indent, no timestamps. main returns the exit status for
+every argv, help and usage errors included: 0 success, 2 invalid input, 3
+dataset error, 4 scan violation. It flushes nothing and lets a failed write's
+OSError or UnicodeEncodeError through: nefkit.__main__.run ends the process,
+with status 1 on such an error.
 
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
@@ -39,10 +43,11 @@ if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
 
     from .chern import CIType
+    from .diagonal import Verdict
 
     Args = Namespace | SimpleNamespace
-    # what a handler returns: (inputs, result payload, notes)
-    Outcome = tuple[dict, object, tuple[str, ...]]
+    # what a handler returns: (result payload, notes)
+    Outcome = tuple[object, tuple[str, ...]]
 
 __all__ = ["main"]
 
@@ -74,47 +79,45 @@ def _format(text: str) -> str:
     return text
 
 
+def _dest(flag: str) -> str:
+    """The attribute name argparse gives a flag: --max-r is max_r."""
+    return flag[2:].replace("-", "_")
+
+
 def _ci_from_args(args: Args) -> CIType:
+    """The complete intersection of args, whose degrees it writes back in
+    canonical order, so that the inputs echo them so."""
     from .chern import CIType
 
-    return CIType(args.degrees, args.dim)
-
-
-def _ci_inputs(ci: CIType) -> dict:
-    return {"degrees": list(ci.degrees), "dim": ci.dimension}
+    ci = CIType(args.degrees, args.dim)
+    args.degrees = ci.degrees
+    return ci
 
 
 # ---------------------------------------------------------------------------
 # Handlers and text renderers
 #
-# Each handler maps parsed args to (inputs, result payload, notes) and imports
-# the library calls it makes when it runs, so a test substitutes a call on the
-# module that defines it, such as nefkit.diagonal.scan_ci.
+# Each handler maps parsed args to (result payload, notes) and imports the
+# library calls it makes when it runs, so a test substitutes a call on the
+# module that defines it, such as nefkit.diagonal.scan_ci. main echoes the
+# inputs from args after the handler returns.
 
 
-def value_lines(result: object) -> list[str]:
+def plain_lines(result: object) -> list[str]:
+    """A mapping as one key: value line per key, in payload order, a list
+    space-separated, and any other value on one line."""
+    if isinstance(result, dict):
+        return [f"{key}: {plain_lines(value)[0]}" for key, value in result.items()]
+    if isinstance(result, (list, tuple)):
+        return [" ".join(str(c) for c in result)]
     return [str(result)]
-
-
-def sequence_lines(result: Sequence[int]) -> list[str]:
-    return [" ".join(str(c) for c in result)]
-
-
-def betti_lines(result: Mapping) -> list[str]:
-    return [
-        "betti: " + " ".join(str(b) for b in result["betti"]),
-        f"middle: {result['middle']}",
-        f"euler: {result['euler']}",
-        "poincare: " + " ".join(str(c) for c in result["poincare"]),
-    ]
 
 
 def handle_euler_ci(args: Args) -> Outcome:
     from .chern import euler_ci_formula
 
     ci = _ci_from_args(args)
-    return (_ci_inputs(ci), euler_ci_formula(ci),
-            (f"Euler characteristic of the complete intersection {ci}",))
+    return euler_ci_formula(ci), (f"Euler characteristic of the complete intersection {ci}",)
 
 
 def handle_euler_weighted(args: Args) -> Outcome:
@@ -122,10 +125,8 @@ def handle_euler_weighted(args: Args) -> Outcome:
 
     surface = WeightedHypersurface(args.weights, args.degree)
     ambient = "P(" + ",".join(str(w) for w in surface.weights) + ")"
-    return (
-        {"weights": list(surface.weights), "degree": surface.degree},
-        euler_weighted(surface),
-        (f"Euler characteristic of a degree-{surface.degree} hypersurface in {ambient}",),
+    return euler_weighted(surface), (
+        f"Euler characteristic of a degree-{surface.degree} hypersurface in {ambient}",
     )
 
 
@@ -133,8 +134,7 @@ def handle_chern_ci(args: Args) -> Outcome:
     from .chern import chern_degrees_ci
 
     ci = _ci_from_args(args)
-    return (_ci_inputs(ci), chern_degrees_ci(ci),
-            (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",))
+    return chern_degrees_ci(ci), (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",)
 
 
 def handle_betti_ci(args: Args) -> Outcome:
@@ -148,7 +148,7 @@ def handle_betti_ci(args: Args) -> Outcome:
         "euler": table.euler_characteristic,
         "poincare": table.poincare,
     }
-    return _ci_inputs(ci), result, (f"Betti numbers and signed Poincare polynomial of {ci}",)
+    return result, (f"Betti numbers and signed Poincare polynomial of {ci}",)
 
 
 def _compact(value: object) -> str:
@@ -184,35 +184,32 @@ def table_lines(result: Sequence[Mapping]) -> list[str]:
     return lines
 
 
+def _judged(verdict: Verdict, note: str) -> Outcome:
+    """A verdict's payload, and the note followed by the criterion that decided it."""
+    return verdict.to_payload(), (note, f"criterion: {verdict.reason.value}")
+
+
 def handle_verdict_ci(args: Args) -> Outcome:
     from .diagonal import verdict_ci
 
     ci = _ci_from_args(args)
-    verdict = verdict_ci(ci)
-    return (_ci_inputs(ci), verdict.to_payload(),
-            (f"nef-diagonal classification of {ci}", f"criterion: {verdict.reason.value}"))
+    return _judged(verdict_ci(ci), f"nef-diagonal classification of {ci}")
 
 
 def handle_verdict_delpezzo(args: Args) -> Outcome:
     from .diagonal import verdict_delpezzo
 
-    verdict = verdict_delpezzo(args.dim, args.degree, args.variant)
-    inputs = {"dim": args.dim, "degree": args.degree}
-    if args.variant is not None:
-        inputs["variant"] = args.variant
-    return inputs, verdict.to_payload(), (
+    return _judged(
+        verdict_delpezzo(args.dim, args.degree, args.variant),
         f"nef-diagonal classification of the degree-{args.degree} del Pezzo {args.dim}-fold",
-        f"criterion: {verdict.reason.value}",
     )
 
 
 def handle_verdict_curve(args: Args) -> Outcome:
     from .diagonal import verdict_curve
 
-    verdict = verdict_curve(args.genus)
-    return ({"genus": args.genus}, verdict.to_payload(),
-            (f"nef-diagonal classification of a genus-{args.genus} curve",
-             f"criterion: {verdict.reason.value}"))
+    return _judged(verdict_curve(args.genus),
+                   f"nef-diagonal classification of a genus-{args.genus} curve")
 
 
 def handle_scan_ci(args: Args) -> Outcome:
@@ -224,14 +221,7 @@ def handle_scan_ci(args: Args) -> Outcome:
         max_codimension=args.max_r,
         quadrics_max_codimension=args.quadrics_max_r,
     )
-    inputs = {
-        "max_dim": args.max_dim,
-        "max_degree": args.max_degree,
-        "max_r": args.max_r,
-        "quadrics_max_r": args.quadrics_max_r,
-    }
-    notes = ("all sign, bound and classification laws hold on the grid",)
-    return inputs, scan.to_payload(), notes
+    return scan.to_payload(), ("all sign, bound and classification laws hold on the grid",)
 
 
 def handle_table_delpezzo(args: Args) -> Outcome:
@@ -246,7 +236,7 @@ def handle_table_delpezzo(args: Args) -> Outcome:
         }
         for row in DELPEZZO_TABLE
     ]
-    return {}, rows, ("classification of del Pezzo manifolds by degree",)
+    return rows, ("classification of del Pezzo manifolds by degree",)
 
 
 def cone_lines(result: Mapping) -> list[str]:
@@ -270,7 +260,7 @@ def handle_cone_dual(args: Args) -> Outcome:
         "expressions": cone.generator_expressions(),
         "full_dimensional": cone.is_full_dimensional,
     }
-    return {"dataset": args.dataset, "codim": args.codim}, result, (
+    return result, (
         f"nef cone in codimension {args.codim}: dual of the effective cone "
         f"in codimension {ds.dimension - args.codim}",
     )
@@ -281,10 +271,9 @@ def handle_cone_check(args: Args) -> Outcome:
     from .diagonal import spherical_nef_diagonal_check
 
     ds = resolve_dataset(args.dataset)
-    verdict = spherical_nef_diagonal_check(ds)
-    return ({"dataset": args.dataset}, {"variety": ds.variety, **verdict.to_payload()},
-            (f"nef-diagonal pairing check for {ds.variety}",
-             f"criterion: {verdict.reason.value}"))
+    payload, notes = _judged(spherical_nef_diagonal_check(ds),
+                             f"nef-diagonal pairing check for {ds.variety}")
+    return {"variety": ds.variety, **payload}, notes
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +292,18 @@ _CI_HELP = "smooth complete intersection"
 # each argument is (flag, add_argument keywords)
 COMMANDS = {
     "euler": ("Euler characteristics", {
-        "ci": (_CI_HELP, _CI_ARGS, handle_euler_ci, value_lines),
+        "ci": (_CI_HELP, _CI_ARGS, handle_euler_ci, plain_lines),
         "weighted": ("weighted hypersurface", (
             ("--weights", dict(type=_comma_ints, required=True,
                                help="comma-separated ambient weights a0,..,am (m >= 4)")),
             ("--degree", dict(type=int, required=True)),
-        ), handle_euler_weighted, value_lines),
+        ), handle_euler_weighted, plain_lines),
     }),
     "chern": ("Chern class degrees", {
-        "ci": (_CI_HELP, _CI_ARGS, handle_chern_ci, sequence_lines),
+        "ci": (_CI_HELP, _CI_ARGS, handle_chern_ci, plain_lines),
     }),
     "betti": ("Betti numbers", {
-        "ci": (_CI_HELP, _CI_ARGS, handle_betti_ci, betti_lines),
+        "ci": (_CI_HELP, _CI_ARGS, handle_betti_ci, plain_lines),
     }),
     "verdict": ("nef-diagonal classification", {
         "ci": (_CI_HELP, _CI_ARGS, handle_verdict_ci, verdict_lines),
@@ -370,7 +359,7 @@ def parse_well_formed(argv: Sequence[str] | None = None) -> SimpleNamespace | No
     args.update(group=group, kind=kind)
     for flag, options in arguments:
         text = given.pop(flag, None)
-        dest = flag[2:].replace("-", "_")
+        dest = _dest(flag)
         if text is None:
             if options.get("required"):
                 return None
@@ -420,6 +409,8 @@ def _loaded(module: str, name: str) -> tuple[type[BaseException], ...]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run argv's command (sys.argv[1:] if None) and return its exit status; a
+    failed write's OSError or UnicodeEncodeError passes through, unflushed."""
     args = parse_well_formed(argv)
     if args is None:
         try:
@@ -427,9 +418,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # after help or a usage error
             return exc.code
     try:
-        inputs, result, notes = args.handler(args)
+        result, notes = args.handler(args)
         try:  # printing fails only on an integer past the int-to-str digit limit
             if args.format == "json":
+                dests = [_dest(flag) for flag, _ in COMMANDS[args.group][1][args.kind][1]]
+                inputs = {dest: getattr(args, dest) for dest in dests
+                          if getattr(args, dest) is not None}
                 report = {"command": f"{args.group} {args.kind}", "inputs": inputs,
                           "result": result, "notes": list(notes)}
                 output = json.dumps(report, sort_keys=True, indent=2) + "\n"

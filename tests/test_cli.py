@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,15 +328,18 @@ def unwritable(sink: str) -> Iterator[int]:
 
 
 def run_to(unbuffered: bool, *argv: str, stdout: int = subprocess.PIPE,
-           stderr: int = subprocess.PIPE, closed: int | None = None
-           ) -> subprocess.CompletedProcess:
+           stderr: int = subprocess.PIPE, closed: int | None = None,
+           encoding: str | None = None) -> subprocess.CompletedProcess:
     """python -m nefkit on argv from the source tree, its streams the given
-    descriptors, with the descriptor closed, if given, before it starts."""
+    descriptors, with the descriptor closed, if given, before it starts, and
+    the encoding, if given, as PYTHONIOENCODING."""
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
     return subprocess.run([sys.executable, "-m", "nefkit", *argv], stdout=stdout,
                           stderr=stderr, text=True, check=False, env=env,
                           preexec_fn=None if closed is None else lambda: os.close(closed))
@@ -401,6 +405,28 @@ def test_closed_stream_ends_in_a_status(argv, closed, exit_status, on_the_open_s
     proc = run_to(unbuffered, *argv, closed=closed)
     assert proc.returncode == exit_status
     assert (proc.stderr if closed == 1 else proc.stdout) == on_the_open_stream
+
+
+@pytest.mark.parametrize("variety, encoding", [
+    ("Grassmannian G(2,C^5) \u2014 renamed", "ascii"),
+    ("\udc80", "utf-8"),
+], ids=["non-ascii-to-ascii", "surrogate-to-strict-utf-8"])
+@UNBUFFERED
+def test_unencodable_report_ends_in_status_1(variety, encoding, unbuffered, tmp_path) -> None:
+    # the text report names the variety, which stdout's encoding cannot hold:
+    # output that cannot be written, so nothing reaches stdout
+    doc = json.loads((Path(cli.__file__).parent / "data" / "g2c5.json").read_text("utf-8"))
+    dataset = tmp_path / "renamed.json"
+    dataset.write_text(json.dumps({**doc, "variety": variety}), "ascii")
+    proc = run_to(unbuffered, "cone", "check", "--dataset", str(dataset), encoding=encoding)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(rf"output error: '{encoding}' codec can't encode character "
+                        r"'\\u[0-9a-f]{4}' in position \d+: [^\n]*\n", proc.stderr)
+    # the JSON report escapes every character past ASCII
+    proc = run_to(unbuffered, "--format", "json", "cone", "check", "--dataset", str(dataset),
+                  encoding=encoding)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["variety"] == variety
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,14 @@ def test_cli_exit_status_and_output_are_contracted(argv):
     assert run_main(argv) == (code, out)
     if code == 0 and "json" in argv[:2]:
         assert json.loads(out)["command"] == " ".join(argv[2:4])
+        # inputs echo every declared flag whose parsed value is not None,
+        # keyed by its dest name, with degrees in canonical order
+        parsed = argparse_vars(argv)
+        dests = [flag[2:].replace("-", "_") for flag, _ in cli.COMMANDS[argv[2]][1][argv[3]][1]]
+        echoed = {dest: parsed[dest] for dest in dests if parsed[dest] is not None}
+        if "degrees" in echoed:
+            echoed["degrees"] = sorted(d for d in echoed["degrees"] if d > 1)
+        assert json.loads(out)["inputs"] == json.loads(json.dumps(echoed))
 
 
 def argparse_vars(argv: list[str] | None) -> dict | None:
