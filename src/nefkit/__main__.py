@@ -1,12 +1,17 @@
 """Entry point for `python -m nefkit` and the `nefkit` console script.
 
-Both run `run`, the one place where the process ends. It flushes what
-`cli.main` wrote and exits with its status, or with 1 and a best-effort
-`output error:` line on stderr if output cannot be written (a closed pipe, a
-full disk, a stream whose file descriptor was closed at start-up, which
-Python leaves as None, or text that the stream's encoding cannot hold). On
-every way out it freezes the garbage collector, so finalization walks none
-of the objects already tracked.
+Both run `run`, the one place where the process ends and the one writer of
+what nefkit prints. While `cli.main` runs, stdout and stderr are buffers, so
+help and usage errors from argparse land there too; `run` then writes each
+buffer's text to its real stream, stdout first, flushes it, and exits with
+the status. So stderr text reaches the stream when the command ends. If the
+output cannot be written (a closed pipe, a full disk, a stream whose file
+descriptor was closed at start-up, which Python leaves as None, or text that
+the stream's encoding cannot hold), it exits with 1 and a best-effort
+`output error:` line on stderr, and never writes stderr's text on stdout. A
+bug's traceback still reaches the real stderr. On every way out it freezes
+the garbage collector, so finalization walks none of the objects already
+tracked.
 """
 
 from __future__ import annotations
@@ -20,36 +25,26 @@ import sys
 from . import cli
 
 
-class _Closed(io.TextIOBase):
-    """Stands in for a standard stream that is None because its file
-    descriptor was closed at start-up. It takes writes, as a buffer does, and
-    the next flush after any text fails once, as a closed descriptor would;
-    so nothing written to stderr ever reaches stdout."""
-
-    pending = False
-
-    def write(self, text: str) -> int:
-        self.pending = self.pending or bool(text)
-        return len(text)
-
-    def flush(self) -> None:
-        if self.pending:
-            self.pending = False
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-
-
 def run() -> None:
-    for name in "stdout", "stderr":
-        if getattr(sys, name) is None:
-            setattr(sys, name, _Closed())
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
-        status = cli.main()
-        sys.stdout.flush()
-        sys.stderr.flush()
+        try:
+            status = cli.main()
+        finally:
+            texts = sys.stdout.getvalue(), sys.stderr.getvalue()
+            sys.stdout, sys.stderr = streams
+        for stream, text in zip(streams, texts):
+            if not text:
+                continue
+            if stream is None:  # its descriptor was closed at start-up
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            stream.write(text)
+            stream.flush()
     except (OSError, UnicodeEncodeError) as exc:  # output that cannot be written
         status = 1
         for stream, text in (sys.stdout, ""), (sys.stderr, f"output error: {exc}\n"):
-            if isinstance(stream, _Closed):  # no text can reach it
+            if stream is None:  # no text can reach it
                 continue
             try:
                 stream.write(text)

@@ -19,8 +19,10 @@ so it re-parses to an equal payload. JSON output is byte-reproducible: keys
 sorted, two-space indent, no timestamps. main returns the exit status for
 every argv, help and usage errors included: 0 success, 2 invalid input, 3
 dataset error, 4 scan violation. It flushes nothing and lets a failed write's
-OSError or UnicodeEncodeError through: nefkit.__main__.run ends the process,
-with status 1 on such an error.
+OSError or UnicodeEncodeError through. nefkit.__main__.run is the one writer:
+it gives main two buffers as stdout and stderr, argparse's help and errors
+included, writes their text to the real streams when main returns and ends
+the process, with status 1 if that text cannot be written.
 
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum

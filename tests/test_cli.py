@@ -9,16 +9,18 @@ byte-reproducible and re-parseable.
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Mapping
 
 import pytest
 
+from nefkit import __main__ as entry
 from nefkit import chern, cli, diagonal
 from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
@@ -28,6 +30,24 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_to(unbuffered: bool, *argv: str, stdout: int = subprocess.PIPE,
+           stderr: int = subprocess.PIPE, env: Mapping[str, str] | None = None,
+           preexec: Callable[[], object] | None = None) -> subprocess.CompletedProcess:
+    """python -m nefkit on argv in a fresh interpreter, from the source tree
+    this process imported, installed or not. Its streams are the given
+    descriptors; its environment is this process's, with PYTHONUNBUFFERED
+    set only if unbuffered, and the extra variables env, if given; preexec,
+    if given, is called in the child before it starts."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    child = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    if unbuffered:
+        child["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "nefkit", *argv], stdout=stdout,
+                          stderr=stderr, text=True, check=False, env={**child, **(env or {})},
+                          preexec_fn=preexec)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +244,8 @@ def test_unprintable_result_exits_2(capsys, fmt) -> None:
 def test_unprintable_result_under_a_lowered_str_limit_exits_2() -> None:
     # the verdict's detail shortens chi(99; 1000), 1,994 digits; the witness
     # printed in full is past PYTHONINTMAXSTRDIGITS=1000
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "nefkit", "verdict", "ci", "--dim", "1000", "--degrees", "99"],
-        capture_output=True,
-        text=True,
-        check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
-             "PYTHONINTMAXSTRDIGITS": "1000"},
-    )
+    proc = run_to(False, "verdict", "ci", "--dim", "1000", "--degrees", "99",
+                  env={"PYTHONINTMAXSTRDIGITS": "1000"})
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == ("invalid input: the result has an integer of more than 1000"
                            " digits, too many to print\n")
@@ -243,15 +256,8 @@ def test_result_past_the_memory_limit_exits_2() -> None:
     # no 1 GiB address space holds
     resource = pytest.importorskip("resource")
     limit = 1 << 30
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "nefkit", "euler", "ci", "--dim", "10000000000", "--degrees", "3"],
-        capture_output=True,
-        text=True,
-        check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = run_to(False, "euler", "ci", "--dim", "10000000000", "--degrees", "3",
+                  preexec=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "invalid input: too large to compute in the memory available\n"
 
@@ -327,24 +333,6 @@ def unwritable(sink: str) -> Iterator[int]:
         os.close(write)
 
 
-def run_to(unbuffered: bool, *argv: str, stdout: int = subprocess.PIPE,
-           stderr: int = subprocess.PIPE, closed: int | None = None,
-           encoding: str | None = None) -> subprocess.CompletedProcess:
-    """python -m nefkit on argv from the source tree, its streams the given
-    descriptors, with the descriptor closed, if given, before it starts, and
-    the encoding, if given, as PYTHONIOENCODING."""
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    if encoding is not None:
-        env["PYTHONIOENCODING"] = encoding
-    return subprocess.run([sys.executable, "-m", "nefkit", *argv], stdout=stdout,
-                          stderr=stderr, text=True, check=False, env=env,
-                          preexec_fn=None if closed is None else lambda: os.close(closed))
-
-
 @UNBUFFERED
 def test_closed_pipe_exits_1_without_traceback(unbuffered) -> None:
     # the reader is gone before the report is written
@@ -363,27 +351,22 @@ def test_full_disk_exits_1_without_traceback(unbuffered) -> None:
     assert proc.stderr == "output error: [Errno 28] No space left on device\n"
 
 
-@pytest.mark.parametrize("argv, stream, sink, dropped_status, other_on_1", [
-    (["--help"], "stdout", "closed pipe", 0, "output error: [Errno 32] Broken pipe\n"),
-    pytest.param(["euler", "ci"], "stderr", "full disk", 2, "", marks=FULL_DISK),
-    pytest.param(["euler", "ci", "--dim", "-1"], "stderr", "full disk", None, "",
-                 marks=FULL_DISK),
+@pytest.mark.parametrize("argv, stream, sink, on_the_other_stream", [
+    (["--help"], "stdout", "closed pipe", "output error: [Errno 32] Broken pipe\n"),
+    pytest.param(["euler", "ci"], "stderr", "full disk", "", marks=FULL_DISK),
+    pytest.param(["euler", "ci", "--dim", "-1"], "stderr", "full disk", "", marks=FULL_DISK),
 ], ids=["help-to-closed-pipe", "usage-error-to-full-disk", "invalid-input-to-full-disk"])
 @UNBUFFERED
-def test_unwritable_help_or_message_ends_in_a_status(argv, stream, sink, dropped_status,
-                                                      other_on_1, unbuffered) -> None:
-    # Buffered, the text lands in the buffer and run's flush fails: status 1.
-    # Unbuffered, the write fails at once. main's own message raises, and so
-    # does argparse's help or usage error before Python 3.11: status 1. From
-    # 3.11 on, argparse drops its failed write and leaves nothing to flush, so
-    # the command's own status stands.
+def test_unwritable_help_or_message_ends_in_a_status(argv, stream, sink, on_the_other_stream,
+                                                      unbuffered) -> None:
+    # argparse's help and usage errors land in run's buffers like main's own
+    # messages, and run's write of them fails: status 1, buffered or not
     with unwritable(sink) as fd:
         proc = run_to(unbuffered, *argv, **{stream: fd})
-    dropped = unbuffered and dropped_status is not None and sys.version_info >= (3, 11)
-    assert proc.returncode == (dropped_status if dropped else 1)
+    assert proc.returncode == 1
     # the other stream gets at most the output error line, never a traceback
     other = proc.stderr if stream == "stdout" else proc.stdout
-    assert other == ("" if dropped else other_on_1)
+    assert other == on_the_other_stream
 
 
 BAD_FD = "output error: [Errno 9] Bad file descriptor\n"
@@ -402,7 +385,7 @@ def test_closed_stream_ends_in_a_status(argv, closed, exit_status, on_the_open_s
                                         unbuffered) -> None:
     # a descriptor closed before start-up leaves its stream None: text for it
     # is output that cannot be written, and never lands on the other stream
-    proc = run_to(unbuffered, *argv, closed=closed)
+    proc = run_to(unbuffered, *argv, preexec=lambda: os.close(closed))
     assert proc.returncode == exit_status
     assert (proc.stderr if closed == 1 else proc.stdout) == on_the_open_stream
 
@@ -418,13 +401,14 @@ def test_unencodable_report_ends_in_status_1(variety, encoding, unbuffered, tmp_
     doc = json.loads((Path(cli.__file__).parent / "data" / "g2c5.json").read_text("utf-8"))
     dataset = tmp_path / "renamed.json"
     dataset.write_text(json.dumps({**doc, "variety": variety}), "ascii")
-    proc = run_to(unbuffered, "cone", "check", "--dataset", str(dataset), encoding=encoding)
+    proc = run_to(unbuffered, "cone", "check", "--dataset", str(dataset),
+                  env={"PYTHONIOENCODING": encoding})
     assert (proc.returncode, proc.stdout) == (1, "")
     assert re.fullmatch(rf"output error: '{encoding}' codec can't encode character "
                         r"'\\u[0-9a-f]{4}' in position \d+: [^\n]*\n", proc.stderr)
     # the JSON report escapes every character past ASCII
     proc = run_to(unbuffered, "--format", "json", "cone", "check", "--dataset", str(dataset),
-                  encoding=encoding)
+                  env={"PYTHONIOENCODING": encoding})
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["result"]["variety"] == variety
 
@@ -487,15 +471,23 @@ def test_argv_none_parses_sys_argv(argv, capsys, monkeypatch) -> None:
 
 
 def test_module_entry_point_runs() -> None:
-    # The child imports nefkit from the source tree this process imported,
-    # installed or not.
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "nefkit", "euler", "ci", "--dim", "1"],
-        capture_output=True,
-        text=True,
-        check=False,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-    )
+    proc = run_to(False, "euler", "ci", "--dim", "1")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "2"
+
+
+def test_a_bug_escapes_run_with_the_real_streams_back(monkeypatch) -> None:
+    # run restores stdout and stderr before the exception leaves it, so the
+    # interpreter prints the traceback on the real stderr
+    def bug() -> int:
+        print("partial report")
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "main", bug)
+    streams = sys.stdout, sys.stderr
+    try:
+        with pytest.raises(RuntimeError, match="bug"):
+            entry.run()
+    finally:
+        gc.unfreeze()
+    assert (sys.stdout, sys.stderr) == streams

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -55,7 +56,7 @@ INVARIANTS = ["nefkit.chern", "nefkit.cli", "nefkit.exactnum"]
 VERDICT = ["nefkit.chern", "nefkit.cli", "nefkit.diagonal", "nefkit.exactnum"]
 CONES = ["nefkit.chern", "nefkit.cli", "nefkit.cones", "nefkit.diagonal", "nefkit.exactnum"]
 CONE_DUAL = ["nefkit.cli", "nefkit.cones", "nefkit.exactnum"]
-BAD_DATASET = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "bad_dataset.json")
+BAD_DATASET = str(Path(__file__).resolve().parent / "golden" / "bad_pairing.json")
 
 
 # what argparse loads: gettext for its messages, and locale on its first lookup
@@ -129,45 +130,17 @@ def test_console_script_runs_the_package_entry() -> None:
     assert 'nefkit = "nefkit.__main__:run"' in pyproject.read_text("utf-8").splitlines()
 
 
-def lazy_imports(tree: ast.Module) -> list[tuple[str, str]]:
-    """(function, module) for each nefkit module that a function of the tree
-    imports when it runs: by an import statement, relative or absolute, or
-    by importlib.import_module, whose module is then named "importlib"."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def imports(tree: ast.Module) -> Iterator[tuple[str | None, str]]:
+    """(function, module) for each nefkit module, named as under nefkit (chern
+    for nefkit.chern), that the tree imports: by an import statement,
+    relative or absolute, or by importlib.import_module, whose module is then
+    named "importlib". The function is the innermost one that runs the
+    import, or None for an import that runs when the module loads; an import
+    in an `if TYPE_CHECKING:` block never runs and is skipped."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nefkit")):
-            modules = [node.module] if node.module else [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names if alias.name.startswith("nefkit")]
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "import_module":
-            modules = ["importlib"]
-        else:
-            continue
-        scope = node
-        while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = parents[scope]
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += [(scope.name, module) for module in modules]
-    return found
-
-
-def test_only_cli_imports_layers_inside_functions() -> None:
-    # The PEP 562 root and the series route are the two lazy imports outside
-    # cli's handlers; ROADMAP direction 16 keeps a new one only if it saves
-    # more, with a bytecode cache, than the interquartile range of its parent.
-    found = [(path.stem, *lazy) for path in sorted(SRC.joinpath("nefkit").glob("*.py"))
-             if path.stem != "cli" for lazy in lazy_imports(ast.parse(path.read_text("utf-8")))]
-    assert found == [("__init__", "__getattr__", "importlib"),
-                     ("chern", "chern_degrees_ci", "series")]
-
-
-def module_imports(tree: ast.Module) -> list[str]:
-    """The nefkit modules, named as under nefkit (chern for nefkit.chern), that
-    a module imports when it loads: by an import statement, relative or
-    absolute, outside every function and every `if TYPE_CHECKING:` block."""
-    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nefkit")):
             package = (node.module or "").removeprefix("nefkit").lstrip(".")
@@ -175,48 +148,57 @@ def module_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.Import):
             modules = [alias.name.removeprefix("nefkit.") for alias in node.names
                        if alias.name.startswith("nefkit.")]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "import_module":
+            modules = ["importlib"]
         else:
             continue
         scope = node
-        while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        while scope in parents and not isinstance(scope, FUNCTIONS):
             if isinstance(scope, ast.If) and getattr(scope.test, "id", None) == "TYPE_CHECKING":
                 break
             scope = parents[scope]
-        if scope is tree:
-            found += modules
-    return found
+        if isinstance(scope, FUNCTIONS):
+            yield from ((scope.name, module) for module in modules)
+        elif scope is tree:
+            yield from ((None, module) for module in modules)
+
+
+def test_only_cli_imports_layers_inside_functions() -> None:
+    # The PEP 562 root and the series route are the two lazy imports outside
+    # cli's handlers; ROADMAP direction 16 keeps a new one only if it saves
+    # more, with a bytecode cache, than the interquartile range of its parent.
+    found = [(path.stem, function, module)
+             for path in sorted(SRC.joinpath("nefkit").glob("*.py")) if path.stem != "cli"
+             for function, module in imports(ast.parse(path.read_text("utf-8"))) if function]
+    assert found == [("__init__", "__getattr__", "importlib"),
+                     ("chern", "chern_degrees_ci", "series")]
 
 
 def test_module_level_imports_form_the_layer_graph() -> None:
     # exactnum <- chern <- diagonal, exactnum <- cones and exactnum <- series;
     # cli loads its layers only inside its handlers, and __main__ stands on cli
-    graph = {path.stem: sorted(set(module_imports(ast.parse(path.read_text("utf-8")))))
+    graph = {path.stem: sorted({module for function, module
+                                in imports(ast.parse(path.read_text("utf-8"))) if not function})
              for path in sorted(SRC.joinpath("nefkit").glob("*.py"))}
     assert graph == {"exactnum": [], "series": ["exactnum"], "chern": ["exactnum"],
                      "diagonal": ["chern", "exactnum"], "cones": ["exactnum"], "cli": [],
                      "__main__": ["cli"], "__init__": []}
 
 
-def test_module_import_walk_sees_every_form() -> None:
+def test_import_walk_sees_every_form() -> None:
     tree = ast.parse("from .chern import CIType\nfrom . import cones\nimport nefkit.cli, json\n"
                      "from nefkit.series import x\nfrom nefkit import exactnum\n"
                      "from json import dumps\n"
                      "if TYPE_CHECKING:\n    from .diagonal import Verdict\n"
-                     "def f():\n    from . import diagonal\n"
-                     "class C:\n    def g(self):\n        from . import diagonal\n"
-                     "try:\n    from . import __main__\nexcept ImportError:\n    pass\n")
-    assert sorted(module_imports(tree)) == ["__main__", "chern", "cli", "cones", "exactnum",
-                                            "series"]
-
-
-def test_lazy_import_walk_sees_every_form() -> None:
-    tree = ast.parse("from .chern import CIType\n"
-                     "def f():\n    from . import cones, cli\n    import nefkit.cli, json\n"
+                     "def f():\n    from . import diagonal, cli\n    import nefkit.cli, json\n"
                      "    from json import dumps\n"
-                     "class C:\n    def g(self):\n"
-                     "        importlib.import_module('.x', 'nefkit')\n")
-    assert lazy_imports(tree) == [("f", "cones"), ("f", "cli"), ("f", "nefkit.cli"),
-                                  ("g", "importlib")]
+                     "class C:\n    def g(self):\n        from . import diagonal\n"
+                     "        importlib.import_module('.x', 'nefkit')\n"
+                     "try:\n    from . import __main__\nexcept ImportError:\n    pass\n")
+    found = sorted(imports(tree), key=lambda pair: (pair[0] or "", pair[1]))
+    assert found == [(None, "__main__"), (None, "chern"), (None, "cli"), (None, "cones"),
+                     (None, "exactnum"), (None, "series"), ("f", "cli"), ("f", "cli"),
+                     ("f", "diagonal"), ("g", "diagonal"), ("g", "importlib")]
 
 
 def test_only_the_series_route_loads_fractions() -> None:
