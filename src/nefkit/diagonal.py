@@ -499,24 +499,18 @@ class ScanReport(_Frozen):
                     law_checks, verdict_counts)
 
     def to_payload(self) -> dict:
-        return {
-            "max_dimension": self.max_dimension,
-            "max_degree": self.max_degree,
-            "max_codimension": self.max_codimension,
-            "quadrics_max_codimension": self.quadrics_max_codimension,
-            "cases": self.cases,
-            "law_checks": dict(sorted(self.law_checks.items())),
-            "verdict_counts": dict(sorted(self.verdict_counts.items())),
-        }
+        payload = {name: getattr(self, name) for name in self._fields}
+        for counts in ("law_checks", "verdict_counts"):
+            payload[counts] = dict(sorted(payload[counts].items()))
+        return payload
 
 
-def scan_ci(
-    max_dimension: int = 12,
-    max_degree: int = 6,
-    max_codimension: int = 5,
-    quadrics_max_codimension: int = 8,
-) -> ScanReport:
+def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
+            quadrics_max_codimension: int) -> ScanReport:
     """Exhaustively verify the sign laws, bound laws, and verdict coverage.
+
+    The caller passes every bound; the command line's default grid lives in
+    cli.COMMANDS and nowhere else.
 
     Laws checked on every canonical type in range:
 

@@ -66,6 +66,17 @@ def test_euler_projective_space_without_degrees(capsys) -> None:
     assert out.splitlines()[0] == "8"
 
 
+@pytest.mark.parametrize(("degrees", "by_table"), [(("--degrees", ""), True),
+                                                   (("--degrees=",), False)])
+def test_euler_empty_degrees_is_projective_space(capsys, degrees, by_table) -> None:
+    argv = ["euler", "ci", "--dim", "3", *degrees]
+    # the table parser reads a separate empty value; the = form falls to argparse
+    assert (cli.parse_well_formed(argv) is not None) is by_table
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "4"
+
+
 def test_euler_weighted_text(capsys) -> None:
     code, out, _ = run_cli(
         capsys, "euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"

@@ -142,7 +142,7 @@ def test_tau_top_pairing_values_and_errors() -> None:
         tau_top_pairing(2, 2, -1)  # negative part
     with pytest.raises(InvalidPartition):
         tau_top_pairing(2, 2, 0)  # wrong weight
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         tau_top_pairing(0, 1, 0)
 
 
@@ -732,6 +732,19 @@ def test_dual_cone_rejects_nonpointed_dual() -> None:
         dual_cone([(1, 1)], [[0, 0], [0, 0]])  # all pairings vanish
 
 
+@pytest.mark.parametrize("gens, matrix, message", [
+    ([(1, 0), (0, 1)], [(1, 0), (0, 1, 7)], "pairing matrix must be rectangular"),
+    ([], identity(2), "need at least one effective generator"),
+    ([(1, 0, 5), (0, 1)], identity(2),
+     "generator length must match the pairing matrix columns"),
+    ([(1, 0), (0, 1), (0, 0)], identity(2), "effective generators must be nonzero"),
+], ids=["ragged", "no-generators", "long-generator", "zero-generator"])
+def test_dual_cone_input_checks_name_their_input(gens, matrix, message) -> None:
+    # each input but the empty one gives the orthant once its check is gone
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dual_cone(gens, matrix)
+
+
 def test_dual_cone_input_validation() -> None:
     with pytest.raises(ValueError):
         dual_cone([], identity(2))
@@ -906,7 +919,7 @@ def test_rational_cone_validation_and_membership() -> None:
     with pytest.raises(ValueError):
         orthant.contains((1, 2, 3))
     flat = RationalCone(2, ((1, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^membership test needs a full-dimensional cone$"):
         flat.contains((1, 0))
     whole_plane = RationalCone(2, ((-1, 0), (0, -1), (0, 1), (1, 0)))
     assert whole_plane.contains((-7, 9))

@@ -180,7 +180,7 @@ def test_verdict_curve():
     high = verdict_curve(2)
     assert high.status is Status.NOT_NEF
     assert high.witness["chi"] == -2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^genus must be a non-negative integer$"):
         verdict_curve(-1)
 
 
@@ -251,6 +251,72 @@ def test_plane_witnesses_are_self_intersections_only_for_lines():
     # for m >= 2 the (2,2) step's -1 pairs two distinct m-planes, which no
     # self-intersection gives, so that step stays a quoted fact
     assert [plane_self_intersection((2, 2), m) for m in (2, 3, 4)] == [2, -2, 3]
+
+
+def plane_pairing(d: int) -> int:
+    """Lambda.Lambda' for two m-planes on the 2m-dimensional intersection of
+    two quadrics that meet in a d-dimensional linear space (d = -1: disjoint).
+    Excess intersection (Fulton, Intersection Theory, ch. 6 and 9) makes it
+    [h^d] (1 + h)^(d + 2) / (1 + 2h)^2, whatever m is. Integers only: the
+    binomial row of d + 2 against the row (k + 1) (-2)^k of 1 / (1 + 2h)^2."""
+    return sum(math.comb(d + 2, d - k) * (k + 1) * (-2) ** k for k in range(d + 1))
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals, by fraction-free row elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col]
+            rows[i] = [top[col] * x - factor * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def test_plane_pairing_closed_form():
+    # 0, 1, -1, 2, -2, 3, ... for d = -1, 0, 1, 2, ...; d = m is Lambda^2
+    for d in range(-1, 60):
+        assert plane_pairing(d) == (-1) ** (d % 2) * (d // 2 + 1), d
+    for d in range(1, 60):
+        assert plane_pairing(d) == plane_self_intersection((2, 2), d), d
+
+
+def test_even_two_quadrics_value_is_a_plane_pairing():
+    # two m-planes that meet in a line pair to the step's -1 for every m
+    for n in range(2, 13, 2):
+        verdict = verdict_ci(CIType((2, 2), n))
+        assert verdict.reason is Reason.NEGATIVE_EFFECTIVE_PAIR, n
+        assert verdict.witness["value"] == plane_pairing(1), n
+    # for odd m one m-plane alone has Lambda^2 < 0
+    for m in range(1, 60, 2):
+        assert plane_pairing(m) < 0, m
+
+
+def test_plane_pairing_on_the_lines_of_the_quartic_del_pezzo_surface():
+    # X_{2,2} in P^4 is P^2 blown up at five points; in the basis H, E_1..E_5
+    # (H^2 = 1, E_i^2 = -1) its 16 lines are E_i, H - E_i - E_j, 2H - sum E_i
+    def unit(i):
+        return [int(j == i) for j in range(5)]
+
+    lines = [[0, *unit(i)] for i in range(5)]
+    lines += [[1, *(-a - b for a, b in zip(unit(i), unit(j)))]
+              for i in range(5) for j in range(i + 1, 5)]
+    lines.append([2, -1, -1, -1, -1, -1])
+    gram = [[x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:])) for y in lines]
+            for x in lines]
+    assert len(gram) == 16
+    # a line with itself (d = 1), the five it meets in a point (d = 0), the
+    # ten it misses (d = -1)
+    for i, row in enumerate(gram):
+        assert row[i] == plane_pairing(1)
+        assert Counter(row[:i] + row[i + 1:]) == {plane_pairing(0): 5, plane_pairing(-1): 10}
+    assert integer_rank(gram) == chern.betti_ci(CIType((2, 2), 2)).betti[2] == 6
 
 
 def test_verdict_sign_and_bound_cases():
@@ -503,6 +569,13 @@ def test_cp_fibration_obstruction_derived_fiber():
     assert report.nonzero
 
 
+def test_cp_fibration_obstruction_remainder_closed_form():
+    # (2n + 2) 4 ceil(n / 2): only the (2n + 1)-dimensional total space gives it
+    for n in range(1, 13):
+        report = cp_fibration_obstruction(n)
+        assert report.remainder == (0, (2 * n + 2) * 4 * ((n + 1) // 2)), n
+
+
 def test_cp_fibration_obstruction_gaussian_evaluation():
     # Independent oracle: remainder mod (1+t^2) vanishes iff p(i) = 0, with i
     # the imaginary unit; evaluate exactly over the Gaussian integers.
@@ -519,7 +592,7 @@ def test_cp_fibration_obstruction_gaussian_evaluation():
         assert prod != (0, 0), n
         assert eval_at_i(report.remainder) == prod, n
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
         cp_fibration_obstruction(0)
 
 
@@ -539,7 +612,7 @@ def test_scan_small_grid_clean():
 @pytest.mark.parametrize("grid", [(8, 5, 3), (12, 6, 5)])
 def test_scan_counts_match_verdict_ci(grid):
     counts = Counter(verdict_ci(ci).status.value for ci in scan_grid(*grid))
-    assert Counter(scan_ci(*grid).verdict_counts) == counts
+    assert Counter(scan_ci(*grid, 8).verdict_counts) == counts
 
 
 def test_scan_builds_no_verdict(monkeypatch):
@@ -837,17 +910,17 @@ def test_verdict_ci_computes_chi_at_most_once(formula_calls):
 
 def test_scan_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        scan_ci(0, 6, 5)
+        scan_ci(0, 6, 5, 8)
 
 
 @pytest.mark.parametrize(
     ("bounds", "name"),
     [
-        ((12.0,), "max_dimension"),
+        ((12.0, 6, 5, 8), "max_dimension"),
         ((True, 2, 2, 3), "max_dimension"),
         ((4, 3, 2, "8"), "quadrics_max_codimension"),
-        ((4, 3.0, 2), "max_degree"),
-        ((4, 3, None), "max_codimension"),
+        ((4, 3.0, 2, 3), "max_degree"),
+        ((4, 3, None, 3), "max_codimension"),
     ],
 )
 def test_scan_type_checks_bounds_before_any_work(walks, bounds, name):
