@@ -295,18 +295,20 @@ def euler_weighted(wh: WeightedHypersurface) -> int:
     chi = (sum_{i=0}^{m-1} e_(m-1-i)(a_0..a_m) (-d)^i) * d / (a_0...a_m),
     where m is the ambient dimension. The division by prod(a) is exact; a
     remainder signals a weights/degree combination outside the formula's
-    validity and raises NonIntegralResult.
+    validity and raises NonIntegralResult. The sum is prod(a_j - d) less its
+    terms of degree 0 and 1 in d, divided by d^2, that is
+    (prod(a_j - d) + d e_m(a) - prod(a)) / d^2: one e_m, not one e_k per term.
     """
     m = wh.ambient_dimension
     d = wh.degree
-    total = sum(
-        elementary_symmetric(m - 1 - i, wh.weights) * (-d) ** i for i in range(m)
-    )
-    value, remainder = divmod(total * d, wh.weight_product)
+    product = wh.weight_product
+    total = (math.prod(a - d for a in wh.weights) + d * elementary_symmetric(m, wh.weights)
+             - product) // d**2
+    value, remainder = divmod(total * d, product)
     if remainder:
-        g = math.gcd(total * d, wh.weight_product)
+        g = math.gcd(total * d, product)
         raise NonIntegralResult(
-            f"chi = {total * d // g}/{wh.weight_product // g} is not an integer"
+            f"chi = {total * d // g}/{product // g} is not an integer"
             f" for weights {wh.weights}, degree {d}"
         )
     return value

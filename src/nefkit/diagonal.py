@@ -15,6 +15,7 @@ It names cones.CycleDataset only for type checking, so it never loads cones.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
@@ -357,18 +358,40 @@ def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
     return row
 
 
+def _closed_form_max_dimension(degree: int) -> int:
+    """The largest n at which the closed-form chi of the degree-1 or degree-2
+    del Pezzo n-fold, the largest number of its verdict, has at most as many
+    digits as sys.get_int_max_str_digits() prints (the default limit where
+    the limit is off): an estimate from log10 5 or log10 3 in millionths,
+    corrected against 10^digits. From 4,300 digits: 6,152 and 9,012."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    ceiling = 10**digits
+    n = digits * 1_000_000 // (698_970 if degree == 1 else 477_121)
+    while abs(euler_delpezzo_closed(n + 1, degree)) < ceiling:
+        n += 1
+    while abs(euler_delpezzo_closed(n, degree)) >= ceiling:
+        n -= 1
+    return n
+
+
 def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict:
     """Nef-diagonal verdict for the del Pezzo manifold of the given data.
 
     The optional variant label (degree 6 comes in three varieties) must name
     a manifold of the row of dimension n, or InvalidDelPezzo is raised. It is
-    echoed in the detail text only; it never changes the verdict.
+    echoed in the detail text only; it never changes the verdict. Degrees 1
+    and 2 raise ValueError before any work past _closed_form_max_dimension,
+    where chi would have more digits than can be printed.
     """
     row = _delpezzo_row(n, degree)
     if variant is not None and row.variant_dimensions.get(variant) != n:
         raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
                               f" manifold of dimension {n}")
     if row.cover:
+        limit = _closed_form_max_dimension(degree)
+        if n > limit:
+            raise ValueError(f"dimension must be at most {limit} for degree {degree}: past it"
+                             " chi has too many digits to print")
         cover = row.cover(n)
         return _verdict(_SIGN if n % 2 else _COVER_BOUND, chi=euler_delpezzo_closed(n, degree),
                         bound=(n + 1) * cover, cover_degree=cover)

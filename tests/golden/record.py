@@ -112,6 +112,13 @@ ERRORS = [
     ["euler", "ci", "--dim", "99999999999999999999", "--degrees", "2"],
     ["betti", "ci", "--dim", "99999999999999999999", "--degrees", "2"],
     ["--format", "json", "verdict", "ci", "--dim", "99999999999999999999", "--degrees", "3"],
+    # limits checked before any work: a del Pezzo dimension past the one whose
+    # closed-form chi can be printed, a scan past 1,000 ambient dimensions and
+    # a scan past 2,000,000 cases
+    ["verdict", "delpezzo", "--dim", "99999999999999999999", "--degree", "2"],
+    ["verdict", "delpezzo", "--dim", "6153", "--degree", "1"],
+    ["scan", "ci", "--max-dim", "3", "--max-degree", "3", "--max-r", "99999999999999999999"],
+    ["scan", "ci", "--max-dim", "40", "--max-degree", "13", "--max-r", "7"],
     # dataset errors: exit 3
     ["cone", "check", "--dataset", "no-such-dataset"],
     # a group name as a dataset name

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from nefkit.chern import (
     euler_weighted,
     quadrics_b,
 )
+from nefkit.exactnum import elementary_symmetric
 
 
 def closed_form_hypersurface_chi(d: int, n: int) -> int:
@@ -347,6 +350,36 @@ def test_weighted_is_an_exact_int_and_names_the_reduced_fraction():
     assert type(euler_weighted(WeightedHypersurface((3, 2, 1, 1, 1, 1), 6))) is int
     with pytest.raises(NonIntegralResult, match=r"chi = 3/2 is not an integer"):
         euler_weighted(WeightedHypersurface((2, 1, 1, 1, 1), 3))
+
+
+def per_term_chi(weights: tuple[int, ...], d: int) -> Fraction:
+    # the formula as written, one e_k per term: sum e_(m-1-i)(a) (-d)^i * d / prod(a)
+    m = len(weights) - 1
+    total = sum(elementary_symmetric(m - 1 - i, weights) * (-d) ** i for i in range(m))
+    return Fraction(total * d, math.prod(weights))
+
+
+def test_weighted_matches_the_per_term_sum_on_random_weights():
+    # a degree that is a multiple of every weight makes chi an integer more often
+    rng = random.Random(1600)
+    for i in range(300):
+        weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(5, 12)))
+        d = math.lcm(*weights) * rng.randint(1, 3) if i % 2 else rng.randint(1, 40)
+        wh = WeightedHypersurface(weights, d)
+        expected = per_term_chi(weights, d)
+        if expected.denominator == 1:
+            assert euler_weighted(wh) == expected, (weights, d)
+        else:
+            with pytest.raises(NonIntegralResult, match=rf"chi = {expected} is not an integer"):
+                euler_weighted(wh)
+
+
+def test_weighted_with_1600_weights_meets_time_budget():
+    start = time.perf_counter()
+    chi = euler_weighted(WeightedHypersurface((1,) * 1600, 2))
+    elapsed = time.perf_counter() - start
+    assert chi == euler_ci_formula(CIType((2,), 1598))
+    assert elapsed < 10.0, f"euler_weighted with 1600 weights took {elapsed:.2f}s"
 
 
 def test_delpezzo_closed_forms():

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -180,6 +181,38 @@ def test_scan_ci_small_grid(capsys) -> None:
     assert "cases: 60" in lines
     assert any(l.startswith("law verdict_classified: 60 checks") for l in lines)
     assert "verdict Open: 2" in lines
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("verdict", "delpezzo", "--dim", "99999999999999999999", "--degree", "2"), "at most 9012"),
+    (("verdict", "delpezzo", "--dim", "99999999999999999999", "--degree", "1"), "at most 6152"),
+    (("scan", "ci", "--max-dim", "3", "--max-degree", "3", "--max-r", "99999999999999999999"),
+     "at most 1000"),
+    (("scan", "ci", "--max-dim", "40", "--max-degree", "13", "--max-r", "7"),
+     "more than 2000000 cases"),
+])
+def test_inputs_past_a_limit_exit_2_before_any_work(capsys, argv, limit) -> None:
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: ") and limit in err and len(err.splitlines()) == 1
+
+
+def test_scan_case_limit_counts_degree_tuples_and_the_quadrics_sweep() -> None:
+    # (40, 12, 7, 8) has 40 * (C(18, 7) + 6) = 1,273,200 cases, (40, 13, 7, 8)
+    # 40 * (C(19, 7) + 6) = 2,015,760
+    cli._check_scan_grid(40, 12, 7, 8)
+    with pytest.raises(ValueError, match="more than 2000000 cases"):
+        cli._check_scan_grid(40, 13, 7, 8)
+    # 2 * (999,997 degree tuples + quadrics r = 3..qr) reaches 2,000,000 at qr = 5
+    cli._check_scan_grid(2, 999_997, 1, 5)
+    with pytest.raises(ValueError, match="more than 2000000 cases"):
+        cli._check_scan_grid(2, 999_997, 1, 6)
+    cli._check_scan_grid(900, 2, 100, 3)
+    for bounds in ((901, 2, 100, 3), (1, 2, 1, 1000), (1, 10**4000, 10**4000, 1)):
+        with pytest.raises(ValueError, match="must be at most 1000"):
+            cli._check_scan_grid(*bounds)
 
 
 # ---------------------------------------------------------------------------

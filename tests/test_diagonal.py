@@ -370,11 +370,13 @@ def test_huge_numbers_are_described_by_bit_length():
         "deg Delta^2 = chi = (negative integer of 16611 bits) < 0"
         " on a curve of genus (positive integer of 16610 bits)"
     )
-    odd, even = verdict_delpezzo(20001, 1), verdict_delpezzo(20000, 1)
-    assert odd.witness["chi"] == euler_delpezzo_closed(20001, 1)
+    # the two largest degree-1 del Pezzo dimensions: chi has 14,281 and 14,283 bits
+    odd, even = verdict_delpezzo(6151, 1), verdict_delpezzo(6152, 1)
+    assert odd.witness["chi"] == euler_delpezzo_closed(6151, 1)
     assert odd.detail.startswith("deg Delta^2 = chi = (negative integer of ")
-    assert even.witness["cover_degree"] == 2**20000
-    assert "degree-(positive integer of 20001 bits) cover" in even.detail
+    assert even.witness["cover_degree"] == 2**6152
+    assert even.detail.startswith("chi = (positive integer of ")
+    assert f"(n+1) * {2**6152} = " in even.detail
 
 
 def test_detail_prints_decimal_up_to_14000_bits_with_no_or_the_default_str_limit():
@@ -432,6 +434,30 @@ def test_delpezzo_degree_one_and_two():
     assert even2.reason is Reason.PROJECTION_BOUND
     assert even2.witness["cover_degree"] == 2
     assert even2.witness["chi"] > even2.witness["bound"] == 10
+
+
+def test_delpezzo_closed_form_rows_stop_where_chi_can_no_longer_be_printed():
+    # 6,152 and 9,012 are the largest dimensions whose verdict prints under
+    # the default limit of 4,300 digits; past them the row raises before any work
+    for degree, limit in ((1, 6152), (2, 9012)):
+        chi = verdict_delpezzo(limit, degree).witness["chi"]
+        assert len(str(abs(chi))) == 4300
+        for n in (limit + 1, 10**20):
+            with pytest.raises(ValueError, match=rf"^dimension must be at most {limit} for"
+                               rf" degree {degree}: past it chi has too many digits to print$"):
+                verdict_delpezzo(n, degree)
+
+
+def test_delpezzo_dimension_limit_follows_the_str_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        for setting, expected in ((640, 916), (0, 6152), (5000, 7154)):
+            sys.set_int_max_str_digits(setting)
+            verdict_delpezzo(expected, 1)
+            with pytest.raises(ValueError, match=f"at most {expected} for degree 1"):
+                verdict_delpezzo(expected + 1, 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_delpezzo_delegates_to_ci():
