@@ -14,12 +14,12 @@ d (B^T)^-1, the rays of their simplicial cone, cut then by each other normal.
 Two rays on opposite sides of its hyperplane give a new ray exactly when they
 are adjacent, tested combinatorially from the sets of inequalities tight at
 each ray (Fukuda and Prodon, "Double description method revisited", 1996):
-no third ray is tight on all the inequalities the two share. When either
-ray is tight on exactly m - 1 inequalities, which are then independent, the
-at least m - 2 that the two share cut out a 2-dimensional face whose only
-rays are the two, so that count decides the pair without the third-ray
-count. A dual cone keeps the normals that cut it out, so its membership test
-needs no second double description.
+no third ray is tight on all the inequalities the two share, a scan that
+stops at the third tight ray. When either ray is tight on exactly m - 1
+inequalities, which are then independent, the at least m - 2 that the two
+share cut out a 2-dimensional face whose only rays are the two, so that
+count decides the pair without the scan. A dual cone keeps the normals that
+cut it out, so its membership test needs no second double description.
 """
 
 from __future__ import annotations
@@ -452,8 +452,9 @@ def dual_cone(
     other normal then cuts the rays in one pass; a positive and a negative
     ray sharing at least m - 2 tight normals are adjacent when either is
     tight on exactly m - 1, and otherwise unless a third ray is tight on
-    every normal tight at both. The result keeps the distinct nonzero
-    normals as the inequalities that contains tests.
+    every normal tight at both, a scan over the rays that stops at the third
+    tight one (the two themselves are the first two). The result keeps the
+    distinct nonzero normals as the inequalities that contains tests.
     """
     matrix = [tuple(row) for row in pairing_matrix]
     _check_entries(matrix, "pairing matrix")
@@ -508,9 +509,15 @@ def dual_cone(
                     continue
                 # a ray tight on exactly m - 1 normals makes the pair adjacent;
                 # otherwise it is adjacent unless a third ray is tight on all of common
-                if not (p_simple or n_simple) and sum(
-                        mask & common == common for _, mask in rays) > 2:
-                    continue
+                if not (p_simple or n_simple):
+                    tight = 0
+                    for _, mask in rays:
+                        if mask & common == common:
+                            tight += 1
+                            if tight == 3:
+                                break
+                    if tight == 3:
+                        continue
                 ray = [ap * y - an * x for x, y in zip(p, n)]
                 g = gcd(*ray)
                 kept.append((tuple([x // g for x in ray]), common | bit))

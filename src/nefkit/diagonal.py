@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .chern import CIType, betti_ci, euler_ci_formula, euler_ci_rows, euler_delpezzo_closed
@@ -358,13 +359,20 @@ def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
     return row
 
 
-def _closed_form_max_dimension(degree: int) -> int:
+# The digit bound on a closed-form chi when the int-to-str limit is off, a
+# work bound: `--format json verdict delpezzo --dim 1000000 --degree 1`, whose
+# chi has 698,971 digits, takes 7.4 s to print (Python 3.11, 2-CPU host), and
+# the time grows with the square of the digit count.
+_UNLIMITED_DIGITS = 1_000_000
+
+
+@cache
+def _closed_form_max_dimension(digits: int, degree: int) -> int:
     """The largest n at which the closed-form chi of the degree-1 or degree-2
-    del Pezzo n-fold, the largest number of its verdict, has at most as many
-    digits as sys.get_int_max_str_digits() prints (the default limit where
-    the limit is off): an estimate from log10 5 or log10 3 in millionths,
-    corrected against 10^digits. From 4,300 digits: 6,152 and 9,012."""
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    del Pezzo n-fold, the largest number of its verdict, has at most the
+    given number of digits: an estimate from log10 5 or log10 3 in
+    millionths, corrected against 10^digits. At 4,300 digits, the default
+    int-to-str limit: 6,152 and 9,012."""
     ceiling = 10**digits
     n = digits * 1_000_000 // (698_970 if degree == 1 else 477_121)
     while abs(euler_delpezzo_closed(n + 1, degree)) < ceiling:
@@ -381,17 +389,19 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     a manifold of the row of dimension n, or InvalidDelPezzo is raised. It is
     echoed in the detail text only; it never changes the verdict. Degrees 1
     and 2 raise ValueError before any work past _closed_form_max_dimension,
-    where chi would have more digits than can be printed.
+    where chi has more digits than sys.get_int_max_str_digits() prints, or
+    than _UNLIMITED_DIGITS when that limit is off.
     """
     row = _delpezzo_row(n, degree)
     if variant is not None and row.variant_dimensions.get(variant) != n:
         raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
                               f" manifold of dimension {n}")
     if row.cover:
-        limit = _closed_form_max_dimension(degree)
+        digits = sys.get_int_max_str_digits() or _UNLIMITED_DIGITS
+        limit = _closed_form_max_dimension(digits, degree)
         if n > limit:
             raise ValueError(f"dimension must be at most {limit} for degree {degree}: past it"
-                             " chi has too many digits to print")
+                             f" chi has more than {digits} digits")
         cover = row.cover(n)
         return _verdict(_SIGN if n % 2 else _COVER_BOUND, chi=euler_delpezzo_closed(n, degree),
                         bound=(n + 1) * cover, cover_degree=cover)

@@ -8,6 +8,7 @@ covering degrees from the anticanonical double/2^n covers).
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 import string
@@ -370,7 +371,20 @@ def test_huge_numbers_are_described_by_bit_length():
         "deg Delta^2 = chi = (negative integer of 16611 bits) < 0"
         " on a curve of genus (positive integer of 16610 bits)"
     )
-    # the two largest degree-1 del Pezzo dimensions: chi has 14,281 and 14,283 bits
+    # a degree-1 del Pezzo verdict past 20,000 dimensions needs a digit limit
+    # over 14,000 (the dimension limit at 15,000 digits is 21,460)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(15000)
+        odd, even = verdict_delpezzo(20001, 1), verdict_delpezzo(20000, 1)
+        assert odd.witness["chi"] == euler_delpezzo_closed(20001, 1)
+        assert odd.detail.startswith("deg Delta^2 = chi = (negative integer of ")
+        assert even.witness["cover_degree"] == 2**20000
+        assert "degree-(positive integer of 20001 bits) cover" in even.detail
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the two largest degree-1 del Pezzo dimensions at the default limit: chi
+    # has 14,281 and 14,283 bits
     odd, even = verdict_delpezzo(6151, 1), verdict_delpezzo(6152, 1)
     assert odd.witness["chi"] == euler_delpezzo_closed(6151, 1)
     assert odd.detail.startswith("deg Delta^2 = chi = (negative integer of ")
@@ -444,20 +458,41 @@ def test_delpezzo_closed_form_rows_stop_where_chi_can_no_longer_be_printed():
         assert len(str(abs(chi))) == 4300
         for n in (limit + 1, 10**20):
             with pytest.raises(ValueError, match=rf"^dimension must be at most {limit} for"
-                               rf" degree {degree}: past it chi has too many digits to print$"):
+                               rf" degree {degree}: past it chi has more than 4300 digits$"):
                 verdict_delpezzo(n, degree)
 
 
 def test_delpezzo_dimension_limit_follows_the_str_limit():
+    # with the limit off, the bound is the work bound of 1,000,000 digits
     limit = sys.get_int_max_str_digits()
     try:
-        for setting, expected in ((640, 916), (0, 6152), (5000, 7154)):
+        for setting, digits, expected in ((640, 640, 916), (5000, 5000, 7154),
+                                          (0, 1_000_000, 1_430_677)):
             sys.set_int_max_str_digits(setting)
-            verdict_delpezzo(expected, 1)
-            with pytest.raises(ValueError, match=f"at most {expected} for degree 1"):
+            chi = verdict_delpezzo(expected, 1).witness["chi"]
+            assert abs(chi) < 10**digits <= abs(euler_delpezzo_closed(expected + 1, 1))
+            with pytest.raises(ValueError, match=f"at most {expected} for degree 1: past it"
+                                                 f" chi has more than {digits} digits"):
                 verdict_delpezzo(expected + 1, 1)
+        assert sys.get_int_max_str_digits() == 0
+        verdict_delpezzo(20001, 1)  # past the default limit's 6,152
+        with pytest.raises(ValueError, match="at most 2095903 for degree 2"):
+            verdict_delpezzo(10**20, 2)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_delpezzo_dimension_limit_is_computed_once_per_digit_limit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagonal, "euler_delpezzo_closed",
+                        lambda n, degree: calls.append(n) or euler_delpezzo_closed(n, degree))
+    monkeypatch.setattr(diagonal, "_closed_form_max_dimension",
+                        functools.cache(diagonal._closed_form_max_dimension.__wrapped__))
+    verdict_delpezzo(7, 1)
+    first = len(calls)  # the limit's estimate and correction, then chi
+    for _ in range(3):
+        verdict_delpezzo(7, 1)
+    assert first > 2 and len(calls) == first + 3
 
 
 def test_delpezzo_delegates_to_ci():
