@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .exactnum import _Frozen, _check_int, complete_homogeneous_prefix, elementary_symmetric
+from .exactnum import _Frozen, _check_int, complete_homogeneous_prefix
 
 __all__ = [
     "NegativeBetti",
@@ -150,24 +150,23 @@ def euler_ci_rows(
 
     A depth-first walk over an explicit path, with no recursion, parents
     before children: (), (2,), (2, 2), ... The row of (d, *rest), d <= rest[0],
-    is one _peel of a copy of rest's row, O(max_dimension) steps, and only
-    the path's rows are kept, at most max_codimension + 1. Yielded rows are
+    is one _peel of a copy of rest's row, O(max_dimension) steps. A tuple and
+    its row stay on the path only while it has children left: at most
+    max_codimension rows, and one on the degree-2 branch. Yielded rows are
     shared with the path and must not be changed.
     """
     row = list(range(1, max_dimension + 2))
     yield (), row, 1
-    path = [((), row, iter(range(2, max_degree + 1)))] if max_codimension else []
+    path = [((), row, 2)] if max_codimension and max_degree >= 2 else []
     while path:
-        degrees, row, children = path[-1]
-        d = next(children, None)
-        if d is None:
-            path.pop()
-            continue
+        degrees, row, d = path.pop()
+        if d < (degrees[0] if degrees else max_degree):
+            path.append((degrees, row, d + 1))
         degrees = (d, *degrees)
         row = _peel(row.copy(), d)
         yield degrees, row, row[0]
         if len(degrees) < max_codimension:
-            path.append((degrees, row, iter(range(2, d + 1))))
+            path.append((degrees, row, 2))
 
 
 def chern_degrees_ci(ci: CIType) -> list[int]:
@@ -297,12 +296,12 @@ def euler_weighted(wh: WeightedHypersurface) -> int:
     remainder signals a weights/degree combination outside the formula's
     validity and raises NonIntegralResult. The sum is prod(a_j - d) less its
     terms of degree 0 and 1 in d, divided by d^2, that is
-    (prod(a_j - d) + d e_m(a) - prod(a)) / d^2: one e_m, not one e_k per term.
+    (prod(a_j - d) + d e_m(a) - prod(a)) / d^2: one e_m, not one e_k per term,
+    and e_m(a_0..a_m) = sum_j prod(a) / a_j, m + 1 exact divisions.
     """
-    m = wh.ambient_dimension
     d = wh.degree
     product = wh.weight_product
-    total = (math.prod(a - d for a in wh.weights) + d * elementary_symmetric(m, wh.weights)
+    total = (math.prod(a - d for a in wh.weights) + d * sum(product // a for a in wh.weights)
              - product) // d**2
     value, remainder = divmod(total * d, product)
     if remainder:
