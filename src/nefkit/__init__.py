@@ -3,8 +3,8 @@
 Three layers:
 
 * Euler characteristics / Chern degrees of complete intersections and
-  weighted hypersurfaces, in exact arithmetic (chern, exactnum, and series,
-  the one route through Fractions).
+  weighted hypersurfaces, in exact arithmetic (chern and exactnum; chern's
+  series route is the one through Fractions).
 * Classification verdicts for nef-ness of the diagonal class, with
   machine-checkable witnesses (diagonal), the spherical pairing check of a
   dataset included.

@@ -12,6 +12,10 @@ characteristic is exposed through three independent routes that must agree:
   euler_ci_rows walks the same recursion over a whole grid of degree tuples,
   one step per tuple.
 
+The series route expands its quotient as a TruncatedSeries of Fractions.
+fractions loads only when the first series is built, so of all subcommands
+only chern ci loads it.
+
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
 which is (-1)^n chi(2,...,2; n) / 2^r read from the recursive route's row,
@@ -21,9 +25,12 @@ and closed forms for low-degree del Pezzo Euler characteristics.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .exactnum import _Frozen, _check_int, complete_homogeneous_prefix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "NegativeBetti",
@@ -37,6 +44,8 @@ __all__ = [
     "euler_ci_row",
     "euler_ci_rows",
     "chern_degrees_ci",
+    "TruncatedSeries",
+    "series_rational_coefficients",
     "quadrics_b",
     "betti_ci",
     "euler_weighted",
@@ -175,17 +184,81 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
     Entry k is (prod d_j) times the coefficient of t^k in the truncated series
     (1+t)^(n+r+1) / prod (1 + d_j t), whose coefficients are integral for
     integer degrees, which is asserted. Entry 0 is the degree of X in its
-    ambient projective space and entry n is the Euler characteristic. The
-    series module, and with it fractions, loads on the first call.
+    ambient projective space and entry n is the Euler characteristic.
     """
-    from .series import series_rational_coefficients
-
     n = ci.dimension
     series = series_rational_coefficients(n + ci.codimension + 1, ci.degrees, n)
     product = ci.degree_product
     values = [c * product for c in series.coefficients]
     assert all(value.denominator == 1 for value in values)
     return [int(value) for value in values]
+
+
+class TruncatedSeries(_Frozen):
+    """Power series truncated at a fixed order, coefficients exact rationals.
+
+    coefficients[k] is the t^k coefficient; len(coefficients) == order + 1.
+    Division requires the divisor to have a nonzero constant term.
+    """
+
+    _fields = ("coefficients", "order")
+
+    def __init__(self, coefficients: tuple[Fraction, ...], order: int) -> None:
+        from fractions import Fraction
+
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        if len(coefficients) != order + 1:
+            raise ValueError("need exactly order + 1 coefficients")
+        if not all(isinstance(c, Fraction) for c in coefficients):
+            raise TypeError("coefficients must be Fractions")
+        self._store(coefficients, order)
+
+    @classmethod
+    def of(cls, values: Iterable[int | Fraction], order: int) -> "TruncatedSeries":
+        """Build a series from any coefficient prefix, padding with zeros."""
+        from fractions import Fraction
+
+        coeffs = [Fraction(v) for v in values][: order + 1]
+        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        return cls(tuple(coeffs), order)
+
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        if self.order != other.order:
+            raise ValueError("series orders must match")
+        if other.coefficients[0] == 0:
+            raise ValueError("series division needs a nonzero constant term")
+        n = self.order
+        b0 = other.coefficients[0]
+        out: list[Fraction] = []
+        for k in range(n + 1):
+            acc = self.coefficients[k]
+            for j in range(1, k + 1):
+                acc -= other.coefficients[j] * out[k - j]
+            out.append(acc / b0)
+        return TruncatedSeries(tuple(out), n)
+
+
+def series_rational_coefficients(
+    exponent: int, denominator_factors: Iterable[int], order: int
+) -> TruncatedSeries:
+    """Expand (1 + t)^exponent / prod (1 + s t) through the given order.
+
+    The exponent is >= 0; denominator factors are the scalars s of linear
+    terms (1 + s t). With integer scalars every coefficient of the quotient
+    is an integer, since dividing by (1 + s t) is the integer recurrence
+    c'_k = c_k - s c'_(k-1).
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    series = TruncatedSeries.of([math.comb(exponent, k) for k in range(order + 1)], order)
+    for s in denominator_factors:
+        series = series / TruncatedSeries.of([1, s], order)
+    return series
 
 
 def quadrics_b(n: int, r: int) -> int:
@@ -278,10 +351,6 @@ class WeightedHypersurface(_Frozen):
         if d < 1:
             raise ValueError("degree must be >= 1")
         self._store(ws, d)
-
-    @property
-    def ambient_dimension(self) -> int:
-        return len(self.weights) - 1
 
     @property
     def weight_product(self) -> int:

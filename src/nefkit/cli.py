@@ -28,7 +28,7 @@ Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
 and chern; verdict, scan and table also diagonal; cone dual exactnum and
 cones; cone check also chern and diagonal; a usage error and help none. Only
-chern ci loads series, and with it fractions. main maps a library exception
+chern ci builds a series, and with it loads fractions. main maps a library exception
 to its exit status only if that exception's module is loaded, which it must
 be if it was raised; a MemoryError is invalid input, too large to compute. No
 layer imports dataclasses, so no subcommand loads it or inspect.

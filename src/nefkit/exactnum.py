@@ -3,7 +3,7 @@ symmetric functions of integers.
 
 Everything here is integer arithmetic, no floats and no fractions; the
 truncated power series over the rationals that the Chern degrees expand live
-in series, which only chern ci loads.
+in chern, and only chern ci builds one.
 
 This bottom layer also holds _Frozen, the immutable-value behaviour of the
 value classes of every layer, written by hand so that no subcommand imports

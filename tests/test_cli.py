@@ -190,6 +190,10 @@ def test_scan_ci_small_grid(capsys) -> None:
      "at most 1000"),
     (("scan", "ci", "--max-dim", "40", "--max-degree", "13", "--max-r", "7"),
      "more than 2000000 cases"),
+    # the tuple count passes the limit at its first step; counting on through
+    # all 999 steps of 4,000-digit products would take tens of seconds
+    (("scan", "ci", "--max-dim", "1", "--max-degree", "9" * 4000, "--max-r", "999"),
+     "more than 2000000 cases"),
 ])
 def test_inputs_past_a_limit_exit_2_before_any_work(capsys, argv, limit) -> None:
     start = time.perf_counter()

@@ -1,7 +1,7 @@
 """Tests for the exact arithmetic layer.
 
 The symmetric functions are checked against brute-force enumeration over
-index multisets/subsets, and the series expander against naive polynomial
+index multisets/subsets, and chern's series expander against naive polynomial
 convolution, so every frozen value downstream rests on an independent oracle.
 """
 
@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
+from nefkit.chern import TruncatedSeries, series_rational_coefficients
 from nefkit.exactnum import complete_homogeneous, complete_homogeneous_prefix, elementary_symmetric
-from nefkit.series import TruncatedSeries, series_rational_coefficients
 
 
 def brute_h(k: int, values: list[int]) -> int:
@@ -158,6 +158,8 @@ def test_series_division_requires_unit_constant_term():
         a / zero_const
     with pytest.raises(ValueError):
         a / TruncatedSeries.of([1], 5)
+    with pytest.raises(TypeError):
+        a / 2
     # Round trip through a nontrivial quotient.
     b = TruncatedSeries.of([2, 5, 7, 1], 3)
     assert poly_mul(list((a / b).coefficients), list(b.coefficients), 3) == [1, 1, 0, 0]

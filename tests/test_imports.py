@@ -164,30 +164,29 @@ def imports(tree: ast.Module) -> Iterator[tuple[str | None, str]]:
 
 
 def test_only_cli_imports_layers_inside_functions() -> None:
-    # The PEP 562 root and the series route are the two lazy imports outside
-    # cli's handlers; ROADMAP direction 16 keeps a new one only if it saves
-    # more, with a bytecode cache, than the interquartile range of its parent.
+    # The PEP 562 root is the one lazy import outside cli's handlers; ROADMAP
+    # direction 16 keeps a new one only if it saves more, with a bytecode
+    # cache, than the interquartile range of its parent.
     found = [(path.stem, function, module)
              for path in sorted(SRC.joinpath("nefkit").glob("*.py")) if path.stem != "cli"
              for function, module in imports(ast.parse(path.read_text("utf-8"))) if function]
-    assert found == [("__init__", "__getattr__", "importlib"),
-                     ("chern", "chern_degrees_ci", "series")]
+    assert found == [("__init__", "__getattr__", "importlib")]
 
 
 def test_module_level_imports_form_the_layer_graph() -> None:
-    # exactnum <- chern <- diagonal, exactnum <- cones and exactnum <- series;
-    # cli loads its layers only inside its handlers, and __main__ stands on cli
+    # exactnum <- chern <- diagonal and exactnum <- cones; cli loads its layers
+    # only inside its handlers, and __main__ stands on cli
     graph = {path.stem: sorted({module for function, module
                                 in imports(ast.parse(path.read_text("utf-8"))) if not function})
              for path in sorted(SRC.joinpath("nefkit").glob("*.py"))}
-    assert graph == {"exactnum": [], "series": ["exactnum"], "chern": ["exactnum"],
+    assert graph == {"exactnum": [], "chern": ["exactnum"],
                      "diagonal": ["chern", "exactnum"], "cones": ["exactnum"], "cli": [],
                      "__main__": ["cli"], "__init__": []}
 
 
 def test_module_import_walk_sees_every_form() -> None:
     tree = ast.parse("from .chern import CIType\nfrom . import cones\nimport nefkit.cli, json\n"
-                     "from nefkit.series import x\nfrom nefkit import exactnum\n"
+                     "from nefkit.diagonal import x\nfrom nefkit import exactnum\n"
                      "from json import dumps\n"
                      "if TYPE_CHECKING:\n    from .diagonal import Verdict\n"
                      "def f():\n    from . import diagonal\n"
@@ -195,7 +194,7 @@ def test_module_import_walk_sees_every_form() -> None:
                      "try:\n    from . import __main__\nexcept ImportError:\n    pass\n")
     found = sorted(imports(tree), key=lambda pair: (pair[0] or "", pair[1]))
     assert found == [(None, "__main__"), (None, "chern"), (None, "cli"), (None, "cones"),
-                     (None, "exactnum"), (None, "series"), ("f", "diagonal"), ("g", "diagonal")]
+                     (None, "diagonal"), (None, "exactnum"), ("f", "diagonal"), ("g", "diagonal")]
 
 
 def test_lazy_import_walk_sees_every_form() -> None:
@@ -209,11 +208,10 @@ def test_lazy_import_walk_sees_every_form() -> None:
 
 
 def test_only_the_series_route_loads_fractions() -> None:
-    # chern ci expands a series of Fractions, the one subcommand that loads
-    # the series module; no case of test_subcommand_loads_only_its_layer does
+    # chern ci expands a series of Fractions, the one subcommand that builds
+    # one; no case of test_subcommand_loads_only_its_layer loads fractions
     out = fresh(PROBE, "chern", "ci", "--dim", "2", "--degrees", "3")
-    assert json.loads(out) == [0, sorted([*INVARIANTS, "nefkit.series"]), [],
-                               ["fractions", "decimal"], []]
+    assert json.loads(out) == [0, INVARIANTS, [], ["fractions", "decimal"], []]
 
 
 # every name the package root exports, with the module that defines it

@@ -11,7 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from nefkit.chern import BettiTable, CIType, NegativeBetti, WeightedHypersurface
+from nefkit.chern import (
+    BettiTable,
+    CIType,
+    NegativeBetti,
+    TruncatedSeries,
+    WeightedHypersurface,
+)
 from nefkit.cones import (
     CycleClass,
     CycleDataset,
@@ -28,7 +34,6 @@ from nefkit.diagonal import (
     Verdict,
     cp_fibration_obstruction,
 )
-from nefkit.series import TruncatedSeries
 
 CLASSES = (CycleClass("a", (1, 0), 1), CycleClass("b", (1, 1), 2),
            CycleClass("p", (0, 0), 0))
