@@ -183,14 +183,15 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
 
     Entry k is (prod d_j) times the coefficient of t^k in the truncated series
     (1+t)^(n+r+1) / prod (1 + d_j t), whose coefficients are integral for
-    integer degrees, which is asserted. Entry 0 is the degree of X in its
+    integer degrees, which is checked. Entry 0 is the degree of X in its
     ambient projective space and entry n is the Euler characteristic.
     """
     n = ci.dimension
     series = series_rational_coefficients(n + ci.codimension + 1, ci.degrees, n)
     product = ci.degree_product
     values = [c * product for c in series.coefficients]
-    assert all(value.denominator == 1 for value in values)
+    if any(value.denominator != 1 for value in values):
+        raise AssertionError("Chern degrees of a complete intersection must be integers")
     return [int(value) for value in values]
 
 
@@ -399,5 +400,6 @@ def euler_delpezzo_closed(n: int, degree: int) -> int:
     else:
         raise ValueError("closed forms cover degrees 1 and 2 only")
     quotient, remainder = divmod(numerator, modulus)
-    assert remainder == 0, "closed-form numerator must be divisible"
+    if remainder:
+        raise AssertionError("closed-form numerator must be divisible")
     return quotient

@@ -214,8 +214,8 @@ def handle_verdict_curve(args: Args) -> Outcome:
                    f"nef-diagonal classification of a genus-{args.genus} curve")
 
 
-# The limits of scan ci, checked before the walk. A scan costs about 0.5 to
-# 0.7 us per case (Python 3.11 on a 2-CPU host), so 2,000,000 cases take
+# The limits of scan ci, checked before the walk. A scan costs about 0.6 to
+# 0.9 us per case (Python 3.11 on a 2-CPU host), so 2,000,000 cases take
 # under 2 s. chi of a case of dimension n and codimension r has O((n + r)
 # log max degree) bits, and the walk holds up to r + 1 rows of them, so the
 # case count alone does not bound memory: capping n + r, the dimension of the

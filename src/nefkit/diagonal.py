@@ -8,7 +8,9 @@ the curves, the del Pezzo rows and the two pairing steps of the spherical
 check. verdict_ci applies the chain's criteria in priority order (structural
 families, exception steps, the sign of the diagonal self-intersection, the
 projection bound); scan_ci runs the same chain and its witness laws over a
-grid and builds no Verdict. The module also hosts the Poincare polynomial
+grid and builds no Verdict. The chain's degree-only part runs once per degree
+tuple, its per-n part once per case, reading chi by n from scan_ci's row or
+verdict_ci's lazy defaultdict. The module also hosts the Poincare polynomial
 obstruction to fibering an intersection of two quadrics in projective lines.
 It names cones.CycleDataset only for type checking, so it never loads cones.
 """
@@ -16,9 +18,10 @@ It names cones.CycleDataset only for type checking, so it never loads cones.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from enum import Enum
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .chern import CIType, betti_ci, euler_ci_formula, euler_ci_rows, euler_delpezzo_closed
 from .exactnum import _Frozen, _check_int
@@ -210,7 +213,8 @@ def verdict_ci(ci: CIType) -> Verdict:
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
     product = ci.degree_product
-    step, chi, bound = _chain(ci.degrees, ci.dimension, lambda _: euler_ci_formula(ci), product)
+    chis = defaultdict(lambda: euler_ci_formula(ci))  # chi, computed when _chain reads it
+    step, chi, bound = _chain(_degree_steps(ci.degrees), ci.dimension, chis, product)
     genus = None if chi is None else 1 - chi // 2
     return _verdict(step, chi=chi, bound=bound, cover_degree=product, genus=genus)
 
@@ -256,29 +260,45 @@ _BOUND = _Step("projection bound", Reason.PROJECTION_BOUND,
 _UNCLASSIFIED = _Step("unclassified", Reason.OPEN_QUESTION,
                       "no implemented criterion decides this type",
                       {"reference": UNCLASSIFIED_REFERENCE})
+_DegreeSteps = tuple[_Step | None, tuple[_Step, _Step] | None, _Step | None]
 
 
-def _chain(degrees: tuple[int, ...], n: int, chi_of: Callable[[int], int],
-           degree_product: int) -> tuple[_Step, int | None, int | None]:
-    """The priority chain on the canonical type (degrees, n) of the given
-    degree product: the step that fired, chi if the step read it, and the
-    bound if it computed one. chi_of(n) returns the Euler characteristic (a
-    row lookup in scan_ci, euler_ci_formula in verdict_ci), at most once and
-    only on the steps that need it, so projective spaces, quadrics and the
-    exception steps stay instant at any dimension."""
+def _degree_steps(degrees: tuple[int, ...]) -> _DegreeSteps | None:
+    """The degree-only part of the priority chain, once per degree tuple: the
+    step at every n (projective space, the quadric), the steps at even and at
+    odd n >= 2 (the (2,2) family) and the surface table's step at n = 2, or
+    None for the tuples that have none, so that _chain tests one value."""
     if not degrees:
         return _PROJECTIVE_SPACE, None, None
     if degrees == (2,):
         return _QUADRIC, None, None
-    if n == 1:
-        chi = chi_of(n)
-        assert chi % 2 == 0
-        return _CURVES.get((2 - chi) // 2, _CURVE), chi, None
     if degrees == (2, 2):
-        return (_OPEN_TWO_QUADRICS if n % 2 else _EVEN_TWO_QUADRICS), None, None
-    if n == 2 and degrees in _SURFACES:
-        return _SURFACES[degrees], None, None
-    chi = chi_of(n)
+        return None, (_EVEN_TWO_QUADRICS, _OPEN_TWO_QUADRICS), None
+    surface = _SURFACES.get(degrees)
+    return None if surface is None else (None, None, surface)
+
+
+def _chain(steps: _DegreeSteps | None, n: int, chis: Sequence[int] | Mapping[int, int],
+           degree_product: int) -> tuple[_Step, int | None, int | None]:
+    """The per-n part of the priority chain, once per case n of a degree
+    tuple of the given _degree_steps and degree product: the step that
+    fired, chi if it read chi, and the bound if it computed one. It reads
+    chis[n] (scan_ci's row, verdict_ci's lazy defaultdict) at most once, so
+    the structural families and exception steps stay instant at any n."""
+    if steps is not None:
+        every, by_parity, surface = steps
+        if every:
+            return every, None, None
+        if by_parity and n > 1:  # a curve takes the curve step
+            return by_parity[n % 2], None, None
+        if n == 2 and surface:
+            return surface, None, None
+    if n == 1:
+        chi = chis[n]
+        if chi % 2:
+            raise AssertionError("the Euler characteristic of a curve must be even")
+        return _CURVES.get((2 - chi) // 2, _CURVE), chi, None
+    chi = chis[n]
     if chi < 0:
         return _SIGN, chi, None
     bound = (n + 1) * degree_product
@@ -522,7 +542,8 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
         p_fiber=tuple(p_fiber),
         remainder=(real, imaginary) if imaginary else (real,),
     )
-    assert report.nonzero, "the fibration obstruction must not vanish"
+    if not report.nonzero:
+        raise AssertionError("the fibration obstruction must not vanish")
     return report
 
 
@@ -574,12 +595,13 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
     n = 1..max_dimension. chi comes from the tuple's row of the recursive
     route, built up to max_dimension in one step from its parent's row; the
     walk keeps only the rows of its path, at most r + 1 of them. Once per
-    tuple the scan picks the sign law and hands the row's lookup to the
-    chain as chi_of. Per case it tests the sign of chi by the parity of n
+    tuple the scan picks the sign law and runs the chain's degree-only
+    part, _degree_steps. Per case it tests the sign of chi by the parity of n
     and the bound at even n, with the plane cubic and the cubic surface as
-    the only exclusions by (n, degrees), then runs the chain and its witness
-    laws and counts the reason of the step that fired; it builds no Verdict,
-    and folds the counts by reason into counts by status after the walk.
+    the only exclusions by (n, degrees), then runs the chain's per-n part on
+    the row and its witness laws and counts the reason of the step that
+    fired; it builds no Verdict. It counts the sign and bound checks per
+    tuple, and folds the counts by reason into counts by status at the end.
     The quadrics sweep then walks the degree-2 branch of the same walk,
     euler_ci_rows(2, quadrics_max_codimension, max_dimension), by r, then n,
     and reads b(n, r) = (-1)^n chi / 2^r from the row of (2,)*r. Any failure
@@ -594,42 +616,38 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
     }
     if min(_check_int(value, name) for name, value in bounds.items()) < 1:
         raise ValueError("scan bounds must be positive")
-    hypersurface = multidegree = even_bound = tuples = 0
+    law_checks = dict.fromkeys(("hypersurface_sign", "multidegree_sign", "even_dimension_bound",
+                                "quadrics_positive", "quadrics_even_bound"), 0)
     reason_counts = dict.fromkeys(_STATUS_OF, 0)
+    chain, witness_error, unclassified = _chain, _chi_witness_error, _UNCLASSIFIED
     for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
                                                       max_dimension):
-        tuples += 1
-        chi_of = row.__getitem__
+        steps = _degree_steps(degrees)
         sign_law = (None if not degrees or degrees[-1] < 3 else
                     "hypersurface_sign" if len(degrees) == 1 else "multidegree_sign")
         cubic = degrees == (3,)
-        signs = 0
         for n in range(1, max_dimension + 1):
             if sign_law is not None and not (cubic and n == 1):
                 chi = row[n]
                 if chi >= 0 if n % 2 else chi <= 0:
                     raise ScanViolation(sign_law, CIType(degrees, n), f"chi = {chi}")
-                signs += 1
                 if n % 2 == 0 and not (cubic and n == 2):
                     if chi <= (n + 1) * degree_product:
                         raise ScanViolation("even_dimension_bound", CIType(degrees, n),
                                             f"chi = {chi} <= {(n + 1) * degree_product}")
-                    even_bound += 1
-            step, step_chi, bound = _chain(degrees, n, chi_of, degree_product)
-            if step is _UNCLASSIFIED:
+            step, step_chi, bound = chain(steps, n, row, degree_product)
+            if step is unclassified:
                 raise ScanViolation("verdict_classified", CIType(degrees, n),
                                     "fell through every criterion")
-            error = _chi_witness_error(step.reason, step_chi, bound)
+            reason = step.reason
+            error = witness_error(reason, step_chi, bound)
             if error:
                 raise ScanViolation("verdict_witness", CIType(degrees, n), error)
-            reason_counts[step.reason] += 1
-        if len(degrees) == 1:
-            hypersurface += signs
-        else:
-            multidegree += signs
-    law_checks = {"hypersurface_sign": hypersurface, "multidegree_sign": multidegree,
-                  "even_dimension_bound": even_bound, "quadrics_positive": 0,
-                  "quadrics_even_bound": 0, "verdict_classified": sum(reason_counts.values())}
+            reason_counts[reason] += 1
+        if sign_law is not None:  # the cubic skips n = 1, and n = 2 for the bound
+            law_checks[sign_law] += max_dimension - cubic
+            law_checks["even_dimension_bound"] += len(range(2 + 2 * cubic, max_dimension + 1, 2))
+    law_checks["verdict_classified"] = sum(reason_counts.values())
     for degrees, row, _ in euler_ci_rows(2, quadrics_max_codimension, max_dimension):
         r = len(degrees)
         if r < 3:
@@ -645,7 +663,7 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
                 law_checks["quadrics_even_bound"] += 1
     return ScanReport(
         **bounds,
-        cases=max_dimension * tuples,
+        cases=law_checks["verdict_classified"],
         law_checks=law_checks,
         verdict_counts={status.value: sum(count for reason, count in reason_counts.items()
                                           if _STATUS_OF[reason] is status) for status in _STATUSES},

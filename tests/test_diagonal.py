@@ -10,12 +10,14 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import os
 import re
 import string
+import subprocess
 import sys
 import time
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -676,6 +678,74 @@ def test_scan_counts_match_verdict_ci(grid):
     assert Counter(scan_ci(*grid, 8).verdict_counts) == counts
 
 
+# Every step of the chain. Genus-0 curves are P^1 and the conic, which the
+# projective space and quadric steps take first. Steps hold dicts, so they
+# are told apart by identity.
+ALL_CHAIN_STEPS = {id(step) for step in (
+    diagonal._PROJECTIVE_SPACE, diagonal._QUADRIC, diagonal._CURVES[1], diagonal._CURVE,
+    diagonal._OPEN_TWO_QUADRICS, diagonal._EVEN_TWO_QUADRICS, *diagonal._SURFACES.values(),
+    diagonal._SIGN, diagonal._BOUND)}
+
+
+@pytest.mark.parametrize("grid", [(8, 4, 3), (12, 6, 5)])
+def test_scan_and_verdict_ci_decide_every_case_alike(grid):
+    # scan_ci's route feeds the chain a row of euler_ci_rows, verdict_ci's
+    # route a defaultdict that calls euler_ci_formula
+    max_dimension, max_degree, max_codimension = grid
+    fired = set()
+    for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
+                                                      max_dimension):
+        steps = diagonal._degree_steps(degrees)
+        for n in range(1, max_dimension + 1):
+            ci = CIType(degrees, n)
+            decided = diagonal._chain(steps, n, row, degree_product)
+            formula = defaultdict(functools.partial(euler_ci_formula, ci))
+            assert decided == diagonal._chain(steps, n, formula, degree_product), ci
+            step, chi, _ = decided
+            verdict = verdict_ci(ci)
+            assert verdict.reason is step.reason, ci
+            if chi is not None:
+                assert chi == euler_ci_formula(ci), ci
+            if "chi" in step.numbers:
+                assert verdict.witness["chi"] == chi, ci
+            fired.add(id(step))
+    assert fired == ALL_CHAIN_STEPS
+
+
+def test_internal_checks_hold_under_python_optimize():
+    # each check stands in for an assert, which python -O would drop
+    code = """
+from fractions import Fraction
+from types import SimpleNamespace
+from nefkit import chern, diagonal
+from nefkit.chern import CIType
+assert not __debug__
+chern.series_rational_coefficients = lambda *args: SimpleNamespace(coefficients=[Fraction(1, 2)])
+chern.divmod = lambda a, b: (0, 1)
+diagonal._at_i = lambda p: (0, 0)
+for check in (lambda: chern.chern_degrees_ci(CIType((3,), 1)),
+              lambda: chern.euler_delpezzo_closed(3, 1),
+              lambda: diagonal._chain(diagonal._degree_steps((3,)), 1, [0, 1], 3),
+              lambda: diagonal.cp_fibration_obstruction(1)):
+    try:
+        check()
+    except AssertionError as exc:
+        print(exc)
+"""
+    src = str(Path(diagonal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "Chern degrees of a complete intersection must be integers",
+        "closed-form numerator must be divisible",
+        "the Euler characteristic of a curve must be even",
+        "the fibration obstruction must not vanish",
+    ]
+
+
 def test_scan_builds_no_verdict(monkeypatch):
     built = []
     init = Verdict.__init__
@@ -704,7 +774,7 @@ def test_scan_builds_no_verdict(monkeypatch):
 )
 def test_scan_checks_the_witness_of_every_step(monkeypatch, step, chi, bound, message):
     fired = (getattr(diagonal, step), chi, bound)
-    monkeypatch.setattr(diagonal, "_chain", lambda degrees, n, chi_of, degree_product: fired)
+    monkeypatch.setattr(diagonal, "_chain", lambda steps, n, chis, degree_product: fired)
     with pytest.raises(ScanViolation) as info:
         scan_ci(6, 4, 3, 4)
     assert info.value.law == "verdict_witness"
@@ -732,7 +802,7 @@ def rows_with(degrees, n, value):
         # chi(4;2) = 24 becomes 12: positive, but not above 3 * 4
         ("euler_ci_rows", rows_with((4,), 2, lambda chi: 12), CIType((4,), 2),
          "even_dimension_bound", "chi = 12 <= 12"),
-        ("_chain", lambda degrees, n, chi_of, degree_product: (diagonal._UNCLASSIFIED, None, None),
+        ("_chain", lambda steps, n, chis, degree_product: (diagonal._UNCLASSIFIED, None, None),
          CIType((), 1), "verdict_classified", "fell through every criterion"),
     ],
     ids=["even-dimension-bound", "verdict-classified"],
@@ -828,20 +898,26 @@ def scan_counts(max_dimension, max_degree, max_codimension, quadrics_max_codimen
     ],
 )
 def test_scan_counts_every_law_exactly(monkeypatch, bounds):
-    chains = []
-    chain = diagonal._chain
+    tuples, chains = [], []
+    degree_steps, chain = diagonal._degree_steps, diagonal._chain
 
-    def counting(*args):
-        chains.append(args[:2])
-        return chain(*args)
+    def stepping(degrees):
+        tuples.append(degrees)
+        return degree_steps(degrees)
 
+    def counting(steps, n, *args):
+        chains.append((tuples[-1], n))
+        return chain(steps, n, *args)
+
+    monkeypatch.setattr(diagonal, "_degree_steps", stepping)
     monkeypatch.setattr(diagonal, "_chain", counting)
     report = scan_ci(*bounds)
     cases, law_checks, verdict_counts = scan_counts(*bounds)
     assert report.cases == cases
     assert report.law_checks == law_checks
     assert report.verdict_counts == verdict_counts
-    # the priority chain classifies every case once
+    # the degree-only part runs once per tuple, the per-n part once per case
+    assert len(tuples) == len(set(tuples)) == cases // bounds[0]
     assert len(chains) == len(set(chains)) == cases
 
 
