@@ -45,6 +45,7 @@ if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
 
     from .chern import CIType
+    from .cones import CycleDataset
     from .diagonal import Verdict
 
     Args = Namespace | SimpleNamespace
@@ -132,10 +133,38 @@ def handle_euler_weighted(args: Args) -> Outcome:
     )
 
 
+# The limits of chern ci, checked before its series route runs. The route
+# divides by (1 + d t) once per degree d, in about n^2 / 2 Fraction steps
+# each, which take about 3 us on numbers under 2,000 bits and 5 us near
+# 14,000 (Python 3.11 on a 2-CPU host): `--dim 1000 --degrees 5,7` takes
+# 4.0 s. A Chern degree of (d_1..d_r; n), n + r >= 1, is below
+# 2^((n + r)(b + 2)), b the bits of the largest degree, so capping that
+# exponent at 14,000 bounds the cost of a step and keeps every result
+# printable under the default int-to-str limit. With r n^2 capped at 400,000
+# (r at least 1), the slowest accepted commands, such as `--dim 447
+# --degrees 536870911,536870911` or 20 degrees of 84 bits at n = 141, take
+# 1.0 to 1.3 s, start-up included.
+_CHERN_MAX_STEPS = 400_000
+_CHERN_MAX_BITS = 14_000
+
+
+def _check_chern_size(ci: CIType) -> None:
+    """ValueError naming the limit that chern ci of ci breaks."""
+    n, r = ci.dimension, ci.codimension
+    if max(r, 1) * n * n > _CHERN_MAX_STEPS:
+        raise ValueError("--dim squared times the number of degrees other than 1 must be at"
+                         f" most {_CHERN_MAX_STEPS}, the most series steps chern ci takes")
+    if (n + r) * (max(ci.degrees, default=1).bit_length() + 2) > _CHERN_MAX_BITS:
+        raise ValueError("--dim plus the number of degrees other than 1, times 2 plus the bits"
+                         f" of the largest degree, must be at most {_CHERN_MAX_BITS}, the most"
+                         " bits a Chern degree may need")
+
+
 def handle_chern_ci(args: Args) -> Outcome:
     from .chern import chern_degrees_ci
 
     ci = _ci_from_args(args)
+    _check_chern_size(ci)
     return chern_degrees_ci(ci), (f"degrees of the Chern classes c_0..c_{ci.dimension} of {ci}",)
 
 
@@ -277,10 +306,38 @@ def cone_lines(result: Mapping) -> list[str]:
     return lines
 
 
+# The limits of cone dual, checked before the double description runs. The
+# nef cone in a codimension has one coordinate per class of it, m, and one
+# inequality per class of the complement, k; by the upper bound theorem it
+# has up to about k^((m - 1)/2) rays, as many as when the pairings lie on the
+# moment curve, and the double description compares them in pairs, on
+# numbers that grow with the bits of the pairings. On such datasets (Python
+# 3.11 on a 2-CPU host) the slowest command with m + k = 32 took 0.8 s
+# (m = 10, k = 22: 4,760 rays) and with m + k = 34 2.0 s; at m + k = 32,
+# dual_cone took 0.5 s on pairings of 64 bits and 2.2 s on 256 bits, and
+# 4,000-digit pairings did not finish in a minute at m + k = 24.
+_CONE_MAX_CLASSES = 32
+_CONE_MAX_PAIRING_BITS = 64
+
+
+def _check_cone_size(ds: CycleDataset, codim: int) -> None:
+    """ValueError naming the limit that the nef cone of ds in codim breaks."""
+    classes = (*ds.classes_of_codim(codim), *ds.classes_of_codim(ds.dimension - codim))
+    if len(classes) > _CONE_MAX_CLASSES:
+        raise ValueError("the codimension and its complement must have at most"
+                         f" {_CONE_MAX_CLASSES} classes together, the most cone dual takes")
+    labels = {c.label for c in classes}
+    if any(abs(value).bit_length() > _CONE_MAX_PAIRING_BITS
+           for (a, b), value in ds.pairings.items() if a in labels and b in labels):
+        raise ValueError("the pairings of the codimension with its complement must have at most"
+                         f" {_CONE_MAX_PAIRING_BITS} bits, the most cone dual takes")
+
+
 def handle_cone_dual(args: Args) -> Outcome:
     from .cones import nef_cone_of_codim, resolve_dataset
 
     ds = resolve_dataset(args.dataset)
+    _check_cone_size(ds, args.codim)
     cone = nef_cone_of_codim(ds, args.codim)
     result = {
         "variety": ds.variety,

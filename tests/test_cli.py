@@ -22,7 +22,8 @@ from typing import Callable, Iterator, Mapping
 import pytest
 
 from nefkit import __main__ as entry
-from nefkit import chern, cli, diagonal
+from nefkit import chern, cli, cones, diagonal
+from nefkit.chern import CIType
 from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
 
@@ -183,6 +184,9 @@ def test_scan_ci_small_grid(capsys) -> None:
     assert "verdict Open: 2" in lines
 
 
+GOLDEN = Path(__file__).with_name("golden")
+
+
 @pytest.mark.parametrize("argv, limit", [
     (("verdict", "delpezzo", "--dim", "99999999999999999999", "--degree", "2"), "at most 9012"),
     (("verdict", "delpezzo", "--dim", "99999999999999999999", "--degree", "1"), "at most 6152"),
@@ -194,8 +198,22 @@ def test_scan_ci_small_grid(capsys) -> None:
     # all 999 steps of 4,000-digit products would take tens of seconds
     (("scan", "ci", "--max-dim", "1", "--max-degree", "9" * 4000, "--max-r", "999"),
      "more than 2000000 cases"),
+    (("chern", "ci", "--dim", "1000", "--degrees", "5,7"), "at most 400000"),
+    (("chern", "ci", "--dim", "99999999999999999999"), "at most 400000"),
+    (("chern", "ci", "--dim", "100", "--degrees", "1" + "0" * 60), "at most 14000"),
+    (("cone", "dual", "--dataset", str(GOLDEN / "large_cone.json"), "--codim", "1"),
+     "at most 32 classes"),
+    (("cone", "dual", "--dataset", str(GOLDEN / "large_cone.json"), "--codim", "2"),
+     "at most 64 bits"),
+    (("cone", "dual", "--dataset", str(GOLDEN / "huge_pairing.json"), "--codim", "1"),
+     "at most 64 bits"),
 ])
-def test_inputs_past_a_limit_exit_2_before_any_work(capsys, argv, limit) -> None:
+def test_inputs_past_a_limit_exit_2_before_any_work(capsys, monkeypatch, argv, limit) -> None:
+    def work(*args):
+        raise AssertionError("a limit must be checked before any work")
+
+    monkeypatch.setattr(chern, "chern_degrees_ci", work)
+    monkeypatch.setattr(cones, "nef_cone_of_codim", work)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1.0
@@ -217,6 +235,62 @@ def test_scan_case_limit_counts_degree_tuples_and_the_quadrics_sweep() -> None:
     for bounds in ((901, 2, 100, 3), (1, 2, 1, 1000), (1, 10**4000, 10**4000, 1)):
         with pytest.raises(ValueError, match="must be at most 1000"):
             cli._check_scan_grid(*bounds)
+
+
+def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
+    # the slowest accepted inputs named beside the limits, and one step past each
+    for ci in (CIType((2**29 - 1,) * 2, 447), CIType((2**84 - 1,) * 20, 141), CIType((), 632)):
+        cli._check_chern_size(ci)
+    for ci, limit in ((CIType((2**29 - 1,) * 2, 448), "at most 400000"),
+                      (CIType((2**30 - 1,) * 2, 447), "at most 14000"),
+                      (CIType((2**85 - 1,) * 20, 141), "at most 14000"),
+                      (CIType((), 633), "at most 400000")):
+        with pytest.raises(ValueError, match=limit):
+            cli._check_chern_size(ci)
+    # every Chern degree of (d_1..d_r; n), n + r >= 1, is below 2^((n + r)(b
+    # + 2)), b the bits of the largest degree, the bound the bit limit checks
+    for degrees in ((), (2,), (3,), (2, 2, 2), (5, 7), (2, 3, 4, 5), (255, 2), (2**40 + 1,)):
+        for n in (1, 2, 7, 30):
+            ci = CIType(degrees, n)
+            bits = (n + ci.codimension) * (max(ci.degrees, default=1).bit_length() + 2)
+            assert max(abs(c).bit_length() for c in chern.chern_degrees_ci(ci)) <= bits, ci
+
+
+def paired_dataset(dimension: int, rows: int, columns: int, value: int,
+                   point: int = 1) -> cones.CycleDataset:
+    """A dataset with rows classes of codimension 1 and columns classes of
+    codimension dimension - 1 (the same classes on a surface), every pair of
+    them paired to value, and the fundamental class paired to a point."""
+    classes = [{"label": "one", "codim": 0}, {"label": "pt", "codim": dimension}]
+    classes += [{"label": f"a{i}", "codim": 1} for i in range(rows)]
+    pairings = [{"a": "one", "b": "pt", "value": point}]
+    if dimension == 2:
+        pairings += [{"a": f"a{i}", "b": f"a{j}", "value": value}
+                     for i in range(rows) for j in range(i, rows)]
+    else:
+        classes += [{"label": f"b{j}", "codim": dimension - 1} for j in range(columns)]
+        pairings += [{"a": f"a{i}", "b": f"b{j}", "value": value}
+                     for i in range(rows) for j in range(columns)]
+    return cones.load_dataset(json.dumps({"variety": "X", "dimension": dimension,
+                                          "classes": classes, "pairings": pairings}))
+
+
+def test_cone_limits_count_both_codimensions_and_the_bits_of_their_pairings() -> None:
+    for codim in (1, 2):
+        cli._check_cone_size(paired_dataset(3, 10, 22, 2**64 - 1), codim)
+        cli._check_cone_size(paired_dataset(3, 4, 4, -(2**64 - 1)), codim)
+        with pytest.raises(ValueError, match="at most 32 classes"):
+            cli._check_cone_size(paired_dataset(3, 10, 23, 1), codim)
+        with pytest.raises(ValueError, match="at most 64 bits"):
+            cli._check_cone_size(paired_dataset(3, 4, 4, -(2**64)), codim)
+    # a codimension paired with itself counts its classes on both sides
+    cli._check_cone_size(paired_dataset(2, 16, 16, 1), 1)
+    with pytest.raises(ValueError, match="at most 32 classes"):
+        cli._check_cone_size(paired_dataset(2, 17, 17, 1), 1)
+    # only the pairings of the codimension with its complement are read
+    cli._check_cone_size(paired_dataset(3, 4, 4, 1, point=2**100), 1)
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        cli._check_cone_size(paired_dataset(3, 4, 4, 1, point=2**100), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,84 @@ def test_verdict_curve():
 
 
 # ---------------------------------------------------------------------------
+# One chain turns chi into a step
+
+
+def test_only_the_chain_turns_chi_into_a_step():
+    # outside _chain, a chi step may only be handed to _chain: _BOUND as its
+    # default, _COVER_BOUND as an argument of a call to it
+    tree = ast.parse(Path(diagonal.__file__).read_text("utf-8"))
+    chain = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_chain")
+    handed = {id(node) for node in ast.walk(chain)}
+    handed |= {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_chain"
+               for arg in node.args}
+    steps = {"_CURVES", "_CURVE", "_SIGN", "_BOUND", "_COVER_BOUND"}
+    chosen = [(node.id, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in steps
+              and isinstance(node.ctx, ast.Load) and id(node) not in handed]
+    assert chosen == []
+
+
+def closed_form_row_payload(n: int, degree: int) -> dict:
+    """The verdict payload of del Pezzo row 1 or 2 at n, written out by the
+    parity of n: the sign at odd n, the cover bound at even n."""
+    chi = euler_delpezzo_closed(n, degree)
+    number = diagonal._number
+    if n % 2:
+        return {"status": "NotNef", "reason": "NegativeSelfIntersection",
+                "detail": f"deg Delta^2 = chi = {number(chi)} < 0", "witness": {"chi": chi}}
+    cover = 2**n if degree == 1 else 2
+    bound = (n + 1) * cover
+    return {"status": "NotNef", "reason": "ProjectionBound",
+            "detail": f"chi = {number(chi)} exceeds (n+1) * {number(cover)} = {number(bound)},"
+                      f" impossible for a nef diagonal on a degree-{number(cover)} cover of P^n",
+            "witness": {"chi": chi, "bound": bound, "cover_degree": cover}}
+
+
+def test_curves_and_closed_form_rows_keep_their_verdicts():
+    genus = 10**5000
+    assert [verdict_curve(g).to_payload() for g in (0, 1, 2, genus)] == [
+        {"status": "Nef", "reason": "Homogeneous", "witness": {},
+         "detail": "a genus-0 curve is the projective line, a homogeneous variety"},
+        {"status": "Nef", "reason": "GroupVariety", "witness": {},
+         "detail": "a genus-1 curve is an elliptic curve, hence a group variety"},
+        {"status": "NotNef", "reason": "NegativeSelfIntersection",
+         "detail": "deg Delta^2 = chi = -2 < 0 on a curve of genus 2",
+         "witness": {"chi": -2, "genus": 2}},
+        {"status": "NotNef", "reason": "NegativeSelfIntersection",
+         "detail": "deg Delta^2 = chi = (negative integer of 16611 bits) < 0"
+                   " on a curve of genus (positive integer of 16610 bits)",
+         "witness": {"chi": 2 - 2 * genus, "genus": genus}},
+    ]
+    # every admitted dimension up to 200 and the largest one of each row
+    for degree, top in ((1, 6152), (2, 9012)):
+        for n in (*range(3, 201), top):
+            payload = verdict_delpezzo(n, degree).to_payload()
+            assert payload == closed_form_row_payload(n, degree), (n, degree)
+
+
+@pytest.mark.parametrize(("n", "chi", "reason"), [
+    (5, 0, Reason.OPEN_QUESTION),  # chi >= 0 at odd n, within the bound 6 * 2
+    (5, 13, Reason.PROJECTION_BOUND),
+    (4, -1, Reason.NEGATIVE_SELF_INTERSECTION),
+    (4, 10, Reason.OPEN_QUESTION),  # at the bound 5 * 2
+])
+def test_closed_form_rows_report_what_chi_decides(monkeypatch, n, chi, reason):
+    # the chain decides by the numbers, not by the parity of n, so no chi
+    # can make a row's verdict break a witness law
+    monkeypatch.setattr(diagonal, "euler_delpezzo_closed",
+                        lambda m, degree: chi if m == n else euler_delpezzo_closed(m, degree))
+    verdict = verdict_delpezzo(n, 2)
+    assert verdict.reason is reason
+    if reason is Reason.OPEN_QUESTION:
+        assert verdict.witness == {"reference": diagonal.UNCLASSIFIED_REFERENCE}
+    else:
+        assert verdict.witness["chi"] == chi
+
+
+# ---------------------------------------------------------------------------
 # Complete intersection verdicts
 
 
