@@ -12,6 +12,8 @@ characteristic is exposed through three independent routes that must agree:
   euler_ci_rows walks the same recursion over a whole grid of degree tuples,
   one step per tuple.
 
+The library's routes take any size; where the command line and verdict_ci
+compute chi by the formula route, they first check _check_formula_size.
 The series route expands its quotient as a TruncatedSeries of Fractions.
 fractions loads only when the first series is built, so of all subcommands
 only chern ci loads it.
@@ -112,6 +114,28 @@ def euler_ci_formula(ci: CIType) -> int:
         # C(top, i + 1) = C(top, i) (top - i) / (i + 1), an exact division.
         coeff = coeff * (top - i) // (i + 1)
     return ci.degree_product * total
+
+
+# The limit of the formula route where a caller bounds it: euler ci, betti ci
+# and the chi that verdict_ci reads. euler_ci_formula takes n (r + 1) steps,
+# r passes over h_0..h_n and one over the sum, on integers below 2^B, B = (n
+# + r)(b + 2) with b the bits of the largest degree, and a step costs up to
+# about B^1.5 bit operations. Capping n (r + 1) B^1.5 at 10^11 admits n =
+# 8,286 for (2,) or (3,), 7,254 for (7,), 6,171 for (5,7) and 63 for a
+# 4,000-digit degree; the slowest, (3,) and (7,), take 0.6 s, and 0.75 s as
+# whole commands (Python 3.11 on a 2-CPU host), while `euler ci --dim 60000
+# --degrees 2` took 9.6 s. With r far above n, B over-counts and so does the cap.
+_FORMULA_MAX_WORK = 100_000_000_000
+
+
+def _check_formula_size(ci: CIType) -> None:
+    """ValueError naming the formula route's limit if ci breaks it."""
+    n, r = ci.dimension, ci.codimension
+    bits = (n + r) * (max(ci.degrees, default=1).bit_length() + 2)
+    if n * (r + 1) * bits * math.isqrt(bits) > _FORMULA_MAX_WORK:
+        raise ValueError("dimension n, r degrees other than 1 and B = (n + r)(b + 2), b the bits"
+                         " of the largest degree, must have n (r + 1) B^1.5 at most"
+                         f" {_FORMULA_MAX_WORK}, the most work the formula route takes")
 
 
 def euler_ci_series(ci: CIType) -> int:

@@ -117,9 +117,10 @@ def plain_lines(result: object) -> list[str]:
 
 
 def handle_euler_ci(args: Args) -> Outcome:
-    from .chern import euler_ci_formula
+    from .chern import _check_formula_size, euler_ci_formula
 
     ci = _ci_from_args(args)
+    _check_formula_size(ci)
     return euler_ci_formula(ci), (f"Euler characteristic of the complete intersection {ci}",)
 
 
@@ -169,9 +170,10 @@ def handle_chern_ci(args: Args) -> Outcome:
 
 
 def handle_betti_ci(args: Args) -> Outcome:
-    from .chern import betti_ci
+    from .chern import _check_formula_size, betti_ci
 
     ci = _ci_from_args(args)
+    _check_formula_size(ci)
     table = betti_ci(ci)
     result = {
         "betti": list(table.betti),

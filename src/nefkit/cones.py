@@ -31,7 +31,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .exactnum import _Frozen, _check_int
 
@@ -159,25 +159,30 @@ class CycleDataset(_Frozen):
     def classes_of_codim(self, codim: int) -> tuple[CycleClass, ...]:
         return tuple(c for c in self.classes if c.codim == codim)
 
-    def complementary_pairs(self) -> tuple[tuple[CycleClass, CycleClass], ...]:
-        """All unordered complementary-codimension pairs, in dataset order.
+    def complementary_pairs(self) -> Iterator[tuple[CycleClass, CycleClass]]:
+        """Every unordered complementary-codimension pair, in dataset order,
+        one at a time. One pass groups the classes by codimension, so the
+        first pair costs work in proportion to the dataset, whatever follows.
 
         A complete variety pairs at least its fundamental class with a point,
-        so a dataset with no such pair raises MissingPairing."""
-        pairs = []
-        for k in sorted({c.codim for c in self.classes}):
-            if 2 * k > self.dimension:
-                break
-            front = self.classes_of_codim(k)
-            back = self.classes_of_codim(self.dimension - k)
-            for i, a in enumerate(front):
-                for j, b in enumerate(back):
-                    if 2 * k != self.dimension or j >= i:
-                        pairs.append((a, b))
-        if not pairs:
+        so a dataset with no such pair raises MissingPairing on the call."""
+        by_codim: dict[int, list[CycleClass]] = {}
+        for c in self.classes:
+            by_codim.setdefault(c.codim, []).append(c)
+        codims = sorted(k for k in by_codim
+                        if 2 * k <= self.dimension and self.dimension - k in by_codim)
+        if not codims:
             raise MissingPairing("no complementary pair of classes: no class, the fundamental"
                                  " class included, has a partner of complementary codimension")
-        return tuple(pairs)
+
+        def pairs() -> Iterator[tuple[CycleClass, CycleClass]]:
+            for k in codims:
+                front, back = by_codim[k], by_codim[self.dimension - k]
+                for i, a in enumerate(front):
+                    for b in back[i:] if 2 * k == self.dimension else back:
+                        yield a, b
+
+        return pairs()
 
     def pairing_value(self, label_a: str, label_b: str) -> int:
         key = _key(label_a, label_b)

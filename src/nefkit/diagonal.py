@@ -9,8 +9,9 @@ check. _chain alone turns chi into a step, for verdict_ci, verdict_curve,
 del Pezzo rows 1 and 2 and scan_ci, in priority order (structural families,
 exception steps, the sign of the diagonal self-intersection, the projection
 bound); scan_ci runs it with its witness laws over a grid and builds no
-Verdict. The chain's degree-only part runs once per degree tuple, its per-n
-part once per case. The module also hosts the Poincare polynomial
+Verdict. The chain's degree-only part is data, the table _DEGREE_STEPS beside
+_CURVES and DELPEZZO_TABLE, looked up once per degree tuple; its per-n part
+runs once per case. The module also hosts the Poincare polynomial
 obstruction to fibering an intersection of two quadrics in projective lines.
 It names cones.CycleDataset only for type checking, so it never loads cones.
 """
@@ -23,7 +24,8 @@ from enum import Enum
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from .chern import CIType, betti_ci, euler_ci_formula, euler_ci_rows, euler_delpezzo_closed
+from .chern import (CIType, _check_formula_size, betti_ci, euler_ci_formula, euler_ci_rows,
+                    euler_delpezzo_closed)
 from .exactnum import _Frozen, _check_int
 
 if TYPE_CHECKING:
@@ -209,12 +211,18 @@ def verdict_ci(ci: CIType) -> Verdict:
     curves of genus <= 1, the open odd-dimensional (2,2) family), then the
     exception steps, then the sign test, then the projection bound. Inside
     the scanned classification range the final fallback never fires. The
-    Verdict is built once, from the step of that chain that fired.
+    Verdict is built once, from the step of that chain that fired. chi comes
+    from the formula route, within its limit, and only if _chain reads it.
     """
     if ci.dimension < 1:
         raise ValueError("verdict_ci needs dimension >= 1")
-    chis = defaultdict(lambda: euler_ci_formula(ci))  # chi, computed when _chain reads it
-    step, chi, bound = _chain(_degree_steps(ci.degrees), ci.dimension, chis, ci.degree_product)
+
+    def formula_chi() -> int:  # chi, computed when _chain reads it
+        _check_formula_size(ci)
+        return euler_ci_formula(ci)
+
+    step, chi, bound = _chain(_DEGREE_STEPS.get(ci.degrees), ci.dimension,
+                              defaultdict(formula_chi), ci.degree_product)
     genus = None if chi is None else 1 - chi // 2
     return _verdict(step, chi=chi, bound=bound, cover_degree=ci.degree_product, genus=genus)
 
@@ -222,6 +230,31 @@ def verdict_ci(ci: CIType) -> Verdict:
 _PROJECTIVE_SPACE = _Step("projective space", Reason.HOMOGENEOUS,
                           "projective space is a homogeneous variety")
 _QUADRIC = _Step("quadric", Reason.HOMOGENEOUS, "a smooth quadric is a homogeneous variety")
+_OPEN_TWO_QUADRICS = _Step("open (2,2)", Reason.OPEN_QUESTION,
+                           "whether an odd-dimensional smooth intersection of two quadrics has"
+                           " nef diagonal is an open problem for every dimension >= 3",
+                           {"reference": OPEN_TWO_QUADRICS_REFERENCE})
+_EVEN_TWO_QUADRICS = _Step("exception table", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                           "an even-dimensional intersection of two quadrics carries"
+                           " middle-dimensional linear subspaces with deg Lambda_1.Lambda_2 = -1",
+                           {"classes": ["Lambda_1", "Lambda_2"], "value": -1})
+_K3_DETAIL = ("a 2-dimensional intersection of three quadrics is a K3 surface, and K3 surfaces"
+              " never have nef diagonal")
+# The complete intersections that the degrees alone decide, as the triple
+# _chain unpacks: the step at every n, the steps at even and at odd n >= 2
+# and the step at n = 2. Even-dimensional (2,2), the cubic surface and the K3
+# are the exceptions that the sign and bound tests cannot catch.
+_DEGREE_STEPS = {
+    (): (_PROJECTIVE_SPACE, None, None),
+    (2,): (_QUADRIC, None, None),
+    (2, 2): (None, (_EVEN_TWO_QUADRICS, _OPEN_TWO_QUADRICS), None),
+    (3,): (None, None, _Step("exception table", Reason.NEGATIVE_EFFECTIVE_PAIR,
+                             "a smooth cubic surface contains a (-1)-curve, an effective class"
+                             " of negative self-intersection",
+                             {"classes": ["(-1)-curve", "(-1)-curve"], "value": -1})),
+    (2, 2, 2): (None, None, _Step("exception table", Reason.K3_SURFACE, _K3_DETAIL,
+                                  {"table_entry": _K3_DETAIL})),
+}
 # The curve steps by genus; _chain gives any other genus _CURVE, whose witness law needs chi < 0.
 _CURVES = {0: _Step("curve", Reason.HOMOGENEOUS,
                     "a genus-0 curve is the projective line, a homogeneous variety"),
@@ -230,26 +263,6 @@ _CURVES = {0: _Step("curve", Reason.HOMOGENEOUS,
 _CURVE = _Step("curve", Reason.NEGATIVE_SELF_INTERSECTION,
                "deg Delta^2 = chi = {chi} < 0 on a curve of genus {genus}",
                numbers=("chi", "genus"))
-_OPEN_TWO_QUADRICS = _Step("open (2,2)", Reason.OPEN_QUESTION,
-                           "whether an odd-dimensional smooth intersection of two quadrics has"
-                           " nef diagonal is an open problem for every dimension >= 3",
-                           {"reference": OPEN_TWO_QUADRICS_REFERENCE})
-# The exceptions that the sign and bound tests cannot catch: even-dimensional
-# (2,2), and the surfaces by their degrees.
-_EVEN_TWO_QUADRICS = _Step("exception table", Reason.NEGATIVE_EFFECTIVE_PAIR,
-                           "an even-dimensional intersection of two quadrics carries"
-                           " middle-dimensional linear subspaces with deg Lambda_1.Lambda_2 = -1",
-                           {"classes": ["Lambda_1", "Lambda_2"], "value": -1})
-_K3_DETAIL = ("a 2-dimensional intersection of three quadrics is a K3 surface, and K3 surfaces"
-              " never have nef diagonal")
-_SURFACES = {
-    (3,): _Step("exception table", Reason.NEGATIVE_EFFECTIVE_PAIR,
-                "a smooth cubic surface contains a (-1)-curve, an effective class of"
-                " negative self-intersection",
-                {"classes": ["(-1)-curve", "(-1)-curve"], "value": -1}),
-    (2, 2, 2): _Step("exception table", Reason.K3_SURFACE, _K3_DETAIL,
-                     {"table_entry": _K3_DETAIL}),
-}
 _SIGN = _Step("sign", Reason.NEGATIVE_SELF_INTERSECTION,
               "deg Delta^2 = chi = {chi} < 0", numbers=("chi",))
 _BOUND = _Step("projection bound", Reason.PROJECTION_BOUND,
@@ -259,28 +272,13 @@ _BOUND = _Step("projection bound", Reason.PROJECTION_BOUND,
 _UNCLASSIFIED = _Step("unclassified", Reason.OPEN_QUESTION,
                       "no implemented criterion decides this type",
                       {"reference": UNCLASSIFIED_REFERENCE})
-_DegreeSteps = tuple[_Step | None, tuple[_Step, _Step] | None, _Step | None]
 
 
-def _degree_steps(degrees: tuple[int, ...]) -> _DegreeSteps | None:
-    """The degree-only part of the priority chain, once per degree tuple: the
-    step at every n (projective space, the quadric), the steps at even and at
-    odd n >= 2 (the (2,2) family) and the surface table's step at n = 2, or
-    None for the tuples that have none, so that _chain tests one value."""
-    if not degrees:
-        return _PROJECTIVE_SPACE, None, None
-    if degrees == (2,):
-        return _QUADRIC, None, None
-    if degrees == (2, 2):
-        return None, (_EVEN_TWO_QUADRICS, _OPEN_TWO_QUADRICS), None
-    surface = _SURFACES.get(degrees)
-    return None if surface is None else (None, None, surface)
-
-
-def _chain(steps: _DegreeSteps | None, n: int, chis: Sequence[int] | Mapping[int, int],
-           cover_degree: int, bound_step: _Step = _BOUND) -> tuple[_Step, int | None, int | None]:
-    """The per-n part of the priority chain at n, for _degree_steps (None off
-    the complete intersections) and the degree of a cover of P^n: the step
+def _chain(steps: tuple[_Step | None, tuple[_Step, _Step] | None, _Step | None] | None, n: int,
+           chis: Sequence[int] | Mapping[int, int], cover_degree: int,
+           bound_step: _Step = _BOUND) -> tuple[_Step, int | None, int | None]:
+    """The per-n part of the priority chain at n, for an entry of _DEGREE_STEPS
+    (None for every other tuple) and the degree of a cover of P^n: the step
     that fired, chi if it read chi, and the bound (n+1) cover_degree, past
     which bound_step fires, if it computed one. It reads chis[n] at most once,
     so the structural families and exception steps stay instant at any n."""
@@ -609,8 +607,8 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
     n = 1..max_dimension. chi comes from the tuple's row of the recursive
     route, built up to max_dimension in one step from its parent's row; the
     walk keeps only the rows of its path, at most r + 1 of them. Once per
-    tuple the scan picks the sign law and runs the chain's degree-only
-    part, _degree_steps. Per case it tests the sign of chi by the parity of n
+    tuple the scan picks the sign law and looks up the chain's degree-only
+    part in _DEGREE_STEPS. Per case it tests the sign of chi by the parity of n
     and the bound at even n, with the plane cubic and the cubic surface as
     the only exclusions by (n, degrees), then runs the chain's per-n part on
     the row and its witness laws and counts the reason of the step that
@@ -636,7 +634,7 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
     chain, witness_error, unclassified = _chain, _chi_witness_error, _UNCLASSIFIED
     for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
                                                       max_dimension):
-        steps = _degree_steps(degrees)
+        steps = _DEGREE_STEPS.get(degrees)
         sign_law = (None if not degrees or degrees[-1] < 3 else
                     "hypersurface_sign" if len(degrees) == 1 else "multidegree_sign")
         cubic = degrees == (3,)

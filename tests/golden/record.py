@@ -108,10 +108,15 @@ ERRORS = [
     ["betti", "ci", "--dim", "0"],
     ["cone", "dual", "--dataset", "gw2c5", "--codim", "9"],
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],
-    # a dimension past the largest list length, sys.maxsize, for h_0..h_n
+    # the formula route past its limit, checked before any work: in euler ci,
+    # betti ci, and verdict ci and verdict delpezzo where the verdict reads chi
     ["euler", "ci", "--dim", "99999999999999999999", "--degrees", "2"],
     ["betti", "ci", "--dim", "99999999999999999999", "--degrees", "2"],
     ["--format", "json", "verdict", "ci", "--dim", "99999999999999999999", "--degrees", "3"],
+    ["euler", "ci", "--dim", "60000", "--degrees", "2"],
+    ["betti", "ci", "--dim", "8287", "--degrees", "3"],
+    ["verdict", "ci", "--dim", "100000", "--degrees", "2,2,2"],
+    ["verdict", "delpezzo", "--dim", "100000", "--degree", "3"],
     # limits checked before any work: a del Pezzo dimension past the one whose
     # closed-form chi can be printed, a scan past 1,000 ambient dimensions and
     # a scan past 2,000,000 cases

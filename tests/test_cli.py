@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, Mapping
 import pytest
 
 from nefkit import __main__ as entry
-from nefkit import chern, cli, cones, diagonal
+from nefkit import chern, cli, cones, diagonal, exactnum
 from nefkit.chern import CIType
 from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
@@ -207,12 +208,21 @@ GOLDEN = Path(__file__).with_name("golden")
      "at most 64 bits"),
     (("cone", "dual", "--dataset", str(GOLDEN / "huge_pairing.json"), "--codim", "1"),
      "at most 64 bits"),
+    # the formula route, in euler ci, betti ci and wherever a verdict reads chi
+    (("euler", "ci", "--dim", "60000", "--degrees", "2"), "at most 100000000000"),
+    (("betti", "ci", "--dim", "99999999999999999999", "--degrees", "2"),
+     "at most 100000000000"),
+    (("verdict", "ci", "--dim", "20000", "--degrees", "5,7"), "at most 100000000000"),
+    (("verdict", "ci", "--dim", "100000", "--degrees", "2,2,2"), "at most 100000000000"),
+    (("verdict", "delpezzo", "--dim", "100000", "--degree", "3"), "at most 100000000000"),
 ])
 def test_inputs_past_a_limit_exit_2_before_any_work(capsys, monkeypatch, argv, limit) -> None:
     def work(*args):
         raise AssertionError("a limit must be checked before any work")
 
     monkeypatch.setattr(chern, "chern_degrees_ci", work)
+    monkeypatch.setattr(chern, "euler_ci_formula", work)
+    monkeypatch.setattr(diagonal, "euler_ci_formula", work)
     monkeypatch.setattr(cones, "nef_cone_of_codim", work)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -256,6 +266,26 @@ def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
             assert max(abs(c).bit_length() for c in chern.chern_degrees_ci(ci)) <= bits, ci
 
 
+def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer() -> None:
+    # the largest accepted dimensions named beside the limit, and one past each
+    for degrees, n in (((2,), 8286), ((3,), 8286), ((7,), 7254), ((5, 7), 6171),
+                       ((10**4000,), 63)):
+        chern._check_formula_size(CIType(degrees, n))
+        with pytest.raises(ValueError, match="at most 100000000000"):
+            chern._check_formula_size(CIType(degrees, n + 1))
+    # every product C(n + r + 1, i) h_(n-i) that the formula route sums, and
+    # chi, is below 2^((n + r)(b + 2)), b the bits of the largest degree
+    for degrees in ((), (2,), (3,), (2, 2, 2), (5, 7), (2, 3, 4, 5), (255, 2), (2**40 + 1,)):
+        for n in (1, 2, 7, 30):
+            ci = CIType(degrees, n)
+            r = ci.codimension
+            bits = (n + r) * (max(ci.degrees, default=1).bit_length() + 2)
+            h = exactnum.complete_homogeneous_prefix(n, ci.degrees)
+            terms = [math.comb(n + r + 1, i) * h[n - i] for i in range(n + 1)]
+            assert max(t.bit_length() for t in terms) <= bits, ci
+            assert abs(chern.euler_ci_formula(ci)).bit_length() <= bits, ci
+
+
 def paired_dataset(dimension: int, rows: int, columns: int, value: int,
                    point: int = 1) -> cones.CycleDataset:
     """A dataset with rows classes of codimension 1 and columns classes of
@@ -273,6 +303,20 @@ def paired_dataset(dimension: int, rows: int, columns: int, value: int,
                      for i in range(rows) for j in range(columns)]
     return cones.load_dataset(json.dumps({"variety": "X", "dimension": dimension,
                                           "classes": classes, "pairings": pairings}))
+
+
+def test_cone_check_does_work_in_proportion_to_its_dataset(capsys, tmp_path) -> None:
+    # 3,000 classes of codimension 1 and 3,000 of codimension 2 make 9,000,000
+    # complementary pairs; the first has no pairing, and the check stops there
+    classes = [{"label": f"a{i}", "codim": 1} for i in range(3000)]
+    classes += [{"label": f"b{i}", "codim": 2} for i in range(3000)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"variety": "X", "dimension": 3, "classes": classes,
+                                "pairings": [{"a": "a1", "b": "b1", "value": 1}]}), "utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cone", "check", "--dataset", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", "dataset error: no pairing recorded for (a0, b0)\n")
 
 
 def test_cone_limits_count_both_codimensions_and_the_bits_of_their_pairings() -> None:
@@ -373,12 +417,16 @@ def test_unprintable_result_under_a_lowered_str_limit_exits_2() -> None:
                            " digits, too many to print\n")
 
 
-def test_result_past_the_memory_limit_exits_2() -> None:
-    # chi of a cubic of dimension 10**10 needs a list of 10**10 terms, which
-    # no 1 GiB address space holds
+def test_result_past_the_memory_limit_exits_2(tmp_path) -> None:
+    # every computation of the command line has a limit, so what can still
+    # outgrow memory is a dataset: 4,000,000 empty class objects, 12 MB of
+    # JSON, parse to about 300 MB of dicts, past a 128 MiB address space
     resource = pytest.importorskip("resource")
-    limit = 1 << 30
-    proc = run_to(False, "euler", "ci", "--dim", "10000000000", "--degrees", "3",
+    path = tmp_path / "empty_classes.json"
+    path.write_text('{"variety": "X", "dimension": 1, "pairings": [], "classes": ['
+                    + "{}," * 3_999_999 + "{}]}", "utf-8")
+    limit = 1 << 27
+    proc = run_to(False, "cone", "check", "--dataset", str(path),
                   preexec=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "invalid input: too large to compute in the memory available\n"

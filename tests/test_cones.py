@@ -384,6 +384,29 @@ def test_complementary_pair_order() -> None:
     assert len(labels) == 9
 
 
+def test_complementary_pairs_are_every_pair_in_dataset_order_one_at_a_time() -> None:
+    rng = random.Random(2718)
+    for _ in range(200):
+        dimension = rng.randint(0, 5)
+        classes = [{"label": f"c{i}", "codim": rng.randint(0, dimension)}
+                   for i in range(rng.randint(1, 9))]
+        ds = load_dataset(json.dumps(make_doc(dimension=dimension, classes=classes,
+                                              pairings=[])))
+        # the definition: for k up to dimension / 2, each class of codimension k
+        # with each of the complement, a codimension paired with itself once
+        expected = [(a, b) for k in range(dimension // 2 + 1)
+                    for i, a in enumerate(ds.classes_of_codim(k))
+                    for j, b in enumerate(ds.classes_of_codim(dimension - k))
+                    if 2 * k != dimension or j >= i]
+        if not expected:
+            with pytest.raises(MissingPairing, match="^no complementary pair of classes"):
+                ds.complementary_pairs()
+            continue
+        pairs = ds.complementary_pairs()
+        assert iter(pairs) is pairs  # an iterator, not a built tuple
+        assert list(pairs) == expected
+
+
 @pytest.mark.parametrize("dimension", [2, 10**12])
 def test_complementary_pairs_visit_only_present_codims(dimension: int) -> None:
     # a huge dimension costs nothing: only codims that hold classes are paired

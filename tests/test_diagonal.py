@@ -632,6 +632,14 @@ def test_delpezzo_rows_admit_exactly_the_dimensions_their_verdicts_accept():
                 assert row.admits(n), (row.degree, n)
 
 
+def test_delpezzo_row_names_a_range_of_three_or_more_dimensions():
+    step = DELPEZZO_TABLE[4].steps[3]
+    rows = {k: diagonal.DelPezzoRow(5, "x", steps=dict.fromkeys(range(3, 3 + k), step))
+            for k in (1, 2, 3, 4)}
+    assert [row.dimensions for row in rows.values()] == [
+        "n = 3", "n = 3 or n = 4", "3 <= n <= 5", "3 <= n <= 6"]
+
+
 def test_delpezzo_table_shape():
     assert [row.degree for row in DELPEZZO_TABLE] == [1, 2, 3, 4, 5, 6, 7]
     assert DELPEZZO_TABLE[6].description == "the blow-up of P^3 at a point"
@@ -761,7 +769,8 @@ def test_scan_counts_match_verdict_ci(grid):
 # are told apart by identity.
 ALL_CHAIN_STEPS = {id(step) for step in (
     diagonal._PROJECTIVE_SPACE, diagonal._QUADRIC, diagonal._CURVES[1], diagonal._CURVE,
-    diagonal._OPEN_TWO_QUADRICS, diagonal._EVEN_TWO_QUADRICS, *diagonal._SURFACES.values(),
+    diagonal._OPEN_TWO_QUADRICS, diagonal._EVEN_TWO_QUADRICS, diagonal._DEGREE_STEPS[(3,)][2],
+    diagonal._DEGREE_STEPS[(2, 2, 2)][2],
     diagonal._SIGN, diagonal._BOUND)}
 
 
@@ -773,7 +782,7 @@ def test_scan_and_verdict_ci_decide_every_case_alike(grid):
     fired = set()
     for degrees, row, degree_product in euler_ci_rows(max_degree, max_codimension,
                                                       max_dimension):
-        steps = diagonal._degree_steps(degrees)
+        steps = diagonal._DEGREE_STEPS.get(degrees)
         for n in range(1, max_dimension + 1):
             ci = CIType(degrees, n)
             decided = diagonal._chain(steps, n, row, degree_product)
@@ -790,6 +799,20 @@ def test_scan_and_verdict_ci_decide_every_case_alike(grid):
     assert fired == ALL_CHAIN_STEPS
 
 
+@pytest.mark.parametrize("bound_step", [diagonal._BOUND, diagonal._COVER_BOUND])
+def test_chain_obeys_the_witness_laws_at_their_edges(bound_step):
+    # chi = 0 is no negative self-intersection, and chi = (n+1) cover_degree
+    # does not exceed the bound: either way the step that fires must carry
+    # chi and bound that its own witness law accepts
+    for n in range(2, 9):
+        for cover_degree in (1, 2, 6, 2**n):
+            for chi in (0, (n + 1) * cover_degree):
+                step, read, bound = diagonal._chain(None, n, {n: chi}, cover_degree, bound_step)
+                assert read == chi, (n, cover_degree, chi)
+                assert diagonal._chi_witness_error(step.reason, read, bound) is None, (
+                    n, cover_degree, chi, step.name)
+
+
 def test_internal_checks_hold_under_python_optimize():
     # each check stands in for an assert, which python -O would drop
     code = """
@@ -803,7 +826,7 @@ chern.divmod = lambda a, b: (0, 1)
 diagonal._at_i = lambda p: (0, 0)
 for check in (lambda: chern.chern_degrees_ci(CIType((3,), 1)),
               lambda: chern.euler_delpezzo_closed(3, 1),
-              lambda: diagonal._chain(diagonal._degree_steps((3,)), 1, [0, 1], 3),
+              lambda: diagonal._chain(diagonal._DEGREE_STEPS[(3,)], 1, [0, 1], 3),
               lambda: diagonal.cp_fibration_obstruction(1)):
     try:
         check()
@@ -977,24 +1000,25 @@ def scan_counts(max_dimension, max_degree, max_codimension, quadrics_max_codimen
 )
 def test_scan_counts_every_law_exactly(monkeypatch, bounds):
     tuples, chains = [], []
-    degree_steps, chain = diagonal._degree_steps, diagonal._chain
+    chain = diagonal._chain
 
-    def stepping(degrees):
-        tuples.append(degrees)
-        return degree_steps(degrees)
+    class Stepping(dict):
+        def get(self, degrees, default=None):
+            tuples.append(degrees)
+            return super().get(degrees, default)
 
     def counting(steps, n, *args):
         chains.append((tuples[-1], n))
         return chain(steps, n, *args)
 
-    monkeypatch.setattr(diagonal, "_degree_steps", stepping)
+    monkeypatch.setattr(diagonal, "_DEGREE_STEPS", Stepping(diagonal._DEGREE_STEPS))
     monkeypatch.setattr(diagonal, "_chain", counting)
     report = scan_ci(*bounds)
     cases, law_checks, verdict_counts = scan_counts(*bounds)
     assert report.cases == cases
     assert report.law_checks == law_checks
     assert report.verdict_counts == verdict_counts
-    # the degree-only part runs once per tuple, the per-n part once per case
+    # the degree-only part is looked up once per tuple, the per-n part runs once per case
     assert len(tuples) == len(set(tuples)) == cases // bounds[0]
     assert len(chains) == len(set(chains)) == cases
 
