@@ -256,13 +256,29 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     return doc
 
 
+# The largest dataset file load_dataset_file reads. Parsing takes up to about
+# 25 times a file's size in memory: on 4,000,000 bytes of empty or distinct
+# class objects `cone check` took at most 0.8 s and 114 MB peak RSS, 165 MB at
+# 6,000,000 (Python 3.11, 2-CPU host). The shipped datasets have about 1,200
+# bytes, and 8,000 classes in two codimensions about 254,000.
+_DATASET_MAX_BYTES = 4_000_000
+
+
 def load_dataset_file(path: str | Path) -> CycleDataset:
-    """Read and load a UTF-8 dataset file, BOM or not; other text raises SchemaError."""
+    """Read and load a UTF-8 dataset file, BOM or not; other text raises
+    SchemaError, and so, before any parsing, does a file, or a pipe, that
+    reads more than _DATASET_MAX_BYTES bytes."""
+    with open(path, "rb") as file:
+        data = file.read(_DATASET_MAX_BYTES + 1)
+    if len(data) > _DATASET_MAX_BYTES:
+        raise SchemaError(f"dataset file has more than {_DATASET_MAX_BYTES} bytes, the most"
+                          " a dataset may have")
     try:
-        text = Path(path).read_text("utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"dataset cannot be read: {exc}") from exc
-    return load_dataset(text)
+    # the newlines of text mode, so a decoder message counts lines as before
+    return load_dataset(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _json_name(name: str) -> str:

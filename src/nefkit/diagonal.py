@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .chern import (CIType, _check_formula_size, betti_ci, euler_ci_formula, euler_ci_rows,
                     euler_delpezzo_closed)
-from .exactnum import _Frozen, _check_int
+from .exactnum import _UNLIMITED_DIGITS, _Frozen, _check_int
 
 if TYPE_CHECKING:
     from .cones import CycleDataset
@@ -383,13 +383,6 @@ def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
         raise InvalidDelPezzo(f"degree {degree} del Pezzo manifolds only exist for"
                               f" {row.dimensions}")
     return row
-
-
-# The digit bound on a closed-form chi when the int-to-str limit is off, a
-# work bound: `--format json verdict delpezzo --dim 1000000 --degree 1`, whose
-# chi has 698,971 digits, takes 7.4 s to print (Python 3.11, 2-CPU host), and
-# the time grows with the square of the digit count.
-_UNLIMITED_DIGITS = 1_000_000
 
 
 @cache

@@ -249,9 +249,11 @@ def test_scan_case_limit_counts_degree_tuples_and_the_quadrics_sweep() -> None:
 
 def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
     # the slowest accepted inputs named beside the limits, and one step past each
-    for ci in (CIType((2**29 - 1,) * 2, 447), CIType((2**84 - 1,) * 20, 141), CIType((), 632)):
+    for ci in (CIType((2**20 - 1,), 632), CIType((2**29 - 1,) * 2, 447),
+               CIType((2**84 - 1,) * 20, 141), CIType((), 632)):
         cli._check_chern_size(ci)
-    for ci, limit in ((CIType((2**29 - 1,) * 2, 448), "at most 400000"),
+    for ci, limit in ((CIType((2**21 - 1,), 632), "at most 14000"),
+                      (CIType((2**29 - 1,) * 2, 448), "at most 400000"),
                       (CIType((2**30 - 1,) * 2, 447), "at most 14000"),
                       (CIType((2**85 - 1,) * 20, 141), "at most 14000"),
                       (CIType((), 633), "at most 400000")):
@@ -264,6 +266,46 @@ def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
             ci = CIType(degrees, n)
             bits = (n + ci.codimension) * (max(ci.degrees, default=1).bit_length() + 2)
             assert max(abs(c).bit_length() for c in chern.chern_degrees_ci(ci)) <= bits, ci
+
+
+@pytest.mark.parametrize(("setting", "max_bits"), [(640, 2126), (4300, 14000), (0, 14000)])
+def test_chern_bit_limit_follows_the_int_to_str_limit(capsys, setting, max_bits) -> None:
+    # floor(640 log2 10) = 2,126 bits print in 640 digits; the default 4,300
+    # digits and no limit at all leave the 14,000-bit cap
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(setting)
+        # (447 + 2)(30 + 2) = 14,368 bits is past every cap
+        with pytest.raises(ValueError, match=f"must be at most {max_bits}, the most bits"):
+            cli._check_chern_size(CIType((2**30 - 1,) * 2, 447))
+        # (28 + 1)(71 + 2) = 2,117 bits is accepted and prints at every setting
+        code, out, err = run_cli(capsys, "--format", "json", "chern", "ci", "--dim", "28",
+                                 "--degrees", str(2**71 - 1))
+        assert code == 0 and err == ""
+        assert max(abs(c).bit_length() for c in json.loads(out)["result"]) <= 2117
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_chern_ci_past_a_lowered_str_limit_exits_2_before_any_work(capsys,
+                                                                   monkeypatch) -> None:
+    # (200 + 1)(29 + 2) = 6,231 bits, accepted by default, needs more than 640
+    # digits; (28 + 1)(72 + 2) = 2,146 bits just does not fit in them
+    def work(*args):
+        raise AssertionError("a limit must be checked before any work")
+
+    monkeypatch.setattr(chern, "chern_degrees_ci", work)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for dim, degree in (("200", "536870911"), ("28", str(2**72 - 1))):
+            code, out, err = run_cli(capsys, "chern", "ci", "--dim", dim, "--degrees", degree)
+            assert code == 2 and out == ""
+            assert err == ("invalid input: --dim plus the number of degrees other than 1, times"
+                           " 2 plus the bits of the largest degree, must be at most 2126, the"
+                           " most bits a Chern degree may need\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer() -> None:
@@ -418,14 +460,16 @@ def test_unprintable_result_under_a_lowered_str_limit_exits_2() -> None:
 
 
 def test_result_past_the_memory_limit_exits_2(tmp_path) -> None:
-    # every computation of the command line has a limit, so what can still
-    # outgrow memory is a dataset: 4,000,000 empty class objects, 12 MB of
-    # JSON, parse to about 300 MB of dicts, past a 128 MiB address space
+    # every computation of the command line and the size of a dataset file
+    # have a limit, so memory runs out only under a lower one: 1,333,301 empty
+    # class objects, just under the 4,000,000-byte cap, parse to about 100 MB
+    # of dicts, past a 64 MiB address space that start-up fits well within
     resource = pytest.importorskip("resource")
     path = tmp_path / "empty_classes.json"
     path.write_text('{"variety": "X", "dimension": 1, "pairings": [], "classes": ['
-                    + "{}," * 3_999_999 + "{}]}", "utf-8")
-    limit = 1 << 27
+                    + "{}," * 1_333_300 + "{}]}", "utf-8")
+    assert path.stat().st_size <= cones._DATASET_MAX_BYTES
+    limit = 1 << 26
     proc = run_to(False, "cone", "check", "--dataset", str(path),
                   preexec=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 2 and proc.stdout == ""
@@ -454,6 +498,13 @@ def test_dataset_errors_exit_3(capsys, tmp_path) -> None:
     }), "utf-8")
     code, _, err = run_cli(capsys, "cone", "check", "--dataset", str(incomplete))
     assert code == 3 and "dataset error" in err
+
+    oversized = tmp_path / "oversized.json"
+    oversized.write_bytes(b" " * (cones._DATASET_MAX_BYTES + 1))
+    code, out, err = run_cli(capsys, "cone", "check", "--dataset", str(oversized))
+    assert code == 3 and out == ""
+    assert err == (f"dataset error: dataset file has more than {cones._DATASET_MAX_BYTES}"
+                   " bytes, the most a dataset may have\n")
 
 
 @pytest.mark.parametrize("text", [

@@ -11,8 +11,10 @@ elimination is checked against a reduced row echelon form over Fraction.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import threading
 import time
 from fractions import Fraction
 from importlib import resources
@@ -207,6 +209,35 @@ def test_load_dataset_file_rejects_text_that_is_not_utf8(tmp_path) -> None:
     path.write_text(json.dumps(make_doc()), "utf-16")
     with pytest.raises(SchemaError, match="^dataset cannot be read: 'utf-8' codec can't decode"):
         load_dataset_file(path)
+
+
+def test_load_dataset_file_reads_at_most_its_byte_cap(tmp_path, monkeypatch) -> None:
+    # a document padded with spaces to exactly the cap loads; one byte more is
+    # refused before the parser sees it, from a file and from a pipe alike
+    cap = cones._DATASET_MAX_BYTES
+    text = json.dumps(make_doc())
+    path = tmp_path / "padded.json"
+    path.write_bytes(text.encode("utf-8") + b" " * (cap - len(text)))
+    assert load_dataset_file(path) == load_dataset(text)
+    path.write_bytes(path.read_bytes() + b" ")
+
+    def parse(text):
+        raise AssertionError("a dataset past the cap must not be parsed")
+
+    monkeypatch.setattr(cones, "load_dataset", parse)
+    message = f"^dataset file has more than {cap} bytes, the most a dataset may have$"
+    with pytest.raises(SchemaError, match=message):
+        load_dataset_file(path)
+    if not hasattr(os, "mkfifo"):
+        return
+    pipe = tmp_path / "pipe.json"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(b" " * (cap + 1),), daemon=True)
+    writer.start()
+    with pytest.raises(SchemaError, match=message):
+        load_dataset_file(pipe)
+    writer.join(10)
+    assert not writer.is_alive()
 
 
 def test_load_dataset_file_reads_utf8_with_a_byte_order_mark(tmp_path) -> None:

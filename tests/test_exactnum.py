@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from nefkit.chern import TruncatedSeries, series_rational_coefficients
+from nefkit.chern import CIType, TruncatedSeries, chern_degrees_ci, series_rational_coefficients
 from nefkit.exactnum import complete_homogeneous, complete_homogeneous_prefix, elementary_symmetric
 
 
@@ -163,6 +163,16 @@ def test_series_division_requires_unit_constant_term():
     # Round trip through a nontrivial quotient.
     b = TruncatedSeries.of([2, 5, 7, 1], 3)
     assert poly_mul(list((a / b).coefficients), list(b.coefficients), 3) == [1, 1, 0, 0]
+
+
+def test_series_without_factors_divides_nothing(monkeypatch):
+    # projective space keeps the binomial series, O(n) steps with no division
+    def divide(self, other):
+        raise AssertionError("divided a series with no denominator factors")
+
+    monkeypatch.setattr(TruncatedSeries, "__truediv__", divide)
+    assert list(series_rational_coefficients(7, (), 5).coefficients) == [1, 7, 21, 35, 35, 21]
+    assert chern_degrees_ci(CIType((), 9)) == [math.comb(10, k) for k in range(10)]
 
 
 def test_series_rejects_negative_exponent():

@@ -1,5 +1,6 @@
 """Property tests: the scan against the verdict chain, the shared-row walk
 against the per-type row, the three Euler routes against each other, the
+series route's one division against one integer division per factor, the
 first Chern degree and the Betti table's Euler characteristic against the
 degree and chi, the command line's exit-status and determinism contract
 on drawn argv and on shipped datasets with one node replaced by a drawn JSON
@@ -37,6 +38,7 @@ from nefkit.chern import (
     euler_ci_row,
     euler_ci_rows,
     euler_ci_series,
+    series_rational_coefficients,
 )
 from nefkit.cones import load_dataset, nef_cone_of_codim
 from nefkit.diagonal import scan_ci, spherical_nef_diagonal_check, verdict_ci
@@ -85,6 +87,20 @@ def test_walk_rows_equal_the_row_of_their_type(max_degree, max_codimension, max_
 def test_three_euler_routes_agree(degrees, n):
     ci = CIType(degrees, n)
     assert euler_ci_formula(ci) == euler_ci_series(ci) == euler_ci_recursive(ci)
+
+
+@bounded(200)
+@given(exponent=st.integers(0, 40), factors=st.lists(st.integers(-6, 9), max_size=8),
+       order=st.integers(0, 30))
+@example(exponent=5, factors=[0, -1, -3, -3, 2, 2], order=30)
+def test_series_route_divides_as_one_factor_at_a_time(exponent, factors, order):
+    # dividing by (1 + s t) is c'_k = c_k - s c'_(k-1), in integers
+    expected = [math.comb(exponent, k) for k in range(order + 1)]
+    for s in factors:
+        for k in range(1, order + 1):
+            expected[k] -= s * expected[k - 1]
+    series = series_rational_coefficients(exponent, factors, order)
+    assert series.order == order and list(series.coefficients) == expected
 
 
 @bounded(100)
