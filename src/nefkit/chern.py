@@ -12,12 +12,10 @@ characteristic is exposed through three independent routes that must agree:
   euler_ci_rows walks the same recursion over a whole grid of degree tuples,
   one step per tuple.
 
-The library's routes take any size; where the command line and verdict_ci
-compute chi by the formula route, they first check _check_formula_size.
-The series route multiplies out prod (1 + d_j t) in integers and divides the
-binomial series by it once, as a TruncatedSeries of Fractions.
-fractions loads only when the first series is built, so of all subcommands
-only chern ci loads it.
+The routes take any size. Every limit on them lives here and reads one bit
+bound, _bit_bound: _check_formula_size on the formula route's chi, and in
+chern ci _check_chern_size, at most 200,660 steps n (n + 1) / 2 + r n of the
+series route, whose one division by prod (1 + d_j t) loads fractions.
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
@@ -30,7 +28,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .exactnum import _Frozen, _check_int, complete_homogeneous_prefix
+from .exactnum import (_DECIMAL_MAX_BITS, _digits_in_force, _Frozen, _check_int,
+                       complete_homogeneous_prefix)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -117,12 +116,18 @@ def euler_ci_formula(ci: CIType) -> int:
     return ci.degree_product * total
 
 
-# The limit of the formula route where a caller bounds it: euler ci, betti ci
-# and the chi that verdict_ci reads. euler_ci_formula takes n (r + 1) steps,
-# r passes over h_0..h_n and one over the sum, on integers below 2^B, B = (n
-# + r)(b + 2) with b the bits of the largest degree, and a step costs up to
-# about B^1.5 bit operations. Capping n (r + 1) B^1.5 at 10^11 admits n =
-# 8,286 for (2,) or (3,), 7,254 for (7,), 6,171 for (5,7) and 63 for a
+# The limits where a caller bounds a route read B = (n + r)(b + 2), b the bits
+# of the largest degree D: for n + r >= 1, every Chern degree of (d_1..d_r; n),
+# prod d_j sum_i (-1)^(k-i) C(n + r + 1, i) h_(k-i) at k <= n, and every integer
+# the formula route sums is below 2^B, as h_m <= 2^(m + r - 1) D^m for r >= 1.
+def _bit_bound(ci: CIType) -> int:
+    return (ci.dimension + ci.codimension) * (max(ci.degrees, default=1).bit_length() + 2)
+
+
+# The formula route, in euler ci, betti ci and the chi that verdict_ci reads,
+# takes n (r + 1) steps, r passes over h_0..h_n and one over the sum, each of
+# up to about B^1.5 bit operations. Capping n (r + 1) B^1.5 at 10^11 admits n
+# = 8,286 for (2,) or (3,), 7,254 for (7,), 6,171 for (5,7) and 63 for a
 # 4,000-digit degree; the slowest, (3,) and (7,), take 0.6 s, and 0.75 s as
 # whole commands (Python 3.11 on a 2-CPU host), while `euler ci --dim 60000
 # --degrees 2` took 9.6 s. With r far above n, B over-counts and so does the cap.
@@ -131,12 +136,35 @@ _FORMULA_MAX_WORK = 100_000_000_000
 
 def _check_formula_size(ci: CIType) -> None:
     """ValueError naming the formula route's limit if ci breaks it."""
-    n, r = ci.dimension, ci.codimension
-    bits = (n + r) * (max(ci.degrees, default=1).bit_length() + 2)
+    n, r, bits = ci.dimension, ci.codimension, _bit_bound(ci)
     if n * (r + 1) * bits * math.isqrt(bits) > _FORMULA_MAX_WORK:
         raise ValueError("dimension n, r degrees other than 1 and B = (n + r)(b + 2), b the bits"
                          " of the largest degree, must have n (r + 1) B^1.5 at most"
                          f" {_FORMULA_MAX_WORK}, the most work the formula route takes")
+
+
+# The series route of chern ci takes r n integer steps to multiply out prod (1 + d
+# t) and n (n + 1) / 2 Fraction steps, about 3 us each under 2,000 bits and 5 us
+# near 14,000, to divide by it. The step cap is the count of `--dim 632 --degrees
+# 1048575`, 0.93 s (best of 5 whole commands, Python 3.11, 2-CPU host), so P^633
+# is out. The bit cap on B bounds a step and keeps results printable: two 29-bit
+# degrees pass up to n = 449 (0.50 s), 20 of 84 bits up to n = 142 (0.12 s).
+_CHERN_MAX_STEPS = 200_660
+
+
+def _check_chern_size(ci: CIType) -> None:
+    """ValueError naming the series route's limit if ci breaks it."""
+    n, r = ci.dimension, ci.codimension
+    if n * (n + 1) // 2 + r * n > _CHERN_MAX_STEPS:
+        raise ValueError("--dim n and r degrees other than 1 must have n (n + 1) / 2 + r n at"
+                         f" most {_CHERN_MAX_STEPS}, the most series steps chern ci takes")
+    # 10^digits has floor(digits log2 10) + 1 bits; past the cap's digits it is moot
+    digits = min(_digits_in_force(), _DECIMAL_MAX_BITS)
+    max_bits = min(_DECIMAL_MAX_BITS, (10**digits).bit_length() - 1)
+    if _bit_bound(ci) > max_bits:
+        raise ValueError("--dim plus the number of degrees other than 1, times 2 plus the bits"
+                         f" of the largest degree, must be at most {max_bits}, the most"
+                         " bits a Chern degree may need")
 
 
 def euler_ci_series(ci: CIType) -> int:

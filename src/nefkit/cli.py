@@ -24,6 +24,8 @@ it gives main two buffers as stdout and stderr, argparse's help and errors
 included, writes their text to the real streams when main returns and ends
 the process, with status 1 if that text cannot be written.
 
+Every Chern limit lives in chern, checked before any work (chern ci: at most
+200,660 series steps n (n + 1) / 2 + r n); scan ci's and cone dual's live here.
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
 and chern; verdict, scan and table also diagonal; cone dual exactnum and
@@ -134,42 +136,8 @@ def handle_euler_weighted(args: Args) -> Outcome:
     )
 
 
-# The limits of chern ci, checked before its series route runs. The route
-# multiplies out prod (1 + d t) through t^n, r n integer steps, and divides by
-# it once, in about n^2 / 2 Fraction steps, which take about 3 us on numbers
-# under 2,000 bits and 5 us near 14,000 (Python 3.11 on a 2-CPU host): the
-# route alone takes 1.5 s for `--dim 1000 --degrees 5,7`, 2.9 s when it
-# divided once per degree. The caps were set for those r divisions, r n^2 / 2
-# steps, so they now bound the work from above. A Chern degree of (d_1..d_r;
-# n), n + r >= 1, is below 2^((n + r)(b + 2)), b the bits of the largest
-# degree, so capping that exponent at 14,000 bounds the cost of a step, and
-# capping it also at floor(digits log2 10), digits the int-to-str limit,
-# keeps every result printable. With r n^2 capped at 400,000 (r at least 1),
-# the slowest accepted command, `--dim 632 --degrees 1048575`, takes 1.0 s,
-# start-up included; 20 degrees of 84 bits at n = 141 take 0.13 s.
-_CHERN_MAX_STEPS = 400_000
-_CHERN_MAX_BITS = 14_000
-
-
-def _check_chern_size(ci: CIType) -> None:
-    """ValueError naming the limit that chern ci of ci breaks."""
-    from .exactnum import _UNLIMITED_DIGITS
-
-    n, r = ci.dimension, ci.codimension
-    if max(r, 1) * n * n > _CHERN_MAX_STEPS:
-        raise ValueError("--dim squared times the number of degrees other than 1 must be at"
-                         f" most {_CHERN_MAX_STEPS}, the most series steps chern ci takes")
-    # 10^digits has floor(digits log2 10) + 1 bits; past 14,000 bits' digits it is moot
-    digits = min(sys.get_int_max_str_digits() or _UNLIMITED_DIGITS, _CHERN_MAX_BITS)
-    max_bits = min(_CHERN_MAX_BITS, (10**digits).bit_length() - 1)
-    if (n + r) * (max(ci.degrees, default=1).bit_length() + 2) > max_bits:
-        raise ValueError("--dim plus the number of degrees other than 1, times 2 plus the bits"
-                         f" of the largest degree, must be at most {max_bits}, the most"
-                         " bits a Chern degree may need")
-
-
 def handle_chern_ci(args: Args) -> Outcome:
-    from .chern import chern_degrees_ci
+    from .chern import _check_chern_size, chern_degrees_ci
 
     ci = _ci_from_args(args)
     _check_chern_size(ci)

@@ -18,7 +18,6 @@ It names cones.CycleDataset only for type checking, so it never loads cones.
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict
 from enum import Enum
 from functools import cache
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .chern import (CIType, _check_formula_size, betti_ci, euler_ci_formula, euler_ci_rows,
                     euler_delpezzo_closed)
-from .exactnum import _UNLIMITED_DIGITS, _Frozen, _check_int
+from .exactnum import _DECIMAL_MAX_BITS, _digits_in_force, _Frozen, _check_int
 
 if TYPE_CHECKING:
     from .cones import CycleDataset
@@ -143,13 +142,11 @@ def _chi_witness_error(reason: Reason, chi: object, bound: object) -> str | None
 
 
 def _number(x: int) -> str:
-    """x for detail text: in decimal up to 14,000 bits (4,215 digits, under
-    Python's default int-to-str limit of 4,300) unless a lowered limit refuses
-    it, else by sign and bit length."""
-    if x.bit_length() <= 14_000:
+    """x in decimal if it fits _DECIMAL_MAX_BITS and prints, else by sign and bit length."""
+    if x.bit_length() <= _DECIMAL_MAX_BITS:
         try:
             return str(x)
-        except ValueError:  # past sys.get_int_max_str_digits()
+        except ValueError:  # past the int-to-str limit
             pass
     return f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)"
 
@@ -408,15 +405,14 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     a manifold of the row of dimension n, or InvalidDelPezzo is raised. It is
     echoed in the detail text only; it never changes the verdict. Degrees 1
     and 2 raise ValueError before any work past _closed_form_max_dimension,
-    where chi has more digits than sys.get_int_max_str_digits() prints, or
-    than _UNLIMITED_DIGITS when that limit is off.
+    where chi has more digits than exactnum._digits_in_force() allows.
     """
     row = _delpezzo_row(n, degree)
     if variant is not None and row.variant_dimensions.get(variant) != n:
         raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
                               f" manifold of dimension {n}")
     if row.cover:
-        digits = sys.get_int_max_str_digits() or _UNLIMITED_DIGITS
+        digits = _digits_in_force()
         limit = _closed_form_max_dimension(digits, degree)
         if n > limit:
             raise ValueError(f"dimension must be at most {limit} for degree {degree}: past it"

@@ -5,23 +5,30 @@ Everything here is integer arithmetic, no floats and no fractions; the
 truncated power series over the rationals that the Chern degrees expand live
 in chern, and only chern ci builds one.
 
-This bottom layer also holds _Frozen, the immutable-value behaviour of the
-value classes of every layer, written by hand so that no subcommand imports
-the standard library's data classes module and inspect at cold start.
+This bottom layer also holds the decimal print caps and _Frozen, the
+immutable-value behaviour of every layer's value classes, written by hand so
+that no subcommand imports dataclasses or inspect at cold start.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 __all__ = ["complete_homogeneous", "complete_homogeneous_prefix", "elementary_symmetric"]
 
-# The digit bound on a printed integer when the int-to-str limit is off
-# (sys.get_int_max_str_digits() is 0), a work bound: `--format json verdict
-# delpezzo --dim 1000000 --degree 1`, whose chi has 698,971 digits, takes 7.4 s
-# to print (Python 3.11, 2-CPU host), and the time grows with the square of
-# the digit count.
+# The digit bound on a printed integer when the int-to-str limit is off, a
+# work bound: `--format json verdict delpezzo --dim 1000000 --degree 1`, whose
+# chi has 698,971 digits, takes 7.4 s to print (Python 3.11, 2-CPU host), and
+# the time grows with the square of the digit count; and the most bits nefkit
+# prints in decimal, 4,215 digits at most, under the default limit of 4,300.
 _UNLIMITED_DIGITS = 1_000_000
+_DECIMAL_MAX_BITS = 14_000
+
+
+def _digits_in_force() -> int:
+    """The int-to-str limit, or _UNLIMITED_DIGITS when that limit is off."""
+    return sys.get_int_max_str_digits() or _UNLIMITED_DIGITS
 
 
 def complete_homogeneous(k: int, values: Sequence[int]) -> int:

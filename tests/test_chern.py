@@ -9,11 +9,13 @@ a small grid (the full grid lives in the acceptance suite).
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,43 @@ def test_chern_degrees_last_entry_is_euler():
         for n in (1, 2, 3, 5):
             ci = CIType(degrees, n)
             assert chern_degrees_ci(ci)[-1] == euler_ci_formula(ci), ci
+
+
+# ---------------------------------------------------------------------------
+# One statement of each Chern limit's bound
+
+
+def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
+    # b + 2, the bits of the largest degree plus 2, appears once in the
+    # library, in chern._bit_bound; the digits in force, with their fallback
+    # _UNLIMITED_DIGITS, and the 14,000-bit decimal cap are named only in
+    # exactnum; and only chern holds the constants of a Chern limit
+    bit_bounds, print_caps, chern_limits = [], [], []
+    for path in sorted(Path(chern.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        owner = {id(node): top.name for top in tree.body
+                 if isinstance(top, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            where = (path.stem, owner.get(id(node)))
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and isinstance(node.left, ast.Call)
+                    and isinstance(node.left.func, ast.Attribute)
+                    and node.left.func.attr == "bit_length"
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2):
+                bit_bounds.append(where)
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "_UNLIMITED_DIGITS" in names or (isinstance(node, ast.Constant)
+                                                and node.value == 14_000):
+                print_caps.append(where)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and (
+                    node.id.startswith(("_CHERN_", "_FORMULA_"))):
+                chern_limits.append((path.stem, node.id))
+    assert bit_bounds == [("chern", "_bit_bound")]
+    assert {module for module, _ in print_caps} == {"exactnum"}
+    assert sorted(chern_limits) == [("chern", "_CHERN_MAX_STEPS"), ("chern", "_FORMULA_MAX_WORK")]
 
 
 # ---------------------------------------------------------------------------

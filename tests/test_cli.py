@@ -199,8 +199,8 @@ GOLDEN = Path(__file__).with_name("golden")
     # all 999 steps of 4,000-digit products would take tens of seconds
     (("scan", "ci", "--max-dim", "1", "--max-degree", "9" * 4000, "--max-r", "999"),
      "more than 2000000 cases"),
-    (("chern", "ci", "--dim", "1000", "--degrees", "5,7"), "at most 400000"),
-    (("chern", "ci", "--dim", "99999999999999999999"), "at most 400000"),
+    (("chern", "ci", "--dim", "1000", "--degrees", "5,7"), "at most 200660"),
+    (("chern", "ci", "--dim", "99999999999999999999"), "at most 200660"),
     (("chern", "ci", "--dim", "100", "--degrees", "1" + "0" * 60), "at most 14000"),
     (("cone", "dual", "--dataset", str(GOLDEN / "large_cone.json"), "--codim", "1"),
      "at most 32 classes"),
@@ -248,23 +248,30 @@ def test_scan_case_limit_counts_degree_tuples_and_the_quadrics_sweep() -> None:
 
 
 def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
-    # the slowest accepted inputs named beside the limits, and one step past each
-    for ci in (CIType((2**20 - 1,), 632), CIType((2**29 - 1,) * 2, 447),
-               CIType((2**84 - 1,) * 20, 141), CIType((), 632)):
-        cli._check_chern_size(ci)
+    # the slowest accepted inputs named beside the limits, and one step past
+    # each: n (n + 1) / 2 + r n is 200,660 for one degree at n = 632, and (n +
+    # r)(b + 2) is 13,981 for two 29-bit degrees at n = 449 and 13,932 for 20
+    # degrees of 84 bits at n = 142
+    for ci in (CIType((2**20 - 1,), 632), CIType((2**29 - 1,) * 2, 449),
+               CIType((2**84 - 1,) * 20, 142), CIType((), 632), CIType((2, 2), 631)):
+        chern._check_chern_size(ci)
     for ci, limit in ((CIType((2**21 - 1,), 632), "at most 14000"),
-                      (CIType((2**29 - 1,) * 2, 448), "at most 400000"),
+                      (CIType((2**29 - 1,) * 2, 450), "at most 14000"),
                       (CIType((2**30 - 1,) * 2, 447), "at most 14000"),
+                      (CIType((2**84 - 1,) * 20, 143), "at most 14000"),
                       (CIType((2**85 - 1,) * 20, 141), "at most 14000"),
-                      (CIType((), 633), "at most 400000")):
+                      (CIType((2, 2), 632), "at most 200660"),
+                      (CIType((2,), 633), "at most 200660"),
+                      (CIType((), 633), "at most 200660")):
         with pytest.raises(ValueError, match=limit):
-            cli._check_chern_size(ci)
+            chern._check_chern_size(ci)
     # every Chern degree of (d_1..d_r; n), n + r >= 1, is below 2^((n + r)(b
     # + 2)), b the bits of the largest degree, the bound the bit limit checks
     for degrees in ((), (2,), (3,), (2, 2, 2), (5, 7), (2, 3, 4, 5), (255, 2), (2**40 + 1,)):
         for n in (1, 2, 7, 30):
             ci = CIType(degrees, n)
             bits = (n + ci.codimension) * (max(ci.degrees, default=1).bit_length() + 2)
+            assert chern._bit_bound(ci) == bits
             assert max(abs(c).bit_length() for c in chern.chern_degrees_ci(ci)) <= bits, ci
 
 
@@ -277,7 +284,7 @@ def test_chern_bit_limit_follows_the_int_to_str_limit(capsys, setting, max_bits)
         sys.set_int_max_str_digits(setting)
         # (447 + 2)(30 + 2) = 14,368 bits is past every cap
         with pytest.raises(ValueError, match=f"must be at most {max_bits}, the most bits"):
-            cli._check_chern_size(CIType((2**30 - 1,) * 2, 447))
+            chern._check_chern_size(CIType((2**30 - 1,) * 2, 447))
         # (28 + 1)(71 + 2) = 2,117 bits is accepted and prints at every setting
         code, out, err = run_cli(capsys, "--format", "json", "chern", "ci", "--dim", "28",
                                  "--degrees", str(2**71 - 1))
