@@ -24,8 +24,8 @@ it gives main two buffers as stdout and stderr, argparse's help and errors
 included, writes their text to the real streams when main returns and ends
 the process, with status 1 if that text cannot be written.
 
-Every Chern limit lives in chern, checked before any work (chern ci: at most
-200,660 series steps n (n + 1) / 2 + r n); scan ci's and cone dual's live here.
+A handler checks its command's limits before any work with the checks that sit
+beside the work they bound, in chern, diagonal (scan ci) and cones (cone dual).
 Importing this module loads no library layer and not argparse. Each handler
 imports what it calls when it runs, so euler, chern and betti load exactnum
 and chern; verdict, scan and table also diagonal; cone dual exactnum and
@@ -47,7 +47,6 @@ if TYPE_CHECKING:
     from argparse import ArgumentParser, Namespace
 
     from .chern import CIType
-    from .cones import CycleDataset
     from .diagonal import Verdict
 
     Args = Namespace | SimpleNamespace
@@ -220,37 +219,12 @@ def handle_verdict_curve(args: Args) -> Outcome:
                    f"nef-diagonal classification of a genus-{args.genus} curve")
 
 
-# The limits of scan ci, checked before the walk. A scan costs about 0.6 to
-# 0.9 us per case (Python 3.11 on a 2-CPU host), so 2,000,000 cases take
-# under 2 s. chi of a case of dimension n and codimension r has O((n + r)
-# log max degree) bits, and the walk holds up to r + 1 rows of them, so the
-# case count alone does not bound memory: capping n + r, the dimension of the
-# ambient projective space, at 1,000 keeps a scan under 50 MB.
-_SCAN_MAX_AMBIENT = 1_000
-_SCAN_MAX_CASES = 2_000_000
-
-
-def _check_scan_grid(max_dim: int, max_degree: int, max_r: int, quadrics_max_r: int) -> None:
-    """ValueError naming the limit that a grid of positive bounds breaks."""
-    if max_dim + max(max_r, quadrics_max_r) > _SCAN_MAX_AMBIENT:
-        raise ValueError("--max-dim plus the larger of --max-r and --quadrics-max-r must be"
-                         f" at most {_SCAN_MAX_AMBIENT}, the largest ambient space a scan walks")
-    tuples = 1  # degree tuples of at most i entries in 2..max_degree: C(max_degree - 1 + i, i)
-    for i in range(1, max_r + 1):
-        tuples = tuples * (max_degree - 1 + i) // i
-        if tuples > _SCAN_MAX_CASES:
-            break
-    if max_dim * (tuples + max(quadrics_max_r - 2, 0)) > _SCAN_MAX_CASES:
-        raise ValueError(f"the grid has more than {_SCAN_MAX_CASES} cases, the most a scan"
-                         " walks: --max-dim times the degree tuples, plus the quadrics sweep")
-
-
 def handle_scan_ci(args: Args) -> Outcome:
-    from .diagonal import scan_ci
+    from .diagonal import _check_scan_size, scan_ci
 
     bounds = (args.max_dim, args.max_degree, args.max_r, args.quadrics_max_r)
     if min(bounds) >= 1:  # scan_ci names a bound below 1 itself
-        _check_scan_grid(*bounds)
+        _check_scan_size(*bounds)
     scan = scan_ci(
         max_dimension=args.max_dim,
         max_degree=args.max_degree,
@@ -283,35 +257,8 @@ def cone_lines(result: Mapping) -> list[str]:
     return lines
 
 
-# The limits of cone dual, checked before the double description runs. The
-# nef cone in a codimension has one coordinate per class of it, m, and one
-# inequality per class of the complement, k; by the upper bound theorem it
-# has up to about k^((m - 1)/2) rays, as many as when the pairings lie on the
-# moment curve, and the double description compares them in pairs, on
-# numbers that grow with the bits of the pairings. On such datasets (Python
-# 3.11 on a 2-CPU host) the slowest command with m + k = 32 took 0.8 s
-# (m = 10, k = 22: 4,760 rays) and with m + k = 34 2.0 s; at m + k = 32,
-# dual_cone took 0.5 s on pairings of 64 bits and 2.2 s on 256 bits, and
-# 4,000-digit pairings did not finish in a minute at m + k = 24.
-_CONE_MAX_CLASSES = 32
-_CONE_MAX_PAIRING_BITS = 64
-
-
-def _check_cone_size(ds: CycleDataset, codim: int) -> None:
-    """ValueError naming the limit that the nef cone of ds in codim breaks."""
-    classes = (*ds.classes_of_codim(codim), *ds.classes_of_codim(ds.dimension - codim))
-    if len(classes) > _CONE_MAX_CLASSES:
-        raise ValueError("the codimension and its complement must have at most"
-                         f" {_CONE_MAX_CLASSES} classes together, the most cone dual takes")
-    labels = {c.label for c in classes}
-    if any(abs(value).bit_length() > _CONE_MAX_PAIRING_BITS
-           for (a, b), value in ds.pairings.items() if a in labels and b in labels):
-        raise ValueError("the pairings of the codimension with its complement must have at most"
-                         f" {_CONE_MAX_PAIRING_BITS} bits, the most cone dual takes")
-
-
 def handle_cone_dual(args: Args) -> Outcome:
-    from .cones import nef_cone_of_codim, resolve_dataset
+    from .cones import _check_cone_size, nef_cone_of_codim, resolve_dataset
 
     ds = resolve_dataset(args.dataset)
     _check_cone_size(ds, args.codim)

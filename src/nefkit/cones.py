@@ -583,6 +583,33 @@ def nef_cone_of_codim(ds: CycleDataset, codim: int) -> RationalCone:
     return dual_cone(_identity(len(cols)), matrix, row_labels)
 
 
+# The limits of cone dual, checked before the double description runs. The
+# nef cone in a codimension has one coordinate per class of it, m, and one
+# inequality per class of the complement, k; by the upper bound theorem it
+# has up to about k^((m - 1)/2) rays, as many as when the pairings lie on the
+# moment curve, and the double description compares them in pairs, on
+# numbers that grow with the bits of the pairings. On such datasets (Python
+# 3.11 on a 2-CPU host) the slowest command with m + k = 32 took 0.8 s
+# (m = 10, k = 22: 4,760 rays) and with m + k = 34 2.0 s; at m + k = 32,
+# dual_cone took 0.5 s on pairings of 64 bits and 2.2 s on 256 bits, and
+# 4,000-digit pairings did not finish in a minute at m + k = 24.
+_CONE_MAX_CLASSES = 32
+_CONE_MAX_PAIRING_BITS = 64
+
+
+def _check_cone_size(ds: CycleDataset, codim: int) -> None:
+    """ValueError naming the limit that the nef cone of ds in codim breaks."""
+    classes = (*ds.classes_of_codim(codim), *ds.classes_of_codim(ds.dimension - codim))
+    if len(classes) > _CONE_MAX_CLASSES:
+        raise ValueError("the codimension and its complement must have at most"
+                         f" {_CONE_MAX_CLASSES} classes together, the most cone dual takes")
+    labels = {c.label for c in classes}
+    if any(abs(value).bit_length() > _CONE_MAX_PAIRING_BITS
+           for (a, b), value in ds.pairings.items() if a in labels and b in labels):
+        raise ValueError("the pairings of the codimension with its complement must have at most"
+                         f" {_CONE_MAX_PAIRING_BITS} bits, the most cone dual takes")
+
+
 class DelPezzo5Cones(NamedTuple):
     nef2: RationalCone
     eff2: RationalCone

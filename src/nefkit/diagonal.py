@@ -547,6 +547,30 @@ def cp_fibration_obstruction(n: int) -> FibrationObstruction:
 # ---------------------------------------------------------------------------
 # Scans
 
+# The limits of scan ci, checked before the walk. A scan costs about 0.6 to
+# 0.9 us a case (Python 3.11 on a 2-CPU host), so 2,000,000 cases take under
+# 2 s. chi of a case of dimension n and codimension r has O((n + r) log max
+# degree) bits, and the walk holds up to r + 1 rows of them, so the case count
+# alone does not bound memory: capping n + r, the dimension of the ambient
+# projective space, at 1,000 keeps a scan under 50 MB.
+_SCAN_MAX_AMBIENT = 1_000
+_SCAN_MAX_CASES = 2_000_000
+
+
+def _check_scan_size(max_dim: int, max_degree: int, max_r: int, quadrics_max_r: int) -> None:
+    """ValueError naming the limit that a grid of positive bounds breaks."""
+    if max_dim + max(max_r, quadrics_max_r) > _SCAN_MAX_AMBIENT:
+        raise ValueError("--max-dim plus the larger of --max-r and --quadrics-max-r must be"
+                         f" at most {_SCAN_MAX_AMBIENT}, the largest ambient space a scan walks")
+    tuples = 1  # degree tuples of at most i entries in 2..max_degree: C(max_degree - 1 + i, i)
+    for i in range(1, max_r + 1):
+        tuples = tuples * (max_degree - 1 + i) // i
+        if tuples > _SCAN_MAX_CASES:
+            break
+    if max_dim * (tuples + max(quadrics_max_r - 2, 0)) > _SCAN_MAX_CASES:
+        raise ValueError(f"the grid has more than {_SCAN_MAX_CASES} cases, the most a scan"
+                         " walks: --max-dim times the degree tuples, plus the quadrics sweep")
+
 
 class ScanReport(_Frozen):
     _fields = ("max_dimension", "max_degree", "max_codimension", "quadrics_max_codimension",
@@ -570,11 +594,10 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
     """Exhaustively verify the sign laws, bound laws, and verdict coverage.
 
     The caller passes every bound; the command line's default grid lives in
-    cli.COMMANDS and nowhere else. The scan has no limit of its own: it
-    walks max_dimension times C(max_degree - 1 + max_codimension,
-    max_codimension) cases, one per degree tuple and n, at about 0.6 to 0.9
-    us a case (Python 3.11 on a 2-CPU host), plus the quadrics sweep, and
-    the command line caps that grid before it calls scan_ci.
+    cli.COMMANDS and nowhere else. It walks max_dimension times
+    C(max_degree - 1 + max_codimension, max_codimension) cases, one per
+    degree tuple and n, plus the quadrics sweep; the command line checks
+    that grid with _check_scan_size first, and scan_ci takes any grid.
 
     Laws checked on every canonical type in range:
 

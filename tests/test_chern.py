@@ -248,6 +248,30 @@ def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
     assert sorted(chern_limits) == [("chern", "_CHERN_MAX_STEPS"), ("chern", "_FORMULA_MAX_WORK")]
 
 
+def test_each_size_check_lives_beside_its_work_and_cli_defines_no_limit():
+    # cli only calls the checks: it defines no _check_* function and no
+    # module-level _..MAX.. constant, and each size check is defined once, in
+    # the module whose work it bounds
+    checks, cli_limits = {}, []
+    for path in sorted(Path(chern.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+                checks.setdefault(node.name, []).append(path.stem)
+        if path.stem == "cli":
+            cli_limits += [node.id for top in tree.body
+                           if not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                           for node in ast.walk(top)
+                           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                           and node.id.startswith("_") and "MAX" in node.id]
+    assert cli_limits == []
+    assert [name for name, modules in checks.items() if "cli" in modules] == []
+    assert {name: checks.get(name) for name in ("_check_formula_size", "_check_chern_size",
+                                                "_check_scan_size", "_check_cone_size")} == {
+        "_check_formula_size": ["chern"], "_check_chern_size": ["chern"],
+        "_check_scan_size": ["diagonal"], "_check_cone_size": ["cones"]}
+
+
 # ---------------------------------------------------------------------------
 # All-quadrics invariant b(n, r)
 

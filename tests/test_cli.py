@@ -231,22 +231,6 @@ def test_inputs_past_a_limit_exit_2_before_any_work(capsys, monkeypatch, argv, l
     assert err.startswith("invalid input: ") and limit in err and len(err.splitlines()) == 1
 
 
-def test_scan_case_limit_counts_degree_tuples_and_the_quadrics_sweep() -> None:
-    # (40, 12, 7, 8) has 40 * (C(18, 7) + 6) = 1,273,200 cases, (40, 13, 7, 8)
-    # 40 * (C(19, 7) + 6) = 2,015,760
-    cli._check_scan_grid(40, 12, 7, 8)
-    with pytest.raises(ValueError, match="more than 2000000 cases"):
-        cli._check_scan_grid(40, 13, 7, 8)
-    # 2 * (999,997 degree tuples + quadrics r = 3..qr) reaches 2,000,000 at qr = 5
-    cli._check_scan_grid(2, 999_997, 1, 5)
-    with pytest.raises(ValueError, match="more than 2000000 cases"):
-        cli._check_scan_grid(2, 999_997, 1, 6)
-    cli._check_scan_grid(900, 2, 100, 3)
-    for bounds in ((901, 2, 100, 3), (1, 2, 1, 1000), (1, 10**4000, 10**4000, 1)):
-        with pytest.raises(ValueError, match="must be at most 1000"):
-            cli._check_scan_grid(*bounds)
-
-
 def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
     # the slowest accepted inputs named beside the limits, and one step past
     # each: n (n + 1) / 2 + r n is 200,660 for one degree at n = 632, and (n +
@@ -335,25 +319,6 @@ def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer() -> None:
             assert abs(chern.euler_ci_formula(ci)).bit_length() <= bits, ci
 
 
-def paired_dataset(dimension: int, rows: int, columns: int, value: int,
-                   point: int = 1) -> cones.CycleDataset:
-    """A dataset with rows classes of codimension 1 and columns classes of
-    codimension dimension - 1 (the same classes on a surface), every pair of
-    them paired to value, and the fundamental class paired to a point."""
-    classes = [{"label": "one", "codim": 0}, {"label": "pt", "codim": dimension}]
-    classes += [{"label": f"a{i}", "codim": 1} for i in range(rows)]
-    pairings = [{"a": "one", "b": "pt", "value": point}]
-    if dimension == 2:
-        pairings += [{"a": f"a{i}", "b": f"a{j}", "value": value}
-                     for i in range(rows) for j in range(i, rows)]
-    else:
-        classes += [{"label": f"b{j}", "codim": dimension - 1} for j in range(columns)]
-        pairings += [{"a": f"a{i}", "b": f"b{j}", "value": value}
-                     for i in range(rows) for j in range(columns)]
-    return cones.load_dataset(json.dumps({"variety": "X", "dimension": dimension,
-                                          "classes": classes, "pairings": pairings}))
-
-
 def test_cone_check_does_work_in_proportion_to_its_dataset(capsys, tmp_path) -> None:
     # 3,000 classes of codimension 1 and 3,000 of codimension 2 make 9,000,000
     # complementary pairs; the first has no pairing, and the check stops there
@@ -366,24 +331,6 @@ def test_cone_check_does_work_in_proportion_to_its_dataset(capsys, tmp_path) -> 
     code, out, err = run_cli(capsys, "cone", "check", "--dataset", str(path))
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (3, "", "dataset error: no pairing recorded for (a0, b0)\n")
-
-
-def test_cone_limits_count_both_codimensions_and_the_bits_of_their_pairings() -> None:
-    for codim in (1, 2):
-        cli._check_cone_size(paired_dataset(3, 10, 22, 2**64 - 1), codim)
-        cli._check_cone_size(paired_dataset(3, 4, 4, -(2**64 - 1)), codim)
-        with pytest.raises(ValueError, match="at most 32 classes"):
-            cli._check_cone_size(paired_dataset(3, 10, 23, 1), codim)
-        with pytest.raises(ValueError, match="at most 64 bits"):
-            cli._check_cone_size(paired_dataset(3, 4, 4, -(2**64)), codim)
-    # a codimension paired with itself counts its classes on both sides
-    cli._check_cone_size(paired_dataset(2, 16, 16, 1), 1)
-    with pytest.raises(ValueError, match="at most 32 classes"):
-        cli._check_cone_size(paired_dataset(2, 17, 17, 1), 1)
-    # only the pairings of the codimension with its complement are read
-    cli._check_cone_size(paired_dataset(3, 4, 4, 1, point=2**100), 1)
-    with pytest.raises(ValueError, match="at most 64 bits"):
-        cli._check_cone_size(paired_dataset(3, 4, 4, 1, point=2**100), 0)
 
 
 # ---------------------------------------------------------------------------

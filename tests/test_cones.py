@@ -1033,6 +1033,43 @@ def test_nef_cone_needs_classes_in_both_codimensions() -> None:
             cones.nef_cone_of_codim(ds, codim)
 
 
+def paired_dataset(dimension: int, rows: int, columns: int, value: int,
+                   point: int = 1) -> CycleDataset:
+    """A dataset with rows classes of codimension 1 and columns classes of
+    codimension dimension - 1 (the same classes on a surface), every pair of
+    them paired to value, and the fundamental class paired to a point."""
+    classes = [{"label": "one", "codim": 0}, {"label": "pt", "codim": dimension}]
+    classes += [{"label": f"a{i}", "codim": 1} for i in range(rows)]
+    pairings = [{"a": "one", "b": "pt", "value": point}]
+    if dimension == 2:
+        pairings += [{"a": f"a{i}", "b": f"a{j}", "value": value}
+                     for i in range(rows) for j in range(i, rows)]
+    else:
+        classes += [{"label": f"b{j}", "codim": dimension - 1} for j in range(columns)]
+        pairings += [{"a": f"a{i}", "b": f"b{j}", "value": value}
+                     for i in range(rows) for j in range(columns)]
+    return load_dataset(json.dumps({"variety": "X", "dimension": dimension,
+                                    "classes": classes, "pairings": pairings}))
+
+
+def test_cone_limits_count_both_codimensions_and_the_bits_of_their_pairings() -> None:
+    for codim in (1, 2):
+        cones._check_cone_size(paired_dataset(3, 10, 22, 2**64 - 1), codim)
+        cones._check_cone_size(paired_dataset(3, 4, 4, -(2**64 - 1)), codim)
+        with pytest.raises(ValueError, match="at most 32 classes"):
+            cones._check_cone_size(paired_dataset(3, 10, 23, 1), codim)
+        with pytest.raises(ValueError, match="at most 64 bits"):
+            cones._check_cone_size(paired_dataset(3, 4, 4, -(2**64)), codim)
+    # a codimension paired with itself counts its classes on both sides
+    cones._check_cone_size(paired_dataset(2, 16, 16, 1), 1)
+    with pytest.raises(ValueError, match="at most 32 classes"):
+        cones._check_cone_size(paired_dataset(2, 17, 17, 1), 1)
+    # only the pairings of the codimension with its complement are read
+    cones._check_cone_size(paired_dataset(3, 4, 4, 1, point=2**100), 1)
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        cones._check_cone_size(paired_dataset(3, 4, 4, 1, point=2**100), 0)
+
+
 def test_delpezzo5_nef_inside_effective() -> None:
     cones = delpezzo5_cones()
     assert all(cones.eff2.contains(g) for g in cones.nef2.generators)

@@ -1108,6 +1108,22 @@ def test_scan_meets_time_budget():
     assert elapsed < 3.0, f"scan_ci(30, 10, 6, 10) took {elapsed:.2f}s"
 
 
+def test_scan_case_limit_counts_degree_tuples_and_the_quadrics_sweep() -> None:
+    # (40, 12, 7, 8) has 40 * (C(18, 7) + 6) = 1,273,200 cases, (40, 13, 7, 8)
+    # 40 * (C(19, 7) + 6) = 2,015,760
+    diagonal._check_scan_size(40, 12, 7, 8)
+    with pytest.raises(ValueError, match="more than 2000000 cases"):
+        diagonal._check_scan_size(40, 13, 7, 8)
+    # 2 * (999,997 degree tuples + quadrics r = 3..qr) reaches 2,000,000 at qr = 5
+    diagonal._check_scan_size(2, 999_997, 1, 5)
+    with pytest.raises(ValueError, match="more than 2000000 cases"):
+        diagonal._check_scan_size(2, 999_997, 1, 6)
+    diagonal._check_scan_size(900, 2, 100, 3)
+    for bounds in ((901, 2, 100, 3), (1, 2, 1, 1000), (1, 10**4000, 10**4000, 1)):
+        with pytest.raises(ValueError, match="must be at most 1000"):
+            diagonal._check_scan_size(*bounds)
+
+
 def test_scan_walks_deep_codimension_without_recursion():
     # 3,001 quadric tuples, three times deeper than the default recursion limit
     report = scan_ci(3, 2, 3000, 3)
