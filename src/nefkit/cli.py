@@ -126,9 +126,10 @@ def handle_euler_ci(args: Args) -> Outcome:
 
 
 def handle_euler_weighted(args: Args) -> Outcome:
-    from .chern import WeightedHypersurface, euler_weighted
+    from .chern import WeightedHypersurface, _check_weighted_size, euler_weighted
 
     surface = WeightedHypersurface(args.weights, args.degree)
+    _check_weighted_size(surface)
     ambient = "P(" + ",".join(str(w) for w in surface.weights) + ")"
     return euler_weighted(surface), (
         f"Euler characteristic of a degree-{surface.degree} hypersurface in {ambient}",

@@ -48,7 +48,6 @@ __all__ = [
     "load_dataset_file",
     "builtin_dataset",
     "resolve_dataset",
-    "tau_top_pairing",
     "dual_cone",
     "effective_cone_of_codim",
     "nef_cone_of_codim",
@@ -308,24 +307,6 @@ def resolve_dataset(name: str) -> CycleDataset:
         if candidate.is_file():
             return load_dataset_file(candidate)
     return builtin_dataset(name)
-
-
-def tau_top_pairing(n: int, a: int, b: int) -> int:
-    """Pairing of tau(a,b) with the extra class tau(2n-1,-1), for the
-    (4n-3)-dimensional odd symplectic Grassmannian of lines in C^(2n+1).
-
-    Defined for ordinary partitions a >= b >= 0 of weight a + b = 2n - 1;
-    the value is (-1)^(a-1).
-    """
-    if _check_int(n, "n") < 1:
-        raise ValueError("n must be a positive integer")
-    if not _check_int(a, "a") >= _check_int(b, "b") >= 0:
-        raise InvalidPartition(f"({a},{b}) is not weakly decreasing and non-negative")
-    if a + b != 2 * n - 1:
-        raise InvalidPartition(
-            f"({a},{b}) has weight {a + b}, complementary weight is {2 * n - 1}"
-        )
-    return (-1) ** (a - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 symmetric functions of integers.
 
 Everything here is integer arithmetic, no floats and no fractions; the
-truncated power series over the rationals that the Chern degrees expand live
-in chern, and only chern ci builds one.
+rational series that the Chern degrees expand lives in chern, and only chern
+ci expands one.
 
-This bottom layer also holds the decimal print caps and _Frozen, the
-immutable-value behaviour of every layer's value classes, written by hand so
-that no subcommand imports dataclasses or inspect at cold start.
+This bottom layer also holds the decimal print caps, which _printable_bits
+reads for every bit cap in chern, and _Frozen, the immutable-value behaviour
+of every layer's value classes, written by hand so that no subcommand imports
+dataclasses or inspect at cold start.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ _DECIMAL_MAX_BITS = 14_000
 def _digits_in_force() -> int:
     """The int-to-str limit, or _UNLIMITED_DIGITS when that limit is off."""
     return sys.get_int_max_str_digits() or _UNLIMITED_DIGITS
+
+
+def _printable_bits() -> int:
+    """The most bits of an integer that prints in decimal: under the digits in
+    force, at most _DECIMAL_MAX_BITS."""
+    # 10^digits has floor(digits log2 10) + 1 bits; past the cap's digits it is moot
+    digits = min(_digits_in_force(), _DECIMAL_MAX_BITS)
+    return min(_DECIMAL_MAX_BITS, (10**digits).bit_length() - 1)
 
 
 def complete_homogeneous(k: int, values: Sequence[int]) -> int:

@@ -37,6 +37,9 @@ SUBCOMMANDS = [
     ["euler", "ci", "--dim", "3", "--degrees", "2,2"],
     ["euler", "ci", "--dim", "7"],
     ["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"],
+    # the largest bit bound euler weighted accepts, S = 14,000: 131 unit
+    # weights at degree 2^106 - 1, whose chi has 4,149 digits
+    ["euler", "weighted", "--weights", ",".join(["1"] * 131), "--degree", str(2**106 - 1)],
     ["chern", "ci", "--dim", "2", "--degrees", "3"],
     ["betti", "ci", "--dim", "3", "--degrees", "2,2"],
     ["verdict", "ci", "--dim", "4", "--degrees", "3"],
@@ -94,6 +97,8 @@ ERRORS = [
     # invalid input: exit 2 with one "invalid input:" line
     ["euler", "ci", "--dim", "-1"],
     ["euler", "weighted", "--weights", "2,1,1,1,1", "--degree", "3"],
+    # one bit past euler weighted's limit, at degree 2^106, checked before any work
+    ["euler", "weighted", "--weights", ",".join(["1"] * 131), "--degree", str(2**106)],
     ["verdict", "delpezzo", "--dim", "2", "--degree", "5"],
     # a dimension out of range for each way a row is decided (closed form,
     # complete intersection, fixed steps by n), and degrees outside the

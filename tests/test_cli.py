@@ -13,10 +13,12 @@ import gc
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -24,7 +26,7 @@ import pytest
 
 from nefkit import __main__ as entry
 from nefkit import chern, cli, cones, diagonal, exactnum
-from nefkit.chern import CIType
+from nefkit.chern import CIType, WeightedHypersurface
 from nefkit.cli import main
 from nefkit.diagonal import ScanViolation
 
@@ -215,12 +217,16 @@ GOLDEN = Path(__file__).with_name("golden")
     (("verdict", "ci", "--dim", "20000", "--degrees", "5,7"), "at most 100000000000"),
     (("verdict", "ci", "--dim", "100000", "--degrees", "2,2,2"), "at most 100000000000"),
     (("verdict", "delpezzo", "--dim", "100000", "--degree", "3"), "at most 100000000000"),
+    # 21,000 weights of 99999 worked for 2.3 s before an unprintable result
+    (("euler", "weighted", "--weights", ",".join(["99999"] * 21000), "--degree", "99998"),
+     "at most 14000"),
 ])
 def test_inputs_past_a_limit_exit_2_before_any_work(capsys, monkeypatch, argv, limit) -> None:
     def work(*args):
         raise AssertionError("a limit must be checked before any work")
 
     monkeypatch.setattr(chern, "chern_degrees_ci", work)
+    monkeypatch.setattr(chern, "euler_weighted", work)
     monkeypatch.setattr(chern, "euler_ci_formula", work)
     monkeypatch.setattr(diagonal, "euler_ci_formula", work)
     monkeypatch.setattr(cones, "nef_cone_of_codim", work)
@@ -295,6 +301,53 @@ def test_chern_ci_past_a_lowered_str_limit_exits_2_before_any_work(capsys,
             assert err == ("invalid input: --dim plus the number of degrees other than 1, times"
                            " 2 plus the bits of the largest degree, must be at most 2126, the"
                            " most bits a Chern degree may need\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_weighted_limit_bounds_every_integer_euler_weighted_computes(monkeypatch) -> None:
+    rng = random.Random(4300)
+    cases = [((1,) * 131, 2**106 - 1), ((3, 2, 1, 1, 1, 1), 6), ((2, 1, 1, 1, 1), 3)]
+    for _ in range(200):
+        weights = tuple(rng.randint(1, 2 ** rng.randint(1, 40)) for _ in range(rng.randint(5, 12)))
+        cases.append((weights, rng.choice([*weights, rng.randint(1, 2 ** rng.randint(1, 50))])))
+    for weights, d in cases:
+        # S, the bits of max(a, |a - d|) summed over the weights plus those of d
+        # and of the weight count: the check accepts at a cap of S bits, not S - 1
+        bits = (sum(max(a, abs(a - d)).bit_length() for a in weights) + d.bit_length()
+                + len(weights).bit_length())
+        wh = WeightedHypersurface(weights, d)
+        monkeypatch.setattr(chern, "_printable_bits", lambda: bits)
+        chern._check_weighted_size(wh)
+        monkeypatch.setattr(chern, "_printable_bits", lambda: bits - 1)
+        with pytest.raises(ValueError, match=f"at most {bits - 1},"):
+            chern._check_weighted_size(wh)
+        # every integer euler_weighted computes or prints is below 2^S
+        product = math.prod(weights)
+        shifted = math.prod(a - d for a in weights)
+        e_m = sum(product // a for a in weights)
+        numerator = shifted + d * e_m - product
+        chi = Fraction(numerator // d, product)
+        integers = (product, shifted, d * e_m, numerator, chi.numerator, chi.denominator)
+        assert max(abs(value).bit_length() for value in integers) <= bits, (weights, d)
+
+
+@pytest.mark.parametrize(("setting", "max_bits"), [(640, 2126), (4300, 14000)])
+def test_weighted_limit_follows_the_int_to_str_limit(capsys, setting, max_bits) -> None:
+    # at each setting, unit weights at a degree of S = max_bits answer and
+    # print, and at the next power of 2, S = max_bits + 1, exit 2 with the limit
+    count, bits = {640: (20, 101), 4300: (131, 106)}[setting]
+    weights = ",".join(["1"] * count)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(setting)
+        code, out, err = run_cli(capsys, "euler", "weighted", "--weights", weights,
+                                 "--degree", str(2**bits - 1))
+        assert code == 0 and err == "" and len(out.splitlines()[0]) <= setting + 1
+        code, out, err = run_cli(capsys, "euler", "weighted", "--weights", weights,
+                                 "--degree", str(2**bits))
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input: ") and f"at most {max_bits}, the most bits" in err
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -42,9 +42,9 @@ from nefkit.cones import (
     load_dataset,
     load_dataset_file,
     resolve_dataset,
-    tau_top_pairing,
 )
 from nefkit.diagonal import Reason, Status, spherical_nef_diagonal_check, verdict_delpezzo
+from nefkit.exactnum import _check_int
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Schubert calculus on G(2,5) via Pieri and Giambelli.
@@ -119,6 +119,24 @@ def test_gw2c5_inventory() -> None:
     assert len(ds.classes) == 8
     assert tuple(c.codim for c in ds.classes) == (0, 1, 2, 2, 3, 3, 4, 5)
     assert {c.label: c for c in ds.classes}["tau(3,-1)"].partition == (3, -1)
+
+
+def tau_top_pairing(n: int, a: int, b: int) -> int:
+    """Pairing of tau(a,b) with the extra class tau(2n-1,-1), for the
+    (4n-3)-dimensional odd symplectic Grassmannian of lines in C^(2n+1).
+
+    Defined for ordinary partitions a >= b >= 0 of weight a + b = 2n - 1;
+    the value is (-1)^(a-1).
+    """
+    if _check_int(n, "n") < 1:
+        raise ValueError("n must be a positive integer")
+    if not _check_int(a, "a") >= _check_int(b, "b") >= 0:
+        raise InvalidPartition(f"({a},{b}) is not weakly decreasing and non-negative")
+    if a + b != 2 * n - 1:
+        raise InvalidPartition(
+            f"({a},{b}) has weight {a + b}, complementary weight is {2 * n - 1}"
+        )
+    return (-1) ** (a - 1)
 
 
 def test_gw2c5_negative_tail_pairings_match_sign_rule() -> None:

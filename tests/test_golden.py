@@ -47,3 +47,9 @@ def test_golden_invocation(case, capsys, monkeypatch) -> None:
 @pytest.mark.parametrize("case", [case for case in CORPUS if case["exit"]], ids=record.case_id)
 def test_golden_error_in_fresh_interpreter(case) -> None:
     assert record.record(case["argv"], case["env"]) == case
+
+
+def test_no_recorded_message_asks_to_raise_the_int_to_str_limit() -> None:
+    # an unprintable integer ends in nefkit's own message, never in Python's
+    assert [record.case_id(case) for case in CORPUS
+            if "set_int_max_str_digits" in case["stderr"]] == []

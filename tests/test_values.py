@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -15,8 +14,8 @@ from nefkit.chern import (
     BettiTable,
     CIType,
     NegativeBetti,
-    TruncatedSeries,
     WeightedHypersurface,
+    series_rational_coefficients,
 )
 from nefkit.cones import (
     CycleClass,
@@ -40,8 +39,6 @@ CLASSES = (CycleClass("a", (1, 0), 1), CycleClass("b", (1, 1), 2),
 
 # class -> (its field names in order, a factory of one instance built by keyword)
 VALUES = {
-    TruncatedSeries: (("coefficients", "order"),
-                      lambda: TruncatedSeries(coefficients=(Fraction(1), Fraction(-2)), order=1)),
     CIType: (("degrees", "dimension"), lambda: CIType(degrees=(1, 3, 2), dimension=2)),
     BettiTable: (("betti",), lambda: BettiTable(betti=(1, 0, 7, 0, 1))),
     WeightedHypersurface: (("weights", "degree"),
@@ -189,19 +186,13 @@ def test_shipped_dataset_compares_by_value() -> None:
     assert builtin_dataset("gw2c5") != builtin_dataset("g2c5")
 
 
-def series(*coefficients, order):
-    return lambda: TruncatedSeries(coefficients, order)
-
-
 ONE = (CycleClass("p", (0, 0), 0),)
 SURFACE = (CycleClass("p", (0, 0), 0), CycleClass("l", (1, 0), 1),
            CycleClass("q", (2, 0), 2))
 
 
 @pytest.mark.parametrize(("make", "error", "message"), [
-    (series(Fraction(1), order=-1), ValueError, "order must be non-negative"),
-    (series(Fraction(1), order=1), ValueError, "need exactly order + 1 coefficients"),
-    (series(1, order=0), TypeError, "coefficients must be Fractions"),
+    (lambda: series_rational_coefficients(1, (), -1), ValueError, "order must be non-negative"),
     (lambda: CIType((2.0,), 1), ValueError, "degree must be an integer"),
     (lambda: CIType((True,), 1), ValueError, "degree must be an integer"),
     (lambda: CIType((0,), -1), ValueError, "degrees must be >= 1"),
