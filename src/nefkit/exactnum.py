@@ -18,18 +18,18 @@ from typing import Sequence
 
 __all__ = ["complete_homogeneous", "complete_homogeneous_prefix", "elementary_symmetric"]
 
-# The digit bound on a printed integer when the int-to-str limit is off, a
-# work bound: `--format json verdict delpezzo --dim 1000000 --degree 1`, whose
-# chi has 698,971 digits, takes 7.4 s to print (Python 3.11, 2-CPU host), and
-# the time grows with the square of the digit count; and the most bits nefkit
-# prints in decimal, 4,215 digits at most, under the default limit of 4,300.
+# The digit bound on a printed integer when the int-to-str limit is off, or set
+# above 1,000,000 digits, a work bound: `--format json verdict delpezzo --dim
+# 1000000 --degree 1`, a chi of 698,971 digits, takes 7.4 s to print (Python
+# 3.11, 2-CPU host), in time growing with the square of the digits; and the most
+# bits nefkit prints in decimal, 4,215 digits under the default limit of 4,300.
 _UNLIMITED_DIGITS = 1_000_000
 _DECIMAL_MAX_BITS = 14_000
 
 
 def _digits_in_force() -> int:
-    """The int-to-str limit, or _UNLIMITED_DIGITS when that limit is off."""
-    return sys.get_int_max_str_digits() or _UNLIMITED_DIGITS
+    """The int-to-str limit, at most _UNLIMITED_DIGITS, which also stands for no limit."""
+    return min(sys.get_int_max_str_digits() or _UNLIMITED_DIGITS, _UNLIMITED_DIGITS)
 
 
 def _printable_bits() -> int:

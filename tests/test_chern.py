@@ -211,6 +211,38 @@ def test_chern_degrees_last_entry_is_euler():
             assert chern_degrees_ci(ci)[-1] == euler_ci_formula(ci), ci
 
 
+def test_chern_series_times_its_denominator_is_the_binomial_row():
+    # Chern degrees / prod d, convolved with prod (1 + d_j t), give back
+    # (1 + t)^(n+r+1) through t^n; the convolution only multiplies
+    for degrees in ((2,), (2, 3), (4, 4, 6), (2, 2, 2, 2), (5, 7)):
+        product = [1]
+        for d in degrees:
+            product = [a + d * b for a, b in zip(product + [0], [0] + product)]
+        for n in (0, 1, 4, 7):
+            ci = CIType(degrees, n)
+            series = [Fraction(c, ci.degree_product) for c in chern_degrees_ci(ci)]
+            back = [sum(series[i] * product[k - i] for i in range(k + 1) if k - i < len(product))
+                    for k in range(n + 1)]
+            assert back == [math.comb(n + len(degrees) + 1, k) for k in range(n + 1)], ci
+
+
+def test_chern_degrees_are_ints():
+    for degrees in ((), (2,), (2, 3), (4, 4, 6), (2, 2, 2, 2)):
+        for n in range(8):
+            assert all(type(c) is int for c in chern_degrees_ci(CIType(degrees, n))), (degrees, n)
+
+
+def test_projective_space_series_subtracts_nothing(monkeypatch):
+    # with no degree other than 1 the binomial row is the series, O(n) steps
+    # with no division, each of whose steps subtracts
+    def subtract(self, other):
+        raise AssertionError("subtracted in the series of a projective space")
+
+    monkeypatch.setattr(Fraction, "__sub__", subtract)
+    assert chern_degrees_ci(CIType((), 9)) == [math.comb(10, k) for k in range(10)]
+    assert chern_degrees_ci(CIType((1, 1), 5)) == [math.comb(6, k) for k in range(6)]
+
+
 # ---------------------------------------------------------------------------
 # One statement of each Chern limit's bound
 

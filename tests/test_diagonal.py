@@ -539,10 +539,12 @@ def test_delpezzo_closed_form_rows_stop_where_chi_can_no_longer_be_printed():
 
 
 def test_delpezzo_dimension_limit_follows_the_str_limit():
-    # with the limit off, the bound is the work bound of 1,000,000 digits
+    # with the limit off, or set above it, the bound is the work bound of
+    # 1,000,000 digits
     limit = sys.get_int_max_str_digits()
     try:
         for setting, digits, expected in ((640, 640, 916), (5000, 5000, 7154),
+                                          (2_000_000, 1_000_000, 1_430_677),
                                           (0, 1_000_000, 1_430_677)):
             sys.set_int_max_str_digits(setting)
             chi = verdict_delpezzo(expected, 1).witness["chi"]
@@ -812,15 +814,11 @@ def test_chain_obeys_the_witness_laws_at_their_edges(bound_step):
 def test_internal_checks_hold_under_python_optimize():
     # each check stands in for an assert, which python -O would drop
     code = """
-from fractions import Fraction
 from nefkit import chern, diagonal
-from nefkit.chern import CIType
 assert not __debug__
-chern.series_rational_coefficients = lambda *args: [Fraction(1, 2)]
 chern.divmod = lambda a, b: (0, 1)
 diagonal._at_i = lambda p: (0, 0)
-for check in (lambda: chern.chern_degrees_ci(CIType((3,), 1)),
-              lambda: chern.euler_delpezzo_closed(3, 1),
+for check in (lambda: chern.euler_delpezzo_closed(3, 1),
               lambda: diagonal._chain(diagonal._DEGREE_STEPS[(3,)], 1, [0, 1], 3),
               lambda: diagonal.cp_fibration_obstruction(1)):
     try:
@@ -835,7 +833,6 @@ for check in (lambda: chern.chern_degrees_ci(CIType((3,), 1)),
                           env=env, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
-        "Chern degrees of a complete intersection must be integers",
         "closed-form numerator must be divisible",
         "the Euler characteristic of a curve must be even",
         "the fibration obstruction must not vanish",

@@ -1,19 +1,15 @@
 """Tests for the exact arithmetic layer.
 
 The symmetric functions are checked against brute-force enumeration over
-index multisets/subsets, and chern's series expander against naive polynomial
-convolution, so every frozen value downstream rests on an independent oracle.
+index multisets/subsets, so every frozen value downstream rests on an
+independent oracle; chern's series route has its own tests in test_chern.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-import pytest
-
-from nefkit.chern import CIType, chern_degrees_ci, series_rational_coefficients
 from nefkit.exactnum import complete_homogeneous, complete_homogeneous_prefix, elementary_symmetric
 
 
@@ -35,15 +31,6 @@ def brute_e(k: int, values: list[int]) -> int:
     for combo in itertools.combinations(range(len(values)), k):
         total += math.prod(values[i] for i in combo)
     return total
-
-
-def poly_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            if i + j <= order:
-                out[i + j] += a * b
-    return out
 
 
 def test_symmetric_functions_trivial_cases():
@@ -85,71 +72,3 @@ def test_newton_style_identity():
                 for i in range(k + 1)
             )
             assert acc == 0, (k, values)
-
-
-def test_series_cube_of_linear_factor():
-    assert series_rational_coefficients(3, [], 2) == [1, 3, 3]
-
-
-def test_series_geometric_inverse():
-    assert series_rational_coefficients(0, [2], 3) == [1, -2, 4, -8]
-
-
-def test_series_binomial_at_index():
-    for p in range(0, 8):
-        assert series_rational_coefficients(p, [], 6) == [math.comb(p, k) for k in range(7)]
-
-
-def test_series_quotient_matches_symmetric_function_expansion():
-    # Coefficient n of (1+t)^(n+r+1) / prod(1+d t) equals
-    # sum_i (-1)^(n-i) C(n+r+1, i) h_(n-i)(d).
-    cases = [((2, 2), 3, 6), ((3,), 4, 6), ((2, 2, 2), 2, 6), ((4, 5), 5, 8)]
-    for degrees, n, top in cases:
-        r = len(degrees)
-        series = series_rational_coefficients(n + r + 1, degrees, n)
-        expected = sum(
-            (-1) ** (n - i) * math.comb(n + r + 1, i) * complete_homogeneous(n - i, list(degrees))
-            for i in range(n + 1)
-        )
-        assert series[n] == expected
-        assert top  # grid marker, keeps the case tuple self-documenting
-
-
-def test_series_quotient_against_naive_convolution():
-    order = 7
-    num = [Fraction(math.comb(9, k)) for k in range(order + 1)]
-    s = series_rational_coefficients(9, [2, 3], order)
-    back = poly_mul(
-        s,
-        poly_mul(
-            [Fraction(1), Fraction(2)] + [Fraction(0)] * (order - 1),
-            [Fraction(1), Fraction(3)] + [Fraction(0)] * (order - 1),
-            order,
-        ),
-        order,
-    )
-    assert back == num
-
-
-def test_series_integrality_for_integer_factors():
-    for degrees in ([2], [2, 3], [4, 4, 6], [2, 2, 2, 2]):
-        s = series_rational_coefficients(len(degrees) + 8, degrees, 7)
-        assert all(c.denominator == 1 for c in s)
-
-
-def test_series_without_factors_divides_nothing(monkeypatch):
-    # projective space keeps the binomial series, O(n) steps with no division,
-    # each of whose steps subtracts
-    def divide(self, other):
-        raise AssertionError("divided a series with no denominator factors")
-
-    monkeypatch.setattr(Fraction, "__sub__", divide)
-    assert series_rational_coefficients(7, (), 5) == [1, 7, 21, 35, 35, 21]
-    assert chern_degrees_ci(CIType((), 9)) == [math.comb(10, k) for k in range(10)]
-
-
-def test_series_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        series_rational_coefficients(-2, [], 3)
-    with pytest.raises(ValueError):
-        series_rational_coefficients(0, [], -1)

@@ -38,7 +38,6 @@ from nefkit.chern import (
     euler_ci_row,
     euler_ci_rows,
     euler_ci_series,
-    series_rational_coefficients,
 )
 from nefkit.cones import load_dataset, nef_cone_of_codim
 from nefkit.diagonal import scan_ci, spherical_nef_diagonal_check, verdict_ci
@@ -90,17 +89,16 @@ def test_three_euler_routes_agree(degrees, n):
 
 
 @bounded(200)
-@given(exponent=st.integers(0, 40), factors=st.lists(st.integers(-6, 9), max_size=8),
-       order=st.integers(0, 30))
-@example(exponent=5, factors=[0, -1, -3, -3, 2, 2], order=30)
-def test_series_route_divides_as_one_factor_at_a_time(exponent, factors, order):
-    # dividing by (1 + s t) is c'_k = c_k - s c'_(k-1), in integers
-    expected = [math.comb(exponent, k) for k in range(order + 1)]
-    for s in factors:
-        for k in range(1, order + 1):
-            expected[k] -= s * expected[k - 1]
-    series = series_rational_coefficients(exponent, factors, order)
-    assert series == expected
+@given(degrees=st.lists(st.integers(1, 9), max_size=8), n=st.integers(0, 30))
+@example(degrees=[1, 9, 2, 9, 1, 3, 3, 2], n=30)
+def test_series_route_divides_as_one_factor_at_a_time(degrees, n):
+    # dividing by (1 + d t) is c'_k = c_k - d c'_(k-1), in integers
+    ci = CIType(degrees, n)
+    expected = [math.comb(n + ci.codimension + 1, k) for k in range(n + 1)]
+    for d in ci.degrees:
+        for k in range(1, n + 1):
+            expected[k] -= d * expected[k - 1]
+    assert chern_degrees_ci(ci) == [ci.degree_product * c for c in expected]
 
 
 @bounded(100)

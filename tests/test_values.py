@@ -15,7 +15,6 @@ from nefkit.chern import (
     CIType,
     NegativeBetti,
     WeightedHypersurface,
-    series_rational_coefficients,
 )
 from nefkit.cones import (
     CycleClass,
@@ -192,7 +191,6 @@ SURFACE = (CycleClass("p", (0, 0), 0), CycleClass("l", (1, 0), 1),
 
 
 @pytest.mark.parametrize(("make", "error", "message"), [
-    (lambda: series_rational_coefficients(1, (), -1), ValueError, "order must be non-negative"),
     (lambda: CIType((2.0,), 1), ValueError, "degree must be an integer"),
     (lambda: CIType((True,), 1), ValueError, "degree must be an integer"),
     (lambda: CIType((0,), -1), ValueError, "degrees must be >= 1"),
