@@ -7,10 +7,9 @@ characteristic is exposed through three independent routes that must agree:
 * euler_ci_formula: the symmetric-function expansion,
 * euler_ci_series: the coefficient of a truncated rational series, the last
   entry of chern_degrees_ci,
-* euler_ci_recursive: a two-term recursion in (degrees, dimension), the last
-  entry of euler_ci_row, which gives chi(degrees; m) for every m <= n at once;
-  euler_ci_rows walks the same recursion over a whole grid of degree tuples,
-  one step per tuple.
+* euler_ci_recursive: a two-term recursion in (degrees, dimension), whose
+  table gives chi(degrees; m) for every m <= n at once; euler_ci_rows walks
+  the same recursion over a whole grid of degree tuples, one step per tuple.
 
 The routes and euler_weighted take any size. Every limit on them lives here,
 beside its work: _check_formula_size on the formula route's chi and
@@ -22,7 +21,7 @@ until the benchmark bounds its peak memory per call.
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
-which is (-1)^n chi(2,...,2; n) / 2^r read from the recursive route's row,
+which is (-1)^n chi(2,...,2; n) / 2^r from the recursive route,
 and closed forms for low-degree del Pezzo Euler characteristics.
 """
 
@@ -42,7 +41,6 @@ __all__ = [
     "euler_ci_formula",
     "euler_ci_series",
     "euler_ci_recursive",
-    "euler_ci_row",
     "euler_ci_rows",
     "chern_degrees_ci",
     "quadrics_b",
@@ -169,13 +167,7 @@ def euler_ci_series(ci: CIType) -> int:
 
 
 def euler_ci_recursive(ci: CIType) -> int:
-    """Euler characteristic by the recursive route: the last entry of
-    euler_ci_row(ci)."""
-    return euler_ci_row(ci)[-1]
-
-
-def euler_ci_row(ci: CIType) -> list[int]:
-    """[chi(degrees; 0), ..., chi(degrees; n)], by peeling one degree at a time.
+    """Euler characteristic by the recursive route, peeling one degree at a time.
 
     chi(d_1..d_r; n) = d_1 chi(d_2..d_r; n) - (d_1 - 1) chi(d_1..d_r; n-1),
     with bases chi(...; 0) = prod d_j and chi(; n) = n + 1. Evaluated as an
@@ -186,7 +178,7 @@ def euler_ci_row(ci: CIType) -> list[int]:
     row = list(range(1, ci.dimension + 2))
     for d in reversed(ci.degrees):
         _peel(row, d)
-    return row
+    return row[-1]
 
 
 def _peel(row: list[int], d: int) -> list[int]:
@@ -202,8 +194,9 @@ def _peel(row: list[int], d: int) -> list[int]:
 def euler_ci_rows(
     max_degree: int, max_codimension: int, max_dimension: int
 ) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """(degrees, euler_ci_row(CIType(degrees, max_dimension)), degree product)
-    for every sorted tuple of at most max_codimension degrees in 2..max_degree.
+    """(degrees, [chi(degrees; 0), ..., chi(degrees; max_dimension)], degree
+    product) for every sorted tuple of at most max_codimension degrees in
+    2..max_degree, each row the table of the recursive route.
 
     A depth-first walk over an explicit path, with no recursion, parents
     before children: (), (2,), (2, 2), ... The row of (d, *rest), d <= rest[0],
@@ -350,10 +343,6 @@ class WeightedHypersurface(_Frozen):
             raise ValueError("degree must be >= 1")
         self._store(ws, d)
 
-    @property
-    def weight_product(self) -> int:
-        return math.prod(self.weights)
-
 
 # euler weighted reads one bit bound S: the sum over the weights a_j of the
 # bits of max(a_j, |a_j - d|), T, plus the bits of d and of m + 1, the weight
@@ -391,7 +380,7 @@ def euler_weighted(wh: WeightedHypersurface) -> int:
     and e_m(a_0..a_m) = sum_j prod(a) / a_j, m + 1 exact divisions.
     """
     d = wh.degree
-    product = wh.weight_product
+    product = math.prod(wh.weights)
     total = (math.prod(a - d for a in wh.weights) + d * sum(product // a for a in wh.weights)
              - product) // d**2
     value, remainder = divmod(total * d, product)

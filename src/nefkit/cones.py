@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .exactnum import _Frozen, _check_int
+from .exactnum import _Frozen, _check_int, _digits_in_force
 
 __all__ = [
     "SchemaError",
@@ -190,32 +189,43 @@ class CycleDataset(_Frozen):
         return self.pairings[key]
 
 
+# The most digits load_dataset reads in an integer under a higher int-to-str
+# limit, or none: int() takes time growing with the square of the digits, 7.0 s
+# for 1,000,000 of them (Python 3.11, 2-CPU host), which the byte cap admits.
+_READ_MAX_DIGITS = 4_300
+
+
 def load_dataset(text: str) -> CycleDataset:
     """Parse and validate a JSON dataset document.
 
     Its own checks, each raising SchemaError, cover what the constructors
     cannot see: a document the JSON parser can read (not nested past the
-    recursion limit, no integer past the int-to-str digit limit, no object
-    that repeats a key), a top-level object with the four fields, classes
-    and pairings given as lists, class entries given as objects, and pairing
-    entries with string endpoints a and b and an integer value, checked per
-    entry because agreeing duplicates merge. Duplicates with conflicting
-    values (including asymmetric duplicates) raise InconsistentPairing.
-    CycleClass and CycleDataset check the variety, the dimension, each class
-    and each pairing's classes, raising SchemaError or its subclass
-    InvalidPartition.
+    recursion limit, no integer of more digits than the int-to-str limit or
+    _READ_MAX_DIGITS, no object that repeats a key), a top-level object with
+    the four fields, classes and pairings given as lists, class entries given
+    as objects, and pairing entries with string endpoints a and b and an
+    integer value, checked per entry because agreeing duplicates merge.
+    Duplicates with conflicting values (including asymmetric duplicates) raise
+    InconsistentPairing. CycleClass and CycleDataset check the variety, the
+    dimension, each class and each pairing's classes, raising SchemaError or
+    its subclass InvalidPartition.
     """
+    max_digits = min(_digits_in_force(), _READ_MAX_DIGITS)
+
+    def parse_int(text: str) -> int:  # the text of a JSON integer, sign included
+        if len(text) - text.startswith("-") > max_digits:
+            raise SchemaError(f"dataset cannot be read: an integer has more than {max_digits}"
+                              " digits, too many to read")
+        return int(text)
+
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=parse_int)
     except SchemaError:
         raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"dataset cannot be read: {exc}") from exc
-    except ValueError as exc:  # json's only other error: an integer past the digit limit
-        raise SchemaError("dataset cannot be read: an integer has more than "
-                          f"{sys.get_int_max_str_digits()} digits, too many to read") from exc
     if not isinstance(doc, dict):
         raise SchemaError("dataset document must be a JSON object")
     for key in ("variety", "dimension", "classes", "pairings"):

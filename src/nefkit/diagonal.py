@@ -70,15 +70,10 @@ _STATUS_OF = {
     Reason.NON_NEGATIVE_PAIRINGS: Status.NEF,
     Reason.OPEN_QUESTION: Status.OPEN,
 }
-# Read from their Enum classes once, at about 14 times the cost of a global on
-# Python 3.11: the members that Verdict's laws test, and Status in order.
+# Read from Reason once, as a member lookup costs about 14 times a global on
+# Python 3.11: the two members of _chi_witness_error, which scan_ci runs per case.
 _NEGATIVE_SELF_INTERSECTION = Reason.NEGATIVE_SELF_INTERSECTION
 _PROJECTION_BOUND = Reason.PROJECTION_BOUND
-_NEGATIVE_EFFECTIVE_PAIR = Reason.NEGATIVE_EFFECTIVE_PAIR
-_K3_SURFACE = Reason.K3_SURFACE
-_BIRATIONAL_CONTRACTION = Reason.BIRATIONAL_CONTRACTION
-_OPEN_QUESTION = Reason.OPEN_QUESTION
-_STATUSES = tuple(Status)
 
 
 class Verdict(_Frozen):
@@ -100,20 +95,20 @@ class Verdict(_Frozen):
         error = _chi_witness_error(reason, w.get("chi"), w.get("bound"))
         if error:
             raise ValueError(error)
-        if reason is _NEGATIVE_EFFECTIVE_PAIR:
+        if reason is Reason.NEGATIVE_EFFECTIVE_PAIR:
             classes = w.get("classes")
             if not (isinstance(classes, (list, tuple)) and len(classes) == 2
                     and all(isinstance(label, str) for label in classes)):
                 raise ValueError("NegativeEffectivePair needs a pair of class names")
             if type(w.get("value")) is not int or w["value"] >= 0:
                 raise ValueError("NegativeEffectivePair needs witness value < 0")
-        elif reason is _K3_SURFACE:
+        elif reason is Reason.K3_SURFACE:
             if not w.get("table_entry"):
                 raise ValueError("K3Surface verdicts must name their table entry")
-        elif reason is _BIRATIONAL_CONTRACTION:
+        elif reason is Reason.BIRATIONAL_CONTRACTION:
             if not w.get("contraction"):
                 raise ValueError("BirationalContraction must name the contraction")
-        elif reason is _OPEN_QUESTION:
+        elif reason is Reason.OPEN_QUESTION:
             if not w.get("reference"):
                 raise ValueError("Open verdicts must carry a reference id")
         self._store(_STATUS_OF[reason], reason, detail, w)
@@ -382,15 +377,24 @@ def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
     return row
 
 
+# log10 5 and log10 3 in millionths, 4.4e-9 and 2.6e-7 below them. For D <= 10^6
+# digits E = D 10^6 // _LOG10_MILLIONTHS[degree] exceeds D / log10 5 by at most
+# 0.01, D / log10 3 by at most 1.12, so at n = E - 2 |chi| is below 10^D and, as
+# |chi| grows with n, E - 2 is within the limit: (5^n + 3n + 2) / 3 < 5^n <=
+# 10^D 5^-1.99, and (3^(n+1) + 4n + 5) / 4 <= (1.15 10^D + 4n + 5) / 4 < 10^D.
+# The limit less E is +1 at degree 1 and 0, 0, -1 at degree 2 at 640, 4,300, 10^6.
+_LOG10_MILLIONTHS = {1: 698_970, 2: 477_121}
+
+
 @cache
 def _closed_form_max_dimension(digits: int, degree: int) -> int:
     """The largest n at which the closed-form chi of the degree-1 or degree-2
     del Pezzo n-fold, the largest number of its verdict, has at most the
-    given number of digits: an estimate from log10 5 or log10 3 in
-    millionths, corrected against 10^digits. At 4,300 digits, the default
-    int-to-str limit: 6,152 and 9,012."""
+    given number of digits: an estimate from _LOG10_MILLIONTHS, corrected
+    against 10^digits. At 4,300 digits, the default int-to-str limit: 6,152
+    and 9,012."""
     ceiling = 10**digits
-    n = digits * 1_000_000 // (698_970 if degree == 1 else 477_121)
+    n = digits * 1_000_000 // _LOG10_MILLIONTHS[degree]
     while abs(euler_delpezzo_closed(n + 1, degree)) < ceiling:
         n += 1
     while abs(euler_delpezzo_closed(n, degree)) >= ceiling:
@@ -413,10 +417,11 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
                               f" manifold of dimension {n}")
     if row.cover:
         digits = _digits_in_force()
-        limit = _closed_form_max_dimension(digits, degree)
-        if n > limit:
-            raise ValueError(f"dimension must be at most {limit} for degree {degree}: past it"
-                             f" chi has more than {digits} digits")
+        if n > digits * 1_000_000 // _LOG10_MILLIONTHS[degree] - 2:  # near the limit
+            limit = _closed_form_max_dimension(digits, degree)
+            if n > limit:
+                raise ValueError(f"dimension must be at most {limit} for degree {degree}: past"
+                                 f" it chi has more than {digits} digits")
         cover = row.cover(n)
         step, chi, bound = _chain(None, n, {n: euler_delpezzo_closed(n, degree)}, cover,
                                   _COVER_BOUND)
@@ -497,10 +502,6 @@ class FibrationObstruction(_Frozen):
 
     _fields = ("n", "total_dimension", "p_total", "p_fiber", "remainder")
 
-    def __init__(self, n: int, total_dimension: int, p_total: tuple[int, ...],
-                 p_fiber: tuple[int, ...], remainder: tuple[int, ...]) -> None:
-        self._store(n, total_dimension, p_total, p_fiber, remainder)
-
     @property
     def nonzero(self) -> bool:
         return any(self.remainder)
@@ -575,12 +576,6 @@ def _check_scan_size(max_dim: int, max_degree: int, max_r: int, quadrics_max_r: 
 class ScanReport(_Frozen):
     _fields = ("max_dimension", "max_degree", "max_codimension", "quadrics_max_codimension",
                "cases", "law_checks", "verdict_counts")
-
-    def __init__(self, max_dimension: int, max_degree: int, max_codimension: int,
-                 quadrics_max_codimension: int, cases: int, law_checks: dict[str, int],
-                 verdict_counts: dict[str, int]) -> None:
-        self._store(max_dimension, max_degree, max_codimension, quadrics_max_codimension, cases,
-                    law_checks, verdict_counts)
 
     def to_payload(self) -> dict:
         payload = {name: getattr(self, name) for name in self._fields}
@@ -690,5 +685,5 @@ def scan_ci(max_dimension: int, max_degree: int, max_codimension: int,
         cases=law_checks["verdict_classified"],
         law_checks=law_checks,
         verdict_counts={status.value: sum(count for reason, count in reason_counts.items()
-                                          if _STATUS_OF[reason] is status) for status in _STATUSES},
+                                          if _STATUS_OF[reason] is status) for status in Status},
     )

@@ -90,13 +90,18 @@ def _check_int(value: object, name: str, error: type[ValueError] = ValueError) -
 
 
 class _Frozen:
-    """Value behaviour for a class that names its fields in _fields and whose
-    __init__ checks its arguments, then stores the fields with _store:
-    equality only with an instance of the same class with equal fields, the
-    hash of the field tuple, the repr Name(field=value, ...), and no
-    attribute assignment or deletion."""
+    """Value behaviour for a class that names its fields in _fields: equality
+    only with an instance of the same class with equal fields, the hash of the
+    field tuple, the repr Name(field=value, ...), and no attribute assignment
+    or deletion. A class whose __init__ checks its arguments or fills in
+    defaults stores the fields with _store; any other takes them by keyword."""
 
     _fields: tuple[str, ...]
+
+    def __init__(self, **fields: object) -> None:
+        if fields.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes the keyword fields {self._fields}")
+        self._store(*[fields[name] for name in self._fields])
 
     def _store(self, *values: object) -> None:
         """Set the fields, one value each in _fields order; a count that does

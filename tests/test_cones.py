@@ -14,6 +14,7 @@ import json
 import os
 import random
 import re
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -316,6 +317,27 @@ def test_load_dataset_rejects_an_object_partition() -> None:
 def test_load_dataset_rejects_unreadable_documents(text) -> None:
     with pytest.raises(SchemaError, match="^dataset cannot be read: "):
         load_dataset(text)
+
+
+@pytest.mark.parametrize(("setting", "digits"), [(0, 4_300), (10_000, 4_300), (4_300, 4_300),
+                                                 (640, 640)])
+def test_load_dataset_reads_no_integer_past_the_digit_cap(setting, digits) -> None:
+    # with the int-to-str limit off, or set higher, int() would read any
+    # length, in time growing with the square of the digits
+    text = json.dumps(make_doc())
+    value = text.replace('"value": 1}]', '"value": -N}]')
+    dimension = text.replace('"dimension": 2', '"dimension": N')
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(setting)
+        ds = load_dataset(value.replace("N", "7" * digits))
+        assert ds.pairings[("h", "h")] == -int("7" * digits)
+        for doc in (value, dimension):
+            with pytest.raises(SchemaError, match=f"^dataset cannot be read: an integer has more"
+                                                  f" than {digits} digits, too many to read$"):
+                load_dataset(doc.replace("N", "7" * (digits + 1)))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("overrides", [

@@ -554,8 +554,9 @@ def test_delpezzo_dimension_limit_follows_the_str_limit():
                 verdict_delpezzo(expected + 1, 1)
         assert sys.get_int_max_str_digits() == 0
         verdict_delpezzo(20001, 1)  # past the default limit's 6,152
-        with pytest.raises(ValueError, match="at most 2095903 for degree 2"):
-            verdict_delpezzo(10**20, 2)
+        for n in (10**20, 2_095_904):  # the second is the estimate, one past the limit
+            with pytest.raises(ValueError, match="at most 2095903 for degree 2"):
+                verdict_delpezzo(n, 2)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -566,11 +567,34 @@ def test_delpezzo_dimension_limit_is_computed_once_per_digit_limit(monkeypatch):
                         lambda n, degree: calls.append(n) or euler_delpezzo_closed(n, degree))
     monkeypatch.setattr(diagonal, "_closed_form_max_dimension",
                         functools.cache(diagonal._closed_form_max_dimension.__wrapped__))
-    verdict_delpezzo(7, 1)
+    verdict_delpezzo(6152, 1)  # at the limit, which only an n near it computes
     first = len(calls)  # the limit's estimate and correction, then chi
     for _ in range(3):
-        verdict_delpezzo(7, 1)
+        verdict_delpezzo(6152, 1)
     assert first > 2 and len(calls) == first + 3
+
+
+def test_delpezzo_dimension_limit_is_computed_only_near_the_estimate(monkeypatch):
+    # a threefold answers at once whatever the digits, even with the limit off,
+    # where the exact limit takes powers of about 1,400,000 digits
+    def unreachable(digits, degree):
+        raise AssertionError(f"limit computed at {digits} digits for degree {degree}")
+
+    monkeypatch.setattr(diagonal, "_closed_form_max_dimension", unreachable)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert verdict_delpezzo(3, 1).witness["chi"] == -38
+        assert verdict_delpezzo(3, 2).witness["chi"] == -16
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [640, 4_300, 1_000_000])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_delpezzo_estimate_less_two_is_within_the_limit(digits, degree):
+    estimate = digits * 1_000_000 // diagonal._LOG10_MILLIONTHS[degree]
+    assert estimate - 2 <= diagonal._closed_form_max_dimension(digits, degree) <= estimate + 1
 
 
 def test_delpezzo_delegates_to_ci():

@@ -149,6 +149,17 @@ def test_instances_are_frozen(cls) -> None:
     assert field_tuple(value) == before
 
 
+def test_keyword_constructor_needs_exactly_the_fields() -> None:
+    fields = {"n": 1, "total_dimension": 3, "p_total": (1,), "p_fiber": (4,), "remainder": (0,)}
+    assert FibrationObstruction(**fields).remainder == (0,)
+    for wrong in ({**fields, "extra": 1}, {k: v for k, v in fields.items() if k != "n"},
+                  {**{k: v for k, v in fields.items() if k != "n"}, "m": 1}):
+        with pytest.raises(TypeError, match="^FibrationObstruction takes the keyword fields"):
+            FibrationObstruction(**wrong)
+    with pytest.raises(TypeError):
+        ScanReport(1, 2, 1, 1, 2, {}, {})
+
+
 def test_store_needs_one_value_per_field() -> None:
     value = object.__new__(CIType)
     for values in (((2,),), ((2,), 1, 0)):
