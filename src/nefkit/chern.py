@@ -12,12 +12,12 @@ characteristic is exposed through three independent routes that must agree:
   the same recursion over a whole grid of degree tuples, one step per tuple.
 
 The routes and euler_weighted take any size. Every limit on them lives here,
-beside its work: _check_formula_size on the formula route's chi and
-_check_chern_size on chern ci's series, both reading one bit bound,
-_bit_bound, and _check_weighted_size on euler weighted; their bit caps are
-exactnum._printable_bits. The series route, chern_degrees_ci, divides once by
-prod (1 + d_j t) in Fractions, which it alone loads; they never divide and stay
-until the benchmark bounds its peak memory per call.
+beside its work: _check_formula_size on the formula route's work, by _bit_bound,
+and on M, a bound on every number its commands print; _check_chern_size on
+chern ci's series, by _bit_bound too; and _check_weighted_size on euler weighted.
+Each compares bits with exactnum._printable_bits. The series route,
+chern_degrees_ci, divides once by prod (1 + d_j t) in Fractions, which it alone
+loads; they never divide and stay until the benchmark bounds its peak memory.
 
 On top of that sit Betti tables of the middle-heavy hypersurface shape,
 signed Poincare polynomials, the normalized all-quadrics invariant b(n, r),
@@ -136,6 +136,15 @@ def _check_formula_size(ci: CIType) -> None:
         raise ValueError("dimension n, r degrees other than 1 and B = (n + r)(b + 2), b the bits"
                          " of the largest degree, must have n (r + 1) B^1.5 at most"
                          f" {_FORMULA_MAX_WORK}, the most work the formula route takes")
+    # For r >= 1, Hirzebruch's sum_n chi_n t^n = prod d / ((1 - t)^2 prod (1 + (d_j - 1) t)) and
+    # h_m(d - 1) <= C(n + r - 1, r - 1) (D - 1)^m, D the largest degree, give |chi| + n prod d <= M,
+    # so M bounds chi, the Betti middle, at most |chi| + n + 1, and (n + 1) prod d; r = 0 is P^n.
+    max_bits = _printable_bits(None)
+    if r and (ci.degree_product * (n + 1) ** 2 * math.comb(n + r - 1, r - 1)
+              * (ci.degrees[-1] - 1) ** n).bit_length() > max_bits:
+        raise ValueError("dimension n and r degrees other than 1, the largest D, must have M ="
+                         f" prod d (n + 1)^2 C(n + r - 1, r - 1) (D - 1)^n below 2^{max_bits},"
+                         " the most bits that print under the int-to-str limit in force")
 
 
 # The series route of chern ci takes r n integer steps to multiply out prod (1 + d

@@ -25,15 +25,17 @@ included, writes their text to the real streams when main returns and ends
 the process, with status 1 if that text cannot be written.
 
 A handler checks its command's limits before any work with the checks that sit
-beside the work they bound, in chern, diagonal (scan ci) and cones (cone dual).
-Importing this module loads no library layer and not argparse. Each handler
-imports what it calls when it runs, so euler, chern and betti load exactnum
-and chern; verdict, scan and table also diagonal; cone dual exactnum and
-cones; cone check also chern and diagonal; a usage error and help none. Only
-chern ci builds a series, and with it loads fractions. main maps a library exception
-to its exit status only if that exception's module is loaded, which it must
-be if it was raised; a MemoryError is invalid input, too large to compute. No
-layer imports dataclasses, so no subcommand loads it or inspect.
+beside the work they bound, in chern, diagonal (verdict curve, scan ci) and cones
+(cone dual); with the dataset reader's digit cap they bound every number a report
+prints, so main knows no digit limit and renders outside its try. Importing this
+module loads no library layer and not argparse. Each handler imports what it
+calls when it runs, so euler, chern and betti load exactnum and chern; verdict,
+scan and table also diagonal; cone dual exactnum and cones; cone check also chern
+and diagonal; a usage error and help none. Only chern ci builds a series, and
+with it loads fractions. main maps a library exception to its exit status only
+if that exception's module is loaded, which it must be if it was raised; a
+MemoryError is invalid input, too large to compute. No layer imports
+dataclasses, so no subcommand loads it or inspect.
 """
 
 from __future__ import annotations
@@ -214,8 +216,9 @@ def handle_verdict_delpezzo(args: Args) -> Outcome:
 
 
 def handle_verdict_curve(args: Args) -> Outcome:
-    from .diagonal import verdict_curve
+    from .diagonal import _check_curve_size, verdict_curve
 
+    _check_curve_size(args.genus)
     return _judged(verdict_curve(args.genus),
                    f"nef-diagonal classification of a genus-{args.genus} curve")
 
@@ -431,20 +434,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return exc.code
     try:
         result, notes = args.handler(args)
-        try:  # printing fails only on an integer past the int-to-str digit limit
-            if args.format == "json":
-                dests = [_dest(flag) for flag, _ in COMMANDS[args.group][1][args.kind][1]]
-                inputs = {dest: getattr(args, dest) for dest in dests
-                          if getattr(args, dest) is not None}
-                report = {"command": f"{args.group} {args.kind}", "inputs": inputs,
-                          "result": result, "notes": list(notes)}
-                output = json.dumps(report, sort_keys=True, indent=2) + "\n"
-            else:
-                lines = [*args.render(result), *(f"# {note}" for note in notes)]
-                output = "\n".join(lines) + "\n"
-        except ValueError:
-            raise ValueError("the result has an integer of more than "
-                             f"{sys.get_int_max_str_digits()} digits, too many to print") from None
     except _loaded(f"{__package__}.diagonal", "ScanViolation") as exc:
         print(f"scan violation: {exc}", file=sys.stderr)
         return 4
@@ -461,5 +450,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:  # a list or integer that fits no memory left, as for a huge --dim
         print("invalid input: too large to compute in the memory available", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
+    if args.format == "json":
+        dests = [_dest(flag) for flag, _ in COMMANDS[args.group][1][args.kind][1]]
+        inputs = {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
+        output = json.dumps({"command": f"{args.group} {args.kind}", "inputs": inputs,
+                             "result": result, "notes": list(notes)}, sort_keys=True, indent=2)
+    else:
+        output = "\n".join([*args.render(result), *(f"# {note}" for note in notes)])
+    sys.stdout.write(output + "\n")
     return 0

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .chern import (CIType, _check_formula_size, betti_ci, euler_ci_formula, euler_ci_rows,
                     euler_delpezzo_closed)
-from .exactnum import _DECIMAL_MAX_BITS, _digits_in_force, _Frozen, _check_int
+from .exactnum import _digits_in_force, _Frozen, _check_int, _printable_bits
 
 if TYPE_CHECKING:
     from .cones import CycleDataset
@@ -137,13 +137,9 @@ def _chi_witness_error(reason: Reason, chi: object, bound: object) -> str | None
 
 
 def _number(x: int) -> str:
-    """x in decimal if it fits _DECIMAL_MAX_BITS and prints, else by sign and bit length."""
-    if x.bit_length() <= _DECIMAL_MAX_BITS:
-        try:
-            return str(x)
-        except ValueError:  # past the int-to-str limit
-            pass
-    return f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)"
+    """x in decimal within exactnum._printable_bits(), else by its sign and bit length."""
+    return (str(x) if x.bit_length() <= _printable_bits() else
+            f"({'negative' if x < 0 else 'positive'} integer of {x.bit_length()} bits)")
 
 
 class _Step(NamedTuple):
@@ -186,6 +182,14 @@ class ScanViolation(Exception):
 
 # ---------------------------------------------------------------------------
 # Complete intersections and curves
+
+
+def _check_curve_size(genus: int) -> None:
+    """ValueError naming verdict curve's limit if chi = 2 - 2 genus, or genus, would not print."""
+    max_bits = _printable_bits(None)
+    if (2 - 2 * genus).bit_length() > max_bits:
+        raise ValueError(f"--genus g must have |2 - 2 g| below 2^{max_bits}, the most bits that"
+                         " print under the int-to-str limit in force")
 
 
 def verdict_curve(genus: int) -> Verdict:

@@ -6,9 +6,9 @@ rational series that the Chern degrees expand lives in chern, and only chern
 ci expands one.
 
 This bottom layer also holds the decimal print caps, which _printable_bits
-reads for every bit cap in chern, and _Frozen, the immutable-value behaviour
-of every layer's value classes, written by hand so that no subcommand imports
-dataclasses or inspect at cold start.
+reads for every bit cap in chern and diagonal, and _Frozen, the immutable-value
+behaviour of every layer's value classes, written by hand so that no subcommand
+imports dataclasses or inspect at cold start.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ def _digits_in_force() -> int:
     return min(sys.get_int_max_str_digits() or _UNLIMITED_DIGITS, _UNLIMITED_DIGITS)
 
 
-def _printable_bits() -> int:
-    """The most bits of an integer that prints in decimal: under the digits in
-    force, at most _DECIMAL_MAX_BITS."""
-    # 10^digits has floor(digits log2 10) + 1 bits; past the cap's digits it is moot
-    digits = min(_digits_in_force(), _DECIMAL_MAX_BITS)
-    return min(_DECIMAL_MAX_BITS, (10**digits).bit_length() - 1)
+def _printable_bits(cap: int | None = _DECIMAL_MAX_BITS) -> int:
+    """The most bits of an integer that prints under the digits in force, at most cap."""
+    # log2 10 in billionths, 8.9e-10 below it, so 2^bits <= 10^digits; exact to 14,300 digits
+    bits = _digits_in_force() * 3_321_928_094 // 1_000_000_000
+    return bits if cap is None else min(cap, bits)
 
 
 def complete_homogeneous(k: int, values: Sequence[int]) -> int:

@@ -36,6 +36,9 @@ GROUPS = ["euler", "chern", "betti", "verdict", "cone", "scan", "table"]
 SUBCOMMANDS = [
     ["euler", "ci", "--dim", "3", "--degrees", "2,2"],
     ["euler", "ci", "--dim", "7"],
+    # the largest dimension of degree 7 whose printable bound, prod d (n + 1)^2
+    # C(n + r - 1, r - 1) (D - 1)^n, is below 2^14,284: chi has 4,293 digits
+    ["euler", "ci", "--dim", "5515", "--degrees", "7"],
     ["euler", "weighted", "--weights", "3,2,1,1,1,1", "--degree", "6"],
     # the largest bit bound euler weighted accepts, S = 14,000: 131 unit
     # weights at degree 2^106 - 1, whose chi has 4,149 digits
@@ -112,7 +115,11 @@ ERRORS = [
     ["verdict", "delpezzo", "--dim", "3", "--degree", "7", "--variant", "P1xP1xP1"],
     ["betti", "ci", "--dim", "0"],
     ["cone", "dual", "--dataset", "gw2c5", "--codim", "9"],
+    # results past the int-to-str limit of 4,300 digits, refused before any
+    # work by the formula route's printable bound and by verdict curve's
     ["--format", "json", "euler", "ci", "--dim", "2300", "--degrees", "99"],
+    ["euler", "ci", "--dim", "5516", "--degrees", "7"],
+    ["verdict", "curve", "--genus", "9" * 4300],
     # the formula route past its limit, checked before any work: in euler ci,
     # betti ci, and verdict ci and verdict delpezzo where the verdict reads chi
     ["euler", "ci", "--dim", "99999999999999999999", "--degrees", "2"],

@@ -284,9 +284,10 @@ def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
 
 def test_each_size_check_lives_beside_its_work_and_cli_defines_no_limit():
     # cli only calls the checks: it defines no _check_* function and no
-    # module-level _..MAX.. constant, and each size check is defined once, in
-    # the module whose work it bounds
-    checks, cli_limits = {}, []
+    # module-level _..MAX.. constant, reads no int-to-str setting and renders
+    # its report outside every try, so no render failure is caught; each size
+    # check is defined once, in the module whose work it bounds
+    checks, cli_limits, cli_digits, cli_caught_renders = {}, [], [], []
     for path in sorted(Path(chern.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
         for node in ast.walk(tree):
@@ -298,14 +299,26 @@ def test_each_size_check_lives_beside_its_work_and_cli_defines_no_limit():
                            for node in ast.walk(top)
                            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                            and node.id.startswith("_") and "MAX" in node.id]
-    assert cli_limits == []
+            cli_digits += [name for node in ast.walk(tree)
+                           for name in ([node.id] if isinstance(node, ast.Name) else
+                                        [node.attr] if isinstance(node, ast.Attribute) else
+                                        [alias.name for alias in node.names]
+                                        if isinstance(node, ast.ImportFrom) else [])
+                           if "int_max_str_digits" in name
+                           or name in ("_digits_in_force", "_printable_bits")]
+            cli_caught_renders += [node.lineno for block in ast.walk(tree)
+                                   if isinstance(block, ast.Try) and block.handlers
+                                   for statement in block.body for node in ast.walk(statement)
+                                   if isinstance(node, ast.Attribute)
+                                   and node.attr in ("dumps", "render")]
+    assert cli_limits == [] and cli_digits == [] and cli_caught_renders == []
     assert [name for name, modules in checks.items() if "cli" in modules] == []
     assert {name: checks.get(name) for name in ("_check_formula_size", "_check_chern_size",
                                                 "_check_weighted_size", "_check_scan_size",
-                                                "_check_cone_size")} == {
+                                                "_check_curve_size", "_check_cone_size")} == {
         "_check_formula_size": ["chern"], "_check_chern_size": ["chern"],
         "_check_weighted_size": ["chern"], "_check_scan_size": ["diagonal"],
-        "_check_cone_size": ["cones"]}
+        "_check_curve_size": ["diagonal"], "_check_cone_size": ["cones"]}
 
 
 # ---------------------------------------------------------------------------

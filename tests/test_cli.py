@@ -20,6 +20,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping
 
 import pytest
@@ -353,12 +354,19 @@ def test_weighted_limit_follows_the_int_to_str_limit(capsys, setting, max_bits) 
 
 
 def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer() -> None:
-    # the largest accepted dimensions named beside the limit, and one past each
-    for degrees, n in (((2,), 8286), ((3,), 8286), ((7,), 7254), ((5, 7), 6171),
-                       ((10**4000,), 63)):
-        chern._check_formula_size(CIType(degrees, n))
-        with pytest.raises(ValueError, match="at most 100000000000"):
-            chern._check_formula_size(CIType(degrees, n + 1))
+    # the largest accepted dimensions named beside the limit, and one past
+    # each, with the int-to-str limit off, so the printable bound reads
+    # 1,000,000 digits and only the work cap decides
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for degrees, n in (((2,), 8286), ((3,), 8286), ((7,), 7254), ((5, 7), 6171),
+                           ((10**4000,), 63)):
+            chern._check_formula_size(CIType(degrees, n))
+            with pytest.raises(ValueError, match="at most 100000000000"):
+                chern._check_formula_size(CIType(degrees, n + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
     # every product C(n + r + 1, i) h_(n-i) that the formula route sums, and
     # chi, is below 2^((n + r)(b + 2)), b the bits of the largest degree
     for degrees in ((), (2,), (3,), (2, 2, 2), (5, 7), (2, 3, 4, 5), (255, 2), (2**40 + 1,)):
@@ -370,6 +378,77 @@ def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer() -> None:
             terms = [math.comb(n + r + 1, i) * h[n - i] for i in range(n + 1)]
             assert max(t.bit_length() for t in terms) <= bits, ci
             assert abs(chern.euler_ci_formula(ci)).bit_length() <= bits, ci
+
+
+# The largest dimension each formula-route command accepts, for degrees 7 and
+# for the cubic of verdict delpezzo --degree 3, at int-to-str settings 640,
+# 4,300 and 0: the printable bound decides, except where the work cap of
+# 10^11 comes first (n = 7,254 and 8,286), as with the limit off, which the
+# bound reads as 1,000,000 digits.
+_FORMULA_EDGES = {640: (813, 2102), 4300: (5515, 8286), 0: (7254, 8286)}
+
+
+@pytest.mark.parametrize("setting", sorted(_FORMULA_EDGES))
+def test_formula_commands_print_at_their_edge_and_refuse_past_it_before_any_work(
+        capsys, monkeypatch, setting) -> None:
+    def work(*args):
+        raise AssertionError("a limit must be checked before any work")
+
+    septic, cubic = _FORMULA_EDGES[setting]
+    commands = [(["euler", "ci", "--degrees", "7"], septic),
+                (["betti", "ci", "--degrees", "7"], septic),
+                (["verdict", "ci", "--degrees", "7"], septic),
+                (["verdict", "delpezzo", "--degree", "3"], cubic)]
+    digits = setting or 1_000_000
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(setting)
+        for argv, n in commands:
+            code, out, err = run_cli(capsys, "--format", "json", *argv, "--dim", str(n))
+            assert code == 0 and err == "", argv
+            assert max(map(len, re.findall(r"\d+", out))) <= digits, argv
+        with monkeypatch.context() as patch:
+            patch.setattr(chern, "euler_ci_formula", work)
+            patch.setattr(diagonal, "euler_ci_formula", work)
+            for argv, n in commands:
+                code, out, err = run_cli(capsys, *argv, "--dim", str(n + 1))
+                assert code == 2 and out == "", argv
+                bound = ("at most 100000000000" if n in (7254, 8286) else
+                         f"(D - 1)^n below 2^{exactnum._printable_bits(None)}, the most bits")
+                assert err.startswith("invalid input: ") and bound in err, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("setting", [640, 4300, 0])
+def test_verdict_curve_prints_at_its_edge_and_refuses_past_it_before_any_work(
+        capsys, monkeypatch, setting) -> None:
+    # the largest genus is 2^(L - 1), L the bits that print, where |2 - 2 g|
+    # = 2^L - 2; at 1,000,000 digits a print takes over 10 s on Python 3.11,
+    # so with the limit off the witness is compared with 10^1,000,000 instead
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(setting)
+        bits = exactnum._printable_bits(None)
+        genus = 2 ** (bits - 1)
+        if setting:
+            code, out, err = run_cli(capsys, "--format", "json", "verdict", "curve",
+                                     "--genus", str(genus))
+            assert code == 0 and err == ""
+            assert json.loads(out)["result"]["witness"] == {"chi": 2 - 2 * genus, "genus": genus}
+        else:
+            diagonal._check_curve_size(genus)
+            assert abs(diagonal.verdict_curve(genus).witness["chi"]) < 2**bits <= 10**1_000_000
+        monkeypatch.setattr(diagonal, "verdict_curve", lambda genus: 1 / 0)
+        with pytest.raises(ValueError, match=rf"below 2\^{bits}, the most bits"):
+            cli.handle_verdict_curve(SimpleNamespace(genus=genus + 1))
+        if setting:
+            code, out, err = run_cli(capsys, "verdict", "curve", "--genus", str(genus + 1))
+            assert (code, out) == (2, "")
+            assert err == (f"invalid input: --genus g must have |2 - 2 g| below 2^{bits}, the"
+                           " most bits that print under the int-to-str limit in force\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cone_check_does_work_in_proportion_to_its_dataset(capsys, tmp_path) -> None:
@@ -457,13 +536,15 @@ def test_unprintable_result_exits_2(capsys, fmt) -> None:
 
 
 def test_unprintable_result_under_a_lowered_str_limit_exits_2() -> None:
-    # the verdict's detail shortens chi(99; 1000), 1,994 digits; the witness
-    # printed in full is past PYTHONINTMAXSTRDIGITS=1000
+    # chi(99; 1000) has 1,994 digits, past PYTHONINTMAXSTRDIGITS=1000: the
+    # printable bound refuses the witness before any work
     proc = run_to(False, "verdict", "ci", "--dim", "1000", "--degrees", "99",
                   env={"PYTHONINTMAXSTRDIGITS": "1000"})
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == ("invalid input: the result has an integer of more than 1000"
-                           " digits, too many to print\n")
+    assert proc.stderr == ("invalid input: dimension n and r degrees other than 1, the largest"
+                           " D, must have M = prod d (n + 1)^2 C(n + r - 1, r - 1) (D - 1)^n"
+                           " below 2^3321, the most bits that print under the int-to-str limit"
+                           " in force\n")
 
 
 def test_result_past_the_memory_limit_exits_2(tmp_path) -> None:

@@ -32,7 +32,8 @@ from nefkit.chern import (
     euler_ci_rows,
     euler_delpezzo_closed,
 )
-from nefkit.cones import builtin_dataset, effective_cone_of_codim, nef_cone_of_codim
+from nefkit.cones import (CycleClass, CycleDataset, builtin_dataset, effective_cone_of_codim,
+                          nef_cone_of_codim)
 from nefkit.diagonal import (
     DELPEZZO_TABLE,
     OPEN_TWO_QUADRICS_REFERENCE,
@@ -44,6 +45,7 @@ from nefkit.diagonal import (
     cp_fibration_obstruction,
     nef_big_filter,
     scan_ci,
+    spherical_nef_diagonal_check,
     verdict_ci,
     verdict_curve,
     verdict_delpezzo,
@@ -432,10 +434,16 @@ def test_verdict_ci_rejects_dimension_zero():
 
 def test_huge_numbers_are_described_by_bit_length():
     # chi(5,7; 6000) has 15,517 bits, past Python's default limit of 4,300
-    # digits for int-to-str; (5,7; 20000) is the same case at 51,706 bits.
+    # digits for int-to-str, so verdict_ci answers only with the limit off;
+    # (5,7; 20000) is the same case at 51,706 bits.
     ci = CIType((5, 7), 6000)
     chi = euler_ci_formula(ci)
-    bound_step = verdict_ci(ci)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        bound_step = verdict_ci(ci)
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert bound_step.witness == {"chi": chi, "bound": 6001 * 35, "cover_degree": 35}
     assert bound_step.detail.startswith(
         f"chi = (positive integer of {chi.bit_length()} bits) exceeds (n+1) deg X = 210035,"
@@ -483,17 +491,19 @@ def test_detail_prints_decimal_up_to_14000_bits_with_no_or_the_default_str_limit
 
 
 def test_detail_shortens_a_number_past_a_lowered_str_limit():
-    # chi(99; 1000) has 1,994 digits, under 14,000 bits but over a limit of 1,000
-    ci = CIType((99,), 1000)
-    chi = euler_ci_formula(ci)
+    # -chi(99; 1000) has 1,994 digits, under 14,000 bits but over a limit of
+    # 1,000; verdict_ci refuses that chi, so a pairing dataset carries it
+    chi = -euler_ci_formula(CIType((99,), 1000))
+    ds = CycleDataset("X", 2, (CycleClass("h", None, 1),), {("h", "h"): chi})
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(1000)
-        verdict = verdict_ci(ci)
+        verdict = spherical_nef_diagonal_check(ds)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert verdict.witness["chi"] == chi
-    assert verdict.detail.startswith(f"chi = (positive integer of {chi.bit_length()} bits)")
+    assert verdict.witness["value"] == chi
+    assert verdict.detail == (f"effective classes h and h pair to (negative integer of"
+                              f" {chi.bit_length()} bits)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from nefkit import exactnum
 from nefkit.exactnum import complete_homogeneous, complete_homogeneous_prefix, elementary_symmetric
 
 
@@ -72,3 +73,15 @@ def test_newton_style_identity():
                 for i in range(k + 1)
             )
             assert acc == 0, (k, values)
+
+
+def test_printable_bits_are_the_bits_of_the_largest_power_of_two_that_prints(monkeypatch):
+    # 2^bits <= 10^digits, with bits = floor(digits log2 10) exactly for every
+    # digit count from 640, the lowest int-to-str setting, to 14,300; the
+    # 14,000-bit cap applies by default and not under cap=None
+    power = 10**639
+    for digits in range(640, 14_301):
+        power *= 10
+        monkeypatch.setattr(exactnum, "_digits_in_force", lambda: digits)
+        assert exactnum._printable_bits(None) == power.bit_length() - 1, digits
+        assert exactnum._printable_bits() == min(14_000, power.bit_length() - 1), digits

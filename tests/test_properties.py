@@ -2,7 +2,8 @@
 against the per-type row, the three Euler routes against each other, the
 series route's one division against one integer division per factor, the
 first Chern degree and the Betti table's Euler characteristic against the
-degree and chi, the command line's exit-status and determinism contract
+degree and chi, the formula route's printable bound against every number it
+prints, the command line's exit-status and determinism contract
 on drawn argv and on shipped datasets with one node replaced by a drawn JSON
 value, the table parser against argparse on drawn commands and near misses,
 and the shipped datasets' verdicts and nef cones with any of their
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nefkit import cli
+from nefkit import chern, cli
 from nefkit.chern import (
     CIType,
     betti_ci,
@@ -120,6 +121,37 @@ def test_first_chern_degree_is_the_degree(degrees, n):
 def test_betti_table_has_euler_characteristic_chi(degrees, n):
     ci = CIType(degrees, n)
     assert betti_ci(ci).euler_characteristic == euler_ci_formula(ci)
+
+
+def test_printable_bound_dominates_every_number_the_formula_route_prints():
+    # M = prod d (n + 1)^2 C(n + r - 1, r - 1) (D - 1)^n, D the largest degree,
+    # bounds chi, the Betti middle and the verdict's (n + 1) prod d, and the
+    # formula route's check accepts exactly while M fits the printable bits.
+    # Its slack, the digits of M past those of the largest of them, is at most
+    # 13 over every type of degrees 2..12, r <= 6 and n <= 120 (an exhaustive
+    # count), reached at (2,2,2,2,2,6; 115), which is always drawn.
+    slacks = []
+
+    @bounded(300)
+    @given(degrees=st.lists(st.integers(2, 12), min_size=1, max_size=6), n=st.integers(1, 120))
+    @example(degrees=[2, 2, 2, 2, 2, 6], n=115)
+    def check(degrees, n):
+        ci = CIType(tuple(degrees), n)
+        r, product = ci.codimension, ci.degree_product
+        bound = product * (n + 1) ** 2 * math.comb(n + r - 1, r - 1) * (ci.degrees[-1] - 1) ** n
+        chi = euler_ci_formula(ci)
+        middle = betti_ci(ci).middle
+        printed = max(abs(chi), middle, (n + 1) * product)
+        assert middle <= abs(chi) + n + 1 and printed <= bound, ci
+        with mock.patch.object(chern, "_printable_bits", lambda cap: bound.bit_length()):
+            chern._check_formula_size(ci)
+        with mock.patch.object(chern, "_printable_bits", lambda cap: bound.bit_length() - 1):
+            with pytest.raises(ValueError, match=r"\(D - 1\)\^n below 2\^"):
+                chern._check_formula_size(ci)
+        slacks.append(len(str(bound)) - len(str(printed)))
+
+    check()
+    assert max(slacks) == 13
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
