@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .chern import (CIType, _check_formula_size, betti_ci, euler_ci_formula, euler_ci_rows,
                     euler_delpezzo_closed)
-from .exactnum import _digits_in_force, _Frozen, _check_int, _printable_bits
+from .exactnum import _Frozen, _check_int, _printable_bits
 
 if TYPE_CHECKING:
     from .cones import CycleDataset
@@ -381,29 +380,22 @@ def _delpezzo_row(n: int, degree: int) -> DelPezzoRow:
     return row
 
 
-# log10 5 and log10 3 in millionths, 4.4e-9 and 2.6e-7 below them. For D <= 10^6
-# digits E = D 10^6 // _LOG10_MILLIONTHS[degree] exceeds D / log10 5 by at most
-# 0.01, D / log10 3 by at most 1.12, so at n = E - 2 |chi| is below 10^D and, as
-# |chi| grows with n, E - 2 is within the limit: (5^n + 3n + 2) / 3 < 5^n <=
-# 10^D 5^-1.99, and (3^(n+1) + 4n + 5) / 4 <= (1.15 10^D + 4n + 5) / 4 < 10^D.
-# The limit less E is +1 at degree 1 and 0, 0, -1 at degree 2 at 640, 4,300, 10^6.
-_LOG10_MILLIONTHS = {1: 698_970, 2: 477_121}
+# log2 5 and log2 3 in billionths, 1.1e-10 and 2.8e-10 above them, and log2 3 less
+# 7.2e-10. For n >= 3 |chi| <= (5^n + 3n + 2) / 3 on row 1, (3^(n+1) + 4n + 5) / 4 on
+# row 2, and n < bits, the bits that print (2,126 or more); where n log2 5 <= bits +
+# log2 3 - 7e-10, or (n + 1) log2 3 <= bits + 2 - 1e-9, the power is below 3 2^bits,
+# or 4 2^bits, by more than 2^(bits - 31) > 4n + 5, so |chi| < 2^bits and chi prints.
+_LOG2_5_UP, _LOG2_3_UP, _LOG2_3_DOWN = 2_321_928_095, 1_584_962_501, 1_584_962_500
 
 
-@cache
-def _closed_form_max_dimension(digits: int, degree: int) -> int:
-    """The largest n at which the closed-form chi of the degree-1 or degree-2
-    del Pezzo n-fold, the largest number of its verdict, has at most the
-    given number of digits: an estimate from _LOG10_MILLIONTHS, corrected
-    against 10^digits. At 4,300 digits, the default int-to-str limit: 6,152
-    and 9,012."""
-    ceiling = 10**digits
-    n = digits * 1_000_000 // _LOG10_MILLIONTHS[degree]
-    while abs(euler_delpezzo_closed(n + 1, degree)) < ceiling:
-        n += 1
-    while abs(euler_delpezzo_closed(n, degree)) >= ceiling:
-        n -= 1
-    return n
+def _check_delpezzo_size(n: int, degree: int) -> None:
+    """ValueError naming the limit of del Pezzo row 1 or 2 if chi of the n-fold may not print."""
+    max_bits = _printable_bits(None)
+    limit = ((max_bits * 10**9 + _LOG2_3_DOWN) // _LOG2_5_UP if degree == 1 else
+             (max_bits + 2) * 10**9 // _LOG2_3_UP - 1)
+    if n > limit:
+        raise ValueError(f"dimension must be at most {limit} for degree {degree}: past it chi"
+                         " may not print under the int-to-str limit in force")
 
 
 def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict:
@@ -412,20 +404,15 @@ def verdict_delpezzo(n: int, degree: int, variant: str | None = None) -> Verdict
     The optional variant label (degree 6 comes in three varieties) must name
     a manifold of the row of dimension n, or InvalidDelPezzo is raised. It is
     echoed in the detail text only; it never changes the verdict. Degrees 1
-    and 2 raise ValueError before any work past _closed_form_max_dimension,
-    where chi has more digits than exactnum._digits_in_force() allows.
+    and 2 raise ValueError before any work past the dimension at which
+    _check_delpezzo_size can no longer bound chi by the bits that print.
     """
     row = _delpezzo_row(n, degree)
     if variant is not None and row.variant_dimensions.get(variant) != n:
         raise InvalidDelPezzo(f"variant {variant!r} names no degree-{degree} del Pezzo"
                               f" manifold of dimension {n}")
     if row.cover:
-        digits = _digits_in_force()
-        if n > digits * 1_000_000 // _LOG10_MILLIONTHS[degree] - 2:  # near the limit
-            limit = _closed_form_max_dimension(digits, degree)
-            if n > limit:
-                raise ValueError(f"dimension must be at most {limit} for degree {degree}: past"
-                                 f" it chi has more than {digits} digits")
+        _check_delpezzo_size(n, degree)
         cover = row.cover(n)
         step, chi, bound = _chain(None, n, {n: euler_delpezzo_closed(n, degree)}, cover,
                                   _COVER_BOUND)

@@ -250,9 +250,10 @@ def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
     # b + 2, the bits of the largest degree plus 2, appears once in the
     # library, in chern._bit_bound; the digits in force, with their fallback
     # _UNLIMITED_DIGITS, are named only in exactnum, and the 14,000-bit decimal
-    # cap is written once, there, for exactnum._printable_bits to read; and
-    # only chern holds the constants of a Chern limit
-    bit_bounds, print_caps, decimal_caps, chern_limits = [], [], [], []
+    # cap is written once, there, for exactnum._printable_bits to read; only
+    # exactnum and the dataset reader in cones read the digits in force, every
+    # other limit reads bits; and only chern holds the constants of a Chern limit
+    bit_bounds, print_caps, digit_readers, decimal_caps, chern_limits = [], [], [], [], []
     for path in sorted(Path(chern.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
         owner = {id(node): top.name for top in tree.body
@@ -271,6 +272,8 @@ def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
                      else [])
             if "_UNLIMITED_DIGITS" in names:
                 print_caps.append(where)
+            if "_digits_in_force" in names:
+                digit_readers.append(path.stem)
             if isinstance(node, ast.Constant) and node.value == 14_000:
                 decimal_caps.append(where)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and (
@@ -278,6 +281,7 @@ def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
                 chern_limits.append((path.stem, node.id))
     assert bit_bounds == [("chern", "_bit_bound")]
     assert {module for module, _ in print_caps} == {"exactnum"}
+    assert set(digit_readers) == {"exactnum", "cones"}
     assert decimal_caps == [("exactnum", None)]
     assert sorted(chern_limits) == [("chern", "_CHERN_MAX_STEPS"), ("chern", "_FORMULA_MAX_WORK")]
 
@@ -315,10 +319,12 @@ def test_each_size_check_lives_beside_its_work_and_cli_defines_no_limit():
     assert [name for name, modules in checks.items() if "cli" in modules] == []
     assert {name: checks.get(name) for name in ("_check_formula_size", "_check_chern_size",
                                                 "_check_weighted_size", "_check_scan_size",
-                                                "_check_curve_size", "_check_cone_size")} == {
+                                                "_check_curve_size", "_check_delpezzo_size",
+                                                "_check_cone_size")} == {
         "_check_formula_size": ["chern"], "_check_chern_size": ["chern"],
         "_check_weighted_size": ["chern"], "_check_scan_size": ["diagonal"],
-        "_check_curve_size": ["diagonal"], "_check_cone_size": ["cones"]}
+        "_check_curve_size": ["diagonal"], "_check_delpezzo_size": ["diagonal"],
+        "_check_cone_size": ["cones"]}
 
 
 # ---------------------------------------------------------------------------

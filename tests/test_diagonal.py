@@ -18,13 +18,14 @@ import sys
 import time
 import weakref
 from collections import Counter, defaultdict
+from decimal import Decimal, localcontext
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 import nefkit
-from nefkit import chern, diagonal
+from nefkit import chern, diagonal, exactnum
 from nefkit.chern import (
     CIType,
     euler_ci_formula,
@@ -544,67 +545,87 @@ def test_delpezzo_closed_form_rows_stop_where_chi_can_no_longer_be_printed():
         assert len(str(abs(chi))) == 4300
         for n in (limit + 1, 10**20):
             with pytest.raises(ValueError, match=rf"^dimension must be at most {limit} for"
-                               rf" degree {degree}: past it chi has more than 4300 digits$"):
+                               rf" degree {degree}: past it chi may not print under the"
+                               " int-to-str limit in force$"):
                 verdict_delpezzo(n, degree)
 
 
 def test_delpezzo_dimension_limit_follows_the_str_limit():
     # with the limit off, or set above it, the bound is the work bound of
-    # 1,000,000 digits
+    # 1,000,000 digits; at 5,000 digits chi of the degree-1 7,154-fold has
+    # fewer digits but more bits than print
     limit = sys.get_int_max_str_digits()
     try:
-        for setting, digits, expected in ((640, 640, 916), (5000, 5000, 7154),
-                                          (2_000_000, 1_000_000, 1_430_677),
-                                          (0, 1_000_000, 1_430_677)):
+        for setting, expected in ((640, 916), (5000, 7153), (2_000_000, 1_430_677),
+                                  (0, 1_430_677)):
             sys.set_int_max_str_digits(setting)
+            max_bits = exactnum._printable_bits(None)
             chi = verdict_delpezzo(expected, 1).witness["chi"]
-            assert abs(chi) < 10**digits <= abs(euler_delpezzo_closed(expected + 1, 1))
+            assert (abs(chi).bit_length() <= max_bits
+                    < abs(euler_delpezzo_closed(expected + 1, 1)).bit_length())
             with pytest.raises(ValueError, match=f"at most {expected} for degree 1: past it"
-                                                 f" chi has more than {digits} digits"):
+                                                 " chi may not print"):
                 verdict_delpezzo(expected + 1, 1)
         assert sys.get_int_max_str_digits() == 0
         verdict_delpezzo(20001, 1)  # past the default limit's 6,152
-        for n in (10**20, 2_095_904):  # the second is the estimate, one past the limit
+        for n in (10**20, 2_095_904):
             with pytest.raises(ValueError, match="at most 2095903 for degree 2"):
                 verdict_delpezzo(n, 2)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-def test_delpezzo_dimension_limit_is_computed_once_per_digit_limit(monkeypatch):
-    calls = []
-    monkeypatch.setattr(diagonal, "euler_delpezzo_closed",
-                        lambda n, degree: calls.append(n) or euler_delpezzo_closed(n, degree))
-    monkeypatch.setattr(diagonal, "_closed_form_max_dimension",
-                        functools.cache(diagonal._closed_form_max_dimension.__wrapped__))
-    verdict_delpezzo(6152, 1)  # at the limit, which only an n near it computes
-    first = len(calls)  # the limit's estimate and correction, then chi
-    for _ in range(3):
-        verdict_delpezzo(6152, 1)
-    assert first > 2 and len(calls) == first + 3
+# The largest degree-1 and degree-2 dimensions verdict_delpezzo takes under
+# 640 digits, the smallest int-to-str setting, the default 4,300 and the work
+# bound of 1,000,000, which stands for a setting of 0 or one above it
+_DELPEZZO_EDGES = {640: (916, 1341), 4300: (6152, 9012), 1_000_000: (1_430_677, 2_095_903)}
 
 
-def test_delpezzo_dimension_limit_is_computed_only_near_the_estimate(monkeypatch):
-    # a threefold answers at once whatever the digits, even with the limit off,
-    # where the exact limit takes powers of about 1,400,000 digits
-    def unreachable(digits, degree):
-        raise AssertionError(f"limit computed at {digits} digits for degree {degree}")
+def test_delpezzo_limit_is_checked_without_chi(monkeypatch):
+    # past the edge, at any setting, the row refuses from the bound alone, and
+    # a threefold answers at once even with the limit off
+    def unreachable(n, degree):
+        raise AssertionError(f"chi computed for the degree-{degree} {n}-fold")
 
-    monkeypatch.setattr(diagonal, "_closed_form_max_dimension", unreachable)
     limit = sys.get_int_max_str_digits()
     try:
-        sys.set_int_max_str_digits(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(diagonal, "euler_delpezzo_closed", unreachable)
+            for setting in (640, 4300, 0):
+                sys.set_int_max_str_digits(setting)
+                for degree, edge in enumerate(_DELPEZZO_EDGES[setting or 1_000_000], 1):
+                    for n in (edge + 1, 10**20):
+                        with pytest.raises(ValueError, match=f"at most {edge} for degree"
+                                                             f" {degree}: past it chi may not"):
+                            verdict_delpezzo(n, degree)
         assert verdict_delpezzo(3, 1).witness["chi"] == -38
         assert verdict_delpezzo(3, 2).witness["chi"] == -16
     finally:
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("digits", [640, 4_300, 1_000_000])
+@pytest.mark.parametrize("digits", sorted(_DELPEZZO_EDGES))
 @pytest.mark.parametrize("degree", [1, 2])
-def test_delpezzo_estimate_less_two_is_within_the_limit(digits, degree):
-    estimate = digits * 1_000_000 // diagonal._LOG10_MILLIONTHS[degree]
-    assert estimate - 2 <= diagonal._closed_form_max_dimension(digits, degree) <= estimate + 1
+def test_delpezzo_bound_is_the_exact_bit_edge(monkeypatch, digits, degree):
+    # the bound takes every n whose chi has at most the bits that print, and none past it
+    monkeypatch.setattr(exactnum, "_digits_in_force", lambda: digits)
+    max_bits = exactnum._printable_bits(None)
+    edge = _DELPEZZO_EDGES[digits][degree - 1]
+    diagonal._check_delpezzo_size(edge, degree)
+    with pytest.raises(ValueError, match=f"at most {edge} for degree {degree}"):
+        diagonal._check_delpezzo_size(edge + 1, degree)
+    assert (abs(euler_delpezzo_closed(edge, degree)).bit_length() <= max_bits
+            < abs(euler_delpezzo_closed(edge + 1, degree)).bit_length())
+
+
+def test_delpezzo_bound_constants_lie_on_their_safe_side():
+    # log2 5 and log2 3 rounded up, and log2 3 rounded down, to the billionth
+    with localcontext() as context:
+        context.prec = 40
+        log2_5, log2_3 = (Decimal(v).ln() / Decimal(2).ln() * 10**9 for v in (5, 3))
+        assert 0 < diagonal._LOG2_5_UP - log2_5 < 1
+        assert 0 < diagonal._LOG2_3_UP - log2_3 < 1
+        assert 0 < log2_3 - diagonal._LOG2_3_DOWN < 1
 
 
 def test_delpezzo_delegates_to_ci():
