@@ -286,35 +286,42 @@ def test_only_chern_computes_the_bit_bound_and_only_exactnum_the_print_caps():
     assert sorted(chern_limits) == [("chern", "_CHERN_MAX_STEPS"), ("chern", "_FORMULA_MAX_WORK")]
 
 
+def check_definitions() -> dict[str, list[str]]:
+    """Each _check_* function the library defines, with the modules that
+    define it."""
+    checks: dict[str, list[str]] = {}
+    for path in sorted(Path(chern.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+                checks.setdefault(node.name, []).append(path.stem)
+    return checks
+
+
 def test_each_size_check_lives_beside_its_work_and_cli_defines_no_limit():
     # cli only calls the checks: it defines no _check_* function and no
     # module-level _..MAX.. constant, reads no int-to-str setting and renders
     # its report outside every try, so no render failure is caught; each size
-    # check is defined once, in the module whose work it bounds
-    checks, cli_limits, cli_digits, cli_caught_renders = {}, [], [], []
-    for path in sorted(Path(chern.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text("utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
-                checks.setdefault(node.name, []).append(path.stem)
-        if path.stem == "cli":
-            cli_limits += [node.id for top in tree.body
-                           if not isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                           for node in ast.walk(top)
-                           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-                           and node.id.startswith("_") and "MAX" in node.id]
-            cli_digits += [name for node in ast.walk(tree)
-                           for name in ([node.id] if isinstance(node, ast.Name) else
-                                        [node.attr] if isinstance(node, ast.Attribute) else
-                                        [alias.name for alias in node.names]
-                                        if isinstance(node, ast.ImportFrom) else [])
-                           if "int_max_str_digits" in name
-                           or name in ("_digits_in_force", "_printable_bits")]
-            cli_caught_renders += [node.lineno for block in ast.walk(tree)
-                                   if isinstance(block, ast.Try) and block.handlers
-                                   for statement in block.body for node in ast.walk(statement)
-                                   if isinstance(node, ast.Attribute)
-                                   and node.attr in ("dumps", "render")]
+    # check is defined once, in the module whose work it bounds, and
+    # tests/test_golden.py checks that each refuses an edge of record.EDGES
+    checks = check_definitions()
+    tree = ast.parse(Path(chern.__file__).with_name("cli.py").read_text("utf-8"))
+    cli_limits = [node.id for top in tree.body
+                  if not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and node.id.startswith("_") and "MAX" in node.id]
+    cli_digits = [name for node in ast.walk(tree)
+                  for name in ([node.id] if isinstance(node, ast.Name) else
+                               [node.attr] if isinstance(node, ast.Attribute) else
+                               [alias.name for alias in node.names]
+                               if isinstance(node, ast.ImportFrom) else [])
+                  if "int_max_str_digits" in name
+                  or name in ("_digits_in_force", "_printable_bits")]
+    cli_caught_renders = [node.lineno for block in ast.walk(tree)
+                          if isinstance(block, ast.Try) and block.handlers
+                          for statement in block.body for node in ast.walk(statement)
+                          if isinstance(node, ast.Attribute)
+                          and node.attr in ("dumps", "render")]
     assert cli_limits == [] and cli_digits == [] and cli_caught_renders == []
     assert [name for name, modules in checks.items() if "cli" in modules] == []
     assert {name: checks.get(name) for name in ("_check_formula_size", "_check_chern_size",
