@@ -220,8 +220,6 @@ def load_dataset(text: str) -> CycleDataset:
 
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys, parse_int=parse_int)
-    except SchemaError:
-        raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:

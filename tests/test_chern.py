@@ -36,14 +36,7 @@ from nefkit.chern import (
     euler_weighted,
     quadrics_b,
 )
-from nefkit.exactnum import elementary_symmetric
-
-
-def closed_form_hypersurface_chi(d: int, n: int) -> int:
-    # d * chi = (1-d)^(n+2) - 1 + d(n+2), an independent route used only here.
-    value = (1 - d) ** (n + 2) - 1 + d * (n + 2)
-    assert value % d == 0
-    return value // d
+from oracles import brute_e, closed_form_hypersurface_chi
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +473,7 @@ def test_weighted_is_an_exact_int_and_names_the_reduced_fraction():
 def per_term_chi(weights: tuple[int, ...], d: int) -> Fraction:
     # the formula as written, one e_k per term: sum e_(m-1-i)(a) (-d)^i * d / prod(a)
     m = len(weights) - 1
-    total = sum(elementary_symmetric(m - 1 - i, weights) * (-d) ** i for i in range(m))
+    total = sum(brute_e(m - 1 - i, weights) * (-d) ** i for i in range(m))
     return Fraction(total * d, math.prod(weights))
 
 

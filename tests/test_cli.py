@@ -240,43 +240,19 @@ def test_chern_limits_bound_the_series_steps_and_the_bits_of_a_result() -> None:
 
 
 @pytest.mark.parametrize(("setting", "max_bits"), [(640, 2126), (4300, 14000), (0, 14000)])
-def test_chern_bit_limit_follows_the_int_to_str_limit(capsys, setting, max_bits) -> None:
+def test_chern_bit_limit_follows_the_int_to_str_limit(capsys, set_str_limit, setting,
+                                                       max_bits) -> None:
     # floor(640 log2 10) = 2,126 bits print in 640 digits; the default 4,300
     # digits and no limit at all leave the 14,000-bit cap
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(setting)
-        # (447 + 2)(30 + 2) = 14,368 bits is past every cap
-        with pytest.raises(ValueError, match=f"must be at most {max_bits}, the most bits"):
-            chern._check_chern_size(CIType((2**30 - 1,) * 2, 447))
-        # (28 + 1)(71 + 2) = 2,117 bits is accepted and prints at every setting
-        code, out, err = run_cli(capsys, "--format", "json", "chern", "ci", "--dim", "28",
-                                 "--degrees", str(2**71 - 1))
-        assert code == 0 and err == ""
-        assert max(abs(c).bit_length() for c in json.loads(out)["result"]) <= 2117
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def test_chern_ci_past_a_lowered_str_limit_exits_2_before_any_work(capsys,
-                                                                   monkeypatch) -> None:
-    # (200 + 1)(29 + 2) = 6,231 bits, accepted by default, needs more than 640
-    # digits; (28 + 1)(72 + 2) = 2,146 bits just does not fit in them
-    def work(*args):
-        raise AssertionError("a limit must be checked before any work")
-
-    monkeypatch.setattr(chern, "chern_degrees_ci", work)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(640)
-        for dim, degree in (("200", "536870911"), ("28", str(2**72 - 1))):
-            code, out, err = run_cli(capsys, "chern", "ci", "--dim", dim, "--degrees", degree)
-            assert code == 2 and out == ""
-            assert err == ("invalid input: --dim plus the number of degrees other than 1, times"
-                           " 2 plus the bits of the largest degree, must be at most 2126, the"
-                           " most bits a Chern degree may need\n")
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_str_limit(setting)
+    # (447 + 2)(30 + 2) = 14,368 bits is past every cap
+    with pytest.raises(ValueError, match=f"must be at most {max_bits}, the most bits"):
+        chern._check_chern_size(CIType((2**30 - 1,) * 2, 447))
+    # (28 + 1)(71 + 2) = 2,117 bits is accepted and prints at every setting
+    code, out, err = run_cli(capsys, "--format", "json", "chern", "ci", "--dim", "28",
+                             "--degrees", str(2**71 - 1))
+    assert code == 0 and err == ""
+    assert max(abs(c).bit_length() for c in json.loads(out)["result"]) <= 2117
 
 
 def test_weighted_limit_bounds_every_integer_euler_weighted_computes(monkeypatch) -> None:
@@ -306,40 +282,31 @@ def test_weighted_limit_bounds_every_integer_euler_weighted_computes(monkeypatch
         assert max(abs(value).bit_length() for value in integers) <= bits, (weights, d)
 
 
-@pytest.mark.parametrize(("setting", "max_bits"), [(640, 2126), (4300, 14000)])
-def test_weighted_limit_follows_the_int_to_str_limit(capsys, setting, max_bits) -> None:
-    # at each setting, unit weights at a degree of S = max_bits answer and
-    # print, and at the next power of 2, S = max_bits + 1, exit 2 with the limit
-    count, bits = {640: (20, 101), 4300: (131, 106)}[setting]
-    weights = ",".join(["1"] * count)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(setting)
-        code, out, err = run_cli(capsys, "euler", "weighted", "--weights", weights,
-                                 "--degree", str(2**bits - 1))
-        assert code == 0 and err == "" and len(out.splitlines()[0]) <= setting + 1
-        code, out, err = run_cli(capsys, "euler", "weighted", "--weights", weights,
-                                 "--degree", str(2**bits))
-        assert code == 2 and out == ""
-        assert err.startswith("invalid input: ") and f"at most {max_bits}, the most bits" in err
-    finally:
-        sys.set_int_max_str_digits(limit)
+def test_weighted_limit_follows_the_int_to_str_limit(capsys, set_str_limit) -> None:
+    # 640 digits print 2,126 bits: 20 unit weights at a degree of 2^101 - 1,
+    # S = 20 * 101 + 101 + 5 = 2,126, answer and print, and at 2^101, S = 2,127,
+    # exit 2 with the limit; record.EDGES holds the default limit's pair
+    weights = ",".join(["1"] * 20)
+    set_str_limit(640)
+    code, out, err = run_cli(capsys, "euler", "weighted", "--weights", weights,
+                             "--degree", str(2**101 - 1))
+    assert code == 0 and err == "" and len(out.splitlines()[0]) <= 641
+    code, out, err = run_cli(capsys, "euler", "weighted", "--weights", weights,
+                             "--degree", str(2**101))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: ") and "at most 2126, the most bits" in err
 
 
-def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer() -> None:
+def test_formula_limit_bounds_the_steps_and_the_bits_of_every_integer(set_str_limit) -> None:
     # the largest accepted dimensions named beside the limit, and one past
     # each, with the int-to-str limit off, so the printable bound reads
     # 1,000,000 digits and only the work cap decides
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        for degrees, n in (((2,), 8286), ((3,), 8286), ((7,), 7254), ((5, 7), 6171),
-                           ((10**4000,), 63)):
-            chern._check_formula_size(CIType(degrees, n))
-            with pytest.raises(ValueError, match="at most 100000000000"):
-                chern._check_formula_size(CIType(degrees, n + 1))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_str_limit(0)
+    for degrees, n in (((2,), 8286), ((3,), 8286), ((7,), 7254), ((5, 7), 6171),
+                       ((10**4000,), 63)):
+        chern._check_formula_size(CIType(degrees, n))
+        with pytest.raises(ValueError, match="at most 100000000000"):
+            chern._check_formula_size(CIType(degrees, n + 1))
     # every product C(n + r + 1, i) h_(n-i) that the formula route sums, and
     # chi, is below 2^((n + r)(b + 2)), b the bits of the largest degree
     for degrees in ((), (2,), (3,), (2, 2, 2), (5, 7), (2, 3, 4, 5), (255, 2), (2**40 + 1,)):
@@ -363,7 +330,7 @@ _FORMULA_EDGES = {640: (813, 2102), 4300: (5515, 8286), 0: (7254, 8286)}
 
 @pytest.mark.parametrize("setting", sorted(_FORMULA_EDGES))
 def test_formula_commands_print_at_their_edge_and_refuse_past_it_before_any_work(
-        capsys, monkeypatch, setting) -> None:
+        capsys, monkeypatch, set_str_limit, setting) -> None:
     def work(*args):
         raise AssertionError("a limit must be checked before any work")
 
@@ -373,55 +340,47 @@ def test_formula_commands_print_at_their_edge_and_refuse_past_it_before_any_work
                 (["verdict", "ci", "--degrees", "7"], septic),
                 (["verdict", "delpezzo", "--degree", "3"], cubic)]
     digits = setting or 1_000_000
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(setting)
+    set_str_limit(setting)
+    for argv, n in commands:
+        code, out, err = run_cli(capsys, "--format", "json", *argv, "--dim", str(n))
+        assert code == 0 and err == "", argv
+        assert max(map(len, re.findall(r"\d+", out))) <= digits, argv
+    with monkeypatch.context() as patch:
+        patch.setattr(chern, "euler_ci_formula", work)
+        patch.setattr(diagonal, "euler_ci_formula", work)
         for argv, n in commands:
-            code, out, err = run_cli(capsys, "--format", "json", *argv, "--dim", str(n))
-            assert code == 0 and err == "", argv
-            assert max(map(len, re.findall(r"\d+", out))) <= digits, argv
-        with monkeypatch.context() as patch:
-            patch.setattr(chern, "euler_ci_formula", work)
-            patch.setattr(diagonal, "euler_ci_formula", work)
-            for argv, n in commands:
-                code, out, err = run_cli(capsys, *argv, "--dim", str(n + 1))
-                assert code == 2 and out == "", argv
-                bound = ("at most 100000000000" if n in (7254, 8286) else
-                         f"(D - 1)^n below 2^{exactnum._printable_bits(None)}, the most bits")
-                assert err.startswith("invalid input: ") and bound in err, argv
-    finally:
-        sys.set_int_max_str_digits(limit)
+            code, out, err = run_cli(capsys, *argv, "--dim", str(n + 1))
+            assert code == 2 and out == "", argv
+            bound = ("at most 100000000000" if n in (7254, 8286) else
+                     f"(D - 1)^n below 2^{exactnum._printable_bits(None)}, the most bits")
+            assert err.startswith("invalid input: ") and bound in err, argv
 
 
 @pytest.mark.parametrize("setting", [640, 4300, 0])
 def test_verdict_curve_prints_at_its_edge_and_refuses_past_it_before_any_work(
-        capsys, monkeypatch, setting) -> None:
+        capsys, monkeypatch, set_str_limit, setting) -> None:
     # the largest genus is 2^(L - 1), L the bits that print, where |2 - 2 g|
     # = 2^L - 2; at 1,000,000 digits a print takes over 10 s on Python 3.11,
     # so with the limit off the witness is compared with 10^1,000,000 instead
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(setting)
-        bits = exactnum._printable_bits(None)
-        genus = 2 ** (bits - 1)
-        if setting:
-            code, out, err = run_cli(capsys, "--format", "json", "verdict", "curve",
-                                     "--genus", str(genus))
-            assert code == 0 and err == ""
-            assert json.loads(out)["result"]["witness"] == {"chi": 2 - 2 * genus, "genus": genus}
-        else:
-            diagonal._check_curve_size(genus)
-            assert abs(diagonal.verdict_curve(genus).witness["chi"]) < 2**bits <= 10**1_000_000
-        monkeypatch.setattr(diagonal, "verdict_curve", lambda genus: 1 / 0)
-        with pytest.raises(ValueError, match=rf"below 2\^{bits}, the most bits"):
-            cli.handle_verdict_curve(SimpleNamespace(genus=genus + 1))
-        if setting:
-            code, out, err = run_cli(capsys, "verdict", "curve", "--genus", str(genus + 1))
-            assert (code, out) == (2, "")
-            assert err == (f"invalid input: --genus g must have |2 - 2 g| below 2^{bits}, the"
-                           " most bits that print under the int-to-str limit in force\n")
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_str_limit(setting)
+    bits = exactnum._printable_bits(None)
+    genus = 2 ** (bits - 1)
+    if setting:
+        code, out, err = run_cli(capsys, "--format", "json", "verdict", "curve",
+                                 "--genus", str(genus))
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["witness"] == {"chi": 2 - 2 * genus, "genus": genus}
+    else:
+        diagonal._check_curve_size(genus)
+        assert abs(diagonal.verdict_curve(genus).witness["chi"]) < 2**bits <= 10**1_000_000
+    monkeypatch.setattr(diagonal, "verdict_curve", lambda genus: 1 / 0)
+    with pytest.raises(ValueError, match=rf"below 2\^{bits}, the most bits"):
+        cli.handle_verdict_curve(SimpleNamespace(genus=genus + 1))
+    if setting:
+        code, out, err = run_cli(capsys, "verdict", "curve", "--genus", str(genus + 1))
+        assert (code, out) == (2, "")
+        assert err == (f"invalid input: --genus g must have |2 - 2 g| below 2^{bits}, the"
+                       " most bits that print under the int-to-str limit in force\n")
 
 
 def test_cone_check_does_work_in_proportion_to_its_dataset(capsys, tmp_path) -> None:

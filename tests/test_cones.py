@@ -1,11 +1,12 @@
 """Tests for dataset parsing, exact dual cones, and the nef-diagonal check.
 
-The shipped Grassmannian dataset is re-derived here from scratch with a
-Pieri/Giambelli oracle, so the JSON numbers are never trusted blind. Dual
-cones are validated against hand-solved examples, by the involution
-dual(dual(C)) == C on seeded random pointed cones, and against a brute-force
-enumeration of the kernels of all (m-1)-subsets of the normals; their integer
-elimination is checked against a reduced row echelon form over Fraction.
+The shipped Grassmannian dataset is re-derived from scratch with the
+Pieri/Giambelli oracle of tests/oracles.py, so the JSON numbers are never
+trusted blind. Dual cones are validated against hand-solved examples, by the
+involution dual(dual(C)) == C on seeded random pointed cones, and against the
+oracles' brute-force enumeration of the kernels of all (m-1)-subsets of the
+normals; their integer elimination is checked against the oracles' reduced
+row echelon form over Fraction.
 """
 
 from __future__ import annotations
@@ -14,13 +15,11 @@ import json
 import os
 import random
 import re
-import sys
 import threading
 import time
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -45,41 +44,21 @@ from nefkit.cones import (
     resolve_dataset,
 )
 from nefkit.diagonal import Reason, Status, spherical_nef_diagonal_check, verdict_delpezzo
-from nefkit.exactnum import _check_int
+from oracles import (
+    BOX,
+    brute_force_dual_cone,
+    fraction_echelon,
+    identity,
+    kernel_line,
+    pieri_step,
+    primitive_of,
+    rank,
+    schubert_pairing_oracle,
+    tau_top_pairing,
+)
 
 # ---------------------------------------------------------------------------
-# Independent oracle: Schubert calculus on G(2,5) via Pieri and Giambelli.
-# Partitions live in a 2 x 3 box; sigma(3,3) is the point class.
-
-BOX = 3
-
-
-def pieri_step(p: int, cls: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Multiply a cycle (partition -> coefficient) by the special class sigma_p."""
-    if p < 0 or p > BOX:
-        return {}
-    if p == 0:
-        return dict(cls)
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), coeff in cls.items():
-        for m1 in range(a, BOX + 1):
-            m2 = a + b + p - m1
-            if m1 >= a >= m2 >= b:
-                out[(m1, m2)] = out.get((m1, m2), 0) + coeff
-    return out
-
-
-def schubert_pairing_oracle(lam: tuple[int, int], mu: tuple[int, int]) -> int:
-    """Coefficient of the point class in sigma_lam * sigma_mu on G(2,5).
-
-    Giambelli writes sigma_(a,b) = sigma_a*sigma_b - sigma_(a+1)*sigma_(b-1)
-    in special classes, which Pieri steps can then multiply onto sigma_mu.
-    """
-    a, b = lam
-    base = {mu: 1}
-    plus = pieri_step(a, pieri_step(b, base))
-    minus = pieri_step(a + 1, pieri_step(b - 1, base))
-    return plus.get((BOX, BOX), 0) - minus.get((BOX, BOX), 0)
+# The Grassmannian datasets
 
 
 def test_oracle_sanity() -> None:
@@ -122,24 +101,6 @@ def test_gw2c5_inventory() -> None:
     assert {c.label: c for c in ds.classes}["tau(3,-1)"].partition == (3, -1)
 
 
-def tau_top_pairing(n: int, a: int, b: int) -> int:
-    """Pairing of tau(a,b) with the extra class tau(2n-1,-1), for the
-    (4n-3)-dimensional odd symplectic Grassmannian of lines in C^(2n+1).
-
-    Defined for ordinary partitions a >= b >= 0 of weight a + b = 2n - 1;
-    the value is (-1)^(a-1).
-    """
-    if _check_int(n, "n") < 1:
-        raise ValueError("n must be a positive integer")
-    if not _check_int(a, "a") >= _check_int(b, "b") >= 0:
-        raise InvalidPartition(f"({a},{b}) is not weakly decreasing and non-negative")
-    if a + b != 2 * n - 1:
-        raise InvalidPartition(
-            f"({a},{b}) has weight {a + b}, complementary weight is {2 * n - 1}"
-        )
-    return (-1) ** (a - 1)
-
-
 def test_gw2c5_negative_tail_pairings_match_sign_rule() -> None:
     # the stored pairings against the extra orbit closure follow the
     # closed-form sign (-1)^(a-1) for complementary tau(a,b)
@@ -150,21 +111,13 @@ def test_gw2c5_negative_tail_pairings_match_sign_rule() -> None:
         assert ds.pairing_value(tail.label, other.label) == tau_top_pairing(2, a, b)
 
 
-def test_tau_top_pairing_values_and_errors() -> None:
+def test_tau_top_pairing_values() -> None:
     assert tau_top_pairing(2, 3, 0) == 1
     assert tau_top_pairing(2, 2, 1) == -1
     assert tau_top_pairing(1, 1, 0) == 1
     assert tau_top_pairing(3, 5, 0) == 1
     assert tau_top_pairing(3, 4, 1) == -1
     assert tau_top_pairing(3, 3, 2) == 1
-    with pytest.raises(InvalidPartition):
-        tau_top_pairing(2, 1, 2)  # increasing
-    with pytest.raises(InvalidPartition):
-        tau_top_pairing(2, 2, -1)  # negative part
-    with pytest.raises(InvalidPartition):
-        tau_top_pairing(2, 2, 0)  # wrong weight
-    with pytest.raises(ValueError, match="^n must be a positive integer$"):
-        tau_top_pairing(0, 1, 0)
 
 
 def test_delpezzo_fivefold_witness_agrees_with_dataset() -> None:
@@ -321,23 +274,20 @@ def test_load_dataset_rejects_unreadable_documents(text) -> None:
 
 @pytest.mark.parametrize(("setting", "digits"), [(0, 4_300), (10_000, 4_300), (4_300, 4_300),
                                                  (640, 640)])
-def test_load_dataset_reads_no_integer_past_the_digit_cap(setting, digits) -> None:
+def test_load_dataset_reads_no_integer_past_the_digit_cap(set_str_limit, setting,
+                                                         digits) -> None:
     # with the int-to-str limit off, or set higher, int() would read any
     # length, in time growing with the square of the digits
     text = json.dumps(make_doc())
     value = text.replace('"value": 1}]', '"value": -N}]')
     dimension = text.replace('"dimension": 2', '"dimension": N')
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(setting)
-        ds = load_dataset(value.replace("N", "7" * digits))
-        assert ds.pairings[("h", "h")] == -int("7" * digits)
-        for doc in (value, dimension):
-            with pytest.raises(SchemaError, match=f"^dataset cannot be read: an integer has more"
-                                                  f" than {digits} digits, too many to read$"):
-                load_dataset(doc.replace("N", "7" * (digits + 1)))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_str_limit(setting)
+    ds = load_dataset(value.replace("N", "7" * digits))
+    assert ds.pairings[("h", "h")] == -int("7" * digits)
+    for doc in (value, dimension):
+        with pytest.raises(SchemaError, match=f"^dataset cannot be read: an integer has more"
+                                              f" than {digits} digits, too many to read$"):
+            load_dataset(doc.replace("N", "7" * (digits + 1)))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -557,85 +507,6 @@ def test_shipped_data_holds_only_pairing_datasets() -> None:
 # Dual cones
 
 
-def identity(m: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(m)) for i in range(m)]
-
-
-def fraction_echelon(rows: list[list[int]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction, the reference for _echelon."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    for col in range(width):
-        rank = len(pivots)
-        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-    return mat, pivots
-
-
-def kernel_line(rows: list[list[int]], width: int) -> tuple[int, ...] | None:
-    """Primitive spanning vector of the kernel, of either sign, if it is exactly
-    a line: the brute-force oracle's integer kernel, built over _echelon."""
-    mat, pivots = _echelon(rows, width)
-    if len(pivots) != width - 1:
-        return None
-    free = next(c for c in range(width) if c not in pivots)
-    vec = [0] * width
-    vec[free] = mat[0][pivots[0]] if pivots else 1
-    for row_index, col in enumerate(pivots):
-        vec[col] = -mat[row_index][free]
-    return primitive_of(tuple(vec))
-
-
-def fraction_kernel_line(rows: list[list[int]], width: int) -> tuple[int, ...] | None:
-    mat, pivots = fraction_echelon(rows, width)
-    if len(pivots) != width - 1:
-        return None
-    free = next(c for c in range(width) if c not in pivots)
-    vec = [Fraction(int(c == free)) for c in range(width)]
-    for row_index, col in enumerate(pivots):
-        vec[col] = -mat[row_index][free]
-    scale = lcm(*(x.denominator for x in vec))
-    return primitive_of(tuple(int(x * scale) for x in vec))
-
-
-def brute_force_dual_cone(effective_generators, pairing_matrix) -> tuple[tuple[int, ...], ...]:
-    """Generators of the dual cone by enumeration, the reference for dual_cone.
-
-    Every (m-1)-subset of the normals whose kernel is a line gives a candidate
-    ray of either sign, kept when it pairs non-negatively with every normal:
-    C(k, m-1) eliminations. Inputs are taken as well formed; the two errors
-    for a dual that is all of space or not pointed follow dual_cone.
-    """
-    m = len(pairing_matrix)
-    normals: list[tuple[int, ...]] = []
-    for g in effective_generators:
-        normal = tuple(sum(x * y for x, y in zip(row, g)) for row in pairing_matrix)
-        if any(normal) and normal not in normals:
-            normals.append(normal)
-    if not normals:
-        raise ValueError("every generator pairs to zero; the dual is all of space")
-    if _rank(normals, m) < m:
-        raise ValueError("dual cone contains a linear subspace")
-    rays: set[tuple[int, ...]] = set()
-    for subset in combinations(range(len(normals)), m - 1):
-        candidate = kernel_line([normals[i] for i in subset], m)
-        if candidate is None:
-            continue
-        for ray in (candidate, tuple(-x for x in candidate)):
-            if all(sum(x * y for x, y in zip(normal, ray)) >= 0 for normal in normals):
-                rays.add(ray)
-    return tuple(sorted(rays))
-
-
 def random_deficient_matrix(rng: random.Random, width: int) -> list[list[int]]:
     # width - 2 .. width + 1 integer combinations of width - 2 .. width random
     # rows: the rank often falls short of both the row count and the width,
@@ -664,14 +535,15 @@ def test_integer_elimination_matches_fraction_reference(width: int) -> None:
         assert pivots == ref_pivots
         assert mat == [[d * x for x in row] for row in ref]
         assert _rank(rows, width) == len(ref_pivots)
-        line = kernel_line(rows, width)
-        if len(ref_pivots) != width - 1:
-            assert line is None
+        # the oracle kernel on width - 1 rows, as brute_force_dual_cone takes it
+        head = rows[:width - 1]
+        if len(head) < width - 1:
             continue
-        assert all(sum(x * y for x, y in zip(row, line)) == 0 for row in rows)
-        assert gcd(*line) == 1
-        expected = fraction_kernel_line(rows, width)
-        assert line in (expected, tuple(-x for x in expected))
+        line = kernel_line(head, width)
+        assert (line is None) == (rank(head, width) < width - 1)
+        if line is not None:
+            assert all(sum(x * y for x, y in zip(row, line)) == 0 for row in head)
+            assert gcd(*line) == 1
 
 
 @pytest.mark.parametrize(("rows", "expected"), [
@@ -892,11 +764,6 @@ def random_pointed_generators(rng: random.Random, m: int, count: int) -> list[tu
         tuple([rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(m - 1)])
         for _ in range(count)
     ]
-
-
-def primitive_of(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = gcd(*vec)
-    return tuple(x // g for x in vec)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

@@ -51,7 +51,7 @@ from nefkit.diagonal import (
     verdict_curve,
     verdict_delpezzo,
 )
-from test_cones import tau_top_pairing  # the gw2c5 sign rule, a test oracle
+from oracles import plane_pairing, rank, series_quotient
 
 
 def scan_grid(max_dimension: int, max_degree: int, max_codimension: int) -> list[CIType]:
@@ -313,13 +313,8 @@ def plane_self_intersection(degrees: tuple[int, ...], m: int) -> int:
     X of the degrees in P^N, N = 2m + r: the top Chern class of N_{Lambda/X},
     which the normal bundle sequence 0 -> N_{Lambda/X} -> N_{Lambda/P} ->
     N_{X/P}|Lambda -> 0 makes [h^m] (1 + h)^(N - m) / prod(1 + d h) (Fulton,
-    Intersection Theory, ch. 6). Integers only: the binomial row of N - m =
-    m + r, divided by one 1 + d h at a time."""
-    series = [math.comb(m + len(degrees), j) for j in range(m + 1)]
-    for d in degrees:
-        for j in range(1, m + 1):
-            series[j] -= d * series[j - 1]
-    return series[m]
+    Intersection Theory, ch. 6), where N - m = m + r."""
+    return series_quotient(m + len(degrees), degrees, m)[m]
 
 
 def test_plane_witnesses_are_self_intersections_only_for_lines():
@@ -331,32 +326,6 @@ def test_plane_witnesses_are_self_intersections_only_for_lines():
     # for m >= 2 the (2,2) step's -1 pairs two distinct m-planes, which no
     # self-intersection gives, so that step stays a quoted fact
     assert [plane_self_intersection((2, 2), m) for m in (2, 3, 4)] == [2, -2, 3]
-
-
-def plane_pairing(d: int) -> int:
-    """Lambda.Lambda' for two m-planes on the 2m-dimensional intersection of
-    two quadrics that meet in a d-dimensional linear space (d = -1: disjoint).
-    Excess intersection (Fulton, Intersection Theory, ch. 6 and 9) makes it
-    [h^d] (1 + h)^(d + 2) / (1 + 2h)^2, whatever m is. Integers only: the
-    binomial row of d + 2 against the row (k + 1) (-2)^k of 1 / (1 + 2h)^2."""
-    return sum(math.comb(d + 2, d - k) * (k + 1) * (-2) ** k for k in range(d + 1))
-
-
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals, by fraction-free row elimination."""
-    rows = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col]
-            rows[i] = [top[col] * x - factor * y for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
 
 
 def test_plane_pairing_closed_form():
@@ -396,7 +365,7 @@ def test_plane_pairing_on_the_lines_of_the_quartic_del_pezzo_surface():
     for i, row in enumerate(gram):
         assert row[i] == plane_pairing(1)
         assert Counter(row[:i] + row[i + 1:]) == {plane_pairing(0): 5, plane_pairing(-1): 10}
-    assert integer_rank(gram) == chern.betti_ci(CIType((2, 2), 2)).betti[2] == 6
+    assert rank(gram, len(gram)) == chern.betti_ci(CIType((2, 2), 2)).betti[2] == 6
 
 
 def test_verdict_sign_and_bound_cases():
@@ -433,41 +402,7 @@ def test_verdict_ci_rejects_dimension_zero():
         verdict_ci(CIType((2,), 0))
 
 
-def test_huge_numbers_are_described_by_bit_length():
-    # chi(5,7; 6000) has 15,517 bits, past Python's default limit of 4,300
-    # digits for int-to-str, so verdict_ci answers only with the limit off;
-    # (5,7; 20000) is the same case at 51,706 bits.
-    ci = CIType((5, 7), 6000)
-    chi = euler_ci_formula(ci)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        bound_step = verdict_ci(ci)
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert bound_step.witness == {"chi": chi, "bound": 6001 * 35, "cover_degree": 35}
-    assert bound_step.detail.startswith(
-        f"chi = (positive integer of {chi.bit_length()} bits) exceeds (n+1) deg X = 210035,"
-    )
-    genus = 10**5000
-    curve = verdict_curve(genus)
-    assert curve.witness == {"chi": 2 - 2 * genus, "genus": genus}
-    assert curve.detail == (
-        "deg Delta^2 = chi = (negative integer of 16611 bits) < 0"
-        " on a curve of genus (positive integer of 16610 bits)"
-    )
-    # a degree-1 del Pezzo verdict past 20,000 dimensions needs a digit limit
-    # over 14,000 (the dimension limit at 15,000 digits is 21,460)
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(15000)
-        odd, even = verdict_delpezzo(20001, 1), verdict_delpezzo(20000, 1)
-        assert odd.witness["chi"] == euler_delpezzo_closed(20001, 1)
-        assert odd.detail.startswith("deg Delta^2 = chi = (negative integer of ")
-        assert even.witness["cover_degree"] == 2**20000
-        assert "degree-(positive integer of 20001 bits) cover" in even.detail
-    finally:
-        sys.set_int_max_str_digits(limit)
+def test_huge_numbers_are_described_by_bit_length(set_str_limit):
     # the two largest degree-1 del Pezzo dimensions at the default limit: chi
     # has 14,281 and 14,283 bits
     odd, even = verdict_delpezzo(6151, 1), verdict_delpezzo(6152, 1)
@@ -476,32 +411,49 @@ def test_huge_numbers_are_described_by_bit_length():
     assert even.witness["cover_degree"] == 2**6152
     assert even.detail.startswith("chi = (positive integer of ")
     assert f"(n+1) * {2**6152} = " in even.detail
+    genus = 10**5000
+    curve = verdict_curve(genus)
+    assert curve.witness == {"chi": 2 - 2 * genus, "genus": genus}
+    assert curve.detail == (
+        "deg Delta^2 = chi = (negative integer of 16611 bits) < 0"
+        " on a curve of genus (positive integer of 16610 bits)"
+    )
+    # chi(5,7; 6000) has 15,517 bits, past Python's default limit of 4,300
+    # digits for int-to-str, so verdict_ci answers only with the limit off;
+    # (5,7; 20000) is the same case at 51,706 bits.
+    ci = CIType((5, 7), 6000)
+    chi = euler_ci_formula(ci)
+    set_str_limit(0)
+    bound_step = verdict_ci(ci)
+    assert bound_step.witness == {"chi": chi, "bound": 6001 * 35, "cover_degree": 35}
+    assert bound_step.detail.startswith(
+        f"chi = (positive integer of {chi.bit_length()} bits) exceeds (n+1) deg X = 210035,"
+    )
+    # a degree-1 del Pezzo verdict past 20,000 dimensions needs a digit limit
+    # over 14,000 (the dimension limit at 15,000 digits is 21,460)
+    set_str_limit(15000)
+    odd, even = verdict_delpezzo(20001, 1), verdict_delpezzo(20000, 1)
+    assert odd.witness["chi"] == euler_delpezzo_closed(20001, 1)
+    assert odd.detail.startswith("deg Delta^2 = chi = (negative integer of ")
+    assert even.witness["cover_degree"] == 2**20000
+    assert "degree-(positive integer of 20001 bits) cover" in even.detail
 
 
-def test_detail_prints_decimal_up_to_14000_bits_with_no_or_the_default_str_limit():
-    limit = sys.get_int_max_str_digits()
-    try:
-        for setting in (0, limit):
-            sys.set_int_max_str_digits(setting)
-            assert verdict_curve(2**13999).detail.endswith(f"genus {2**13999}")
-            assert verdict_curve(2**14000).detail.endswith(
-                "genus (positive integer of 14001 bits)"
-            )
-    finally:
-        sys.set_int_max_str_digits(limit)
+def test_detail_prints_decimal_up_to_14000_bits_with_no_or_the_default_str_limit(
+        set_str_limit):
+    for setting in (0, sys.int_info.default_max_str_digits):
+        set_str_limit(setting)
+        assert verdict_curve(2**13999).detail.endswith(f"genus {2**13999}")
+        assert verdict_curve(2**14000).detail.endswith("genus (positive integer of 14001 bits)")
 
 
-def test_detail_shortens_a_number_past_a_lowered_str_limit():
+def test_detail_shortens_a_number_past_a_lowered_str_limit(set_str_limit):
     # -chi(99; 1000) has 1,994 digits, under 14,000 bits but over a limit of
     # 1,000; verdict_ci refuses that chi, so a pairing dataset carries it
     chi = -euler_ci_formula(CIType((99,), 1000))
     ds = CycleDataset("X", 2, (CycleClass("h", None, 1),), {("h", "h"): chi})
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(1000)
-        verdict = spherical_nef_diagonal_check(ds)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    set_str_limit(1000)
+    verdict = spherical_nef_diagonal_check(ds)
     assert verdict.witness["value"] == chi
     assert verdict.detail == (f"effective classes h and h pair to (negative integer of"
                               f" {chi.bit_length()} bits)")
@@ -550,29 +502,25 @@ def test_delpezzo_closed_form_rows_stop_where_chi_can_no_longer_be_printed():
                 verdict_delpezzo(n, degree)
 
 
-def test_delpezzo_dimension_limit_follows_the_str_limit():
+def test_delpezzo_dimension_limit_follows_the_str_limit(set_str_limit):
     # with the limit off, or set above it, the bound is the work bound of
     # 1,000,000 digits; at 5,000 digits chi of the degree-1 7,154-fold has
     # fewer digits but more bits than print
-    limit = sys.get_int_max_str_digits()
-    try:
-        for setting, expected in ((640, 916), (5000, 7153), (2_000_000, 1_430_677),
-                                  (0, 1_430_677)):
-            sys.set_int_max_str_digits(setting)
-            max_bits = exactnum._printable_bits(None)
-            chi = verdict_delpezzo(expected, 1).witness["chi"]
-            assert (abs(chi).bit_length() <= max_bits
-                    < abs(euler_delpezzo_closed(expected + 1, 1)).bit_length())
-            with pytest.raises(ValueError, match=f"at most {expected} for degree 1: past it"
-                                                 " chi may not print"):
-                verdict_delpezzo(expected + 1, 1)
-        assert sys.get_int_max_str_digits() == 0
-        verdict_delpezzo(20001, 1)  # past the default limit's 6,152
-        for n in (10**20, 2_095_904):
-            with pytest.raises(ValueError, match="at most 2095903 for degree 2"):
-                verdict_delpezzo(n, 2)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    for setting, expected in ((640, 916), (5000, 7153), (2_000_000, 1_430_677),
+                              (0, 1_430_677)):
+        set_str_limit(setting)
+        max_bits = exactnum._printable_bits(None)
+        chi = verdict_delpezzo(expected, 1).witness["chi"]
+        assert (abs(chi).bit_length() <= max_bits
+                < abs(euler_delpezzo_closed(expected + 1, 1)).bit_length())
+        with pytest.raises(ValueError, match=f"at most {expected} for degree 1: past it"
+                                             " chi may not print"):
+            verdict_delpezzo(expected + 1, 1)
+    assert sys.get_int_max_str_digits() == 0
+    verdict_delpezzo(20001, 1)  # past the default limit's 6,152
+    for n in (10**20, 2_095_904):
+        with pytest.raises(ValueError, match="at most 2095903 for degree 2"):
+            verdict_delpezzo(n, 2)
 
 
 # The largest degree-1 and degree-2 dimensions verdict_delpezzo takes under
@@ -581,27 +529,23 @@ def test_delpezzo_dimension_limit_follows_the_str_limit():
 _DELPEZZO_EDGES = {640: (916, 1341), 4300: (6152, 9012), 1_000_000: (1_430_677, 2_095_903)}
 
 
-def test_delpezzo_limit_is_checked_without_chi(monkeypatch):
+def test_delpezzo_limit_is_checked_without_chi(monkeypatch, set_str_limit):
     # past the edge, at any setting, the row refuses from the bound alone, and
     # a threefold answers at once even with the limit off
     def unreachable(n, degree):
         raise AssertionError(f"chi computed for the degree-{degree} {n}-fold")
 
-    limit = sys.get_int_max_str_digits()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(diagonal, "euler_delpezzo_closed", unreachable)
-            for setting in (640, 4300, 0):
-                sys.set_int_max_str_digits(setting)
-                for degree, edge in enumerate(_DELPEZZO_EDGES[setting or 1_000_000], 1):
-                    for n in (edge + 1, 10**20):
-                        with pytest.raises(ValueError, match=f"at most {edge} for degree"
-                                                             f" {degree}: past it chi may not"):
-                            verdict_delpezzo(n, degree)
-        assert verdict_delpezzo(3, 1).witness["chi"] == -38
-        assert verdict_delpezzo(3, 2).witness["chi"] == -16
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with monkeypatch.context() as patch:
+        patch.setattr(diagonal, "euler_delpezzo_closed", unreachable)
+        for setting in (640, 4300, 0):
+            set_str_limit(setting)
+            for degree, edge in enumerate(_DELPEZZO_EDGES[setting or 1_000_000], 1):
+                for n in (edge + 1, 10**20):
+                    with pytest.raises(ValueError, match=f"at most {edge} for degree"
+                                                         f" {degree}: past it chi may not"):
+                        verdict_delpezzo(n, degree)
+    assert verdict_delpezzo(3, 1).witness["chi"] == -38
+    assert verdict_delpezzo(3, 2).witness["chi"] == -16
 
 
 @pytest.mark.parametrize("digits", sorted(_DELPEZZO_EDGES))
@@ -728,17 +672,14 @@ def test_nef_big_filter():
         (verdict_delpezzo, (4, 2.0), "degree"),
         (nef_big_filter, ("delpezzo", (3.0, 5)), "dimension"),
         (euler_delpezzo_closed, (3, True), "degree"),
-        (tau_top_pairing, (2, 2.0, 1), "a"),
         (nef_cone_of_codim, (builtin_dataset("gw2c5"), 2.0), "codim"),
         (effective_cone_of_codim, (builtin_dataset("gw2c5"), 2.0), "codim"),
         (verdict_curve, (True,), "genus"),
         (cp_fibration_obstruction, (2.0,), "n"),
-        (tau_top_pairing, (True, 1, 0), "n"),
     ],
     ids=["delpezzo-bool-degree", "delpezzo-float-degree", "nef-big-float-dimension",
-         "closed-form-bool-degree", "tau-float-part", "nef-cone-float-codim",
-         "effective-cone-float-codim", "curve-bool-genus", "fibration-float-n",
-         "tau-bool-n"],
+         "closed-form-bool-degree", "nef-cone-float-codim", "effective-cone-float-codim",
+         "curve-bool-genus", "fibration-float-n"],
 )
 def test_entry_points_reject_non_integer_arguments(call, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):

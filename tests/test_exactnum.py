@@ -1,37 +1,18 @@
 """Tests for the exact arithmetic layer.
 
 The symmetric functions are checked against brute-force enumeration over
-index multisets/subsets, so every frozen value downstream rests on an
-independent oracle; chern's series route has its own tests in test_chern.
+index multisets/subsets (brute_h and brute_e of tests/oracles.py), so every
+frozen value downstream rests on an independent oracle; chern's series route
+has its own tests in test_chern.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from nefkit import exactnum
 from nefkit.exactnum import complete_homogeneous, complete_homogeneous_prefix, elementary_symmetric
-
-
-def brute_h(k: int, values: list[int]) -> int:
-    """h_k by summing over all index multisets of size k."""
-    if k == 0:
-        return 1
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(len(values)), k):
-        total += math.prod(values[i] for i in combo)
-    return total
-
-
-def brute_e(k: int, values: list[int]) -> int:
-    """e_k by summing over all index subsets of size k."""
-    if k == 0:
-        return 1
-    total = 0
-    for combo in itertools.combinations(range(len(values)), k):
-        total += math.prod(values[i] for i in combo)
-    return total
+from oracles import brute_e, brute_h
 
 
 def test_symmetric_functions_trivial_cases():

@@ -1,5 +1,6 @@
 """What each entry point loads and how it exits: the lazy package root,
-per-subcommand imports, and the collector freeze of the process entry point.
+per-subcommand imports, and the collector freeze of the process entry point;
+and that the tests' oracles load the standard library alone.
 
 Every import-set and exit case runs in a fresh interpreter, since this process
 has long since loaded every module.
@@ -234,3 +235,14 @@ def test_unknown_root_attribute_raises() -> None:
         nefkit.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from nefkit import no_such_name  # noqa: F401
+
+
+def test_oracles_import_only_the_standard_library() -> None:
+    # a reference that loaded nefkit could share the fault it is meant to catch
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text("utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [module for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names] == []
