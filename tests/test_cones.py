@@ -19,7 +19,7 @@ import threading
 import time
 from importlib import resources
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -47,6 +47,7 @@ from nefkit.diagonal import Reason, Status, spherical_nef_diagonal_check, verdic
 from oracles import (
     BOX,
     brute_force_dual_cone,
+    determinant,
     fraction_echelon,
     identity,
     kernel_line,
@@ -564,6 +565,21 @@ def test_elimination_with_zero_multipliers(rows: list[list[int]],
     ref, ref_pivots = fraction_echelon(rows, len(rows[0]))
     assert pivots == ref_pivots
     assert mat == expected == [[mat[0][pivots[0]] * x for x in row] for row in ref]
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_oracle_determinant_matches_the_permutation_expansion(size: int) -> None:
+    # Bareiss's exact divisions, its search past a zero leading entry and the
+    # sign of each row move, against Leibniz's sum over permutations
+    rng = random.Random(6007 + size)
+    values = []
+    for _ in range(50):
+        matrix = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(size)] for _ in range(size)]
+        values.append(sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(size), 2))
+                          * prod(row[p[i]] for i, row in enumerate(matrix))
+                          for p in permutations(range(size))))
+        assert determinant(matrix) == values[-1], matrix
+    assert 0 in values and any(values)
 
 
 def random_dual_cone_input(rng: random.Random, m: int) -> tuple[list, list]:
